@@ -1,0 +1,57 @@
+#include "core/two_stage_eviction.h"
+
+#include "util/logging.h"
+
+namespace coserve {
+
+bool
+TwoStageEviction::lacksPreliminary(ExpertId e, const MemoryTier &pool,
+                                   const EvictionContext &ctx)
+{
+    if (!ctx.deps->isSubsequent(e))
+        return false;
+    for (ExpertId pre : ctx.deps->preliminariesOf(e)) {
+        if (pool.contains(pre))
+            return false;
+    }
+    return true;
+}
+
+std::optional<ExpertId>
+TwoStageEviction::selectVictim(const MemoryTier &pool,
+                               const EvictionContext &ctx)
+{
+    COSERVE_CHECK(ctx.deps != nullptr && ctx.usage != nullptr,
+                  "two-stage eviction needs dependency/usage context");
+
+    // Stage 1: subsequent experts without a resident preliminary,
+    // largest footprint first.
+    std::optional<ExpertId> stage1;
+    std::int64_t stage1Bytes = -1;
+    // Stage 2 fallback: lowest usage probability.
+    std::optional<ExpertId> stage2;
+    double stage2Prob = 0.0;
+
+    // detlint:allow(unordered-iter) both stages select with full-order tie-breaks (bytes/probability, then id)
+    for (const auto &[id, entry] : pool.entries()) {
+        if (!evictable(entry, ctx))
+            continue;
+        if (lacksPreliminary(id, pool, ctx)) {
+            if (entry.bytes > stage1Bytes ||
+                (entry.bytes == stage1Bytes && id < *stage1)) {
+                stage1 = id;
+                stage1Bytes = entry.bytes;
+            }
+            continue;
+        }
+        const double p = ctx.usage->probability(id);
+        if (!stage2 || p < stage2Prob ||
+            (p == stage2Prob && id < *stage2)) {
+            stage2 = id;
+            stage2Prob = p;
+        }
+    }
+    return stage1 ? stage1 : stage2;
+}
+
+} // namespace coserve

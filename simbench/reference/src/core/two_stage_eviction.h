@@ -1,0 +1,40 @@
+/**
+ * @file
+ * Dependency-aware expert management (paper Section 4.3, Figure 10).
+ *
+ * Two-stage eviction:
+ *  - Stage 1: evict *subsequent* (detection) experts none of whose
+ *    preliminary (classification) experts is resident in the same pool
+ *    — they cannot run until a preliminary expert is loaded first, so
+ *    keeping them is wasted memory. Victims are taken in descending
+ *    memory-footprint order to minimize the number of evictions.
+ *  - Stage 2: evict remaining experts in ascending pre-assessed usage
+ *    probability, keeping the most likely experts resident.
+ */
+
+#ifndef COSERVE_CORE_TWO_STAGE_EVICTION_H
+#define COSERVE_CORE_TWO_STAGE_EVICTION_H
+
+#include "runtime/policies.h"
+
+namespace coserve {
+
+/** CoServe's two-stage, dependency-aware eviction policy. */
+class TwoStageEviction : public EvictionPolicy
+{
+  public:
+    const char *name() const override { return "two-stage"; }
+
+    std::optional<ExpertId>
+    selectVictim(const MemoryTier &pool, const EvictionContext &ctx)
+        override;
+
+  private:
+    /** True when no preliminary expert of @p e is resident in @p pool. */
+    static bool lacksPreliminary(ExpertId e, const MemoryTier &pool,
+                                 const EvictionContext &ctx);
+};
+
+} // namespace coserve
+
+#endif // COSERVE_CORE_TWO_STAGE_EVICTION_H

@@ -1,0 +1,157 @@
+/**
+ * @file
+ * Metrics registry: named Counter / Gauge / Histogram handles.
+ *
+ * The registry replaces ad-hoc counter plumbing: the engines and the
+ * cluster coordinator increment live handles at the same sites that
+ * maintain the legacy result-struct fields, and the final snapshot is
+ * attached to ClusterResult so reports read metric values from one
+ * authoritative place (a reconciliation test asserts snapshot ==
+ * legacy counters, catching drift in either direction).
+ *
+ * Determinism: counters are relaxed atomics — increments commute, so
+ * the final values are independent of replica-thread interleaving.
+ * Registration is mutex-guarded because engines are constructed inside
+ * replica threads in static-parallel mode. Storage is std::map, so
+ * snapshot order is the sorted metric name order — stable across runs
+ * and platforms (no unordered containers anywhere in the obs layer).
+ */
+
+#ifndef COSERVE_OBS_METRICS_H
+#define COSERVE_OBS_METRICS_H
+
+#include <atomic>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "util/mutex.h"
+
+namespace coserve::obs {
+
+/** Monotonic event count (relaxed atomic: thread-safe, commutative). */
+class Counter
+{
+  public:
+    void
+    add(std::int64_t delta = 1)
+    {
+        v_.fetch_add(delta, std::memory_order_relaxed);
+    }
+
+    std::int64_t
+    value() const
+    {
+        return v_.load(std::memory_order_relaxed);
+    }
+
+  private:
+    std::atomic<std::int64_t> v_{0};
+};
+
+/** Point-in-time value, set single-threaded at collection time. */
+class Gauge
+{
+  public:
+    void set(double v) { v_ = v; }
+    double value() const { return v_; }
+
+  private:
+    double v_ = 0.0;
+};
+
+/**
+ * Fixed-bucket histogram (relaxed atomics). Bucket @c i counts samples
+ * <= bounds[i]; one overflow bucket catches the rest. Sum is kept in
+ * integer units of the caller's choosing so accumulation commutes.
+ */
+class Histogram
+{
+  public:
+    explicit Histogram(std::vector<std::int64_t> bounds);
+
+    void record(std::int64_t sample);
+
+    std::int64_t count() const
+    {
+        return count_.load(std::memory_order_relaxed);
+    }
+
+    std::int64_t sum() const
+    {
+        return sum_.load(std::memory_order_relaxed);
+    }
+
+    const std::vector<std::int64_t> &bounds() const { return bounds_; }
+
+    /** Count in bucket @p i (bounds().size() + 1 buckets). */
+    std::int64_t bucketCount(std::size_t i) const;
+
+  private:
+    std::vector<std::int64_t> bounds_;
+    /** One atomic per bucket + overflow; sized at construction. */
+    std::vector<std::atomic<std::int64_t>> buckets_;
+    std::atomic<std::int64_t> count_{0};
+    std::atomic<std::int64_t> sum_{0};
+};
+
+/** One named value in a frozen snapshot. */
+struct MetricSample
+{
+    std::string name;
+    /** "counter", "gauge" or "histogram" (count exposed as value). */
+    std::string kind;
+    double value = 0.0;
+};
+
+/**
+ * Frozen, name-sorted view of a registry. Attached to ClusterResult
+ * so summarize() and tests read metrics without holding the registry.
+ */
+struct MetricsSnapshot
+{
+    std::vector<MetricSample> rows;
+
+    /** @return the sample named @p name, or nullptr. */
+    const MetricSample *find(const std::string &name) const;
+
+    /** @return value of @p name, or @p fallback when absent. */
+    double value(const std::string &name, double fallback) const;
+
+    bool empty() const { return rows.empty(); }
+};
+
+/**
+ * Named-handle registry. counter()/gauge()/histogram() register on
+ * first use and return a stable reference (map storage is node-based);
+ * callers cache the pointer and increment lock-free afterwards.
+ */
+class MetricsRegistry
+{
+  public:
+    MetricsRegistry() = default;
+    MetricsRegistry(const MetricsRegistry &) = delete;
+    MetricsRegistry &operator=(const MetricsRegistry &) = delete;
+
+    Counter &counter(const std::string &name);
+    Gauge &gauge(const std::string &name);
+    Histogram &histogram(const std::string &name,
+                         std::vector<std::int64_t> bounds);
+
+    /** Freeze current values into a name-sorted snapshot. */
+    MetricsSnapshot snapshot() const;
+
+    /** Write the snapshot as a flat JSON object to @p path. */
+    bool writeJson(const std::string &path) const;
+
+  private:
+    mutable Mutex mu_;
+    std::map<std::string, Counter> counters_ CS_GUARDED_BY(mu_);
+    std::map<std::string, Gauge> gauges_ CS_GUARDED_BY(mu_);
+    std::map<std::string, Histogram> histograms_ CS_GUARDED_BY(mu_);
+};
+
+} // namespace coserve::obs
+
+#endif // COSERVE_OBS_METRICS_H
