@@ -729,10 +729,12 @@ ClusterEngine::runCoordinated(const Trace &trace,
     };
 
     std::vector<ReplicaLoadView> live(n);
-    // Snapshots are rebuilt lazily: a replica's observable state only
+    // Views are refilled lazily: a replica's observable state only
     // changes when it executes events or accepts a request, so clean
     // views are reused across arrivals (the clock-only staleness of
-    // `now` is absorbed by the routers' max(arrival.time, ...)).
+    // `now` is absorbed by the routers' max(arrival.time, ...)). The
+    // same rule keeps resident()/queued(), which read the engine live,
+    // equal to what a fill-time copy would hold.
     std::vector<char> dirty(n, 1);
     const auto refreshViews = [&]() {
         for (std::size_t i = 0; i < n; ++i) {
@@ -1334,7 +1336,10 @@ ClusterEngine::runCoordinated(const Trace &trace,
     // steps WITHOUT stepping any engine: an extra stepAll() cut point
     // would reorder the preempt/outbox/quiesce drains relative to an
     // unsampled run and drift the decision digest. Pure observation
-    // keeps telemetry on/off byte-identical.
+    // keeps telemetry on/off byte-identical. The sampler fills its own
+    // scratch view: refreshing the coordinator's `live` views would
+    // rewrite their `now`, which stealing reads.
+    ReplicaLoadView sampleView;
     const auto recordEpochSample = [&](Time t) {
         obs::SampleRow row;
         row.t = t;
@@ -1344,12 +1349,12 @@ ClusterEngine::runCoordinated(const Trace &trace,
         for (std::size_t i = 0; i < n; ++i) {
             if (crashed[i])
                 continue;
-            // queuedRequestCount() + sampleHitCounters(), not
-            // fillLoadView() + appendTierStats(): a full load view
-            // sorts resident/queued expert sets and TierStats rows
-            // copy tier name strings on every call, which would
+            engines[i]->fillLoadView(sampleView);
+            row.queueDepth +=
+                static_cast<std::int64_t>(sampleView.queueDepth);
+            // sampleHitCounters(), not appendTierStats(): TierStats
+            // rows copy tier name strings on every call, which would
             // dominate the <5% tracing overhead budget.
-            row.queueDepth += engines[i]->queuedRequestCount();
             engines[i]->sampleHitCounters(gpuHits, gpuMisses, cpuHits,
                                           cpuMisses);
         }

@@ -230,7 +230,7 @@ class LeastLoadedRouter : public ReplicaRouter
      * Online routing: replace the router's private finish model and
      * LRU residency guess with the replicas' actual state — the
      * earliest-free executor's predicted finish, and residency from
-     * the live pool snapshot. The prediction itself is stateless
+     * the replica's live pools. The prediction itself is stateless
      * (nothing drifts between arrivals); the only cross-arrival state
      * is the sticky per-expert home used for affinity hysteresis.
      */

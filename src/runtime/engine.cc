@@ -723,15 +723,13 @@ ServingEngine::appendTierStats(std::vector<TierStats> &out) const
 bool
 ReplicaLoadView::resident(ExpertId e) const
 {
-    return std::binary_search(residentExperts.begin(),
-                              residentExperts.end(), e);
+    return engine != nullptr && engine->expertResident(e);
 }
 
 bool
 ReplicaLoadView::queued(ExpertId e) const
 {
-    return std::binary_search(queuedExperts.begin(),
-                              queuedExperts.end(), e);
+    return engine != nullptr && engine->expertQueued(e);
 }
 
 void
@@ -765,7 +763,6 @@ ServingEngine::fillLoadView(ReplicaLoadView &out) const
     out.queueDepth = 0;
     out.backlog = 0;
     out.executors.clear();
-    out.queuedExperts.clear();
     for (const auto &exec : executors_) {
         out.queueDepth += exec->queue().size();
         // Parked checkpoints are real backlog too: their remaining
@@ -774,34 +771,25 @@ ServingEngine::fillLoadView(ReplicaLoadView &out) const
         out.backlog += exec->queue().pendingWork() + exec->parkedWork();
         out.executors.push_back(
             {exec->busyUntil(), exec->queue().pendingWork()});
-        exec->queue().appendQueuedExperts(out.queuedExperts);
     }
-    std::sort(out.queuedExperts.begin(), out.queuedExperts.end());
-    out.queuedExperts.erase(std::unique(out.queuedExperts.begin(),
-                                        out.queuedExperts.end()),
-                            out.queuedExperts.end());
-    out.residentExperts.clear();
-    for (const ModelPool *pool : {gpuPool_.get(), cpuPool_.get()}) {
-        if (pool == nullptr)
-            continue;
-        // detlint:allow(unordered-iter) snapshot is sorted below before anything order-sensitive reads it
-        for (const auto &[id, entry] : pool->entries()) {
-            if (!entry.loading)
-                out.residentExperts.push_back(id);
-        }
-    }
-    // Pool iteration order is unspecified (hash map); sort so the view
-    // is deterministic and resident() can binary-search.
-    std::sort(out.residentExperts.begin(), out.residentExperts.end());
+    out.engine = this;
 }
 
-std::int64_t
-ServingEngine::queuedRequestCount() const
+bool
+ServingEngine::expertResident(ExpertId e) const
 {
-    std::int64_t depth = 0;
-    for (const auto &exec : executors_)
-        depth += static_cast<std::int64_t>(exec->queue().size());
-    return depth;
+    return (gpuPool_ && gpuPool_->resident(e)) ||
+           (cpuPool_ && cpuPool_->resident(e));
+}
+
+bool
+ServingEngine::expertQueued(ExpertId e) const
+{
+    for (const auto &exec : executors_) {
+        if (exec->queue().containsExpert(e))
+            return true;
+    }
+    return false;
 }
 
 void

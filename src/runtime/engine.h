@@ -35,11 +35,20 @@ namespace obs {
 class Counter; // obs/metrics.h
 } // namespace obs
 
+class ServingEngine;
+
 /**
- * Live load snapshot of one serving engine, exposed to cluster-level
+ * Live load view of one serving engine, exposed to cluster-level
  * routers (cluster/router.h) in online-routing mode: what a replica is
  * *actually* doing right now, as opposed to the router's private model
  * of what it predicted the replica would do.
+ *
+ * fillLoadView() copies the scalar fields and per-executor loads.
+ * resident() and queued() are not copied: they query the engine live
+ * in O(1). They are valid only while the engine outlives the view and
+ * has not changed since fillLoadView() — the coordinator's dirty-flag
+ * refresh guarantees both at every read, so a live answer equals a
+ * snapshot taken at fill time.
  */
 struct ReplicaLoadView
 {
@@ -83,23 +92,22 @@ struct ReplicaLoadView
      * has moved.
      */
     std::vector<ExecutorLoad> executors;
-    /**
-     * Experts currently resident in the replica's executor pools
-     * (sorted, loading entries excluded): the actual resident set the
-     * offline routers only approximate with an LRU guess.
-     */
-    std::vector<ExpertId> residentExperts;
-    /**
-     * Experts demanded by at least one queued request (sorted). A new
-     * same-expert request joins the group and pays no switch — the
-     * paper's Section 4.2 condition, lifted to replica granularity.
-     */
-    std::vector<ExpertId> queuedExperts;
+    /** The engine this view was filled from (null: never filled). */
+    const ServingEngine *engine = nullptr;
 
-    /** @return true when @p e is resident in an executor pool. */
+    /**
+     * @return true when @p e is resident in an executor pool (loading
+     *         entries excluded): the actual resident set the offline
+     *         routers only approximate with an LRU guess.
+     */
     bool resident(ExpertId e) const;
 
-    /** @return true when a queued request already demands @p e. */
+    /**
+     * @return true when a queued request already demands @p e. A new
+     *         same-expert request joins the group and pays no switch —
+     *         the paper's Section 4.2 condition, lifted to replica
+     *         granularity.
+     */
     bool queued(ExpertId e) const;
 };
 
@@ -179,16 +187,17 @@ class ServingEngine
         return eq_.executed() - before;
     }
 
-    /** Fill @p out with a live load snapshot (buffers reused). */
+    /**
+     * Fill @p out with this engine's load (buffers reused) and bind
+     * its resident()/queued() queries to this engine. O(executors).
+     */
     void fillLoadView(ReplicaLoadView &out) const;
 
-    /**
-     * Total requests queued across this engine's executors — the
-     * epoch sampler's cheap load probe. Unlike fillLoadView() this
-     * does no sorting and no pool walks, so observing a replica
-     * costs O(executors) per sample.
-     */
-    std::int64_t queuedRequestCount() const;
+    /** @return true when @p e is resident (not loading) in a pool. */
+    bool expertResident(ExpertId e) const;
+
+    /** @return true when some executor queue holds a request for @p e. */
+    bool expertQueued(ExpertId e) const;
 
     /**
      * Accumulate this engine's GPU and CPU-DRAM hit/miss counters —

@@ -170,20 +170,6 @@ class RequestQueue
     Time pendingWork() const { return pendingWork_; }
 
     /**
-     * Append every expert with at least one queued request to @p out
-     * (may contain duplicates across calls; callers dedupe). Used to
-     * snapshot live demand for cluster-level routing.
-     */
-    void
-    appendQueuedExperts(std::vector<ExpertId> &out) const
-    {
-        for (std::size_t e = 0; e < groups_.size(); ++e) {
-            if (groups_[e].count > 0)
-                out.push_back(static_cast<ExpertId>(e));
-        }
-    }
-
-    /**
      * Crash support: remove *every* queued request (head included,
      * unlike stealFromTail — a dead replica keeps nothing), appending
      * them to @p out in queue order.

@@ -3,9 +3,10 @@
  * Tests for online cluster scheduling (ClusterConfig::onlineRouting):
  * static routeTrace()/run() consistency, online-mode determinism
  * across the `parallel` flag, work-stealing counter reconciliation,
- * the least-loaded router's round-up parallelism division, and the
+ * the least-loaded router's round-up parallelism division, the
  * expert-affinity router's capability fallback on heterogeneous
- * clusters.
+ * clusters, load-view parity with the engine's pools and queues, and
+ * pinned decision digests for the live-view routing paths.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "cluster/cluster.h"
 #include "coe/board_builder.h"
+#include "core/coserve.h"
 #include "metrics/cluster_result.h"
 #include "workload/generator.h"
 
@@ -427,6 +429,166 @@ TEST_F(OnlineClusterFixture, AffinityHeteroNumaUmaClusterServes)
     for (std::int64_t n : r.imagesPerReplica)
         total += n;
     EXPECT_EQ(total, 400);
+}
+
+// ------------------------------------------------ live load-view parity
+
+TEST_F(OnlineClusterFixture, LoadViewMatchesPoolsAndQueues)
+{
+    // Drive three replicas through the online API the coordinator
+    // uses and, at every arrival, compare each view's resident() and
+    // queued() with the engine's pools and queues read directly:
+    // resident means some pool entry for the expert finished loading,
+    // queued means some executor queue holds a request for it.
+    constexpr std::size_t kReplicas = 3;
+    std::vector<std::unique_ptr<ServingEngine>> engines;
+    for (std::size_t i = 0; i < kReplicas; ++i) {
+        engines.push_back(makeCoServeEngine(ctx_, cfg_));
+        engines.back()->beginOnline(static_cast<RequestId>(i),
+                                    static_cast<RequestId>(kReplicas));
+    }
+    std::vector<ReplicaLoadView> live(kReplicas);
+    int midLoad = 0;
+    const auto checkView = [&](std::size_t i) {
+        const ServingEngine &engine = *engines[i];
+        engine.fillLoadView(live[i]);
+        for (std::size_t x = 0; x < model_.numExperts(); ++x) {
+            const auto e = static_cast<ExpertId>(x);
+            bool resident = false, loading = false, queued = false;
+            for (std::size_t k = 0; k < engine.numExecutors(); ++k) {
+                const Executor &exec = engine.executorAt(k);
+                const auto &entries = exec.pool().entries();
+                const auto it = entries.find(e);
+                if (it != entries.end()) {
+                    resident = resident || !it->second.loading;
+                    loading = loading || it->second.loading;
+                }
+                queued = queued || exec.queue().countForExpert(e) > 0;
+            }
+            ASSERT_EQ(live[i].resident(e), resident)
+                << "replica " << i << " expert " << e;
+            ASSERT_EQ(live[i].queued(e), queued)
+                << "replica " << i << " expert " << e;
+            if (loading && !resident)
+                midLoad += 1;
+        }
+    };
+
+    // Steal one expert's last queued request off the deepest replica:
+    // after the refill its view must stop reporting that demand.
+    int lastSteals = 0;
+    std::vector<Request> loot;
+    const auto stealLast = [&]() {
+        std::size_t victim = 0;
+        for (std::size_t i = 1; i < kReplicas; ++i) {
+            if (live[i].queueDepth > live[victim].queueDepth)
+                victim = i;
+        }
+        ServingEngine &engine = *engines[victim];
+        for (std::size_t x = 0; x < model_.numExperts(); ++x) {
+            const auto e = static_cast<ExpertId>(x);
+            int count = 0;
+            for (std::size_t k = 0; k < engine.numExecutors(); ++k)
+                count += engine.executorAt(k).queue().countForExpert(e);
+            loot.clear();
+            // A queue's head is never stolen, so a lone head request
+            // yields nothing and the next expert is tried.
+            if (count != 1 ||
+                engine.stealRequests(1, loot, [e](const Request &req) {
+                    return req.expert == e;
+                }) != 1)
+                continue;
+            checkView(victim);
+            EXPECT_FALSE(live[victim].queued(e));
+            lastSteals += 1;
+            const std::size_t thief = (victim + 1) % kReplicas;
+            engines[thief]->injectRequest(loot.front());
+            checkView(thief);
+            return;
+        }
+    };
+
+    for (std::size_t idx = 0; idx < trace_.size(); ++idx) {
+        const ImageArrival &a = trace_.arrivals[idx];
+        for (std::size_t i = 0; i < kReplicas; ++i) {
+            engines[i]->stepUntil(a.time);
+            checkView(i);
+        }
+        if (idx % 20 == 19)
+            stealLast();
+        const std::size_t r = idx % kReplicas;
+        engines[r]->admitArrival(a);
+        engines[r]->stepUntil(a.time);
+        checkView(r);
+    }
+    for (;;) {
+        Time t = kTimeNever;
+        for (const auto &engine : engines)
+            t = std::min(t, engine->nextEventTime());
+        if (t == kTimeNever)
+            break;
+        for (const auto &engine : engines)
+            engine->stepUntil(t);
+    }
+    std::int64_t images = 0;
+    for (const auto &engine : engines)
+        images += engine->finishOnline().images;
+    EXPECT_EQ(images, static_cast<std::int64_t>(trace_.size()));
+    EXPECT_GT(midLoad, 0) << "no view saw an expert mid-load";
+    EXPECT_GT(lastSteals, 0) << "no steal removed an expert's last request";
+}
+
+// -------------------------------------------- pinned live-view digests
+//
+// Decision digests of the online paths that read the live views'
+// resident()/queued() and that no other pin covers: expert-affinity
+// routing, and least-loaded routing behind coordinator admission on an
+// SLO trace. Any change to what the views answer moves them.
+
+TEST_F(OnlineClusterFixture, ExpertAffinityOnlineDigestIsPinned)
+{
+    // Four replicas: enough that a classifier evicted at its hashed
+    // home is often still resident elsewhere, so resident() steers.
+    ClusterConfig cc = homogeneousCluster(
+        ctx_, cfg_, 4, RoutingPolicy::ExpertAffinity, "affinity-pin");
+    cc.workStealing.enabled = true;
+    ClusterEngine cluster(std::move(cc));
+    const ClusterResult r =
+        cluster.run(trace_, runWithMode(RunMode::Online));
+    EXPECT_EQ(r.images, 400);
+    EXPECT_EQ(r.decisionDigest, 0xaf47492cc067024cull)
+        << std::hex << "0x" << r.decisionDigest;
+    EXPECT_EQ(r.decisionCount, 402);
+}
+
+TEST_F(OnlineClusterFixture, AdmissionSloOnlineDigestIsPinned)
+{
+    TenantSpec interactive;
+    interactive.cls = RequestClass::Interactive;
+    interactive.ratePerSec = 40.0;
+    interactive.latencyBudget = milliseconds(250);
+    TenantSpec batch;
+    batch.cls = RequestClass::Batch;
+    batch.ratePerSec = 30.0;
+    batch.latencyBudget = seconds(2);
+    TenantSpec bestEffort;
+    bestEffort.cls = RequestClass::BestEffort;
+    bestEffort.ratePerSec = 10.0;
+    bestEffort.arrivals = ArrivalProcess::MMPP;
+    const Trace slo = generateSloTrace(
+        model_, {interactive, batch, bestEffort}, seconds(10), 0x5E);
+
+    ClusterConfig cc = onlineConfig(3, /*stealing=*/true);
+    cc.admission.enabled = true;
+    ClusterEngine cluster(std::move(cc));
+    const ClusterResult r = cluster.run(slo, {});
+    EXPECT_EQ(r.images + r.slo.rejected(),
+              static_cast<std::int64_t>(slo.size()));
+    // The coordinator's admission verdicts are part of the digest.
+    EXPECT_GT(r.slo.rejected() + r.slo.downgraded(), 0);
+    EXPECT_EQ(r.decisionDigest, 0x8ceb2665c226c79full)
+        << std::hex << "0x" << r.decisionDigest;
+    EXPECT_EQ(r.decisionCount, 1266);
 }
 
 } // namespace
