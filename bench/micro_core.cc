@@ -2,21 +2,25 @@
  * @file
  * google-benchmark microbenchmarks for the hot paths of the serving
  * engine: event queue churn, request-queue grouped insertion, eviction
- * victim selection, and one full scheduling decision (the real-world
- * wall-clock cost behind Figure 19's scheduling bar).
+ * victim selection, one full scheduling decision (the real-world
+ * wall-clock cost behind Figure 19's scheduling bar), and one
+ * cluster-level LeastLoaded routing decision.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "baselines/evictions.h"
+#include "cluster/router.h"
 #include "coe/board_builder.h"
 #include "coe/dependency.h"
 #include "coe/usage.h"
+#include "core/coserve.h"
 #include "core/two_stage_eviction.h"
 #include "runtime/pool.h"
 #include "runtime/queue.h"
 #include "sim/event_queue.h"
 #include "util/rng.h"
+#include "workload/generator.h"
 
 namespace coserve {
 namespace {
@@ -98,6 +102,41 @@ BM_UsageProfileBuild(benchmark::State &state)
     }
 }
 BENCHMARK(BM_UsageProfileBuild);
+
+void
+BM_LeastLoadedRoute(benchmark::State &state)
+{
+    // Offline LeastLoaded routing of the Task A2 board-A trace over a
+    // 4-replica cluster of the Table 1 NUMA device; a fresh router per
+    // pass, built outside the timed region. "route" reads as time per
+    // route() call.
+    const DeviceSpec device = numaRtx3080Ti();
+    const CoEModel model = buildBoard(boardA());
+    const CoServeContext ctx(device, model);
+    const auto [minCount, maxCount] = gpuExpertCountBounds(ctx, 1, 0);
+    const EngineConfig cfg = coserveConfig(
+        ctx, coserveExecutorLayout(ctx, 1, 0, (minCount + maxCount) / 2),
+        "bench");
+    const std::vector<ReplicaView> views(4, ReplicaView{&ctx, &cfg});
+    TaskSpec task = taskA2();
+    task.numImages = static_cast<std::size_t>(state.range(0));
+    const Trace trace = generateTrace(model, task);
+
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto router = makeRouter(RoutingPolicy::LeastLoaded, model, views);
+        state.ResumeTiming();
+        for (const ImageArrival &a : trace.arrivals)
+            benchmark::DoNotOptimize(router->route(a));
+    }
+    const auto routes = static_cast<double>(trace.size());
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(trace.size()));
+    state.counters["route"] = benchmark::Counter(
+        routes, benchmark::Counter::kIsIterationInvariantRate |
+                    benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LeastLoadedRoute)->Arg(8192);
 
 } // namespace
 } // namespace coserve

@@ -470,11 +470,15 @@ ClusterResult
 ClusterEngine::runSharded(const Trace &trace, DecisionTrace &decisions,
                           obs::Telemetry &telem)
 {
-    const WallTimer routeWall;
+    // wallSeconds covers routing as well as the replica runs, as the
+    // coordinator's covers engine build and routeTrace: the serial
+    // routing prefix is part of a static run's host time.
+    const WallTimer wall;
     const std::vector<std::size_t> assignment = routeTrace(trace);
     // The route stream *is* the static coordinator's decision stream:
     // digesting it here keeps static runs replay-checkable and their
     // digests identical to a fault-free pinned-routing coordinator run.
+    decisions.reserve(trace.arrivals.size());
     for (std::size_t i = 0; i < trace.arrivals.size(); ++i) {
         decisions.note({trace.arrivals[i].time, DecisionKind::Route,
                         static_cast<std::uint64_t>(i),
@@ -482,7 +486,7 @@ ClusterEngine::runSharded(const Trace &trace, DecisionTrace &decisions,
     }
     const std::vector<Trace> shards =
         shardTrace(trace, assignment, cfg_.replicas.size());
-    telem.host().add("route_shard", routeWall.elapsedMicros());
+    telem.host().add("route_shard", wall.elapsedMicros());
 
     std::unique_ptr<SharedCpuTier> sharedCpu = makeSharedCpuTier();
 
@@ -493,7 +497,7 @@ ClusterEngine::runSharded(const Trace &trace, DecisionTrace &decisions,
     };
 
     std::vector<RunResult> results(cfg_.replicas.size());
-    const WallTimer wall;
+    const WallTimer runWall;
     if (cfg_.parallel) {
         std::vector<std::thread> threads;
         threads.reserve(cfg_.replicas.size());
@@ -505,7 +509,7 @@ ClusterEngine::runSharded(const Trace &trace, DecisionTrace &decisions,
         for (std::size_t i = 0; i < cfg_.replicas.size(); ++i)
             runReplica(i, results[i]);
     }
-    telem.host().add("replica_run", wall.elapsedMicros());
+    telem.host().add("replica_run", runWall.elapsedMicros());
     const WallTimer collectWall;
     ClusterResult out = aggregateClusterResult(
         cfg_.label, toString(cfg_.routing), std::move(results));
@@ -615,8 +619,10 @@ ClusterEngine::runCoordinated(const Trace &trace,
     // exactly what runSharded would execute — re-homing applies only
     // when the assigned replica has crashed.
     std::vector<std::size_t> assignment;
-    if (!liveRouting)
+    if (!liveRouting) {
         assignment = routeTrace(trace);
+        decisions.reserve(trace.arrivals.size());
+    }
 
     // ----- fault schedule --------------------------------------------
     const std::vector<FaultAction> faults =

@@ -33,33 +33,98 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/**
- * First chain-capable replica at or after @p start (wrapping): an
- * assignment must not pin a component onto a replica whose context
- * lacks a perf entry for its classifier — or for the detector its
- * chain may continue on.
- */
+/** @return one past the largest architecture id any expert uses. */
 std::size_t
-firstChainCapable(const std::vector<ReplicaView> &replicas,
-                  const CoEModel &model, ComponentId component,
-                  std::size_t start)
+archCount(const CoEModel &model)
 {
-    for (std::size_t j = 0; j < replicas.size(); ++j) {
-        const std::size_t i = (start + j) % replicas.size();
-        if (chainCapable(replicas[i], model, component))
-            return i;
-    }
-    panic("no replica can serve component ",
-          static_cast<int>(component));
+    std::size_t n = 0;
+    for (const Expert &e : model.experts())
+        n = std::max(n, static_cast<std::size_t>(e.arch) + 1);
+    return n;
 }
+
+/**
+ * Per-replica capability, computed once at router construction.
+ * capable() and chainCapable() stay the single capability rule; the
+ * table only caches their answers, so routing an arrival reads flat
+ * bytes instead of walking each replica's perf matrix. Stored
+ * replica-minor, so one arrival's scan over the replicas is
+ * contiguous.
+ */
+class CapabilityTable
+{
+  public:
+    CapabilityTable(const CoEModel &model,
+                    const std::vector<ReplicaView> &replicas)
+        : replicas_(replicas.size())
+    {
+        const std::size_t archs = archCount(model);
+        archOk_.assign(archs * replicas_, 0);
+        chainOk_.assign(model.numComponents() * replicas_, 0);
+        for (std::size_t i = 0; i < replicas_; ++i) {
+            for (std::size_t a = 0; a < archs; ++a) {
+                archOk_[a * replicas_ + i] =
+                    capable(replicas[i], static_cast<ArchId>(a));
+            }
+            for (std::size_t c = 0; c < model.numComponents(); ++c) {
+                chainOk_[c * replicas_ + i] = chainCapable(
+                    replicas[i], model, static_cast<ComponentId>(c));
+            }
+        }
+    }
+
+    /** @return number of replicas. */
+    std::size_t replicas() const { return replicas_; }
+
+    /** capable(replica, arch), cached. */
+    bool
+    archOk(std::size_t replica, ArchId arch) const
+    {
+        return archOk_[static_cast<std::size_t>(arch) * replicas_ +
+                       replica] != 0;
+    }
+
+    /** chainCapable(replica, component), cached. */
+    bool
+    chainOk(std::size_t replica, ComponentId component) const
+    {
+        return chainOk_[static_cast<std::size_t>(component) * replicas_ +
+                        replica] != 0;
+    }
+
+    /**
+     * First chain-capable replica at or after @p start (wrapping): an
+     * assignment must not pin a component onto a replica whose context
+     * lacks a perf entry for its classifier — or for the detector its
+     * chain may continue on.
+     */
+    std::size_t
+    firstChainCapable(ComponentId component, std::size_t start) const
+    {
+        for (std::size_t j = 0; j < replicas_; ++j) {
+            const std::size_t i = (start + j) % replicas_;
+            if (chainOk(i, component))
+                return i;
+        }
+        panic("no replica can serve component ",
+              static_cast<int>(component));
+    }
+
+  private:
+    std::size_t replicas_;
+    /** [arch * replicas + replica] */
+    std::vector<char> archOk_;
+    /** [component * replicas + replica] */
+    std::vector<char> chainOk_;
+};
 
 class RoundRobinRouter : public ReplicaRouter
 {
   public:
     RoundRobinRouter(const CoEModel &model,
-                     std::vector<ReplicaView> replicas)
-        : model_(model), replicas_(std::move(replicas)),
-          last_(replicas_.size() - 1) // first arrival starts at 0
+                     const std::vector<ReplicaView> &replicas)
+        : caps_(model, replicas),
+          last_(replicas.size() - 1) // first arrival starts at 0
     {}
 
     const char *name() const override { return "round-robin"; }
@@ -72,14 +137,13 @@ class RoundRobinRouter : public ReplicaRouter
         // turn to a fixed successor (which would double that
         // replica's share). Identical to plain round-robin on a
         // fully-capable cluster.
-        last_ = firstChainCapable(replicas_, model_, arrival.component,
-                                  (last_ + 1) % replicas_.size());
+        last_ = caps_.firstChainCapable(arrival.component,
+                                        (last_ + 1) % caps_.replicas());
         return last_;
     }
 
   private:
-    const CoEModel &model_;
-    std::vector<ReplicaView> replicas_;
+    CapabilityTable caps_;
     /** Replica chosen for the previous arrival (wheel position). */
     std::size_t last_;
 };
@@ -88,8 +152,8 @@ class ExpertAffinityRouter : public ReplicaRouter
 {
   public:
     ExpertAffinityRouter(const CoEModel &model,
-                         std::vector<ReplicaView> replicas)
-        : model_(model), replicas_(std::move(replicas))
+                         const std::vector<ReplicaView> &replicas)
+        : model_(model), caps_(model, replicas)
     {}
 
     const char *name() const override { return "expert-affinity"; }
@@ -99,7 +163,7 @@ class ExpertAffinityRouter : public ReplicaRouter
     {
         const ExpertId e =
             model_.component(arrival.component).classifier;
-        return capableFrom(home(e), arrival.component);
+        return caps_.firstChainCapable(arrival.component, home(e));
     }
 
     bool usesLiveViews() const override { return true; }
@@ -117,13 +181,15 @@ class ExpertAffinityRouter : public ReplicaRouter
         // biasing toward low replica indices. Quiesced replicas
         // (acceptingWork false, autoscaler) are skipped; the
         // coordinator re-homes the hashed fallback if needed.
-        const std::size_t hashed = capableFrom(home(e), arrival.component);
+        const std::size_t n = caps_.replicas();
+        const std::size_t hashed =
+            caps_.firstChainCapable(arrival.component, home(e));
         if (views[hashed].acceptingWork && views[hashed].resident(e))
             return hashed;
-        for (std::size_t j = 1; j < replicas_.size(); ++j) {
-            const std::size_t i = (hashed + j) % replicas_.size();
+        for (std::size_t j = 1; j < n; ++j) {
+            const std::size_t i = (hashed + j) % n;
             if (views[i].acceptingWork &&
-                chainCapable(replicas_[i], model_, arrival.component) &&
+                caps_.chainOk(i, arrival.component) &&
                 views[i].resident(e))
                 return i;
         }
@@ -135,17 +201,87 @@ class ExpertAffinityRouter : public ReplicaRouter
     home(ExpertId e) const
     {
         return static_cast<std::size_t>(
-            mix64(static_cast<std::uint64_t>(e)) % replicas_.size());
-    }
-
-    std::size_t
-    capableFrom(std::size_t start, ComponentId component) const
-    {
-        return firstChainCapable(replicas_, model_, component, start);
+            mix64(static_cast<std::uint64_t>(e)) % caps_.replicas());
     }
 
     const CoEModel &model_;
-    std::vector<ReplicaView> replicas_;
+    CapabilityTable caps_;
+};
+
+/**
+ * LeastLoaded's residency guess for one replica: a fixed-capacity LRU
+ * set over dense expert ids, kept as an intrusive doubly-linked list
+ * (head = most recently routed). contains() and touch() are O(1).
+ */
+class ExpertLru
+{
+  public:
+    ExpertLru(std::size_t numExperts, std::size_t capacity)
+        : prev_(numExperts, kNoExpert), next_(numExperts, kNoExpert),
+          inList_(numExperts, 0), capacity_(capacity)
+    {}
+
+    bool
+    contains(ExpertId e) const
+    {
+        return inList_[static_cast<std::size_t>(e)] != 0;
+    }
+
+    /**
+     * Move @p e to the head (inserting it if absent), then drop the
+     * tail once the list holds more than the capacity.
+     */
+    void
+    touch(ExpertId e)
+    {
+        if (contains(e))
+            unlink(e);
+        pushFront(e);
+        if (size_ > capacity_)
+            unlink(tail_);
+    }
+
+  private:
+    void
+    pushFront(ExpertId e)
+    {
+        const auto i = static_cast<std::size_t>(e);
+        prev_[i] = kNoExpert;
+        next_[i] = head_;
+        if (head_ != kNoExpert)
+            prev_[static_cast<std::size_t>(head_)] = e;
+        else
+            tail_ = e;
+        head_ = e;
+        inList_[i] = 1;
+        ++size_;
+    }
+
+    void
+    unlink(ExpertId e)
+    {
+        const auto i = static_cast<std::size_t>(e);
+        const ExpertId p = prev_[i];
+        const ExpertId n = next_[i];
+        if (p != kNoExpert)
+            next_[static_cast<std::size_t>(p)] = n;
+        else
+            head_ = n;
+        if (n != kNoExpert)
+            prev_[static_cast<std::size_t>(n)] = p;
+        else
+            tail_ = p;
+        inList_[i] = 0;
+        --size_;
+    }
+
+    std::vector<ExpertId> prev_;
+    std::vector<ExpertId> next_;
+    std::vector<char> inList_;
+    ExpertId head_ = kNoExpert;
+    ExpertId tail_ = kNoExpert;
+    std::size_t size_ = 0;
+    std::size_t capacity_;
 };
 
 /**
@@ -155,16 +291,20 @@ class ExpertAffinityRouter : public ReplicaRouter
  * replica's pool bytes. Each candidate's cost is the dependency-aware
  * scheduler's execution estimate (K / K + B) plus the profiled load
  * latency when the expert is predicted non-resident, divided by the
- * replica's executor parallelism.
+ * replica's executor parallelism. Those per-(replica, arch) inputs
+ * never change during a run, so they are read from the perf matrix
+ * once, at construction.
  */
 class LeastLoadedRouter : public ReplicaRouter
 {
   public:
     LeastLoadedRouter(const CoEModel &model,
-                      std::vector<ReplicaView> replicas)
-        : model_(model), replicas_(std::move(replicas))
+                      const std::vector<ReplicaView> &replicas)
+        : model_(model), caps_(model, replicas)
     {
-        for (const ReplicaView &view : replicas_) {
+        const std::size_t archs = archCount(model);
+        for (std::size_t i = 0; i < replicas.size(); ++i) {
+            const ReplicaView &view = replicas[i];
             // Footprints are per-device: size each replica's residency
             // estimate from its own context.
             std::int64_t totalBytes = 0;
@@ -174,19 +314,38 @@ class LeastLoadedRouter : public ReplicaRouter
                 totalBytes /
                 static_cast<std::int64_t>(model_.numExperts());
 
-            State st;
             std::int64_t poolBytes = 0;
+            bool hasGpu = false;
             for (const ExecutorConfig &e : view.cfg->executors) {
                 poolBytes += e.poolBytes;
-                if (e.kind == ProcKind::GPU)
-                    st.hasGpu = true;
+                hasGpu = hasGpu || e.kind == ProcKind::GPU;
             }
+            State st(model_.numExperts(),
+                     std::max<std::size_t>(
+                         1, static_cast<std::size_t>(
+                                poolBytes /
+                                std::max<std::int64_t>(1, avgBytes))));
             st.parallelism =
                 std::max<std::size_t>(1, view.cfg->executors.size());
-            st.capacity = std::max<std::size_t>(
-                1, static_cast<std::size_t>(poolBytes /
-                                            std::max<std::int64_t>(
-                                                1, avgBytes)));
+            st.proc = hasGpu ? ProcKind::GPU : ProcKind::CPU;
+
+            // Only capable archs get costs: every replica a route
+            // considers is chain-capable, so its classifier arch is.
+            st.cost.resize(archs);
+            const PerfMatrix &perf = view.ctx->perf();
+            for (std::size_t a = 0; a < archs; ++a) {
+                const auto arch = static_cast<ArchId>(a);
+                if (!caps_.archOk(i, arch))
+                    continue;
+                ArchCost &c = st.cost[a];
+                c.execJoin = DependencyAwareScheduler::execEstimate(
+                    &perf, &view.ctx->truth(), arch, st.proc, true);
+                c.execNew = DependencyAwareScheduler::execEstimate(
+                    &perf, &view.ctx->truth(), arch, st.proc, false);
+                c.profiled = perf.has(arch, st.proc);
+                if (c.profiled)
+                    c.load = perf.at(arch, st.proc).loadLatency;
+            }
             states_.push_back(std::move(st));
         }
     }
@@ -200,14 +359,13 @@ class LeastLoadedRouter : public ReplicaRouter
             model_.component(arrival.component).classifier;
         const ArchId arch = model_.expert(expert).arch;
 
-        std::size_t best = replicas_.size();
+        std::size_t best = states_.size();
         Time bestFinish = kTimeNever;
         Time bestAdd = kTimeNever;
-        for (std::size_t i = 0; i < replicas_.size(); ++i) {
-            if (!chainCapable(replicas_[i], model_,
-                              arrival.component))
+        for (std::size_t i = 0; i < states_.size(); ++i) {
+            if (!caps_.chainOk(i, arrival.component))
                 continue;
-            const Time add = additionalLatency(i, expert, arch);
+            const Time add = additionalLatency(states_[i], expert, arch);
             const Time finish =
                 std::max(arrival.time, states_[i].finish) + add;
             if (finish < bestFinish ||
@@ -217,12 +375,12 @@ class LeastLoadedRouter : public ReplicaRouter
                 bestAdd = add;
             }
         }
-        COSERVE_CHECK(best < replicas_.size(),
+        COSERVE_CHECK(best < states_.size(),
                       "no replica can serve arch ",
                       static_cast<int>(arch));
 
         states_[best].finish = bestFinish;
-        touch(states_[best], expert);
+        states_[best].resident.touch(expert);
         return best;
     }
 
@@ -243,24 +401,23 @@ class LeastLoadedRouter : public ReplicaRouter
         const ExpertId expert =
             model_.component(arrival.component).classifier;
         const ArchId arch = model_.expert(expert).arch;
+        const auto archIdx = static_cast<std::size_t>(arch);
 
-        std::size_t best = replicas_.size();
+        std::size_t best = states_.size();
         Time bestFinish = kTimeNever;
         Time bestAdd = kTimeNever;
         std::vector<Time> &finishes = liveScratch_;
-        finishes.assign(replicas_.size(), kTimeNever);
-        for (std::size_t i = 0; i < replicas_.size(); ++i) {
+        finishes.assign(states_.size(), kTimeNever);
+        for (std::size_t i = 0; i < states_.size(); ++i) {
             // Quiesced replicas (autoscaler) take no new work; their
             // finishes entry stays kTimeNever, which also disarms the
             // affinity hysteresis below while a home is drained.
             if (!views[i].acceptingWork ||
-                !chainCapable(replicas_[i], model_,
-                              arrival.component))
+                !caps_.chainOk(i, arrival.component))
                 continue;
-            const ReplicaView &view = replicas_[i];
+            const State &st = states_[i];
+            const ArchCost &cost = st.cost[archIdx];
             const ReplicaLoadView &live = views[i];
-            const ProcKind proc =
-                states_[i].hasGpu ? ProcKind::GPU : ProcKind::CPU;
             // Section 4.2 at replica granularity, with *actual* state:
             // joining an already-queued same-expert group costs K and
             // no switch; a resident expert skips the switch; anything
@@ -270,11 +427,9 @@ class LeastLoadedRouter : public ReplicaRouter
             // transfers, both of which the offline router cannot see.
             const bool joins = live.queued(expert);
             const bool resident = live.resident(expert);
-            Time add = DependencyAwareScheduler::execEstimate(
-                &view.ctx->perf(), &view.ctx->truth(), arch, proc,
-                joins);
+            Time add = joins ? cost.execJoin : cost.execNew;
             if (!joins && !resident)
-                add += switchCost(i, arch, proc, live, arrival.time);
+                add += switchCost(st.proc, cost, live, arrival.time);
             // Earliest-free executor at the arrival instant: live
             // per-executor loads make the offline parallelism
             // division unnecessary.
@@ -296,7 +451,7 @@ class LeastLoadedRouter : public ReplicaRouter
                 bestAdd = add;
             }
         }
-        COSERVE_CHECK(best < replicas_.size(),
+        COSERVE_CHECK(best < states_.size(),
                       "no replica can serve arch ",
                       static_cast<int>(arch));
 
@@ -312,11 +467,10 @@ class LeastLoadedRouter : public ReplicaRouter
             home_.resize(static_cast<std::size_t>(expert) + 1, SIZE_MAX);
         const std::size_t h = home_[expert];
         if (h != SIZE_MAX && h != best && finishes[h] != kTimeNever) {
-            const ProcKind proc =
-                states_[h].hasGpu ? ProcKind::GPU : ProcKind::CPU;
-            if (finishes[h] <= bestFinish + switchCost(h, arch, proc,
-                                                       views[h],
-                                                       arrival.time))
+            const State &st = states_[h];
+            if (finishes[h] <= bestFinish +
+                                   switchCost(st.proc, st.cost[archIdx],
+                                              views[h], arrival.time))
                 best = h;
         }
         home_[expert] = best;
@@ -324,58 +478,68 @@ class LeastLoadedRouter : public ReplicaRouter
     }
 
   private:
+    /** One (replica, arch) pair's profiled inputs, read once. */
+    struct ArchCost
+    {
+        /** execEstimate joining a queued same-expert group: K. */
+        Time execJoin = 0;
+        /** execEstimate opening a new group: K + B. */
+        Time execNew = 0;
+        /** Whether perf() has the pair (no entry: no switch cost). */
+        bool profiled = false;
+        /** Profiled load latency (0 when not profiled). */
+        Time load = 0;
+    };
+
     struct State
     {
+        State(std::size_t numExperts, std::size_t capacity)
+            : resident(numExperts, capacity)
+        {}
+
         /** Predicted completion of all work routed to this replica. */
         Time finish = 0;
-        /** MRU-ordered experts predicted resident (front = newest). */
-        std::vector<ExpertId> resident;
-        std::size_t capacity = 1;
+        /** Experts predicted resident, sized from the pool bytes. */
+        ExpertLru resident;
         std::size_t parallelism = 1;
-        bool hasGpu = false;
+        /** GPU when the replica has a GPU executor, else CPU. */
+        ProcKind proc = ProcKind::CPU;
+        /** Indexed by arch; filled for capable archs only. */
+        std::vector<ArchCost> cost;
     };
 
     /**
-     * Live switch cost of loading @p arch onto replica @p i at time
-     * @p at: the profiled load latency, inflated by the replica's
-     * current GPU memory pressure, queued behind its in-flight
-     * storage transfers. @p at is the decision instant (the arrival
-     * time) — a cached view's own clock may be older.
+     * Live switch cost of loading an arch costed by @p cost onto a
+     * replica whose primary processor is @p proc, at time @p at: the
+     * profiled load latency, inflated by the replica's current GPU
+     * memory pressure, queued behind its in-flight storage transfers.
+     * @p at is the decision instant (the arrival time) — a cached
+     * view's own clock may be older.
      */
-    Time
-    switchCost(std::size_t i, ArchId arch, ProcKind proc,
-               const ReplicaLoadView &live, Time at) const
+    static Time
+    switchCost(ProcKind proc, const ArchCost &cost,
+               const ReplicaLoadView &live, Time at)
     {
-        const ReplicaView &view = replicas_[i];
-        if (!view.ctx->perf().has(arch, proc))
+        if (!cost.profiled)
             return 0;
-        const Time load = view.ctx->perf().at(arch, proc).loadLatency;
-        Time cost = proc == ProcKind::GPU
-                        ? static_cast<Time>(static_cast<double>(load) *
-                                            live.gpuPressure)
-                        : load;
-        cost += std::max<Time>(0, live.storageFreeAt -
-                                      std::max(live.now, at));
-        return cost;
+        Time t = proc == ProcKind::GPU
+                     ? static_cast<Time>(static_cast<double>(cost.load) *
+                                         live.gpuPressure)
+                     : cost.load;
+        t += std::max<Time>(0, live.storageFreeAt -
+                                   std::max(live.now, at));
+        return t;
     }
 
-    Time
-    additionalLatency(std::size_t i, ExpertId expert, ArchId arch) const
+    static Time
+    additionalLatency(const State &st, ExpertId expert, ArchId arch)
     {
-        const ReplicaView &view = replicas_[i];
-        const State &st = states_[i];
-        const ProcKind proc =
-            st.hasGpu ? ProcKind::GPU : ProcKind::CPU;
-
-        const bool resident =
-            std::find(st.resident.begin(), st.resident.end(), expert) !=
-            st.resident.end();
+        const ArchCost &cost = st.cost[static_cast<std::size_t>(arch)];
         // A resident expert's group is likely still queued: K only.
-        const Time execPart = DependencyAwareScheduler::execEstimate(
-            &view.ctx->perf(), &view.ctx->truth(), arch, proc, resident);
-        Time switchPart = 0;
-        if (!resident && view.ctx->perf().has(arch, proc))
-            switchPart = view.ctx->perf().at(arch, proc).loadLatency;
+        const bool resident = st.resident.contains(expert);
+        const Time execPart = resident ? cost.execJoin : cost.execNew;
+        const Time switchPart =
+            !resident && cost.profiled ? cost.load : 0;
 
         // Executor queues inside the replica drain in parallel; the
         // division rounds up so small estimates stay > 0 (plain
@@ -385,20 +549,8 @@ class LeastLoadedRouter : public ReplicaRouter
                                         st.parallelism);
     }
 
-    void
-    touch(State &st, ExpertId expert)
-    {
-        auto it = std::find(st.resident.begin(), st.resident.end(),
-                            expert);
-        if (it != st.resident.end())
-            st.resident.erase(it);
-        st.resident.insert(st.resident.begin(), expert);
-        if (st.resident.size() > st.capacity)
-            st.resident.resize(st.capacity);
-    }
-
     const CoEModel &model_;
-    std::vector<ReplicaView> replicas_;
+    CapabilityTable caps_;
     std::vector<State> states_;
     /** Live mode: each expert's current home replica (SIZE_MAX: none). */
     std::vector<std::size_t> home_;
@@ -410,7 +562,7 @@ class LeastLoadedRouter : public ReplicaRouter
 
 std::unique_ptr<ReplicaRouter>
 makeRouter(RoutingPolicy policy, const CoEModel &model,
-           std::vector<ReplicaView> replicas)
+           const std::vector<ReplicaView> &replicas)
 {
     COSERVE_CHECK(!replicas.empty(), "router needs replicas");
     for (const ReplicaView &v : replicas)
@@ -419,14 +571,11 @@ makeRouter(RoutingPolicy policy, const CoEModel &model,
 
     switch (policy) {
     case RoutingPolicy::RoundRobin:
-        return std::make_unique<RoundRobinRouter>(model,
-                                                  std::move(replicas));
+        return std::make_unique<RoundRobinRouter>(model, replicas);
     case RoutingPolicy::LeastLoaded:
-        return std::make_unique<LeastLoadedRouter>(model,
-                                                   std::move(replicas));
+        return std::make_unique<LeastLoadedRouter>(model, replicas);
     case RoutingPolicy::ExpertAffinity:
-        return std::make_unique<ExpertAffinityRouter>(model,
-                                                      std::move(replicas));
+        return std::make_unique<ExpertAffinityRouter>(model, replicas);
     }
     panic("unknown routing policy");
 }

@@ -139,12 +139,13 @@ replicaAdditionalLatency(Time execPart, Time switchPart,
 }
 
 /**
- * Build a router over @p replicas for @p model. Views are copied; the
- * contexts/configs they point to must outlive the router.
+ * Build a router over @p replicas for @p model. The router reads the
+ * views' contexts and configs only here, into per-replica capability
+ * and cost tables; @p model must outlive the router.
  */
 std::unique_ptr<ReplicaRouter>
 makeRouter(RoutingPolicy policy, const CoEModel &model,
-           std::vector<ReplicaView> replicas);
+           const std::vector<ReplicaView> &replicas);
 
 } // namespace coserve
 

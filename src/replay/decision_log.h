@@ -104,6 +104,9 @@ class DecisionLog
     /** Append one record, folding it into the digest. */
     void append(const DecisionRecord &rec);
 
+    /** Pre-size for @p n records (a known-length stream). */
+    void reserve(std::size_t n) { records_.reserve(n); }
+
     /** @return records in append order. */
     const std::vector<DecisionRecord> &records() const { return records_; }
 
@@ -154,6 +157,9 @@ class DecisionTrace
 
     /** Record one decision; in replay mode verify it first. */
     void note(const DecisionRecord &rec);
+
+    /** Pre-size the log for @p n decisions. */
+    void reserve(std::size_t n) { log_.reserve(n); }
 
     /** Replay-mode epilogue: the whole reference must be consumed. */
     void finish() const;

@@ -24,13 +24,18 @@ shardTrace(const Trace &trace, const std::vector<std::size_t> &assignment,
                   "assignment size ", assignment.size(),
                   " != trace size ", trace.arrivals.size());
 
-    std::vector<Trace> shards(numShards);
-    for (std::size_t i = 0; i < trace.arrivals.size(); ++i) {
-        const std::size_t shard = assignment[i];
+    // Count first so every shard is allocated once at its final size.
+    std::vector<std::size_t> sizes(numShards, 0);
+    for (const std::size_t shard : assignment) {
         COSERVE_CHECK(shard < numShards, "assignment ", shard,
                       " out of range for ", numShards, " shards");
-        shards[shard].arrivals.push_back(trace.arrivals[i]);
+        ++sizes[shard];
     }
+    std::vector<Trace> shards(numShards);
+    for (std::size_t s = 0; s < numShards; ++s)
+        shards[s].arrivals.reserve(sizes[s]);
+    for (std::size_t i = 0; i < trace.arrivals.size(); ++i)
+        shards[assignment[i]].arrivals.push_back(trace.arrivals[i]);
     return shards;
 }
 

@@ -14,7 +14,9 @@
 
 #include "cluster/cluster.h"
 #include "coe/board_builder.h"
+#include "core/scheduler.h"
 #include "metrics/cluster_result.h"
+#include "util/rng.h"
 #include "workload/generator.h"
 
 namespace coserve {
@@ -260,6 +262,244 @@ TEST_F(ClusterFixture, EmptyShardReplicasProduceEmptyResults)
     for (std::int64_t n : r.imagesPerReplica)
         nonEmpty += n > 0 ? 1 : 0;
     EXPECT_EQ(nonEmpty, 1);
+}
+
+// ------------------------------- least-loaded table/LRU differential
+
+/**
+ * The LeastLoaded offline model as it stood before the router cached
+ * per-replica tables: capability and costs read from the perf matrix
+ * on every arrival, and residency kept as an MRU vector (front =
+ * newest) with a linear find, erase, insert-at-front and truncate.
+ * The table-driven router must reproduce its choices exactly.
+ */
+class MruVectorLeastLoaded
+{
+  public:
+    MruVectorLeastLoaded(const CoEModel &model,
+                         std::vector<ReplicaView> replicas)
+        : model_(model), replicas_(std::move(replicas))
+    {
+        for (const ReplicaView &view : replicas_) {
+            std::int64_t totalBytes = 0;
+            for (const Expert &e : model_.experts())
+                totalBytes += view.ctx->footprint().expertBytes(e.arch);
+            const std::int64_t avgBytes =
+                totalBytes /
+                static_cast<std::int64_t>(model_.numExperts());
+            State st;
+            std::int64_t poolBytes = 0;
+            for (const ExecutorConfig &e : view.cfg->executors) {
+                poolBytes += e.poolBytes;
+                st.hasGpu = st.hasGpu || e.kind == ProcKind::GPU;
+            }
+            st.parallelism =
+                std::max<std::size_t>(1, view.cfg->executors.size());
+            st.capacity = std::max<std::size_t>(
+                1, static_cast<std::size_t>(
+                       poolBytes / std::max<std::int64_t>(1, avgBytes)));
+            states_.push_back(std::move(st));
+        }
+    }
+
+    std::size_t capacity(std::size_t i) const
+    {
+        return states_[i].capacity;
+    }
+
+    std::size_t
+    route(const ImageArrival &arrival)
+    {
+        const ExpertId expert =
+            model_.component(arrival.component).classifier;
+        const ArchId arch = model_.expert(expert).arch;
+        std::size_t best = replicas_.size();
+        Time bestFinish = kTimeNever;
+        Time bestAdd = kTimeNever;
+        for (std::size_t i = 0; i < replicas_.size(); ++i) {
+            if (!chainCapable(replicas_[i], model_, arrival.component))
+                continue;
+            const ReplicaView &view = replicas_[i];
+            const State &st = states_[i];
+            const ProcKind proc =
+                st.hasGpu ? ProcKind::GPU : ProcKind::CPU;
+            const bool resident =
+                std::find(st.resident.begin(), st.resident.end(),
+                          expert) != st.resident.end();
+            const Time execPart = DependencyAwareScheduler::execEstimate(
+                &view.ctx->perf(), &view.ctx->truth(), arch, proc,
+                resident);
+            Time switchPart = 0;
+            if (!resident && view.ctx->perf().has(arch, proc))
+                switchPart = view.ctx->perf().at(arch, proc).loadLatency;
+            const Time add = replicaAdditionalLatency(
+                execPart, switchPart, st.parallelism);
+            const Time finish = std::max(arrival.time, st.finish) + add;
+            if (finish < bestFinish ||
+                (finish == bestFinish && add < bestAdd)) {
+                best = i;
+                bestFinish = finish;
+                bestAdd = add;
+            }
+        }
+        State &st = states_.at(best);
+        st.finish = bestFinish;
+        auto it = std::find(st.resident.begin(), st.resident.end(),
+                            expert);
+        if (it != st.resident.end())
+            st.resident.erase(it);
+        st.resident.insert(st.resident.begin(), expert);
+        if (st.resident.size() > st.capacity)
+            st.resident.resize(st.capacity);
+        return best;
+    }
+
+  private:
+    struct State
+    {
+        Time finish = 0;
+        std::vector<ExpertId> resident;
+        std::size_t capacity = 1;
+        std::size_t parallelism = 1;
+        bool hasGpu = false;
+    };
+
+    const CoEModel &model_;
+    std::vector<ReplicaView> replicas_;
+    std::vector<State> states_;
+};
+
+/** Replica views over a cluster config's specs. */
+std::vector<ReplicaView>
+viewsOf(const ClusterConfig &cc)
+{
+    std::vector<ReplicaView> views;
+    for (const ReplicaSpec &r : cc.replicas)
+        views.push_back({r.ctx, &r.cfg});
+    return views;
+}
+
+/**
+ * Seeded random traces: arrival process, cadence and length drawn per
+ * seed, so the routers see both idle gaps and deep backlogs.
+ */
+std::vector<Trace>
+randomTraces(const CoEModel &model, std::uint64_t firstSeed, int count)
+{
+    const ArrivalProcess processes[] = {
+        ArrivalProcess::Fixed, ArrivalProcess::Poisson,
+        ArrivalProcess::Bursty, ArrivalProcess::MMPP};
+    std::vector<Trace> traces;
+    for (int k = 0; k < count; ++k) {
+        Rng rng(firstSeed + static_cast<std::uint64_t>(k));
+        TaskSpec task;
+        task.name = "differential";
+        task.seed = rng.next();
+        task.numImages = 500 + rng.uniformInt(2500);
+        task.interarrival = microseconds(rng.uniform(200.0, 20000.0));
+        task.arrivals = processes[rng.uniformInt(4)];
+        traces.push_back(generateTrace(model, task));
+    }
+    return traces;
+}
+
+/** Both LeastLoaded models route @p traces identically over @p views. */
+void
+expectSameAssignments(const CoEModel &model,
+                      const std::vector<ReplicaView> &views,
+                      const std::vector<Trace> &traces)
+{
+    for (std::size_t t = 0; t < traces.size(); ++t) {
+        MruVectorLeastLoaded reference(model, views);
+        auto router =
+            makeRouter(RoutingPolicy::LeastLoaded, model, views);
+        std::vector<std::size_t> want, got;
+        for (const ImageArrival &a : traces[t].arrivals) {
+            want.push_back(reference.route(a));
+            got.push_back(router->route(a));
+        }
+        ASSERT_EQ(got, want) << "trace " << t;
+    }
+}
+
+TEST(LeastLoadedDifferentialTest, HomogeneousBoardACluster)
+{
+    const DeviceSpec device = numaRtx3080Ti();
+    const CoEModel model = buildBoard(boardA());
+    const CoServeContext ctx(device, model);
+    const auto [minCount, maxCount] = gpuExpertCountBounds(ctx, 1, 0);
+    const EngineConfig cfg = coserveConfig(
+        ctx, coserveExecutorLayout(ctx, 1, 0, (minCount + maxCount) / 2),
+        "board-a");
+    const ClusterConfig cc = homogeneousCluster(
+        ctx, cfg, 4, RoutingPolicy::LeastLoaded, "diff-a");
+    expectSameAssignments(model, viewsOf(cc), randomTraces(model, 100, 6));
+}
+
+TEST_F(ClusterFixture, LeastLoadedDifferentialHeterogeneous)
+{
+    // Replica 1 is profiled for ResNet101 only — every classifier, no
+    // detector — so it is chain-incapable for every component with a
+    // detect stage; replica 2 adds a CPU executor (parallelism 2).
+    const LatencyModel full = LatencyModel::calibrated(device_);
+    LatencyModel partial;
+    for (ProcKind proc : {ProcKind::GPU, ProcKind::CPU})
+        partial.setParams(ArchId::ResNet101, proc,
+                          full.params(ArchId::ResNet101, proc));
+    const CoServeContext partialCtx(device_, model_, partial, {});
+
+    EngineConfig mixed = cfg_;
+    ExecutorConfig cpu;
+    cpu.kind = ProcKind::CPU;
+    cpu.poolBytes = cfg_.executors.front().poolBytes;
+    cpu.batchMemBytes = cfg_.executors.front().batchMemBytes;
+    mixed.executors.push_back(cpu);
+
+    const ClusterConfig cc = heterogeneousCluster(
+        {{&ctx_, cfg_}, {&partialCtx, cfg_}, {&ctx_, mixed}},
+        RoutingPolicy::LeastLoaded, "diff-hetero");
+    const std::vector<ReplicaView> views = viewsOf(cc);
+    bool incapable = false;
+    for (std::size_t c = 0; c < model_.numComponents(); ++c)
+        incapable = incapable ||
+                    !chainCapable(views[1], model_,
+                                  static_cast<ComponentId>(c));
+    ASSERT_TRUE(incapable);
+    expectSameAssignments(model_, views, randomTraces(model_, 200, 8));
+}
+
+TEST(LeastLoadedDifferentialTest, TinyPoolsEvict)
+{
+    // Pools of 1-3 average experts: the residency LRU evicts on almost
+    // every arrival, so an eviction slip shows up in the assignments.
+    const DeviceSpec device = numaRtx3080Ti();
+    const CoEModel model = buildBoard(boardA());
+    const CoServeContext ctx(device, model);
+    std::int64_t totalBytes = 0;
+    for (const Expert &e : model.experts())
+        totalBytes += ctx.footprint().expertBytes(e.arch);
+    const std::int64_t avgBytes =
+        totalBytes / static_cast<std::int64_t>(model.numExperts());
+
+    const auto [minCount, maxCount] = gpuExpertCountBounds(ctx, 1, 0);
+    const EngineConfig base = coserveConfig(
+        ctx, coserveExecutorLayout(ctx, 1, 0, (minCount + maxCount) / 2),
+        "board-a");
+    std::vector<ReplicaSpec> specs;
+    for (std::int64_t experts : {1, 2, 3, 2}) {
+        EngineConfig cfg = base;
+        cfg.executors.front().poolBytes = experts * avgBytes + avgBytes / 2;
+        specs.push_back({&ctx, cfg});
+    }
+    const ClusterConfig cc = heterogeneousCluster(
+        std::move(specs), RoutingPolicy::LeastLoaded, "diff-tiny");
+    const std::vector<ReplicaView> views = viewsOf(cc);
+    const MruVectorLeastLoaded probe(model, views);
+    for (std::size_t i = 0; i < views.size(); ++i) {
+        EXPECT_GE(probe.capacity(i), 1u);
+        EXPECT_LE(probe.capacity(i), 3u);
+    }
+    expectSameAssignments(model, views, randomTraces(model, 300, 6));
 }
 
 } // namespace
