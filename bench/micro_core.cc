@@ -3,8 +3,9 @@
  * google-benchmark microbenchmarks for the hot paths of the serving
  * engine: event queue churn, request-queue grouped insertion, eviction
  * victim selection, one full scheduling decision (the real-world
- * wall-clock cost behind Figure 19's scheduling bar), and one
- * cluster-level LeastLoaded routing decision.
+ * wall-clock cost behind Figure 19's scheduling bar), one
+ * cluster-level LeastLoaded routing decision, and a whole
+ * ServingEngine::run per arrival.
  */
 
 #include <benchmark/benchmark.h>
@@ -103,40 +104,97 @@ BM_UsageProfileBuild(benchmark::State &state)
 }
 BENCHMARK(BM_UsageProfileBuild);
 
+/**
+ * Board A on the Table 1 NUMA device, one GPU executor with the middle
+ * admissible expert count, and a Task A2 trace of @p images images.
+ */
+struct BoardASetup
+{
+    explicit BoardASetup(std::int64_t images)
+    {
+        TaskSpec task = taskA2();
+        task.numImages = static_cast<std::size_t>(images);
+        trace = generateTrace(model, task);
+    }
+
+    // ctx points at model: a copy would point at the original's.
+    BoardASetup(const BoardASetup &) = delete;
+    BoardASetup &operator=(const BoardASetup &) = delete;
+
+    static EngineConfig
+    midConfig(const CoServeContext &ctx)
+    {
+        const auto [minCount, maxCount] = gpuExpertCountBounds(ctx, 1, 0);
+        return coserveConfig(
+            ctx,
+            coserveExecutorLayout(ctx, 1, 0, (minCount + maxCount) / 2),
+            "bench");
+    }
+
+    const DeviceSpec device = numaRtx3080Ti();
+    const CoEModel model = buildBoard(boardA());
+    const CoServeContext ctx{device, model};
+    const EngineConfig cfg = midConfig(ctx);
+    Trace trace;
+};
+
+/** Report a per-arrival time counter @p name for @p arrivals a pass. */
+void
+perArrivalCounter(benchmark::State &state, const char *name,
+                  std::size_t arrivals)
+{
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(arrivals));
+    state.counters[name] = benchmark::Counter(
+        static_cast<double>(arrivals),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+
 void
 BM_LeastLoadedRoute(benchmark::State &state)
 {
-    // Offline LeastLoaded routing of the Task A2 board-A trace over a
-    // 4-replica cluster of the Table 1 NUMA device; a fresh router per
-    // pass, built outside the timed region. "route" reads as time per
-    // route() call.
-    const DeviceSpec device = numaRtx3080Ti();
-    const CoEModel model = buildBoard(boardA());
-    const CoServeContext ctx(device, model);
-    const auto [minCount, maxCount] = gpuExpertCountBounds(ctx, 1, 0);
-    const EngineConfig cfg = coserveConfig(
-        ctx, coserveExecutorLayout(ctx, 1, 0, (minCount + maxCount) / 2),
-        "bench");
-    const std::vector<ReplicaView> views(4, ReplicaView{&ctx, &cfg});
-    TaskSpec task = taskA2();
-    task.numImages = static_cast<std::size_t>(state.range(0));
-    const Trace trace = generateTrace(model, task);
+    // Offline LeastLoaded routing of the trace over a 4-replica
+    // cluster; a fresh router per pass, built outside the timed
+    // region. "route" reads as time per route() call.
+    const BoardASetup s(state.range(0));
+    const std::vector<ReplicaView> views(4, ReplicaView{&s.ctx, &s.cfg});
 
     for (auto _ : state) {
         state.PauseTiming();
-        auto router = makeRouter(RoutingPolicy::LeastLoaded, model, views);
+        auto router =
+            makeRouter(RoutingPolicy::LeastLoaded, s.model, views);
         state.ResumeTiming();
-        for (const ImageArrival &a : trace.arrivals)
+        for (const ImageArrival &a : s.trace.arrivals)
             benchmark::DoNotOptimize(router->route(a));
     }
-    const auto routes = static_cast<double>(trace.size());
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(trace.size()));
-    state.counters["route"] = benchmark::Counter(
-        routes, benchmark::Counter::kIsIterationInvariantRate |
-                    benchmark::Counter::kInvert);
+    perArrivalCounter(state, "route", s.trace.size());
 }
 BENCHMARK(BM_LeastLoadedRoute)->Arg(8192);
+
+void
+BM_EngineRun(benchmark::State &state)
+{
+    // ServingEngine::run of the whole trace on one CoServe engine; the
+    // engine is built, and the previous one destroyed, outside the
+    // timed region. "arrival" reads as run() time per arrival. Task A2
+    // arrivals outpace this engine, so its request queues deepen with
+    // trace length and the per-arrival cost grows with it even though
+    // the event heap holds only in-flight events.
+    const BoardASetup s(state.range(0));
+    std::unique_ptr<ServingEngine> engine;
+    for (auto _ : state) {
+        state.PauseTiming();
+        engine = makeCoServeEngine(s.ctx, s.cfg);
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(engine->run(s.trace).images);
+    }
+    perArrivalCounter(state, "arrival", s.trace.size());
+}
+BENCHMARK(BM_EngineRun)
+    ->Arg(20000)
+    ->Arg(200000)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace coserve

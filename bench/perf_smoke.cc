@@ -6,7 +6,7 @@
  * Unlike the figNN / table1 binaries (which reproduce paper artifacts
  * in *virtual* time), this harness measures how fast the simulator
  * itself
- * runs on the host, in three scenarios:
+ * runs on the host, in six scenarios:
  *
  *  - queue_micro:    raw EventQueue schedule/cancel/run stress, no
  *                    engine logic — isolates the queue hot path;

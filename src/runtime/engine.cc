@@ -450,12 +450,12 @@ ServingEngine::allocRequestId()
     return id;
 }
 
-void
-ServingEngine::scheduleArrival(const ImageArrival &a)
+Request
+ServingEngine::arrivalRequest(const ImageArrival &a, RequestId id) const
 {
     Request req;
-    req.id = allocRequestId();
-    req.imageId = req.id;
+    req.id = id;
+    req.imageId = id;
     req.component = a.component;
     req.expert = model_.component(a.component).classifier;
     req.stage = Stage::Classify;
@@ -464,7 +464,7 @@ ServingEngine::scheduleArrival(const ImageArrival &a)
     req.cls = a.cls;
     req.deadline = a.deadline;
     req.imageArrival = a.time;
-    eq_.schedule(a.time, [this, req]() { admitTimed(req); });
+    return req;
 }
 
 void
@@ -662,11 +662,36 @@ ServingEngine::run(const Trace &trace)
 
     beginRun();
 
-    // Arrivals take ids 0..n-1 (all scheduled before any child
-    // request is spawned); children continue from n.
-    nextRequestId_ = 0;
-    for (const ImageArrival &a : trace.arrivals)
-        scheduleArrival(a);
+    // Arrivals never enter the event heap. Arrival i takes request id
+    // i and sequence number seq0 + i, reserved before any event runs,
+    // and is admitted from the trace at exactly the (time, seq) slot a
+    // scheduled arrival event would hold. Children continue from id n.
+    const std::vector<ImageArrival> &arrivals = trace.arrivals;
+    const std::size_t n = arrivals.size();
+    nextRequestId_ = static_cast<RequestId>(n);
+    const std::uint64_t seq0 = eq_.reserveSeq(n);
+    const auto admit = [&](std::size_t i) {
+        eq_.enterAt(arrivals[i].time, seq0 + i);
+        admitTimed(arrivalRequest(arrivals[i], static_cast<RequestId>(i)));
+    };
+    const auto byTime = [](const ImageArrival &a, const ImageArrival &b) {
+        return a.time < b.time;
+    };
+    if (std::is_sorted(arrivals.begin(), arrivals.end(), byTime)) {
+        for (std::size_t i = 0; i < n; ++i)
+            admit(i);
+    } else {
+        // Stable (time, index) order: the order the arrivals would
+        // run in had each been scheduled as an event, in index order.
+        std::vector<std::size_t> order(n);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return byTime(arrivals[a], arrivals[b]);
+                         });
+        for (std::size_t i : order)
+            admit(i);
+    }
 
     eq_.run();
 
@@ -749,7 +774,10 @@ ServingEngine::admitArrival(const ImageArrival &a)
 {
     COSERVE_CHECK(online_, "admitArrival outside an online run");
     COSERVE_CHECK(!crashed_, "admitting into a crashed replica");
-    scheduleArrival(a);
+    // Online arrivals are heap events: each takes a fresh seq when the
+    // coordinator admits it.
+    const Request req = arrivalRequest(a, allocRequestId());
+    eq_.schedule(a.time, [this, req]() { admitTimed(req); });
 }
 
 void

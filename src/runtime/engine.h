@@ -140,6 +140,12 @@ class ServingEngine
      * Serve @p trace to completion; callable once per engine. An empty
      * trace is legal (a cluster replica may be routed zero requests)
      * and yields an empty result.
+     *
+     * Arrival i gets request id i and is admitted in (time, i) order,
+     * so an unsorted trace is legal too. Arrivals are fed to the event
+     * queue from the trace (EventQueue::enterAt) rather than scheduled
+     * up front: the heap holds only in-flight events. Each arrival
+     * still counts as one executed event in the result.
      */
     RunResult run(const Trace &trace);
 
@@ -469,8 +475,8 @@ class ServingEngine
     RunResult collectResult();
     /** Next request id in this engine's (possibly strided) id space. */
     RequestId allocRequestId();
-    /** Build a classify request for @p a and schedule its dispatch. */
-    void scheduleArrival(const ImageArrival &a);
+    /** The classify request for arrival @p a, with request id @p id. */
+    Request arrivalRequest(const ImageArrival &a, RequestId id) const;
     /**
      * Arrival-time admission: consult the controller (enabled configs
      * only), then dispatch — or drop/downgrade. Runs at the arrival's

@@ -93,6 +93,31 @@ EventQueue::runOne()
     return true;
 }
 
+std::uint64_t
+EventQueue::reserveSeq(std::uint64_t n)
+{
+    const std::uint64_t first = nextSeq_;
+    nextSeq_ += n;
+    return first;
+}
+
+void
+EventQueue::enterAt(Time when, std::uint64_t seq)
+{
+    COSERVE_CHECK(when >= now_, "entering into the past: ", when, " < ",
+                  now_);
+    COSERVE_CHECK(seq < nextSeq_, "entering an unreserved seq ", seq);
+    const Item entry{when, seq, 0, 0};
+    for (;;) {
+        dropCancelledTop();
+        if (heap_.empty() || !earlier(heap_.front(), entry))
+            break;
+        runOne();
+    }
+    now_ = when;
+    ++executed_;
+}
+
 void
 EventQueue::run(std::uint64_t maxEvents)
 {

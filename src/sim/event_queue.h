@@ -3,10 +3,16 @@
  * Discrete-event scheduling core.
  *
  * The serving engine is written as an event-driven actor system on top
- * of this queue: request arrivals, transfer completions and batch
- * completions are all events. Events at equal timestamps execute in
+ * of this queue: transfer completions, batch completions and online
+ * arrivals are heap events. Events at equal timestamps execute in
  * schedule order (a monotonically increasing sequence number breaks
  * ties), which makes whole-system runs deterministic.
+ *
+ * A known, time-ordered stream of events (an offline trace's arrivals)
+ * need not sit in the heap: reserveSeq() gives the stream its sequence
+ * numbers up front, and enterAt() executes each stream event inline at
+ * its exact (time, seq) position. Stream events count as executed
+ * events exactly as if they had been scheduled.
  *
  * Implementation: a binary min-heap over a contiguous std::vector,
  * ordered by (time, seq). Callbacks live in a slot pool indexed by the
@@ -85,6 +91,27 @@ class EventQueue
      * @return false when no live events remain.
      */
     bool runOne();
+
+    /**
+     * Reserve @p n consecutive sequence numbers for events the caller
+     * will enter with enterAt() instead of schedule(). Events scheduled
+     * later order after all of them at equal timestamps.
+     *
+     * @return the first reserved sequence number.
+     */
+    std::uint64_t reserveSeq(std::uint64_t n);
+
+    /**
+     * Execute a reserved-sequence event inline: run every pending
+     * event ordered before (@p when, @p seq), then advance the clock
+     * to @p when and count one executed event. The caller performs
+     * the event's work on return, exactly where a callback scheduled
+     * with that sequence number would have run.
+     *
+     * @param when must be >= now(); entering the past aborts.
+     * @param seq one of the numbers a reserveSeq() call reserved.
+     */
+    void enterAt(Time when, std::uint64_t seq);
 
     /** Run until no events remain or @p maxEvents executed. */
     void run(std::uint64_t maxEvents = UINT64_MAX);

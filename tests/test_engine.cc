@@ -1,12 +1,16 @@
 /**
  * @file
  * Integration tests for the serving engine on a small board and a tiny
- * device: completion, determinism, prefetch overlap, cache tier, and
- * the effect of grouped scheduling on switch counts.
+ * device: completion, determinism, prefetch overlap, cache tier, the
+ * effect of grouped scheduling on switch counts, and pinned schedules
+ * for traces with tied and out-of-order arrival times.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 
 #include "baselines/evictions.h"
@@ -254,6 +258,124 @@ TEST_F(EngineFixture, PredictLoadTimeSemantics)
     engine.run(trace_); // preloads everything (pool holds all experts)
     // Resident expert: zero switch latency (Section 4.2).
     EXPECT_EQ(engine.predictLoadTime(0, 0), 0);
+}
+
+/**
+ * Scheduler wrapper that folds every dispatch — (request id, stage,
+ * virtual time) — into an FNV-1a digest before delegating. A detect
+ * child is dispatched at its parent's completion time; with the
+ * completion-order latencies folded in after the run, the digest pins
+ * each request's id and dispatch time and the sequence of completions.
+ */
+class DigestScheduler : public Scheduler
+{
+  public:
+    DigestScheduler(std::unique_ptr<Scheduler> inner, std::uint64_t *digest)
+        : inner_(std::move(inner)), digest_(digest)
+    {
+    }
+
+    const char *name() const override { return inner_->name(); }
+
+    void
+    dispatch(ServingEngine &engine, const Request &req) override
+    {
+        fold(digest_, static_cast<std::uint64_t>(req.id));
+        fold(digest_, static_cast<std::uint64_t>(req.stage));
+        fold(digest_, static_cast<std::uint64_t>(engine.now()));
+        inner_->dispatch(engine, req);
+    }
+
+    void reset() override { inner_->reset(); }
+
+    static void
+    fold(std::uint64_t *h, std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            *h ^= (v >> (8 * i)) & 0xFF;
+            *h *= 0x100000001b3ull;
+        }
+    }
+
+  private:
+    std::unique_ptr<Scheduler> inner_;
+    std::uint64_t *digest_;
+};
+
+class EngineTraceOrderTest : public EngineFixture
+{
+  protected:
+    /** Dependency-aware run of @p trace; @return the schedule digest. */
+    std::uint64_t
+    digestRun(const Trace &trace, RunResult &out)
+    {
+        std::uint64_t digest = 0xcbf29ce484222325ull;
+        EngineConfig cfg = smallConfig(2, 1200);
+        cfg.prefetch = true;
+        ServingEngine engine(
+            std::move(cfg), model_, truth_, footprint_, usage_,
+            std::make_unique<DigestScheduler>(
+                std::make_unique<DependencyAwareScheduler>(), &digest),
+            std::make_unique<TwoStageEviction>());
+        out = engine.run(trace);
+        for (double ms : out.requestLatencyMs.raw()) {
+            std::uint64_t bits = 0;
+            std::memcpy(&bits, &ms, sizeof bits);
+            DigestScheduler::fold(&digest, bits);
+        }
+        return digest;
+    }
+
+    /** trace_ with every run of four arrivals sharing one timestamp. */
+    Trace
+    tiedTrace() const
+    {
+        Trace t = trace_;
+        for (std::size_t i = 0; i < t.arrivals.size(); ++i)
+            t.arrivals[i].time = trace_.arrivals[i - i % 4].time;
+        return t;
+    }
+};
+
+// The expected values below were recorded with arrivals scheduled as
+// heap events before the run; feeding them from the trace must
+// reproduce the schedule exactly.
+
+TEST_F(EngineTraceOrderTest, TiedArrivalsKeepIndexOrder)
+{
+    const Trace tied = tiedTrace();
+    ASSERT_TRUE(std::is_sorted(
+        tied.arrivals.begin(), tied.arrivals.end(),
+        [](const ImageArrival &a, const ImageArrival &b) {
+            return a.time < b.time;
+        }));
+    RunResult r;
+    const std::uint64_t digest = digestRun(tied, r);
+    EXPECT_EQ(r.images, 300);
+    EXPECT_EQ(r.eventsExecuted, 697u);
+    EXPECT_EQ(digest, 0xe1d813e3b8e558c0ull);
+}
+
+TEST_F(EngineTraceOrderTest, UnsortedTraceRunsInTimeThenIndexOrder)
+{
+    // Reverse every block of eight arrivals of the tied trace: times
+    // go backwards inside a block and equal-time arrivals appear in
+    // reverse order, so only a stable (time, index) order reproduces
+    // the schedule.
+    Trace shuffled = tiedTrace();
+    for (std::size_t b = 0; b < shuffled.arrivals.size(); b += 8) {
+        const auto first =
+            shuffled.arrivals.begin() + static_cast<std::ptrdiff_t>(b);
+        const auto last = shuffled.arrivals.begin() +
+                          static_cast<std::ptrdiff_t>(std::min(
+                              b + 8, shuffled.arrivals.size()));
+        std::reverse(first, last);
+    }
+    RunResult r;
+    const std::uint64_t digest = digestRun(shuffled, r);
+    EXPECT_EQ(r.images, 300);
+    EXPECT_EQ(r.eventsExecuted, 695u);
+    EXPECT_EQ(digest, 0xdec1b57394e16057ull);
 }
 
 } // namespace

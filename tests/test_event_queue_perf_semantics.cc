@@ -2,9 +2,10 @@
  * @file
  * Semantics tests for the heap-based EventQueue rewrite: the exact
  * (time, seq) ordering contract, generation-counter tombstone
- * cancellation, live-only pending() accounting, and a randomized
- * schedule/cancel stress run checked against a reference
- * std::map-based model (the previous implementation's data structure).
+ * cancellation, live-only pending() accounting, reserved-seq entry
+ * (reserveSeq/enterAt) ties, and a randomized schedule/cancel/enter
+ * stress run checked against a reference std::map-based model (the
+ * previous implementation's data structure).
  */
 
 #include <gtest/gtest.h>
@@ -147,15 +148,120 @@ TEST(EventQueueSemanticsTest, MoveOnlyCallbacksAreAccepted)
     EXPECT_EQ(seen, 7);
 }
 
+TEST(EventQueueSemanticsTest, ReservedEntryRunsAfterEarlierScheduledTie)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(10, [&] { order.push_back(1); });
+    const std::uint64_t seq = eq.reserveSeq(1);
+    eq.schedule(10, [&] { order.push_back(3); });
+    eq.enterAt(10, seq);
+    order.push_back(2);
+    // The tie scheduled before the reservation ran first and counts;
+    // the one scheduled after it is still pending.
+    EXPECT_EQ(eq.now(), 10);
+    EXPECT_EQ(eq.executed(), 2u);
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(eq.executed(), 3u);
+}
+
+TEST(EventQueueSemanticsTest, SameInstantChildOfEarlierEventRunsAfterEntry)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    // The parent orders before the entry; the child it schedules at
+    // the same instant takes a seq past the reservation, so it must
+    // wait for the entry.
+    eq.schedule(10, [&] {
+        order.push_back(1);
+        eq.schedule(10, [&] { order.push_back(5); });
+    });
+    const std::uint64_t seq = eq.reserveSeq(2);
+    eq.schedule(10, [&] { order.push_back(4); });
+    eq.enterAt(10, seq);
+    order.push_back(2);
+    EXPECT_EQ(eq.executed(), 2u);
+    EXPECT_EQ(eq.pending(), 2u);
+    eq.enterAt(10, seq + 1);
+    order.push_back(-1);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, -1, 4, 5}));
+    EXPECT_EQ(eq.executed(), 5u);
+}
+
+TEST(EventQueueSemanticsTest, EntrySkipsCancelledTombstoneAtTop)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    const EventId dead = eq.schedule(5, [&] { order.push_back(99); });
+    eq.schedule(10, [&] { order.push_back(1); });
+    const std::uint64_t seq = eq.reserveSeq(1);
+    const EventId deadTie = eq.schedule(10, [&] { order.push_back(98); });
+    eq.schedule(10, [&] { order.push_back(3); });
+    EXPECT_TRUE(eq.cancel(dead));
+    EXPECT_TRUE(eq.cancel(deadTie));
+    eq.enterAt(10, seq);
+    order.push_back(2);
+    EXPECT_EQ(eq.now(), 10);
+    EXPECT_EQ(eq.executed(), 2u);
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(eq.executed(), 3u);
+}
+
+TEST(EventQueueSemanticsTest, EntryAdvancesClockPastEarlierEvents)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(30, [&] { order.push_back(3); });
+    eq.schedule(5, [&] { order.push_back(1); });
+    const std::uint64_t seq = eq.reserveSeq(1);
+    eq.enterAt(20, seq);
+    order.push_back(2);
+    // Only the t=5 event precedes the t=20 entry.
+    EXPECT_EQ(eq.now(), 20);
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_EQ(eq.now(), 30);
+}
+
+TEST(EventQueueSemanticsDeathTest, EnteringThePastPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EventQueue eq;
+    const std::uint64_t seq = eq.reserveSeq(1);
+    eq.schedule(100, [] {});
+    eq.run();
+    ASSERT_EQ(eq.now(), 100);
+    EXPECT_DEATH(eq.enterAt(50, seq), "entering into the past");
+}
+
 /**
  * Reference model: the exact data structure of the pre-rewrite
  * implementation — a std::map keyed by (when, seq) where cancel()
- * erases eagerly. The heap queue must agree with it on every
- * execution, cancellation result and live count.
+ * erases eagerly — plus reserved-seq entries. The heap queue must
+ * agree with it on every execution, cancellation result, live count,
+ * clock reading and executed count.
+ *
+ * Payloads divisible by kSpawnEvery model callbacks that schedule a
+ * child (payload + kChildOffset) at their own instant when they run.
  */
 class MapModel
 {
   public:
+    static constexpr int kSpawnEvery = 4;
+    static constexpr int kChildOffset = 1000000;
+
+    static bool
+    spawns(int payload)
+    {
+        return payload < kChildOffset && payload % kSpawnEvery == 0;
+    }
+
     std::uint64_t
     schedule(Time when, int payload)
     {
@@ -170,6 +276,14 @@ class MapModel
         return events_.erase(std::make_pair(when, seq)) > 0;
     }
 
+    std::uint64_t
+    reserve(std::uint64_t n)
+    {
+        const std::uint64_t first = nextSeq_;
+        nextSeq_ += n;
+        return first;
+    }
+
     /** @return payload of the executed event, or -1 when empty. */
     int
     runOne()
@@ -177,16 +291,36 @@ class MapModel
         if (events_.empty())
             return -1;
         auto it = events_.begin();
+        const Time when = it->first.first;
         const int payload = it->second;
         events_.erase(it);
+        now_ = when;
+        ++executed_;
+        if (spawns(payload))
+            schedule(now_, payload + kChildOffset);
         return payload;
     }
 
+    /** Run everything ordered before (when, seq) into @p fired. */
+    void
+    enter(Time when, std::uint64_t seq, std::vector<int> &fired)
+    {
+        while (!events_.empty() &&
+               events_.begin()->first < std::make_pair(when, seq))
+            fired.push_back(runOne());
+        now_ = when;
+        ++executed_;
+    }
+
     std::size_t pending() const { return events_.size(); }
+    Time now() const { return now_; }
+    std::uint64_t executed() const { return executed_; }
 
   private:
     std::map<std::pair<Time, std::uint64_t>, int> events_;
     std::uint64_t nextSeq_ = 0;
+    Time now_ = 0;
+    std::uint64_t executed_ = 0;
 };
 
 TEST(EventQueueSemanticsTest, InterleavedStressMatchesMapModel)
@@ -206,6 +340,18 @@ TEST(EventQueueSemanticsTest, InterleavedStressMatchesMapModel)
     std::vector<int> firedReal;
     std::vector<int> firedModel;
 
+    // Reserved entries not yet entered, in (time, seq) order; each
+    // entry's time is fixed when its block is reserved.
+    struct Entry
+    {
+        Time when;
+        std::uint64_t realSeq;
+        std::uint64_t modelSeq;
+    };
+    std::vector<Entry> entries;
+    std::size_t nextEntry = 0;
+    int entryMarker = -1;
+
     std::uint64_t lcg = 12345;
     const auto rnd = [&](std::uint64_t mod) {
         lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
@@ -213,14 +359,21 @@ TEST(EventQueueSemanticsTest, InterleavedStressMatchesMapModel)
     };
 
     int nextPayload = 0;
+    int enteredCount = 0;
     for (int step = 0; step < 20000; ++step) {
-        const std::uint64_t op = rnd(10);
+        const std::uint64_t op = rnd(12);
         if (op < 5) { // schedule at a (possibly colliding) time
             const Time when = eq.now() + static_cast<Time>(rnd(50));
             const int payload = nextPayload++;
-            const EventId id =
-                eq.schedule(when, [payload, &firedReal] {
+            const EventId id = eq.schedule(
+                when, [payload, &firedReal, &eq] {
                     firedReal.push_back(payload);
+                    if (MapModel::spawns(payload)) {
+                        const int child = payload + MapModel::kChildOffset;
+                        eq.schedule(eq.now(), [child, &firedReal] {
+                            firedReal.push_back(child);
+                        });
+                    }
                 });
             const std::uint64_t mseq = model.schedule(when, payload);
             handles.push_back({id, when, mseq});
@@ -234,6 +387,27 @@ TEST(EventQueueSemanticsTest, InterleavedStressMatchesMapModel)
                 handles.erase(handles.begin() +
                               static_cast<std::ptrdiff_t>(pick));
             }
+        } else if (op < 8 && nextEntry == entries.size()) {
+            // Reserve a block of entries at non-decreasing times, some
+            // tying with each other and with scheduled events.
+            const std::uint64_t n = 1 + rnd(4);
+            const std::uint64_t realSeq = eq.reserveSeq(n);
+            const std::uint64_t modelSeq = model.reserve(n);
+            Time when = eq.now();
+            for (std::uint64_t k = 0; k < n; ++k) {
+                when += static_cast<Time>(rnd(3) * rnd(20));
+                entries.push_back({when, realSeq + k, modelSeq + k});
+            }
+        } else if (nextEntry < entries.size()) {
+            // While a block is pending, time only advances through its
+            // entries: a plain runOne() could overtake the next entry.
+            const Entry e = entries[nextEntry++];
+            eq.enterAt(e.when, e.realSeq);
+            firedReal.push_back(entryMarker);
+            model.enter(e.when, e.modelSeq, firedModel);
+            firedModel.push_back(entryMarker);
+            --entryMarker;
+            ++enteredCount;
         } else { // execute one event
             const std::size_t before = firedReal.size();
             const bool ran = eq.runOne();
@@ -245,12 +419,16 @@ TEST(EventQueueSemanticsTest, InterleavedStressMatchesMapModel)
             }
         }
         ASSERT_EQ(eq.pending(), model.pending());
+        ASSERT_EQ(eq.now(), model.now());
+        ASSERT_EQ(eq.executed(), model.executed());
     }
+    EXPECT_GT(enteredCount, 500);
 
     // Drain both and compare complete execution orders.
     while (eq.runOne())
         firedModel.push_back(model.runOne());
     EXPECT_EQ(model.pending(), 0u);
+    EXPECT_EQ(eq.executed(), model.executed());
     EXPECT_EQ(firedReal, firedModel);
 }
 
