@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the hot paths of the serving
- * engine: event queue churn, request-queue grouped insertion, eviction
- * victim selection, one full scheduling decision (the real-world
+ * engine: event queue churn, request-queue grouped insertion and deep
+ * steady-state pops, memory-tier residency lookups, eviction victim
+ * selection, one full scheduling decision (the real-world
  * wall-clock cost behind Figure 19's scheduling bar), one
  * cluster-level LeastLoaded routing decision, and a whole
  * ServingEngine::run per arrival.
@@ -57,6 +58,59 @@ BM_RequestQueueGroupedInsert(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RequestQueueGroupedInsert)->Arg(1024)->Arg(4096);
+
+void
+BM_RequestQueueDeep(benchmark::State &state)
+{
+    // A deep executor queue in steady state (board A's 380 experts,
+    // ~30k queued requests, as under a backlogged CoServe engine): each
+    // step pops a batch of up to 3 from the next group, reads the
+    // prefetch target and refills with grouped pushes.
+    constexpr std::uint64_t kExperts = 380;
+    Rng rng(3);
+    RequestQueue q;
+    RequestId id = 0;
+    const auto push = [&] {
+        Request r;
+        r.id = id++;
+        r.expert = static_cast<ExpertId>(rng.uniformInt(kExperts));
+        q.pushGrouped(r, 1000);
+    };
+    for (int i = 0; i < state.range(0); ++i)
+        push();
+    std::vector<Request> batch;
+    for (auto _ : state) {
+        q.popBatchFor(q.nextBatchExpert(), 3, batch);
+        benchmark::DoNotOptimize(q.prefetchExpert());
+        for (std::size_t i = 0; i < batch.size(); ++i)
+            push();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RequestQueueDeep)->Arg(30000);
+
+void
+BM_TierLookup(benchmark::State &state)
+{
+    // resident() / contains() over every board-A expert id against a
+    // 64-entry pool: the residency probes behind load-time prediction.
+    constexpr ExpertId kExperts = 380;
+    ModelPool pool("bench", 1ll << 40);
+    Rng rng(5);
+    while (pool.count() < 64) {
+        const auto e = static_cast<ExpertId>(rng.uniformInt(kExperts));
+        if (!pool.contains(e))
+            pool.insertResident(e, 190ll << 20, pool.count(), 0);
+    }
+    for (auto _ : state) {
+        int hits = 0;
+        for (ExpertId e = 0; e < kExperts; ++e)
+            hits += (pool.resident(e) ? 1 : 0) + (pool.contains(e) ? 1 : 0);
+        benchmark::DoNotOptimize(hits);
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * kExperts);
+}
+BENCHMARK(BM_TierLookup);
 
 void
 BM_EvictionSelection(benchmark::State &state)

@@ -8,7 +8,6 @@ LruEviction::selectVictim(const MemoryTier &pool,
 {
     std::optional<ExpertId> victim;
     Time oldest = kTimeNever;
-    // detlint:allow(unordered-iter) full-order selection (lastUse, then id) is independent of visit order
     for (const auto &[id, entry] : pool.entries()) {
         if (!evictable(entry, ctx))
             continue;
@@ -28,7 +27,6 @@ LfuEviction::selectVictim(const MemoryTier &pool,
     std::optional<ExpertId> victim;
     std::int64_t fewest = INT64_MAX;
     Time oldest = kTimeNever;
-    // detlint:allow(unordered-iter) full-order selection (uses, lastUse, then id) is independent of visit order
     for (const auto &[id, entry] : pool.entries()) {
         if (!evictable(entry, ctx))
             continue;
@@ -51,11 +49,13 @@ FifoEviction::selectVictim(const MemoryTier &pool,
 {
     std::optional<ExpertId> victim;
     std::uint64_t oldestSeq = UINT64_MAX;
-    // detlint:allow(unordered-iter) loadSeq is a unique monotonic counter, so the minimum never ties
     for (const auto &[id, entry] : pool.entries()) {
         if (!evictable(entry, ctx))
             continue;
-        if (entry.loadSeq < oldestSeq) {
+        // Pool loads carry unique load sequence numbers; ties (e.g.
+        // cache-tier admissions, all loadSeq 0) are broken by id.
+        if (entry.loadSeq < oldestSeq ||
+            (entry.loadSeq == oldestSeq && (!victim || id < *victim))) {
             victim = id;
             oldestSeq = entry.loadSeq;
         }

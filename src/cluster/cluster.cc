@@ -619,10 +619,10 @@ ClusterEngine::runCoordinated(const Trace &trace,
     // exactly what runSharded would execute — re-homing applies only
     // when the assigned replica has crashed.
     std::vector<std::size_t> assignment;
-    if (!liveRouting) {
+    if (!liveRouting)
         assignment = routeTrace(trace);
-        decisions.reserve(trace.arrivals.size());
-    }
+    // Every arrival logs one Route or Reject decision, live or pinned.
+    decisions.reserve(trace.arrivals.size());
 
     // ----- fault schedule --------------------------------------------
     const std::vector<FaultAction> faults =

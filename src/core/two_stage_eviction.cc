@@ -32,7 +32,6 @@ TwoStageEviction::selectVictim(const MemoryTier &pool,
     std::optional<ExpertId> stage2;
     double stage2Prob = 0.0;
 
-    // detlint:allow(unordered-iter) both stages select with full-order tie-breaks (bytes/probability, then id)
     for (const auto &[id, entry] : pool.entries()) {
         if (!evictable(entry, ctx))
             continue;

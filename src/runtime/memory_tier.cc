@@ -33,18 +33,17 @@ MemoryTier::setEvictionPolicy(std::unique_ptr<EvictionPolicy> policy)
     policy_ = std::move(policy);
 }
 
-bool
-MemoryTier::resident(ExpertId e) const
+void
+MemoryTier::emplace(ExpertId e, const TierEntry &entry)
 {
-    auto it = entries_.find(e);
-    return it != entries_.end() && !it->second.loading;
-}
-
-bool
-MemoryTier::loading(ExpertId e) const
-{
-    auto it = entries_.find(e);
-    return it != entries_.end() && it->second.loading;
+    COSERVE_CHECK(e >= 0, "tiering an invalid expert in ", name_);
+    const auto id = static_cast<std::size_t>(e);
+    if (id >= slots_.size())
+        slots_.resize(id + 1, -1);
+    slots_[id] = static_cast<std::int32_t>(entries_.size());
+    entries_.emplace_back(e, entry);
+    used_ += entry.bytes;
+    counters_.insertions += 1;
 }
 
 void
@@ -60,9 +59,7 @@ MemoryTier::beginLoad(ExpertId e, std::int64_t bytes, std::uint64_t seq)
     entry.loadSeq = seq;
     entry.loading = true;
     entry.pins = 1; // loads hard-pin themselves until completion
-    entries_.emplace(e, entry);
-    used_ += bytes;
-    counters_.insertions += 1;
+    emplace(e, entry);
 }
 
 void
@@ -88,20 +85,26 @@ MemoryTier::insertResident(ExpertId e, std::int64_t bytes,
     entry.bytes = bytes;
     entry.loadSeq = seq;
     entry.lastUse = now;
-    entries_.emplace(e, entry);
-    used_ += bytes;
-    counters_.insertions += 1;
+    emplace(e, entry);
 }
 
 void
 MemoryTier::erase(ExpertId e)
 {
-    auto it = entries_.find(e);
-    COSERVE_CHECK(it != entries_.end(), "evicting absent expert ", e);
-    COSERVE_CHECK(it->second.pins == 0, "evicting pinned expert ", e);
-    COSERVE_CHECK(!it->second.loading, "evicting in-flight expert ", e);
-    used_ -= it->second.bytes;
-    entries_.erase(it);
+    const TierEntry *entry = find(e);
+    COSERVE_CHECK(entry != nullptr, "evicting absent expert ", e);
+    COSERVE_CHECK(entry->pins == 0, "evicting pinned expert ", e);
+    COSERVE_CHECK(!entry->loading, "evicting in-flight expert ", e);
+    used_ -= entry->bytes;
+    // Swap-remove: the last entry takes the freed slot.
+    const auto slot = static_cast<std::size_t>(slots_[e]);
+    if (slot + 1 != entries_.size()) {
+        entries_[slot] = entries_.back();
+        slots_[static_cast<std::size_t>(entries_[slot].first)] =
+            static_cast<std::int32_t>(slot);
+    }
+    entries_.pop_back();
+    slots_[e] = -1;
 }
 
 bool
@@ -146,27 +149,22 @@ MemoryTier::softPin(ExpertId e)
 void
 MemoryTier::softUnpin(ExpertId e)
 {
-    auto it = entries_.find(e);
-    if (it != entries_.end())
-        it->second.softPinned = false;
+    if (find(e) != nullptr)
+        mutableEntry(e).softPinned = false;
 }
 
 const TierEntry &
 MemoryTier::entry(ExpertId e) const
 {
-    auto it = entries_.find(e);
-    COSERVE_CHECK(it != entries_.end(), "expert ", e, " not in tier ",
-                  name_);
-    return it->second;
+    const TierEntry *entry = find(e);
+    COSERVE_CHECK(entry != nullptr, "expert ", e, " not in tier ", name_);
+    return *entry;
 }
 
 TierEntry &
 MemoryTier::mutableEntry(ExpertId e)
 {
-    auto it = entries_.find(e);
-    COSERVE_CHECK(it != entries_.end(), "expert ", e, " not in tier ",
-                  name_);
-    return it->second;
+    return const_cast<TierEntry &>(entry(e));
 }
 
 bool
@@ -174,26 +172,27 @@ MemoryTier::insert(ExpertId e, std::int64_t bytes, Time now)
 {
     if (capacity_ == 0 || bytes <= 0 || bytes > capacity_)
         return false;
-    auto it = entries_.find(e);
-    if (it != entries_.end()) {
+    if (contains(e)) {
         // Resident re-insert: adopt the new size instead of
         // double-counting the old bytes, and refresh recency.
-        const std::int64_t oldBytes = it->second.bytes;
+        TierEntry &entry = mutableEntry(e);
+        const std::int64_t oldBytes = entry.bytes;
         used_ += bytes - oldBytes;
-        it->second.bytes = bytes;
-        it->second.lastUse = now;
+        entry.bytes = bytes;
+        entry.lastUse = now;
         if (used_ > capacity_) {
             // The entry grew: shrink around it (it is pinned for the
             // duration so the scan cannot select it). When only
             // protected entries remain, roll the resize back rather
-            // than leaving the tier over capacity.
-            it->second.pins += 1;
+            // than leaving the tier over capacity. makeRoom erases
+            // entries, so re-fetch the entry afterwards.
+            entry.pins += 1;
             const bool fits = makeRoom(0, now);
-            TierEntry &entry = mutableEntry(e);
-            entry.pins -= 1;
+            TierEntry &grown = mutableEntry(e);
+            grown.pins -= 1;
             if (!fits) {
-                used_ += oldBytes - entry.bytes;
-                entry.bytes = oldBytes;
+                used_ += oldBytes - grown.bytes;
+                grown.bytes = oldBytes;
                 return false;
             }
         }
@@ -204,9 +203,7 @@ MemoryTier::insert(ExpertId e, std::int64_t bytes, Time now)
     TierEntry entry;
     entry.bytes = bytes;
     entry.lastUse = now;
-    entries_.emplace(e, entry);
-    used_ += bytes;
-    counters_.insertions += 1;
+    emplace(e, entry);
     return true;
 }
 
@@ -224,12 +221,9 @@ MemoryTier::makeRoom(std::int64_t need, Time now)
                 victim = *v;
         } else {
             // Built-in LRU: minimum lastUse among unpinned, settled
-            // entries, lastUse ties broken by smallest id. The former
-            // "first minimum in iteration order" picked different
-            // victims under libstdc++ vs libc++ bucket orders — a
-            // cross-stdlib digest divergence waiting for a tie.
+            // entries, lastUse ties broken by smallest id, so the
+            // victim does not depend on the entries' array order.
             Time oldest = kTimeNever;
-            // detlint:allow(unordered-iter) full-order victim selection (lastUse, then id) is independent of visit order
             for (const auto &[id, entry] : entries_) {
                 if (entry.pins > 0 || entry.loading)
                     continue;
@@ -259,9 +253,8 @@ MemoryTier::warm(ExpertId e, std::int64_t bytes)
 void
 MemoryTier::refresh(ExpertId e, Time now)
 {
-    auto it = entries_.find(e);
-    if (it != entries_.end())
-        it->second.lastUse = now;
+    if (find(e) != nullptr)
+        mutableEntry(e).lastUse = now;
 }
 
 TierStats

@@ -33,7 +33,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "metrics/run_result.h"
 #include "model/expert.h"
@@ -207,14 +208,37 @@ class MemoryTier : public TierBelow
 
     // ----- pool API (ModelPool) -------------------------------------
 
+    /**
+     * @return entry for @p e, or null when @p e is neither resident
+     *         nor loading. Invalidated by the next insert or erase.
+     */
+    const TierEntry *
+    find(ExpertId e) const
+    {
+        const auto id = static_cast<std::size_t>(e);
+        if (id >= slots_.size() || slots_[id] < 0)
+            return nullptr;
+        return &entries_[static_cast<std::size_t>(slots_[id])].second;
+    }
+
     /** @return true when @p e is resident or loading. */
-    bool contains(ExpertId e) const { return entries_.count(e) > 0; }
+    bool contains(ExpertId e) const { return find(e) != nullptr; }
 
     /** @return true when @p e is resident and ready to execute. */
-    bool resident(ExpertId e) const;
+    bool
+    resident(ExpertId e) const
+    {
+        const TierEntry *entry = find(e);
+        return entry != nullptr && !entry->loading;
+    }
 
     /** @return true when @p e has a load in flight. */
-    bool loading(ExpertId e) const;
+    bool
+    loading(ExpertId e) const
+    {
+        const TierEntry *entry = find(e);
+        return entry != nullptr && entry->loading;
+    }
 
     /** Reserve space and mark @p e loading. Space must be available. */
     void beginLoad(ExpertId e, std::int64_t bytes, std::uint64_t seq);
@@ -244,15 +268,13 @@ class MemoryTier : public TierBelow
     const TierEntry &entry(ExpertId e) const;
 
     /**
-     * @return all entries (iteration order unspecified — it differs
-     *         across standard libraries). Callers that derive
-     *         anything order-sensitive (victim choice, snapshots)
-     *         must either sort or select with a full-order tie-break
-     *         (see baselines/evictions.cc); detlint's unordered-iter
-     *         rule flags every iteration site so each carries an
-     *         audited justification.
+     * @return all entries as one dense array, in no meaningful order
+     *         (erase moves the last entry into the freed slot).
+     *         Victim scans select with a full-order tie-break (see
+     *         baselines/evictions.cc), so the order never leaks out.
      */
-    const std::unordered_map<ExpertId, TierEntry> &entries() const
+    const std::vector<std::pair<ExpertId, TierEntry>> &
+    entries() const
     {
         return entries_;
     }
@@ -316,11 +338,13 @@ class MemoryTier : public TierBelow
   private:
     TierEntry &mutableEntry(ExpertId e);
 
+    /** Add a new entry for absent @p e. */
+    void emplace(ExpertId e, const TierEntry &entry);
+
     /**
      * Self-evict until @p need more bytes fit, via the installed policy
      * or the built-in LRU scan (skipping pinned / loading entries;
-     * lastUse ties broken by smallest ExpertId so the victim never
-     * depends on hash-map iteration order).
+     * lastUse ties broken by smallest ExpertId).
      * @return false when no evictable victim remains.
      */
     bool makeRoom(std::int64_t need, Time now);
@@ -329,7 +353,10 @@ class MemoryTier : public TierBelow
     TierLevel level_;
     std::int64_t capacity_;
     std::int64_t used_ = 0;
-    std::unordered_map<ExpertId, TierEntry> entries_;
+    /** Tiered experts, densely packed. */
+    std::vector<std::pair<ExpertId, TierEntry>> entries_;
+    /** ExpertId -> index into entries_, -1 when absent. */
+    std::vector<std::int32_t> slots_;
     TierBelow *below_ = nullptr;
     std::unique_ptr<EvictionPolicy> policy_;
     TierCounters counters_;

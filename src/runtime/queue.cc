@@ -1,8 +1,31 @@
 #include "runtime/queue.h"
 
+#include <algorithm>
+#include <climits>
+#include <utility>
+
 #include "util/logging.h"
 
 namespace coserve {
+
+namespace {
+
+/** Does @p r participate in the EDF-within-priority pop order? */
+inline bool
+sloUrgent(const Request &r)
+{
+    return r.deadline != kTimeNever || priorityOf(r.cls) != 0;
+}
+
+/** Strict "more urgent than": higher priority, then earlier EDF. */
+inline bool
+moreUrgent(int prio, Time deadline, int thanPrio, Time thanDeadline)
+{
+    return prio > thanPrio ||
+           (prio == thanPrio && deadline < thanDeadline);
+}
+
+} // namespace
 
 RequestQueue::GroupInfo &
 RequestQueue::groupFor(ExpertId e)
@@ -13,113 +36,97 @@ RequestQueue::groupFor(ExpertId e)
     return groups_[e];
 }
 
-RequestQueue::NodeIdx
-RequestQueue::allocNode(const Request &req, Time estimate)
+RequestQueue::Idx
+RequestQueue::allocChunk()
 {
-    NodeIdx idx;
-    if (!freeNodes_.empty()) {
-        idx = freeNodes_.back();
-        freeNodes_.pop_back();
+    Idx c;
+    if (freeChunks_ != kNil) {
+        c = freeChunks_;
+        freeChunks_ = chunkAt(c).next;
     } else {
-        idx = static_cast<NodeIdx>(nodes_.size());
-        nodes_.emplace_back();
+        c = chunkCount_++;
+        if (static_cast<std::uint32_t>(c) % kSlabChunks == 0)
+            slabs_.push_back(std::make_unique<Chunk[]>(kSlabChunks));
     }
-    Node &node = nodes_[idx];
-    node.entry = Entry{req, estimate};
-    node.prev = kNil;
-    node.next = kNil;
-    return idx;
+    Chunk &chunk = chunkAt(c);
+    chunk.next = kNil;
+    chunk.begin = 0;
+    chunk.end = 0;
+    return c;
 }
 
 void
-RequestQueue::linkAfter(NodeIdx pos, NodeIdx node)
+RequestQueue::freeChunk(Idx c)
 {
-    Node &n = nodes_[node];
-    if (pos == kNil) { // insert at head
-        n.prev = kNil;
-        n.next = head_;
-        if (head_ != kNil)
-            nodes_[head_].prev = node;
-        head_ = node;
-        if (tail_ == kNil)
-            tail_ = node;
-    } else {
-        Node &p = nodes_[pos];
-        n.prev = pos;
-        n.next = p.next;
-        if (p.next != kNil)
-            nodes_[p.next].prev = node;
-        p.next = node;
-        if (tail_ == pos)
-            tail_ = node;
+    chunkAt(c).next = freeChunks_;
+    freeChunks_ = c;
+}
+
+void
+RequestQueue::appendEntry(Idx r, Entry entry)
+{
+    Idx c = runs_[r].last;
+    if (c == kNil || chunkAt(c).end == kChunkEntries) {
+        const Idx fresh = allocChunk();
+        if (c == kNil)
+            runs_[r].first = fresh;
+        else
+            chunkAt(c).next = fresh;
+        runs_[r].last = fresh;
+        c = fresh;
     }
+    Chunk &chunk = chunkAt(c);
+    chunk.entries[chunk.end++] = std::move(entry);
+    runs_[r].size += 1;
+}
+
+void
+RequestQueue::appendToRun(Idx r, const Request &req, Time estimate)
+{
+    const Entry entry{req, estimate};
+    appendEntry(r, entry);
     ++size_;
-}
-
-void
-RequestQueue::unlinkHead()
-{
-    const NodeIdx node = head_;
-    head_ = nodes_[node].next;
-    if (head_ != kNil)
-        nodes_[head_].prev = kNil;
-    else
-        tail_ = kNil;
-    freeNodes_.push_back(node);
-    --size_;
-}
-
-void
-RequestQueue::unlinkNode(NodeIdx node)
-{
-    Node &n = nodes_[node];
-    if (n.prev != kNil)
-        nodes_[n.prev].next = n.next;
-    else
-        head_ = n.next;
-    if (n.next != kNil)
-        nodes_[n.next].prev = n.prev;
-    else
-        tail_ = n.prev;
-    freeNodes_.push_back(node);
-    --size_;
-}
-
-void
-RequestQueue::appendTail(const Request &req, Time estimate)
-{
-    const NodeIdx node = allocNode(req, estimate);
-    linkAfter(tail_, node);
-    noteInserted(node);
+    noteInserted(r, entry);
 }
 
 void
 RequestQueue::pushBack(const Request &req, Time estimate)
 {
-    // A FIFO insertion may break expert-group contiguity (e.g. A B A),
-    // which the O(1) nextDistinctExpert shortcut relies on.
-    plainInserts_ = true;
-    appendTail(req, estimate);
+    if (tailRun_ == kNil || runs_[tailRun_].expert != req.expert) {
+        Idx r;
+        if (freeRuns_ != kNil) {
+            r = freeRuns_;
+            freeRuns_ = runs_[r].next;
+        } else {
+            r = static_cast<Idx>(runs_.size());
+            runs_.emplace_back();
+        }
+        runs_[r] = Run{req.expert, tailRun_, kNil, kNil, kNil, 0};
+        if (tailRun_ != kNil)
+            runs_[tailRun_].next = r;
+        else
+            headRun_ = r;
+        tailRun_ = r;
+        groupFor(req.expert).runs += 1;
+    }
+    appendToRun(tailRun_, req, estimate);
 }
 
 void
 RequestQueue::pushGrouped(const Request &req, Time estimate)
 {
-    GroupInfo &info = groupFor(req.expert);
-    if (info.count == 0) {
-        appendTail(req, estimate);
-        return;
-    }
-    const NodeIdx node = allocNode(req, estimate);
-    linkAfter(info.last, node);
-    noteInserted(node);
+    const GroupInfo &info = groupFor(req.expert);
+    if (info.count == 0)
+        pushBack(req, estimate);
+    else
+        appendToRun(info.last, req, estimate);
 }
 
 ExpertId
 RequestQueue::headExpert() const
 {
-    COSERVE_CHECK(head_ != kNil, "headExpert on empty queue");
-    return nodes_[head_].entry.req.expert;
+    COSERVE_CHECK(headRun_ != kNil, "headExpert on empty queue");
+    return runs_[headRun_].expert;
 }
 
 std::vector<Request>
@@ -134,45 +141,122 @@ void
 RequestQueue::popBatchInto(int maxCount, std::vector<Request> &out)
 {
     COSERVE_CHECK(maxCount >= 1, "batch of ", maxCount);
-    COSERVE_CHECK(head_ != kNil, "popBatch on empty queue");
-
+    COSERVE_CHECK(headRun_ != kNil, "popBatch on empty queue");
     out.clear();
-    const ExpertId e = nodes_[head_].entry.req.expert;
-    while (head_ != kNil &&
-           out.size() < static_cast<std::size_t>(maxCount) &&
-           nodes_[head_].entry.req.expert == e) {
-        noteRemoved(head_);
-        out.push_back(std::move(nodes_[head_].entry.req));
-        unlinkHead();
+    popFromRun(headRun_, maxCount, out);
+}
+
+void
+RequestQueue::popFromRun(Idx r, int maxCount, std::vector<Request> &out)
+{
+    Run &run = runs_[r];
+    int n = std::min(maxCount, run.size);
+    run.size -= n;
+    size_ -= static_cast<std::size_t>(n);
+    while (n > 0) {
+        Chunk &chunk = chunkAt(run.first);
+        const int take = std::min(n, chunk.end - chunk.begin);
+        for (int k = chunk.begin; k < chunk.begin + take; ++k) {
+            noteRemoved(chunk.entries[k]);
+            out.push_back(std::move(chunk.entries[k].req));
+        }
+        chunk.begin += take;
+        n -= take;
+        if (chunk.begin == chunk.end) {
+            const Idx next = chunk.next;
+            freeChunk(run.first);
+            run.first = next;
+        }
+    }
+    if (run.first == kNil) {
+        run.last = kNil;
+        removeRun(r);
     }
 }
 
-namespace {
-
-/** Strict "more urgent than": higher priority, then earlier EDF. */
-inline bool
-moreUrgent(int prio, Time deadline, int thanPrio, Time thanDeadline)
+void
+RequestQueue::removeRun(Idx r)
 {
-    return prio > thanPrio ||
-           (prio == thanPrio && deadline < thanDeadline);
+    const Run run = runs_[r];
+    COSERVE_CHECK(run.size == 0, "removing a non-empty run");
+    if (run.prev != kNil)
+        runs_[run.prev].next = run.next;
+    else
+        headRun_ = run.next;
+    if (run.next != kNil)
+        runs_[run.next].prev = run.prev;
+    else
+        tailRun_ = run.prev;
+    runs_[r].next = freeRuns_;
+    freeRuns_ = r;
+
+    GroupInfo &info = groups_[run.expert];
+    info.runs -= 1;
+    if (info.count == 0) {
+        COSERVE_CHECK(info.last == r, "group emptied but last run differs");
+        info.last = kNil;
+    } else if (info.last == r) {
+        // The group's last run emptied while earlier runs survive:
+        // hand the role to the nearest earlier run of the expert.
+        Idx p = run.prev;
+        while (p != kNil && runs_[p].expert != run.expert)
+            p = runs_[p].prev;
+        COSERVE_CHECK(p != kNil, "queue group lost");
+        info.last = p;
+    }
+    if (run.prev != kNil && run.next != kNil &&
+        runs_[run.prev].expert == runs_[run.next].expert)
+        mergeNext(run.prev);
 }
 
-} // namespace
+void
+RequestQueue::mergeNext(Idx r)
+{
+    const Idx n = runs_[r].next;
+    const Run next = runs_[n];
+    Run &run = runs_[r];
+    chunkAt(run.last).next = next.first;
+    run.last = next.last;
+    run.size += next.size;
+    run.next = next.next;
+    if (next.next != kNil)
+        runs_[next.next].prev = r;
+    else
+        tailRun_ = r;
+    runs_[n].next = freeRuns_;
+    freeRuns_ = n;
+    GroupInfo &info = groups_[run.expert];
+    info.runs -= 1;
+    if (info.last == n)
+        info.last = r;
+}
+
+template <typename Fn>
+void
+RequestQueue::forEachRequest(Fn &&fn) const
+{
+    for (Idx r = headRun_; r != kNil; r = runs_[r].next) {
+        for (Idx c = runs_[r].first; c != kNil; c = chunkAt(c).next) {
+            const Chunk &chunk = chunkAt(c);
+            for (int k = chunk.begin; k < chunk.end; ++k)
+                fn(chunk.entries[k].req);
+        }
+    }
+}
 
 ExpertId
 RequestQueue::bestExpert() const
 {
-    if (head_ == kNil)
+    if (headRun_ == kNil)
         return kNoExpert;
     if (sloUrgent_ == 0) {
         // Plain queue: head group pops first, exactly as pre-SLO.
-        return nodes_[head_].entry.req.expert;
+        return runs_[headRun_].expert;
     }
     ExpertId best = kNoExpert;
     int bestPrio = 0;
     Time bestDeadline = kTimeNever;
-    for (NodeIdx i = head_; i != kNil; i = nodes_[i].next) {
-        const Request &r = nodes_[i].entry.req;
+    forEachRequest([&](const Request &r) {
         const int prio = priorityOf(r.cls);
         if (best == kNoExpert ||
             moreUrgent(prio, r.deadline, bestPrio, bestDeadline)) {
@@ -180,7 +264,7 @@ RequestQueue::bestExpert() const
             bestPrio = prio;
             bestDeadline = r.deadline;
         }
-    }
+    });
     return best;
 }
 
@@ -195,8 +279,7 @@ RequestQueue::prefetchExpert() const
     ExpertId best = kNoExpert, second = kNoExpert;
     int bestPrio = 0, secondPrio = 0;
     Time bestDl = kTimeNever, secondDl = kTimeNever;
-    for (NodeIdx i = head_; i != kNil; i = nodes_[i].next) {
-        const Request &r = nodes_[i].entry.req;
+    forEachRequest([&](const Request &r) {
         const int prio = priorityOf(r.cls);
         if (r.expert == best) {
             if (moreUrgent(prio, r.deadline, bestPrio, bestDl)) {
@@ -230,7 +313,7 @@ RequestQueue::prefetchExpert() const
             secondPrio = prio;
             secondDl = r.deadline;
         }
-    }
+    });
     return second;
 }
 
@@ -243,79 +326,60 @@ RequestQueue::popBatchFor(ExpertId e, int maxCount,
                   "popBatchFor on absent expert ", e);
 
     out.clear();
-    NodeIdx start = head_;
-    while (nodes_[start].entry.req.expert != e)
-        start = nodes_[start].next;
-    if (sloUrgent_ > 0 && plainInserts_) {
+    const GroupInfo &info = groups_[e];
+    if (info.runs == 1) {
+        // One run (every expert of a grouped-only queue): it is the
+        // group's last run.
+        popFromRun(info.last, maxCount, out);
+        return;
+    }
+    Idx start = headRun_;
+    while (runs_[start].expert != e)
+        start = runs_[start].next;
+    if (sloUrgent_ > 0) {
         // A FIFO-interleaved queue may hold several disjoint runs of
         // @p e; the first run may contain only old deadline-less work
         // while the urgency that selected @p e sits in a later run.
         // Pop the run holding the most urgent member, or EDF would
         // invert behind the very request it chose to serve.
-        NodeIdx urgent = start;
-        int bestPrio = priorityOf(nodes_[start].entry.req.cls);
-        Time bestDl = nodes_[start].entry.req.deadline;
-        for (NodeIdx i = nodes_[start].next; i != kNil;
-             i = nodes_[i].next) {
-            const Request &r = nodes_[i].entry.req;
-            if (r.expert != e)
+        const Chunk &head = chunkAt(runs_[start].first);
+        int bestPrio = priorityOf(head.entries[head.begin].req.cls);
+        Time bestDl = head.entries[head.begin].req.deadline;
+        Idx urgent = start;
+        for (Idx r = start;; r = runs_[r].next) {
+            if (runs_[r].expert != e)
                 continue;
-            const int prio = priorityOf(r.cls);
-            if (moreUrgent(prio, r.deadline, bestPrio, bestDl)) {
-                urgent = i;
-                bestPrio = prio;
-                bestDl = r.deadline;
+            for (Idx c = runs_[r].first; c != kNil; c = chunkAt(c).next) {
+                const Chunk &chunk = chunkAt(c);
+                for (int k = chunk.begin; k < chunk.end; ++k) {
+                    const Request &q = chunk.entries[k].req;
+                    const int prio = priorityOf(q.cls);
+                    if (moreUrgent(prio, q.deadline, bestPrio, bestDl)) {
+                        urgent = r;
+                        bestPrio = prio;
+                        bestDl = q.deadline;
+                    }
+                }
             }
+            if (r == info.last)
+                break;
         }
         start = urgent;
-        while (nodes_[start].prev != kNil &&
-               nodes_[nodes_[start].prev].entry.req.expert == e)
-            start = nodes_[start].prev;
     }
-    // Pop the contiguous run (the whole group under grouped
-    // insertion); scattered same-expert requests in other runs stay
-    // in place, matching popBatchInto's head-run semantics.
-    NodeIdx i = start;
-    while (i != kNil && out.size() < static_cast<std::size_t>(maxCount) &&
-           nodes_[i].entry.req.expert == e) {
-        const NodeIdx next = nodes_[i].next;
-        // Same hand-off stealFromTail performs: removing the group's
-        // last occurrence while earlier (other-run) members survive
-        // must re-point GroupInfo::last at the nearest earlier
-        // same-expert node, or the index dangles on a freed node.
-        GroupInfo &info = groups_[e];
-        if (info.count > 1 && info.last == i) {
-            NodeIdx p = nodes_[i].prev;
-            while (p != kNil && nodes_[p].entry.req.expert != e)
-                p = nodes_[p].prev;
-            COSERVE_CHECK(p != kNil, "queue group lost on pop");
-            info.last = p;
-        }
-        noteRemoved(i);
-        out.push_back(std::move(nodes_[i].entry.req));
-        unlinkNode(i);
-        i = next;
-    }
+    // Pop the front of the run (the whole group under grouped
+    // insertion); same-expert requests in other runs stay in place,
+    // matching popBatchInto's head-run semantics.
+    popFromRun(start, maxCount, out);
 }
 
 ExpertId
 RequestQueue::nextDistinctExpert() const
 {
-    if (head_ == kNil)
+    // Adjacent runs never share an expert, so the run after the head
+    // run starts the next group.
+    if (headRun_ == kNil || runs_[headRun_].next == kNil)
         return kNoExpert;
-    const ExpertId head = nodes_[head_].entry.req.expert;
-    if (!plainInserts_) {
-        // Grouped-only queue: the head group is contiguous, so the
-        // first request after its last member starts the next group.
-        const NodeIdx after = nodes_[groups_[head].last].next;
-        return after == kNil ? kNoExpert
-                             : nodes_[after].entry.req.expert;
-    }
-    for (NodeIdx i = nodes_[head_].next; i != kNil; i = nodes_[i].next) {
-        if (nodes_[i].entry.req.expert != head)
-            return nodes_[i].entry.req.expert;
-    }
-    return kNoExpert;
+    return runs_[runs_[headRun_].next].expert;
 }
 
 int
@@ -323,41 +387,56 @@ RequestQueue::stealFromTail(int maxCount, std::vector<Request> &out,
                             const StealFilter &allow)
 {
     int stolen = 0;
-    NodeIdx cur = tail_;
-    // Walk tailward, unlinking matches; stop at the head node (never
-    // stolen — see the header comment).
-    while (stolen < maxCount && cur != kNil && cur != head_) {
-        Node &n = nodes_[cur];
-        const NodeIdx prev = n.prev;
-        if (allow && !allow(n.entry.req)) {
-            cur = prev;
-            continue;
+    Idx r = tailRun_;
+    // Entries of run r still to visit: a prefix, because a merge
+    // appends the (already visited) next run's entries to r.
+    int visit = r == kNil ? 0 : runs_[r].size;
+    while (stolen < maxCount && r != kNil) {
+        stealSpan_.clear();
+        for (Idx c = runs_[r].first; c != kNil; c = chunkAt(c).next) {
+            Chunk &chunk = chunkAt(c);
+            for (int k = chunk.begin; k < chunk.end; ++k)
+                stealSpan_.push_back(&chunk.entries[k]);
         }
-        // noteRemoved() assumes head-order removal (group emptied =>
-        // last == node): a stolen node that *is* its group's last but
-        // not its only member hands that role to the nearest earlier
-        // same-expert node first, then the shared bookkeeping applies.
-        const ExpertId e = n.entry.req.expert;
-        GroupInfo &info = groups_[e];
-        if (info.count > 1 && info.last == cur) {
-            NodeIdx p = prev;
-            while (p != kNil && nodes_[p].entry.req.expert != e)
-                p = nodes_[p].prev;
-            COSERVE_CHECK(p != kNil, "queue group lost on steal");
-            info.last = p;
+        // Walk tailward; the head request is never stolen (see the
+        // header comment).
+        const int lowest = r == headRun_ ? 1 : 0;
+        int removed = 0;
+        for (int i = visit - 1; i >= lowest && stolen < maxCount; --i) {
+            Entry &entry = *stealSpan_[static_cast<std::size_t>(i)];
+            if (allow && !allow(entry.req))
+                continue;
+            noteRemoved(entry);
+            out.push_back(std::move(entry.req));
+            stealSpan_[static_cast<std::size_t>(i)] = nullptr;
+            ++removed;
+            ++stolen;
         }
-        noteRemoved(cur);
-        out.push_back(std::move(n.entry.req));
-        if (n.prev != kNil)
-            nodes_[n.prev].next = n.next;
-        if (n.next != kNil)
-            nodes_[n.next].prev = n.prev;
-        if (tail_ == cur)
-            tail_ = n.prev;
-        freeNodes_.push_back(cur);
-        --size_;
-        ++stolen;
-        cur = prev;
+        const Idx prev = runs_[r].prev;
+        const int prevVisit = prev == kNil ? 0 : runs_[prev].size;
+        if (removed > 0) {
+            // Rebuild the run from its survivors, in order.
+            stealKeep_.clear();
+            for (Entry *entry : stealSpan_) {
+                if (entry != nullptr)
+                    stealKeep_.push_back(std::move(*entry));
+            }
+            Run &run = runs_[r];
+            for (Idx c = run.first; c != kNil;) {
+                const Idx next = chunkAt(c).next;
+                freeChunk(c);
+                c = next;
+            }
+            run.first = run.last = kNil;
+            run.size = 0;
+            for (Entry &entry : stealKeep_)
+                appendEntry(r, std::move(entry));
+            size_ -= static_cast<std::size_t>(removed);
+            if (runs_[r].size == 0)
+                removeRun(r);
+        }
+        r = prev;
+        visit = prevVisit;
     }
     return stolen;
 }
@@ -365,13 +444,9 @@ RequestQueue::stealFromTail(int maxCount, std::vector<Request> &out,
 int
 RequestQueue::drainAll(std::vector<Request> &out)
 {
-    int drained = 0;
-    while (head_ != kNil) {
-        noteRemoved(head_);
-        out.push_back(std::move(nodes_[head_].entry.req));
-        unlinkHead();
-        ++drained;
-    }
+    const int drained = static_cast<int>(size_);
+    while (headRun_ != kNil)
+        popFromRun(headRun_, INT_MAX, out);
     return drained;
 }
 
@@ -380,52 +455,34 @@ RequestQueue::snapshot() const
 {
     std::vector<Request> out;
     out.reserve(size_);
-    for (NodeIdx i = head_; i != kNil; i = nodes_[i].next)
-        out.push_back(nodes_[i].entry.req);
+    forEachRequest([&](const Request &r) { out.push_back(r); });
     return out;
 }
 
-namespace {
-
-/** Does @p r participate in the EDF-within-priority pop order? */
-inline bool
-sloUrgent(const Request &r)
-{
-    return r.deadline != kTimeNever || priorityOf(r.cls) != 0;
-}
-
-} // namespace
-
 void
-RequestQueue::noteInserted(NodeIdx node)
+RequestQueue::noteInserted(Idx r, const Entry &entry)
 {
-    GroupInfo &info = groupFor(nodes_[node].entry.req.expert);
+    GroupInfo &info = groups_[entry.req.expert];
     // The inserted entry is always the last occurrence of its expert:
-    // appendTail places it at the tail; pushGrouped inserts right
-    // after the previous last occurrence.
-    info.last = node;
+    // pushBack places it at the tail; pushGrouped appends to the
+    // expert's last run.
+    info.last = r;
     info.count += 1;
-    pendingWork_ += nodes_[node].entry.estimate;
-    if (sloUrgent(nodes_[node].entry.req))
+    pendingWork_ += entry.estimate;
+    if (sloUrgent(entry.req))
         sloUrgent_ += 1;
 }
 
 void
-RequestQueue::noteRemoved(NodeIdx node)
+RequestQueue::noteRemoved(const Entry &entry)
 {
-    const ExpertId e = nodes_[node].entry.req.expert;
+    const ExpertId e = entry.req.expert;
     COSERVE_CHECK(static_cast<std::size_t>(e) < groups_.size() &&
                       groups_[e].count > 0,
                   "queue group lost");
-    GroupInfo &info = groups_[e];
-    info.count -= 1;
-    if (info.count == 0) {
-        COSERVE_CHECK(info.last == node,
-                      "group emptied but last node differs");
-        info.last = kNil;
-    }
-    pendingWork_ -= nodes_[node].entry.estimate;
-    if (sloUrgent(nodes_[node].entry.req)) {
+    groups_[e].count -= 1;
+    pendingWork_ -= entry.estimate;
+    if (sloUrgent(entry.req)) {
         COSERVE_CHECK(sloUrgent_ > 0, "urgent count underflow");
         sloUrgent_ -= 1;
     }

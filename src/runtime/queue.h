@@ -12,21 +12,25 @@
  * so the dependency-aware scheduler can predict each queue's total
  * inference time in O(1) (Figure 8).
  *
- * Implementation: an intrusive doubly-linked list over a contiguous
- * node pool with a free list, plus a flat per-expert group index
- * (experts are small dense ids). The scheduler probes every executor
- * queue on every dispatch — containsExpert() and pendingWork() are the
- * hottest reads in the system — so membership tests are array lookups
- * and the steady path performs no per-request allocation (the previous
- * std::list + std::unordered_map design paid a node allocation per
- * request and a hash walk per probe).
+ * Implementation: a doubly-linked list of *runs* — maximal stretches
+ * of consecutive same-expert requests — over a run pool, with each
+ * run's entries stored in fixed 16-entry chunks drawn from a per-queue
+ * chunk pool (both pools keep a free list and never shrink; the chunk
+ * pool grows in fixed slabs, so growth moves nothing). Adjacent
+ * runs never share an expert: when a middle run empties, its two
+ * neighbours merge if they do. A flat per-expert group index (experts
+ * are small dense ids) records each expert's request count, run count
+ * and last run. The scheduler probes every executor queue on every
+ * dispatch — containsExpert() and pendingWork() are the hottest reads
+ * in the system — so membership tests are array lookups, and the
+ * steady path performs no per-request allocation. Under grouped
+ * insertion every expert owns exactly one run, so popBatchFor() finds
+ * its group in O(1) and nextDistinctExpert() is the next run's
+ * expert; the SLO scans walk contiguous chunk arrays instead of
+ * chasing one pointer per request.
  *
- * Determinism audit: no hash container survives here — the PR 2
- * rewrite also removed the only iteration-order hazard this file ever
- * had (the old per-expert unordered_map group index). The flat
- * vector-indexed group table visits experts in dense-id order by
- * construction, so detlint's unordered-iter rule has nothing to flag
- * and no allow comment is needed.
+ * Determinism: no hash container — the group index visits experts in
+ * dense-id order by construction.
  */
 
 #ifndef COSERVE_RUNTIME_QUEUE_H
@@ -34,6 +38,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "workload/request.h"
@@ -98,10 +103,9 @@ class RequestQueue
      * false) answer the head expert in O(1); SLO-ordered queues scan
      * for the group holding the most urgent request — highest class
      * priority first, earliest deadline within a priority (EDF), queue
-     * position as the tie-break. The pooled intrusive layout and the
-     * per-expert group index are untouched: urgency changes which
-     * group *pops* next, never where requests sit. kNoExpert when
-     * empty.
+     * position as the tie-break. Runs and the per-expert group index
+     * are untouched: urgency changes which group *pops* next, never
+     * where requests sit. kNoExpert when empty.
      */
     ExpertId nextBatchExpert() const { return bestExpert(); }
 
@@ -182,40 +186,99 @@ class RequestQueue
     std::vector<Request> snapshot() const;
 
   private:
-    using NodeIdx = std::int32_t;
-    static constexpr NodeIdx kNil = -1;
+    using Idx = std::int32_t;
+    static constexpr Idx kNil = -1;
+    static constexpr int kChunkEntries = 16;
 
-    /** Pool-allocated list node. */
-    struct Node
+    /**
+     * Pooled block of consecutive entries of one run; the live entries
+     * are [begin, end). A run's chunks link forward through @c next,
+     * free chunks through the same field.
+     */
+    struct Chunk
     {
-        Entry entry;
-        NodeIdx prev = kNil;
-        NodeIdx next = kNil;
+        Entry entries[kChunkEntries];
+        Idx next = kNil;
+        std::int32_t begin = 0;
+        std::int32_t end = 0;
+    };
+
+    /**
+     * Chunks per pool slab. The chunk pool grows a slab at a time and
+     * slabs never move, so growth copies nothing and chunk references
+     * stay valid.
+     */
+    static constexpr std::uint32_t kSlabChunks = 16;
+
+    Chunk &
+    chunkAt(Idx c)
+    {
+        const auto i = static_cast<std::uint32_t>(c);
+        return slabs_[i / kSlabChunks][i % kSlabChunks];
+    }
+    const Chunk &
+    chunkAt(Idx c) const
+    {
+        const auto i = static_cast<std::uint32_t>(c);
+        return slabs_[i / kSlabChunks][i % kSlabChunks];
+    }
+
+    /** Pooled run: consecutive same-expert requests, in queue order. */
+    struct Run
+    {
+        ExpertId expert = kNoExpert;
+        Idx prev = kNil;
+        Idx next = kNil; // also links free runs
+        Idx first = kNil;
+        Idx last = kNil;
+        int size = 0;
     };
 
     /** Per-expert bookkeeping, indexed by (dense, small) ExpertId. */
     struct GroupInfo
     {
-        /** Pool index of the last queued request of this expert. */
-        NodeIdx last = kNil;
+        /** Run holding the last queued request of this expert. */
+        Idx last = kNil;
+        /** Queued requests of this expert. */
         int count = 0;
+        /** Runs of this expert (1 under grouped-only insertion). */
+        int runs = 0;
     };
 
-    NodeIdx allocNode(const Request &req, Time estimate);
-    void linkAfter(NodeIdx pos, NodeIdx node); // pos == kNil: at head
-    void unlinkHead();
-    void unlinkNode(NodeIdx node);
-    void noteInserted(NodeIdx node);
-    void noteRemoved(NodeIdx node);
-    void appendTail(const Request &req, Time estimate);
+    Idx allocChunk();
+    void freeChunk(Idx c);
+    /** Append @p entry to run @p r (no bookkeeping). */
+    void appendEntry(Idx r, Entry entry);
+    /** Append to run @p r, updating size and group bookkeeping. */
+    void appendToRun(Idx r, const Request &req, Time estimate);
+    /**
+     * Move up to @p maxCount front entries of run @p r onto @p out
+     * (not cleared), removing the run if it empties.
+     */
+    void popFromRun(Idx r, int maxCount, std::vector<Request> &out);
+    /**
+     * Unlink emptied run @p r, re-point its group's last run, and
+     * merge its neighbours when they share an expert.
+     */
+    void removeRun(Idx r);
+    /** Append run @p r's successor (same expert) onto @p r. */
+    void mergeNext(Idx r);
+    /** Call @p fn(request) for every queued request, head to tail. */
+    template <typename Fn>
+    void forEachRequest(Fn &&fn) const;
+    void noteInserted(Idx r, const Entry &entry);
+    void noteRemoved(const Entry &entry);
     GroupInfo &groupFor(ExpertId e);
     /** Most urgent group's expert (head group when nothing urgent). */
     ExpertId bestExpert() const;
 
-    std::vector<Node> nodes_;
-    std::vector<NodeIdx> freeNodes_;
-    NodeIdx head_ = kNil;
-    NodeIdx tail_ = kNil;
+    std::vector<std::unique_ptr<Chunk[]>> slabs_;
+    Idx chunkCount_ = 0;
+    Idx freeChunks_ = kNil;
+    std::vector<Run> runs_;
+    Idx freeRuns_ = kNil;
+    Idx headRun_ = kNil;
+    Idx tailRun_ = kNil;
     std::size_t size_ = 0;
     std::vector<GroupInfo> groups_;
     Time pendingWork_ = 0;
@@ -225,14 +288,9 @@ class RequestQueue
      * the O(1) head-group fast path.
      */
     std::size_t sloUrgent_ = 0;
-    /**
-     * True once a plain (FIFO) pushBack interleaved with the queue's
-     * contents. Under pure grouped insertion every expert's requests
-     * are contiguous, which lets nextDistinctExpert() answer in O(1)
-     * from the head group's last node; FIFO queues fall back to the
-     * linear scan.
-     */
-    bool plainInserts_ = false;
+    /** stealFromTail's per-run scratch: the visited run's entries. */
+    std::vector<Entry *> stealSpan_;
+    std::vector<Entry> stealKeep_;
 };
 
 } // namespace coserve

@@ -457,11 +457,9 @@ TEST_F(OnlineClusterFixture, LoadViewMatchesPoolsAndQueues)
             bool resident = false, loading = false, queued = false;
             for (std::size_t k = 0; k < engine.numExecutors(); ++k) {
                 const Executor &exec = engine.executorAt(k);
-                const auto &entries = exec.pool().entries();
-                const auto it = entries.find(e);
-                if (it != entries.end()) {
-                    resident = resident || !it->second.loading;
-                    loading = loading || it->second.loading;
+                if (const TierEntry *entry = exec.pool().find(e)) {
+                    resident = resident || !entry->loading;
+                    loading = loading || entry->loading;
                 }
                 queued = queued || exec.queue().countForExpert(e) > 0;
             }

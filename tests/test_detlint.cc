@@ -110,8 +110,7 @@ TEST(Detlint, UnorderedIterFiresOnRangeForOverDeclaredName)
 TEST(Detlint, UnorderedIterResolvesAccessorsAcrossFiles)
 {
     // entries() is declared unordered in one file, iterated in another
-    // — the shared Context carries the name across, exactly how
-    // MemoryTier::entries() is caught in engine.cc.
+    // — the shared Context carries the name across.
     Context ctx;
     detlint::collectUnorderedNames(
         "const std::unordered_map<int, Entry> &entries() const;\n",

@@ -114,8 +114,8 @@ struct ScanResult
 /**
  * Cross-file scan context: identifiers declared (or returned by
  * accessors) as unordered containers anywhere in the tree, so a
- * range-for over `pool->entries()` in engine.cc is caught even though
- * the accessor is declared in memory_tier.h.
+ * range-for over an accessor such as `pool->entries()` is caught even
+ * when the accessor is declared in another file.
  */
 struct Context
 {
