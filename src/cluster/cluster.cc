@@ -5,6 +5,7 @@
 #include <functional>
 #include <limits>
 #include <thread>
+#include <utility>
 
 #include "core/scheduler.h"
 #include "metrics/report.h"
@@ -387,9 +388,9 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
         decisions.beginReplay(&replayLog);
     }
 
-    // Per-run observability state. The registry is always live (its
-    // relaxed counters mirror the legacy result fields at the same
-    // sites); the tracer, sampler and file outputs exist only when
+    // Per-run observability state. The registry is an export of the
+    // result fields, filled once when the run is collected; the
+    // tracer, sampler and file outputs exist only when
     // opts.telemetry.enabled — the null-sink fast path.
     obs::Telemetry telem(opts.telemetry,
                          static_cast<int>(cfg_.replicas.size()));
@@ -410,10 +411,10 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
     if (!opts.recordPath.empty())
         decisions.log().save(opts.recordPath);
 
-    // Observability epilogue: derived gauges from the final result,
-    // the per-replica 1-in-16 scheduling-wall samples unified into the
-    // host profile, then the configured file outputs; the frozen
-    // snapshot rides on the result for reports and reconciliation.
+    // Observability epilogue: the result's counters and derived gauges
+    // into the registry, the per-replica 1-in-16 scheduling-wall
+    // samples unified into the host profile, then the configured file
+    // outputs; the frozen snapshot rides on the result for export.
     exportClusterMetrics(out, telem.registry());
     for (const RunResult &rep : out.replicas) {
         const std::size_t cnt = rep.schedulingWallUs.count();
@@ -530,11 +531,10 @@ ClusterEngine::makeReplicaEngine(std::size_t i,
     cfg.label = cfg_.label + "/replica" + std::to_string(i);
     if (sharedCpu != nullptr)
         cfg.externalCpuTier = sharedCpu;
-    // Live metric counters (always on) and this replica's span-trace
-    // buffer (null unless telemetry is enabled). The buffer is
-    // pre-created by the Telemetry ctor, so construction inside a
-    // replica thread (static-parallel mode) never races.
-    cfg.metrics = &telem.registry();
+    // This replica's span-trace buffer (null unless telemetry is
+    // enabled). The buffer is pre-created by the Telemetry ctor, so
+    // construction inside a replica thread (static-parallel mode)
+    // never races.
     cfg.tracer = telem.replicaTracer(static_cast<int>(i));
     // Cluster-level preemption policy applies uniformly: migration
     // break-even and hysteresis must agree across replicas or a group
@@ -574,35 +574,9 @@ ClusterEngine::runCoordinated(const Trace &trace,
 
     // ----- observability ---------------------------------------------
     //
-    // Coordinator-side live counters, incremented at exactly the sites
-    // that maintain the legacy local tallies (the reconciliation test
-    // asserts they agree), plus the coordinator's trace buffer (pid 0;
-    // null when telemetry is off). cluster.images / .inferences /
-    // preempt.rescues are the engines' handles, read-only here for the
-    // epoch sampler.
-    obs::MetricsRegistry &mreg = telem.registry();
-    obs::Counter &cStolen = mreg.counter("cluster.stolen_requests");
-    obs::Counter &cMigGroups = mreg.counter("cluster.migrated_groups");
-    obs::Counter &cMigRequests =
-        mreg.counter("cluster.migrated_requests");
-    obs::Counter &cActivations =
-        mreg.counter("cluster.autoscale_activations");
-    obs::Counter &cQuiesces =
-        mreg.counter("cluster.autoscale_quiesces");
-    obs::Counter &cEvacuated =
-        mreg.counter("cluster.autoscale_evacuated");
-    obs::Counter &cQuiesceDrains =
-        mreg.counter("cluster.quiesce_drains");
-    obs::Counter &cRejected = mreg.counter("cluster.rejected");
-    obs::Counter &cDowngraded = mreg.counter("cluster.downgraded");
-    obs::Counter &cCrashes = mreg.counter("cluster.crashes");
-    obs::Counter &cRehomed = mreg.counter("cluster.crash_rehomed");
-    obs::Counter &cLost = mreg.counter("cluster.crash_lost");
-    obs::Counter &cStragglers = mreg.counter("cluster.stragglers");
-    obs::Counter &cBrownouts = mreg.counter("cluster.brownouts");
-    obs::Counter &cImagesLive = mreg.counter("cluster.images");
-    obs::Counter &cInferencesLive = mreg.counter("cluster.inferences");
-    obs::Counter &cRescuesLive = mreg.counter("preempt.rescues");
+    // The coordinator's trace buffer (pid 0; null when telemetry is
+    // off). Its counters are the local tallies below, exported once to
+    // the registry at collection time.
     obs::ReplicaTracer *coordTr = telem.coordinatorTracer();
     if (coordTr != nullptr) {
         coordTr->setProcessName("coordinator");
@@ -726,7 +700,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
                 continue;
             const Time drain = engines[i]->now() - quiesceStart[i];
             quiesceDrains += 1;
-            cQuiesceDrains.add(1);
             quiesceDrainTotal += drain;
             quiesceDrainMax = std::max(quiesceDrainMax, drain);
             quiesceStart[i] = kTimeNever;
@@ -867,8 +840,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
         if (target != src) {
             migratedGroups += 1;
             migratedRequests += static_cast<std::int64_t>(cnt);
-            cMigGroups.add(1);
-            cMigRequests.add(static_cast<std::int64_t>(cnt));
             hintSharedTier(img.requests);
         }
         engines[target]->adoptCheckpoint(std::move(img));
@@ -980,7 +951,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
                             static_cast<std::uint64_t>(victim),
                             static_cast<std::uint64_t>(thief),
                             static_cast<std::uint64_t>(got)});
-            cStolen.add(static_cast<std::int64_t>(got));
             if (coordTr != nullptr) {
                 coordTr->instant(
                     "steal", 0, now,
@@ -1059,7 +1029,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
                                 static_cast<std::uint64_t>(q),
                                 static_cast<std::uint64_t>(t),
                                 static_cast<std::uint64_t>(got)});
-                cEvacuated.add(static_cast<std::int64_t>(got));
                 if (coordTr != nullptr) {
                     coordTr->instant(
                         "evacuate", 0, now,
@@ -1130,7 +1099,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
                 live[i].acceptingWork = true;
                 decisions.note({now, DecisionKind::ScaleUp,
                                 static_cast<std::uint64_t>(i), 0, 0});
-                cActivations.add(1);
                 if (coordTr != nullptr) {
                     coordTr->instant(
                         "scale-up", 0, now,
@@ -1164,7 +1132,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
             live[q].acceptingWork = false;
             decisions.note({now, DecisionKind::Quiesce,
                             static_cast<std::uint64_t>(q), 0, 0});
-            cQuiesces.add(1);
             if (coordTr != nullptr) {
                 coordTr->instant(
                     "quiesce", 0, now,
@@ -1255,9 +1222,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
             // lost request is exactly one lost image.
             lostHere += lostCkpt;
             lostImages += lostHere;
-            cCrashes.add(1);
-            cRehomed.add(rehomedHere);
-            cLost.add(lostHere);
             if (coordTr != nullptr) {
                 coordTr->instant(
                     "crash", 0, f.time,
@@ -1282,7 +1246,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
         case DecisionKind::StragglerOn:
             engines[f.replica]->setComputeScale(f.factor);
             stragglers += 1;
-            cStragglers.add(1);
             if (coordTr != nullptr) {
                 coordTr->instant(
                     "straggler on", 0, f.time,
@@ -1308,7 +1271,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
         case DecisionKind::BrownoutOn:
             engines[f.replica]->setStorageRateScale(f.factor);
             brownouts += 1;
-            cBrownouts.add(1);
             if (coordTr != nullptr) {
                 coordTr->instant(
                     "brownout on", 0, f.time,
@@ -1353,6 +1315,9 @@ ClusterEngine::runCoordinated(const Trace &trace,
         std::int64_t gpuHits = 0, gpuMisses = 0;
         std::int64_t cpuHits = 0, cpuMisses = 0;
         for (std::size_t i = 0; i < n; ++i) {
+            // Cumulative columns keep a crashed replica's completions.
+            engines[i]->sampleProgress(row.images, row.inferences,
+                                       row.preemptions);
             if (crashed[i])
                 continue;
             engines[i]->fillLoadView(sampleView);
@@ -1379,9 +1344,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
                 static_cast<double>(cpuHits) /
                 static_cast<double>(cpuHits + cpuMisses);
         }
-        row.images = cImagesLive.value();
-        row.inferences = cInferencesLive.value();
-        row.preemptions = cRescuesLive.value();
         if (t > 0) {
             row.goodputImgPerSec =
                 static_cast<double>(row.images) / toSeconds(t);
@@ -1480,7 +1442,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
                 if (verdict == AdmissionVerdict::Reject) {
                     coordSlo.recordRejected(a.cls);
                     coordRejected += 1;
-                    cRejected.add(1);
                     if (coordTr != nullptr) {
                         coordTr->instant(
                             "admission reject", 0, a.time,
@@ -1497,7 +1458,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
                     // violation accounting (see ServingEngine's
                     // admitTimed).
                     coordSlo.recordDowngraded(a.cls);
-                    cDowngraded.add(1);
                     if (coordTr != nullptr) {
                         coordTr->instant(
                             "admission downgrade", 0, a.time,
@@ -1543,7 +1503,6 @@ ClusterEngine::runCoordinated(const Trace &trace,
                 // the drop with the out-of-range sentinel replica `n`
                 // so replays still cover it.
                 lostImages += 1;
-                cLost.add(1);
                 if (coordTr != nullptr) {
                     coordTr->instant(
                         "route (lost)", 0, a.time,
@@ -1637,6 +1596,28 @@ ClusterEngine::runCoordinated(const Trace &trace,
         out.brownoutsInjected = brownouts;
     }
     appendSharedTierStats(out, sharedCpu.get());
+    // The coordinator's counters, exported once from the tallies
+    // rather than from out's fields: those are gated on their feature
+    // flags (an autoscale run with preemption off still completes
+    // quiesce drains), and admission's own verdicts have no field.
+    const std::pair<const char *, std::int64_t> coordCounters[] = {
+        {"cluster.stolen_requests", out.stolenRequests},
+        {"cluster.migrated_groups", migratedGroups},
+        {"cluster.migrated_requests", migratedRequests},
+        {"cluster.autoscale_activations", activations},
+        {"cluster.autoscale_quiesces", quiesces},
+        {"cluster.autoscale_evacuated", evacuated},
+        {"cluster.quiesce_drains", quiesceDrains},
+        {"cluster.rejected", coordRejected},
+        {"cluster.downgraded", coordSlo.downgraded()},
+        {"cluster.crashes", crashes},
+        {"cluster.crash_rehomed", rehomed},
+        {"cluster.crash_lost", lostImages},
+        {"cluster.stragglers", stragglers},
+        {"cluster.brownouts", brownouts},
+    };
+    for (const auto &[name, value] : coordCounters)
+        telem.registry().counter(name).add(value);
     telem.host().add("collect", collectWall.elapsedMicros());
     return out;
 }

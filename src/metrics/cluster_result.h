@@ -166,12 +166,10 @@ struct ClusterResult
     double wallSeconds = 0.0;
 
     /**
-     * Frozen metrics-registry snapshot (obs/metrics.h): the live
-     * counters the engines and the coordinator maintained during the
-     * run, plus the derived gauges exported at collection time.
-     * summarize() sources its cluster / SLO / tier sections from here
-     * (falling back to the struct fields when empty), and the obs
-     * reconciliation test asserts snapshot == legacy counters.
+     * Frozen metrics-registry snapshot (obs/metrics.h): this result's
+     * counter fields, the coordinator's counters and the derived and
+     * host.* gauges, exported once when the run was collected. An
+     * export only — the fields above stay the store.
      */
     obs::MetricsSnapshot metrics;
 

@@ -1,8 +1,8 @@
 #include "metrics/report.h"
 
-#include <cmath>
 #include <iostream>
 #include <sstream>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "util/strutil.h"
@@ -13,105 +13,46 @@ namespace coserve {
 
 namespace {
 
-// Metric-snapshot value helpers: reports source their numbers from the
-// registry snapshot when one rides on the result (cluster runs), and
-// fall back to the legacy struct fields otherwise (standalone engines,
-// pre-obs callers). A key absent from a non-empty snapshot also falls
-// back, so static runs — whose coordinator counters were never
-// registered — print unchanged.
-
-std::int64_t
-snapInt(const obs::MetricsSnapshot *snap, const std::string &name,
-        std::int64_t fallback)
-{
-    if (snap == nullptr)
-        return fallback;
-    return static_cast<std::int64_t>(std::llround(
-        snap->value(name, static_cast<double>(fallback))));
-}
-
-double
-snapDouble(const obs::MetricsSnapshot *snap, const std::string &name,
-           double fallback)
-{
-    return snap == nullptr ? fallback : snap->value(name, fallback);
-}
-
 void
 appendSloLines(std::ostringstream &os, const SloStats &slo,
-               Time makespan, const obs::MetricsSnapshot *snap)
+               Time makespan)
 {
     // Gated on activity: classless runs print nothing here, keeping
     // pre-SLO output byte-identical.
     if (!slo.any())
         return;
-    os << "  SLO goodput "
-       << formatDouble(snapDouble(snap, "slo.goodput_img_per_s",
-                                  slo.goodput(makespan)),
-                       1)
-       << " img/s, violation rate "
-       << formatPercent(snapDouble(snap, "slo.violation_rate",
-                                   slo.violationRate()))
-       << " (" << snapInt(snap, "slo.met", slo.sloMet()) << " met, "
-       << snapInt(snap, "slo.violated", slo.violated()) << " violated, "
-       << snapInt(snap, "slo.rejected", slo.rejected()) << " rejected, "
-       << snapInt(snap, "slo.downgraded", slo.downgraded())
-       << " downgraded)\n";
+    os << "  SLO goodput " << formatDouble(slo.goodput(makespan), 1)
+       << " img/s, violation rate " << formatPercent(slo.violationRate())
+       << " (" << slo.sloMet() << " met, " << slo.violated()
+       << " violated, " << slo.rejected() << " rejected, "
+       << slo.downgraded() << " downgraded)\n";
     for (std::size_t i = 0; i < slo.perClass.size(); ++i) {
         const SloClassStats &c = slo.perClass[i];
         if (c.completed == 0 && c.rejected == 0 && c.downgraded == 0)
             continue;
-        const std::string cls =
-            toString(static_cast<RequestClass>(i));
-        const std::string p = "slo." + cls + ".";
-        os << "    class " << cls << ": "
-           << snapInt(snap, p + "completed", c.completed)
-           << " done, p50/p95/p99 "
-           << formatDouble(snapDouble(snap, p + "p50_ms",
-                                      c.latencyMs.quantile(0.50)),
-                           1)
-           << "/"
-           << formatDouble(snapDouble(snap, p + "p95_ms",
-                                      c.latencyMs.quantile(0.95)),
-                           1)
-           << "/"
-           << formatDouble(snapDouble(snap, p + "p99_ms",
-                                      c.latencyMs.quantile(0.99)),
-                           1)
-           << " ms, " << snapInt(snap, p + "violated", c.violated)
-           << " violated, " << snapInt(snap, p + "rejected", c.rejected)
-           << " rejected, "
-           << snapInt(snap, p + "downgraded", c.downgraded)
-           << " downgraded\n";
+        os << "    class " << toString(static_cast<RequestClass>(i))
+           << ": " << c.completed << " done, p50/p95/p99 "
+           << formatDouble(c.latencyMs.quantile(0.50), 1) << "/"
+           << formatDouble(c.latencyMs.quantile(0.95), 1) << "/"
+           << formatDouble(c.latencyMs.quantile(0.99), 1) << " ms, "
+           << c.violated << " violated, " << c.rejected
+           << " rejected, " << c.downgraded << " downgraded\n";
     }
 }
 
 void
 appendTierLines(std::ostringstream &os,
-                const std::vector<TierStats> &tiers,
-                const obs::MetricsSnapshot *snap)
+                const std::vector<TierStats> &tiers)
 {
     for (const TierStats &t : tiers) {
-        const std::string p = "tier." + t.name + ".";
-        const std::int64_t hits =
-            snapInt(snap, p + "hits", t.counters.hits);
-        const std::int64_t accesses =
-            snapInt(snap, p + "accesses",
-                    t.counters.hits + t.counters.misses);
-        const std::int64_t capacity =
-            snapInt(snap, p + "capacity_bytes", t.capacityBytes);
         os << "  tier " << t.name << " (" << t.level
            << (t.shared ? ", shared" : "") << "): hit rate "
-           << formatPercent(
-                  snapDouble(snap, p + "hit_rate", t.hitRate()))
-           << " (" << hits << "/" << accesses << "), "
-           << snapInt(snap, p + "evictions", t.counters.evictions)
-           << " evictions, "
-           << formatBytes(
-                  snapInt(snap, p + "used_bytes", t.usedBytes))
-           << " of "
-           << (capacity > 0 ? formatBytes(capacity)
-                            : std::string("unbounded"))
+           << formatPercent(t.hitRate()) << " (" << t.counters.hits
+           << "/" << t.counters.hits + t.counters.misses << "), "
+           << t.counters.evictions << " evictions, "
+           << formatBytes(t.usedBytes) << " of "
+           << (t.capacityBytes > 0 ? formatBytes(t.capacityBytes)
+                                   : std::string("unbounded"))
            << " used\n";
     }
 }
@@ -136,120 +77,63 @@ summarize(const RunResult &r)
        << formatDouble(r.requestLatencyMs.percentile(99), 1)
        << " ms, scheduling "
        << formatDouble(r.schedulingWallUs.mean(), 2) << " us/decision\n";
-    appendSloLines(os, r.slo, r.makespan, nullptr);
-    appendTierLines(os, r.tiers, nullptr);
+    appendSloLines(os, r.slo, r.makespan);
+    appendTierLines(os, r.tiers);
     return os.str();
 }
 
 std::string
 summarize(const ClusterResult &r)
 {
-    // Cluster runs carry the registry snapshot: the printed values are
-    // the registry's, so a counter that drifted from its legacy twin
-    // shows up here (and in the reconciliation test), not just in an
-    // exported file. Gates stay on the struct flags so section layout
-    // is untouched.
-    const obs::MetricsSnapshot *snap =
-        r.metrics.empty() ? nullptr : &r.metrics;
     std::ostringstream os;
-    os << r.label << " [" << r.routing << "]: "
-       << snapInt(snap, "cluster.images", r.images) << " images ("
-       << snapInt(snap, "cluster.inferences", r.inferences)
-       << " inferences) in " << formatTime(r.makespan) << "\n";
-    os << "  throughput "
-       << formatDouble(
-              snapDouble(snap, "cluster.throughput", r.throughput), 1)
-       << " img/s, "
-       << snapInt(snap, "switch.loads_ssd", r.switches.loadsFromSsd) +
-              snapInt(snap, "switch.loads_cache",
-                      r.switches.loadsFromCache)
-       << " expert switches, " << "imbalance "
-       << formatDouble(
-              snapDouble(snap, "cluster.imbalance", r.imbalance()), 2);
+    os << r.label << " [" << r.routing << "]: " << r.images
+       << " images (" << r.inferences << " inferences) in "
+       << formatTime(r.makespan) << "\n";
+    os << "  throughput " << formatDouble(r.throughput, 1) << " img/s, "
+       << r.switches.total() << " expert switches, imbalance "
+       << formatDouble(r.imbalance(), 2);
     // Gated on the feature flag, not the counters: the autoscaler's
     // quiesce-evacuations also ride the steal machinery, and must not
     // print a steal section into stealing-off output.
-    if (r.workStealingEnabled && r.stolenRequests > 0) {
-        os << ", "
-           << snapInt(snap, "cluster.stolen_requests",
-                      r.stolenRequests)
-           << " requests stolen";
-    }
+    if (r.workStealingEnabled && r.stolenRequests > 0)
+        os << ", " << r.stolenRequests << " requests stolen";
     os << "\n";
     if (r.autoscaleEnabled) {
-        os << "  autoscale: "
-           << snapInt(snap, "cluster.autoscale_activations",
-                      r.autoscaleActivations)
-           << " activations, "
-           << snapInt(snap, "cluster.autoscale_quiesces",
-                      r.autoscaleQuiesces)
-           << " quiesces, "
-           << snapInt(snap, "cluster.autoscale_evacuated",
-                      r.autoscaleEvacuated)
-           << " requests evacuated, avg "
-           << formatDouble(snapDouble(snap,
-                                      "cluster.avg_active_replicas",
-                                      r.avgActiveReplicas),
-                           2)
+        os << "  autoscale: " << r.autoscaleActivations
+           << " activations, " << r.autoscaleQuiesces << " quiesces, "
+           << r.autoscaleEvacuated << " requests evacuated, avg "
+           << formatDouble(r.avgActiveReplicas, 2)
            << " active replicas\n";
     }
     // Gated on the preemption flag like the steal/autoscale sections:
     // legacy (preemption-off) reports stay byte-identical.
     if (r.preemptionEnabled) {
-        os << "  preemption: "
-           << snapInt(snap, "preempt.rescues", r.preemptions)
-           << " deadline rescues, "
-           << snapInt(snap, "preempt.checkpointed_groups",
-                      r.checkpointedGroups)
-           << " groups checkpointed / "
-           << snapInt(snap, "preempt.restored_groups",
-                      r.restoredGroups)
-           << " restored, "
-           << formatBytes(snapInt(snap, "preempt.checkpoint_bytes",
-                                  r.checkpointBytes))
-           << " of state moved";
+        os << "  preemption: " << r.preemptions << " deadline rescues, "
+           << r.checkpointedGroups << " groups checkpointed / "
+           << r.restoredGroups << " restored, "
+           << formatBytes(r.checkpointBytes) << " of state moved";
         if (r.migratedGroups > 0) {
-            os << ", "
-               << snapInt(snap, "cluster.migrated_groups",
-                          r.migratedGroups)
-               << " groups ("
-               << snapInt(snap, "cluster.migrated_requests",
-                          r.migratedRequests)
-               << " requests) migrated";
+            os << ", " << r.migratedGroups << " groups ("
+               << r.migratedRequests << " requests) migrated";
         }
         os << "\n";
         if (r.quiesceDrains > 0) {
-            const std::int64_t drains = snapInt(
-                snap, "cluster.quiesce_drains", r.quiesceDrains);
-            os << "  quiesce drain: " << drains << " completed, avg "
-               << formatTime(snapInt(snap,
-                                     "cluster.quiesce_drain_total_ns",
-                                     r.quiesceDrainTotal) /
-                             drains)
-               << ", max "
-               << formatTime(snapInt(snap,
-                                     "cluster.quiesce_drain_max_ns",
-                                     r.quiesceDrainMax))
-               << "\n";
+            os << "  quiesce drain: " << r.quiesceDrains
+               << " completed, avg "
+               << formatTime(r.quiesceDrainTotal / r.quiesceDrains)
+               << ", max " << formatTime(r.quiesceDrainMax) << "\n";
         }
     }
     // Like the steal/autoscale sections: gated on fault activity, so
     // clean runs keep their pre-fault-injection output byte-identical.
     if (r.faultsInjected) {
-        const std::int64_t crashes =
-            snapInt(snap, "cluster.crashes", r.crashesInjected);
-        os << "  faults: " << crashes << " crash"
-           << (crashes == 1 ? "" : "es") << " ("
-           << snapInt(snap, "cluster.crash_rehomed", r.crashRehomed)
-           << " requests re-homed, "
-           << snapInt(snap, "cluster.crash_lost", r.crashLost)
-           << " lost), "
-           << snapInt(snap, "cluster.stragglers", r.stragglersInjected)
-           << " straggler + "
-           << snapInt(snap, "cluster.brownouts", r.brownoutsInjected)
-           << " brownout windows\n";
+        os << "  faults: " << r.crashesInjected << " crash"
+           << (r.crashesInjected == 1 ? "" : "es") << " ("
+           << r.crashRehomed << " requests re-homed, " << r.crashLost
+           << " lost), " << r.stragglersInjected << " straggler + "
+           << r.brownoutsInjected << " brownout windows\n";
     }
-    appendSloLines(os, r.slo, r.makespan, snap);
+    appendSloLines(os, r.slo, r.makespan);
     for (std::size_t i = 0; i < r.replicas.size(); ++i) {
         const RunResult &rep = r.replicas[i];
         os << "  replica " << i << ": " << rep.images << " images, "
@@ -265,7 +149,7 @@ summarize(const ClusterResult &r)
         }
         os << "\n";
     }
-    appendTierLines(os, r.tiers, snap);
+    appendTierLines(os, r.tiers);
     return os.str();
 }
 
@@ -320,6 +204,22 @@ void
 exportClusterMetrics(const ClusterResult &r,
                      obs::MetricsRegistry &registry)
 {
+    const std::pair<const char *, std::int64_t> counters[] = {
+        {"cluster.images", r.images},
+        {"cluster.inferences", r.inferences},
+        {"switch.loads_ssd", r.switches.loadsFromSsd},
+        {"switch.loads_cache", r.switches.loadsFromCache},
+        {"switch.prefetch_loads", r.switches.prefetchLoads},
+        {"switch.evictions", r.switches.evictions},
+        {"switch.demotions", r.switches.demotions},
+        {"switch.bytes_loaded", r.switches.bytesLoaded},
+        {"preempt.rescues", r.preemptions},
+        {"preempt.checkpointed_groups", r.checkpointedGroups},
+        {"preempt.restored_groups", r.restoredGroups},
+        {"preempt.checkpoint_bytes", r.checkpointBytes},
+    };
+    for (const auto &[name, value] : counters)
+        registry.counter(name).add(value);
     const auto setGauge = [&registry](const std::string &name,
                                       double v) {
         registry.gauge(name).set(v);

@@ -48,12 +48,12 @@ void printComparison(const std::vector<RunResult> &results,
 void printComparison(const std::vector<RunResult> &results);
 
 /**
- * Export the derived cluster metrics (throughput, makespan, SLO
+ * Export a collected cluster run into @p registry: the aggregated
+ * engine counters (cluster.images / .inferences, switch.*, preempt.*)
+ * as counters, and the derived metrics (throughput, makespan, SLO
  * aggregates and per-class quantiles, per-tier counters, autoscale /
- * quiesce-drain values) as gauges into @p registry, under the keys
- * summarize() reads back from the result's snapshot. Live counters
- * (cluster.images, switch.*, preempt.*, the coordinator's cluster.*)
- * are not exported here — they were maintained during the run.
+ * quiesce-drain values) as gauges. Called once, at collection; the
+ * result fields stay the store.
  */
 void exportClusterMetrics(const ClusterResult &result,
                           obs::MetricsRegistry &registry);

@@ -2,19 +2,19 @@
  * @file
  * Metrics registry: named Counter / Gauge / Histogram handles.
  *
- * The registry replaces ad-hoc counter plumbing: the engines and the
- * cluster coordinator increment live handles at the same sites that
- * maintain the legacy result-struct fields, and the final snapshot is
- * attached to ClusterResult so reports read metric values from one
- * authoritative place (a reconciliation test asserts snapshot ==
- * legacy counters, catching drift in either direction).
+ * The registry is an export, not a store: the engines and the cluster
+ * coordinator count into their typed result structs, and a cluster run
+ * fills the registry once from those fields when it is collected
+ * (exportClusterMetrics, plus the coordinator's tallies and the host
+ * profile). The frozen snapshot rides on ClusterResult and is what the
+ * metrics JSON file holds.
  *
- * Determinism: counters are relaxed atomics — increments commute, so
- * the final values are independent of replica-thread interleaving.
- * Registration is mutex-guarded because engines are constructed inside
- * replica threads in static-parallel mode. Storage is std::map, so
- * snapshot order is the sorted metric name order — stable across runs
- * and platforms (no unordered containers anywhere in the obs layer).
+ * Determinism: counters are relaxed atomics (increments commute) and
+ * registration is mutex-guarded, so the registry is safe to fill from
+ * any thread; a cluster run fills it from one, at collection. Storage
+ * is std::map, so snapshot order is the sorted metric name order —
+ * stable across runs and platforms (no unordered containers anywhere
+ * in the obs layer).
  */
 
 #ifndef COSERVE_OBS_METRICS_H

@@ -6,9 +6,9 @@
  * object is created per cluster run and owns the three observability
  * legs:
  *
- *  - the MetricsRegistry — always live (cheap relaxed counters), its
- *    snapshot is attached to ClusterResult so summarize() and the
- *    reconciliation test read from one authoritative place;
+ *  - the MetricsRegistry — filled once at collection from the result
+ *    fields (which stay the only counter store); its snapshot is
+ *    attached to ClusterResult and written as the metrics JSON;
  *  - the span Tracer — allocated only when enabled (null-sink fast
  *    path: disabled runs never test more than one pointer);
  *  - the virtual-clock epoch sampler — records a time-series row at

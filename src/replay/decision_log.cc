@@ -1,6 +1,7 @@
 #include "replay/decision_log.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/logging.h"
@@ -52,9 +53,11 @@ getVarint(const std::vector<std::uint8_t> &in, std::size_t &pos)
     std::uint64_t v = 0;
     int shift = 0;
     for (;;) {
-        COSERVE_CHECK(pos < in.size(), "decision log truncated");
+        if (pos >= in.size())
+            fatal("decision log truncated");
         const std::uint8_t byte = in[pos++];
-        COSERVE_CHECK(shift < 64, "decision log varint overflow");
+        if (shift >= 64)
+            fatal("decision log varint overflow");
         v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
         if ((byte & 0x80) == 0)
             return v;
@@ -80,6 +83,9 @@ unzigzag(std::uint64_t v)
 constexpr std::uint8_t kMagic[4] = {'C', 'S', 'R', 'L'};
 // v1: PR 6 kinds Route..BrownoutOff. v2: + Preempt..Migrate.
 constexpr std::uint8_t kVersion = 2;
+
+constexpr Time kTimeMax = std::numeric_limits<Time>::max();
+constexpr Time kTimeMin = std::numeric_limits<Time>::min();
 
 } // namespace
 
@@ -157,8 +163,11 @@ DecisionLog::encode() const
 DecisionLog
 DecisionLog::decode(const std::vector<std::uint8_t> &bytes)
 {
+    // Malformed input is a user error: every reject below is fatal()
+    // (exit 1), never a panic or undefined behaviour.
     std::size_t pos = 0;
-    COSERVE_CHECK(bytes.size() >= 5, "decision log too short");
+    if (bytes.size() < 5)
+        fatal("decision log too short");
     for (int i = 0; i < 4; ++i) {
         if (bytes[i] != kMagic[i])
             fatal("not a decision log (bad magic)");
@@ -180,9 +189,13 @@ DecisionLog::decode(const std::vector<std::uint8_t> &bytes)
     Time last = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         DecisionRecord rec;
-        rec.time = last + unzigzag(getVarint(bytes, pos));
+        const std::int64_t delta = unzigzag(getVarint(bytes, pos));
+        if (delta > 0 ? last > kTimeMax - delta : last < kTimeMin - delta)
+            fatal("decision log record ", i, " time overflows");
+        rec.time = last + delta;
         last = rec.time;
-        COSERVE_CHECK(pos < bytes.size(), "decision log truncated");
+        if (pos >= bytes.size())
+            fatal("decision log truncated");
         const std::uint8_t kind = bytes[pos++];
         if (kind > static_cast<std::uint8_t>(DecisionKind::Migrate))
             fatal("decision log record ", i, " has unknown kind ",
@@ -193,7 +206,11 @@ DecisionLog::decode(const std::vector<std::uint8_t> &bytes)
         rec.c = getVarint(bytes, pos);
         log.append(rec);
     }
-    COSERVE_CHECK(pos + 8 <= bytes.size(), "decision log truncated");
+    if (bytes.size() - pos < 8)
+        fatal("decision log truncated");
+    if (bytes.size() - pos > 8)
+        fatal("decision log has ", bytes.size() - pos - 8,
+              " trailing bytes after its digest");
     std::uint64_t stored = 0;
     for (int i = 7; i >= 0; --i)
         stored = (stored << 8) | bytes[pos + static_cast<std::size_t>(i)];

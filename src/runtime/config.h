@@ -28,8 +28,7 @@ namespace coserve {
 class TierBelow; // runtime/memory_tier.h
 
 namespace obs {
-class MetricsRegistry; // obs/metrics.h
-class ReplicaTracer;   // obs/trace.h
+class ReplicaTracer; // obs/trace.h
 } // namespace obs
 
 /** Memory layout of one inference executor. */
@@ -60,15 +59,6 @@ struct EngineConfig
      * outlive the engine). Overrides cpuCacheTier / cpuCacheBytes.
      */
     TierBelow *externalCpuTier = nullptr;
-
-    /**
-     * Cluster-owned metrics registry (obs/metrics.h; not owned, must
-     * outlive the engine). When set, the engine increments live
-     * counters at the same sites that maintain its RunResult fields.
-     * Null for standalone engines — every metrics site is a single
-     * predictable branch.
-     */
-    obs::MetricsRegistry *metrics = nullptr;
 
     /**
      * Per-replica span-trace buffer (obs/trace.h; not owned). Null

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -103,25 +102,6 @@ ServingEngine::ServingEngine(EngineConfig cfg, const CoEModel &model,
             ec.kind == ProcKind::GPU ? *gpuPool_ : *cpuPool_;
         executors_.push_back(std::make_unique<Executor>(
             *this, static_cast<int>(i), std::move(name), ec, pool));
-    }
-
-    // Live metrics handles: registered once here, incremented
-    // lock-free at the sites that maintain the result_ fields.
-    if (cfg_.metrics != nullptr) {
-        obs::MetricsRegistry &m = *cfg_.metrics;
-        mImages_ = &m.counter("cluster.images");
-        mInferences_ = &m.counter("cluster.inferences");
-        mLoadsSsd_ = &m.counter("switch.loads_ssd");
-        mLoadsCache_ = &m.counter("switch.loads_cache");
-        mPrefetchLoads_ = &m.counter("switch.prefetch_loads");
-        mEvictions_ = &m.counter("switch.evictions");
-        mDemotions_ = &m.counter("switch.demotions");
-        mBytesLoaded_ = &m.counter("switch.bytes_loaded");
-        mPreemptions_ = &m.counter("preempt.rescues");
-        mCheckpointedGroups_ =
-            &m.counter("preempt.checkpointed_groups");
-        mRestoredGroups_ = &m.counter("preempt.restored_groups");
-        mCheckpointBytes_ = &m.counter("preempt.checkpoint_bytes");
     }
 
     // Perfetto naming: this replica is a process, executors are its
@@ -295,13 +275,8 @@ ServingEngine::startLoad(Executor &exec, ExpertId e, bool isPrefetch)
                 peer->clearSoftPinIf(*victim);
         }
         sc.evictions += 1;
-        if (mEvictions_)
-            mEvictions_->add(1);
-        if (demoted) {
+        if (demoted)
             sc.demotions += 1;
-            if (mDemotions_)
-                mDemotions_->add(1);
-        }
     }
 
     pool.noteMiss();
@@ -320,28 +295,19 @@ ServingEngine::startLoad(Executor &exec, ExpertId e, bool isPrefetch)
                                : cacheResident;
     if (fromCache) {
         sc.loadsFromCache += 1;
-        if (mLoadsCache_)
-            mLoadsCache_->add(1);
         if (!cacheResident) {
             // GPU load adopted from a CPU executor pool's DRAM copy.
             cpuPool_->noteHit();
         }
     } else {
         sc.loadsFromSsd += 1;
-        if (mLoadsSsd_)
-            mLoadsSsd_->add(1);
         if (cpuTier_->enabled())
             cpuTier_->noteMiss();
         disk_.noteHit();
     }
-    if (isPrefetch) {
+    if (isPrefetch)
         sc.prefetchLoads += 1;
-        if (mPrefetchLoads_)
-            mPrefetchLoads_->add(1);
-    }
     sc.bytesLoaded += bytes;
-    if (mBytesLoaded_)
-        mBytesLoaded_->add(bytes);
     const Time loadStart = eq_.now();
 
     auto finish = [this, &exec, e, bytes, fromCache, isPrefetch,
@@ -398,8 +364,6 @@ ServingEngine::onInferenceComplete(Executor &exec, const Request &req,
 {
     (void)exec;
     result_.inferences += 1;
-    if (mInferences_)
-        mInferences_->add(1);
     result_.inferenceLatencyMs.add(toMilliseconds(batchLatency));
     result_.requestLatencyMs.add(toMilliseconds(eq_.now() - req.arrival));
 
@@ -408,8 +372,6 @@ ServingEngine::onInferenceComplete(Executor &exec, const Request &req,
                            comp.detector == kNoExpert;
     if (chainEnds) {
         imagesDone_ += 1;
-        if (mImages_)
-            mImages_->add(1);
         lastCompletion_ = std::max(lastCompletion_, eq_.now());
         if (sloTracked(req.cls)) {
             result_.slo.recordCompletion(
@@ -996,8 +958,6 @@ ServingEngine::chargeCheckpointTransfer(const Executor &exec,
                                         EventQueue::Callback done)
 {
     result_.checkpointBytes += bytes;
-    if (mCheckpointBytes_)
-        mCheckpointBytes_->add(bytes);
     const Time start = eq_.now();
     Time doneAt;
     if (cpuTier_->enabled()) {
@@ -1023,8 +983,6 @@ ServingEngine::onGroupCheckpointed(Executor &exec, CheckpointImage img,
                                    bool migrateOut)
 {
     result_.checkpointedGroups += 1;
-    if (mCheckpointedGroups_)
-        mCheckpointedGroups_->add(1);
     if (online_) {
         preemptEvents_.push_back(
             {eq_.now(),
@@ -1046,8 +1004,6 @@ ServingEngine::onGroupCheckpointed(Executor &exec, CheckpointImage img,
         return;
     }
     result_.preemptions += 1;
-    if (mPreemptions_)
-        mPreemptions_->add(1);
     exec.adoptCheckpoint(std::move(img));
 }
 
@@ -1055,8 +1011,6 @@ void
 ServingEngine::onGroupRestored(Executor &exec, int requests)
 {
     result_.restoredGroups += 1;
-    if (mRestoredGroups_)
-        mRestoredGroups_->add(1);
     if (online_) {
         preemptEvents_.push_back({eq_.now(), PreemptEvent::What::Restore,
                                   exec.index(),
@@ -1076,8 +1030,6 @@ ServingEngine::captureCheckpoints(std::vector<CheckpointImage> &out)
         const std::size_t mark = out.size();
         if (exec->checkpointRunning(out) > 0) {
             result_.checkpointedGroups += 1;
-            if (mCheckpointedGroups_)
-                mCheckpointedGroups_->add(1);
             if (online_) {
                 preemptEvents_.push_back(
                     {eq_.now(), PreemptEvent::What::Checkpoint,

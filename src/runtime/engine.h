@@ -31,10 +31,6 @@
 
 namespace coserve {
 
-namespace obs {
-class Counter; // obs/metrics.h
-} // namespace obs
-
 class ServingEngine;
 
 /**
@@ -214,6 +210,20 @@ class ServingEngine
                            std::int64_t &gpuMisses,
                            std::int64_t &cpuHits,
                            std::int64_t &cpuMisses) const;
+
+    /**
+     * Accumulate this engine's completed images, inferences and
+     * deadline rescues so far — the epoch sampler's cumulative columns.
+     * Still valid after crashDrain(): pre-crash completions count.
+     */
+    void
+    sampleProgress(std::int64_t &images, std::int64_t &inferences,
+                   std::int64_t &rescues) const
+    {
+        images += imagesDone_;
+        inferences += result_.inferences;
+        rescues += result_.preemptions;
+    }
 
     /**
      * Work stealing (victim side): remove up to @p maxCount
@@ -550,24 +560,6 @@ class ServingEngine
     bool online_ = false;
     /** True once crashDrain() ran (fault injection). */
     bool crashed_ = false;
-
-    // Live metrics handles, cached once from cfg_.metrics at
-    // construction (all null for standalone engines — each site is a
-    // single predictable branch). Incremented at exactly the sites
-    // that maintain the corresponding result_ fields, so the cluster
-    // reconciliation test can catch drift in either direction.
-    obs::Counter *mImages_ = nullptr;
-    obs::Counter *mInferences_ = nullptr;
-    obs::Counter *mLoadsSsd_ = nullptr;
-    obs::Counter *mLoadsCache_ = nullptr;
-    obs::Counter *mPrefetchLoads_ = nullptr;
-    obs::Counter *mEvictions_ = nullptr;
-    obs::Counter *mDemotions_ = nullptr;
-    obs::Counter *mBytesLoaded_ = nullptr;
-    obs::Counter *mPreemptions_ = nullptr;
-    obs::Counter *mCheckpointedGroups_ = nullptr;
-    obs::Counter *mRestoredGroups_ = nullptr;
-    obs::Counter *mCheckpointBytes_ = nullptr;
 
     RunResult result_;
 };

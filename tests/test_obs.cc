@@ -5,12 +5,13 @@
  * trace-event JSON, host-profile export, TelemetryConfig validation,
  * telemetry on/off schedule invariance (same decision digest and sim
  * metrics), trace byte-stability across repeat runs and the parallel
- * flag, registry-vs-legacy counter reconciliation, and the epoch
- * sampler's CSV time series.
+ * flag, the exported metric key set, and the epoch sampler's CSV time
+ * series (with and without a mid-trace crash).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -375,73 +376,120 @@ TEST_F(ObsFixture, TraceJsonIsByteIdenticalAcrossRunsAndParallelFlag)
     removeOutputs(c);
 }
 
-// ------------------------------------------------------ reconciliation
+// ------------------------------------------------------ exported keys
 
-TEST_F(ObsFixture, SnapshotReconcilesWithLegacyCounters)
+TEST_F(ObsFixture, ExportedMetricKeySetIsPinned)
 {
-    // Crash + migration exercises every counter family at once. The
-    // registry is live even with telemetry off — the snapshot rides
-    // every ClusterResult.
+    // The registry is written once, at collection, from the result
+    // fields: pin exactly which keys a static and a coordinated run
+    // export, so a counter dropped from (or added to) the export shows
+    // up here. host.* wall-time gauges vary with the phases timed, so
+    // only two of them are checked, by presence.
+    const std::vector<std::string> staticKeys = {
+        "cluster.decision_count",
+        "cluster.events_executed",
+        "cluster.images",
+        "cluster.imbalance",
+        "cluster.inferences",
+        "cluster.makespan_ns",
+        "cluster.throughput",
+        "cluster.wall_seconds",
+        "preempt.checkpoint_bytes",
+        "preempt.checkpointed_groups",
+        "preempt.rescues",
+        "preempt.restored_groups",
+        "slo.batch.completed",
+        "slo.batch.downgraded",
+        "slo.batch.p50_ms",
+        "slo.batch.p95_ms",
+        "slo.batch.p99_ms",
+        "slo.batch.rejected",
+        "slo.batch.violated",
+        "slo.downgraded",
+        "slo.goodput_img_per_s",
+        "slo.interactive.completed",
+        "slo.interactive.downgraded",
+        "slo.interactive.p50_ms",
+        "slo.interactive.p95_ms",
+        "slo.interactive.p99_ms",
+        "slo.interactive.rejected",
+        "slo.interactive.violated",
+        "slo.met",
+        "slo.rejected",
+        "slo.violated",
+        "slo.violation_rate",
+        "switch.bytes_loaded",
+        "switch.demotions",
+        "switch.evictions",
+        "switch.loads_cache",
+        "switch.loads_ssd",
+        "switch.prefetch_loads",
+        "tier.cpu.cache.accesses",
+        "tier.cpu.cache.capacity_bytes",
+        "tier.cpu.cache.evictions",
+        "tier.cpu.cache.hit_rate",
+        "tier.cpu.cache.hits",
+        "tier.cpu.cache.used_bytes",
+        "tier.disk.accesses",
+        "tier.disk.capacity_bytes",
+        "tier.disk.evictions",
+        "tier.disk.hit_rate",
+        "tier.disk.hits",
+        "tier.disk.used_bytes",
+        "tier.gpu.pool.accesses",
+        "tier.gpu.pool.capacity_bytes",
+        "tier.gpu.pool.evictions",
+        "tier.gpu.pool.hit_rate",
+        "tier.gpu.pool.hits",
+        "tier.gpu.pool.used_bytes",
+    };
+    // A coordinated run adds the coordinator's counters (all of them,
+    // whatever features ran) and, with preemption on, the quiesce-drain
+    // gauges.
+    std::vector<std::string> coordinatedKeys = {
+        "cluster.autoscale_activations",
+        "cluster.autoscale_evacuated",
+        "cluster.autoscale_quiesces",
+        "cluster.brownouts",
+        "cluster.crash_lost",
+        "cluster.crash_rehomed",
+        "cluster.crashes",
+        "cluster.downgraded",
+        "cluster.migrated_groups",
+        "cluster.migrated_requests",
+        "cluster.quiesce_drain_max_ns",
+        "cluster.quiesce_drain_total_ns",
+        "cluster.quiesce_drains",
+        "cluster.rejected",
+        "cluster.stolen_requests",
+        "cluster.stragglers",
+    };
+    coordinatedKeys.insert(coordinatedKeys.end(), staticKeys.begin(),
+                           staticKeys.end());
+    std::sort(coordinatedKeys.begin(), coordinatedKeys.end());
+
+    const auto checkKeys = [](const ClusterResult &r,
+                              const std::vector<std::string> &want) {
+        std::vector<std::string> got;
+        for (const obs::MetricSample &s : r.metrics.rows) {
+            if (s.name.rfind("host.", 0) != 0)
+                got.push_back(s.name);
+        }
+        EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+        EXPECT_EQ(got, want);
+    };
+
+    ClusterEngine stat(homogeneousCluster(
+        ctx_, cfg_, 3, RoutingPolicy::LeastLoaded, "obs"));
+    checkKeys(stat.run(trace_, RunOptions{}), staticKeys);
+
+    // Crash + migration exercises every counter family at once.
     RunOptions opts = runWithMode(RunMode::Online);
     opts.faults.crashes.push_back(
         {1, trace_.arrivals[trace_.size() / 2].time});
     ClusterEngine cluster(obsConfig(3, /*migration=*/true));
     const ClusterResult r = cluster.run(trace_, opts);
-    ASSERT_FALSE(r.metrics.empty());
-
-    const auto counter = [&](const char *name) {
-        return static_cast<std::int64_t>(r.metrics.value(name, -1));
-    };
-    // Engine-side live counters vs. the legacy aggregated fields.
-    EXPECT_EQ(counter("cluster.images"), r.images);
-    EXPECT_EQ(counter("cluster.inferences"), r.inferences);
-    EXPECT_EQ(counter("switch.loads_ssd"), r.switches.loadsFromSsd);
-    EXPECT_EQ(counter("switch.loads_cache"), r.switches.loadsFromCache);
-    EXPECT_EQ(counter("switch.prefetch_loads"),
-              r.switches.prefetchLoads);
-    EXPECT_EQ(counter("switch.evictions"), r.switches.evictions);
-    EXPECT_EQ(counter("switch.demotions"), r.switches.demotions);
-    EXPECT_EQ(counter("switch.bytes_loaded"), r.switches.bytesLoaded);
-    EXPECT_EQ(counter("preempt.rescues"), r.preemptions);
-    EXPECT_EQ(counter("preempt.checkpointed_groups"),
-              r.checkpointedGroups);
-    EXPECT_EQ(counter("preempt.restored_groups"), r.restoredGroups);
-    EXPECT_EQ(counter("preempt.checkpoint_bytes"), r.checkpointBytes);
-    // Coordinator-side live counters.
-    EXPECT_EQ(counter("cluster.stolen_requests"), r.stolenRequests);
-    EXPECT_EQ(counter("cluster.migrated_groups"), r.migratedGroups);
-    EXPECT_EQ(counter("cluster.migrated_requests"),
-              r.migratedRequests);
-    EXPECT_EQ(counter("cluster.crashes"), r.crashesInjected);
-    EXPECT_EQ(counter("cluster.crash_rehomed"), r.crashRehomed);
-    EXPECT_EQ(counter("cluster.crash_lost"), r.crashLost);
-    // Derived gauges exported at collection time.
-    EXPECT_DOUBLE_EQ(r.metrics.value("cluster.throughput", -1),
-                     r.throughput);
-    EXPECT_DOUBLE_EQ(r.metrics.value("cluster.makespan_ns", -1),
-                     static_cast<double>(r.makespan));
-    EXPECT_DOUBLE_EQ(r.metrics.value("cluster.decision_count", -1),
-                     static_cast<double>(r.decisionCount));
-    EXPECT_DOUBLE_EQ(r.metrics.value("slo.rejected", -1),
-                     static_cast<double>(r.slo.rejected()));
-    EXPECT_DOUBLE_EQ(r.metrics.value("slo.goodput_img_per_s", -1),
-                     r.slo.goodput(r.makespan));
-    // Per-tier gauges (gpu pool is always present).
-    bool sawTier = false;
-    for (const TierStats &t : r.tiers) {
-        const std::string p = "tier." + t.name + ".";
-        if (r.metrics.find(p + "hits") == nullptr)
-            continue;
-        sawTier = true;
-        EXPECT_DOUBLE_EQ(r.metrics.value(p + "hits", -1),
-                         static_cast<double>(t.counters.hits))
-            << t.name;
-        EXPECT_DOUBLE_EQ(r.metrics.value(p + "hit_rate", -1),
-                         t.hitRate())
-            << t.name;
-    }
-    EXPECT_TRUE(sawTier);
-    // Host-profile gauges exist (values are wall-clock, not asserted).
+    checkKeys(r, coordinatedKeys);
     EXPECT_NE(r.metrics.find("host.coordinate_us"), nullptr);
     EXPECT_NE(r.metrics.find("host.build_us"), nullptr);
     // The run actually exercised what the test claims it did.
@@ -454,52 +502,64 @@ TEST_F(ObsFixture, SnapshotReconcilesWithLegacyCounters)
 
 TEST_F(ObsFixture, EpochSamplerWritesMonotonicCsv)
 {
-    RunOptions on = telemetryOpts("obs_sampler");
-    ClusterEngine cluster(obsConfig(3, /*migration=*/true));
-    const ClusterResult r = cluster.run(trace_, on);
+    // Without and with a mid-trace crash: the cumulative columns sum
+    // every replica's completions, a crashed one's included, so they
+    // never step back when a replica dies.
+    for (const bool crash : {false, true}) {
+        SCOPED_TRACE(crash ? "mid-trace crash" : "no fault");
+        RunOptions on = telemetryOpts(crash ? "obs_sampler_crash"
+                                            : "obs_sampler");
+        if (crash) {
+            on.faults.crashes.push_back(
+                {1, trace_.arrivals[trace_.size() / 2].time});
+        }
+        ClusterEngine cluster(obsConfig(3, /*migration=*/true));
+        const ClusterResult r = cluster.run(trace_, on);
+        EXPECT_EQ(r.crashesInjected, crash ? 1 : 0);
 
-    std::ifstream in(on.telemetry.metricsCsvPath);
-    ASSERT_TRUE(in);
-    std::string header;
-    ASSERT_TRUE(std::getline(in, header));
-    EXPECT_EQ(header,
-              "t_s,queue_depth,active_replicas,images,inferences,"
-              "goodput_img_per_s,preemptions,gpu_hit_rate,"
-              "cpu_hit_rate");
+        std::ifstream in(on.telemetry.metricsCsvPath);
+        ASSERT_TRUE(in);
+        std::string header;
+        ASSERT_TRUE(std::getline(in, header));
+        EXPECT_EQ(header,
+                  "t_s,queue_depth,active_replicas,images,inferences,"
+                  "goodput_img_per_s,preemptions,gpu_hit_rate,"
+                  "cpu_hit_rate");
 
-    double prevT = 0.0;
-    std::int64_t lastImages = 0, lastPreempts = 0;
-    int rows = 0;
-    std::string line;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string cell;
-        std::vector<std::string> cells;
-        while (std::getline(ls, cell, ','))
-            cells.push_back(cell);
-        ASSERT_EQ(cells.size(), 9u) << line;
-        const double t = std::stod(cells[0]);
-        EXPECT_GT(t, prevT) << "sample times must advance";
-        prevT = t;
-        const int active = std::stoi(cells[2]);
-        EXPECT_GE(active, 0);
-        EXPECT_LE(active, 3);
-        const std::int64_t images = std::stoll(cells[3]);
-        EXPECT_GE(images, lastImages) << "images are cumulative";
-        lastImages = images;
-        lastPreempts = std::stoll(cells[6]);
-        const double gpuHit = std::stod(cells[7]);
-        EXPECT_GE(gpuHit, 0.0);
-        EXPECT_LE(gpuHit, 1.0);
-        ++rows;
+        double prevT = 0.0;
+        std::int64_t lastImages = 0, lastPreempts = 0;
+        int rows = 0;
+        std::string line;
+        while (std::getline(in, line)) {
+            std::istringstream ls(line);
+            std::string cell;
+            std::vector<std::string> cells;
+            while (std::getline(ls, cell, ','))
+                cells.push_back(cell);
+            ASSERT_EQ(cells.size(), 9u) << line;
+            const double t = std::stod(cells[0]);
+            EXPECT_GT(t, prevT) << "sample times must advance";
+            prevT = t;
+            const int active = std::stoi(cells[2]);
+            EXPECT_GE(active, 0);
+            EXPECT_LE(active, 3);
+            const std::int64_t images = std::stoll(cells[3]);
+            EXPECT_GE(images, lastImages) << "images are cumulative";
+            lastImages = images;
+            lastPreempts = std::stoll(cells[6]);
+            const double gpuHit = std::stod(cells[7]);
+            EXPECT_GE(gpuHit, 0.0);
+            EXPECT_LE(gpuHit, 1.0);
+            ++rows;
+        }
+        // 20 s of trace sampled at 500 ms: the series is dense,
+        // cumulative columns end at (or just below) the final totals.
+        EXPECT_GE(rows, 30);
+        EXPECT_LE(lastImages, r.images);
+        EXPECT_GE(lastImages, r.images / 2);
+        EXPECT_LE(lastPreempts, r.preemptions);
+        removeOutputs(on);
     }
-    // 20 s of trace sampled at 500 ms: the series is dense, cumulative
-    // columns end at (or just below) the final totals.
-    EXPECT_GE(rows, 30);
-    EXPECT_LE(lastImages, r.images);
-    EXPECT_GE(lastImages, r.images / 2);
-    EXPECT_LE(lastPreempts, r.preemptions);
-    removeOutputs(on);
 }
 
 } // namespace

@@ -113,6 +113,32 @@ TEST(DecisionLogTest, DecodeRejectsCorruption)
     notLog[0] = 'X';
     EXPECT_EXIT(DecisionLog::decode(notLog),
                 ::testing::ExitedWithCode(1), "bad magic");
+    // Truncation and trailing garbage are user errors too (exit 1),
+    // not internal-bug panics.
+    const std::vector<std::uint8_t> truncated(bytes.begin(),
+                                              bytes.end() - 1);
+    EXPECT_EXIT(DecisionLog::decode(truncated),
+                ::testing::ExitedWithCode(1), "truncated");
+    std::vector<std::uint8_t> trailing = bytes;
+    trailing.push_back(0);
+    EXPECT_EXIT(DecisionLog::decode(trailing),
+                ::testing::ExitedWithCode(1), "trailing bytes");
+    // Two records with time delta INT64_MAX each: the second record's
+    // absolute time would overflow.
+    std::vector<std::uint8_t> overflow(bytes.begin(), bytes.begin() + 5);
+    const auto putVarint = [&overflow](std::uint64_t v) {
+        for (; v >= 0x80; v >>= 7)
+            overflow.push_back(static_cast<std::uint8_t>(v) | 0x80);
+        overflow.push_back(static_cast<std::uint8_t>(v));
+    };
+    putVarint(2); // record count
+    for (int i = 0; i < 2; ++i) {
+        putVarint(~std::uint64_t{1}); // zigzag(INT64_MAX)
+        overflow.insert(overflow.end(), {0, 0, 0, 0}); // route 0 0 0
+    }
+    overflow.insert(overflow.end(), 8, 0); // digest
+    EXPECT_EXIT(DecisionLog::decode(overflow),
+                ::testing::ExitedWithCode(1), "time overflows");
 }
 
 // ------------------------------------------------------ cluster fixture
