@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks for the hot paths of the serving
  * engine: event queue churn, request-queue grouped insertion and deep
- * steady-state pops, memory-tier residency lookups, eviction victim
+ * steady-state pops (classless, and EDF over SLO classes), memory-tier
+ * residency lookups, eviction victim
  * selection, one full scheduling decision (the real-world
  * wall-clock cost behind Figure 19's scheduling bar), one
  * cluster-level LeastLoaded routing decision, and a whole
@@ -88,6 +89,41 @@ BM_RequestQueueDeep(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RequestQueueDeep)->Arg(30000);
+
+void
+BM_RequestQueueSloDeep(benchmark::State &state)
+{
+    // BM_RequestQueueDeep's steady state with SLO classes: 30% of the
+    // requests are Interactive with a tight deadline, the rest Batch
+    // with a loose one, deadlines advancing with a virtual clock. Each
+    // step picks the EDF group, pops up to 3 of it, reads the prefetch
+    // target and refills.
+    constexpr std::uint64_t kExperts = 380;
+    Rng rng(5);
+    RequestQueue q;
+    RequestId id = 0;
+    const auto push = [&] {
+        Request r;
+        r.id = id++;
+        r.expert = static_cast<ExpertId>(rng.uniformInt(kExperts));
+        const bool interactive = rng.bernoulli(0.3);
+        r.cls = interactive ? RequestClass::Interactive
+                            : RequestClass::Batch;
+        r.deadline = id * 10 + (interactive ? 20000 : 200000);
+        q.pushGrouped(r, 1000);
+    };
+    for (int i = 0; i < state.range(0); ++i)
+        push();
+    std::vector<Request> batch;
+    for (auto _ : state) {
+        q.popBatchFor(q.nextBatchExpert(), 3, batch);
+        benchmark::DoNotOptimize(q.prefetchExpert());
+        for (std::size_t i = 0; i < batch.size(); ++i)
+            push();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RequestQueueSloDeep)->Arg(30000);
 
 void
 BM_TierLookup(benchmark::State &state)

@@ -31,8 +31,10 @@ RequestQueue::GroupInfo &
 RequestQueue::groupFor(ExpertId e)
 {
     COSERVE_CHECK(e >= 0, "queued request without an expert");
-    if (static_cast<std::size_t>(e) >= groups_.size())
+    if (static_cast<std::size_t>(e) >= groups_.size()) {
         groups_.resize(static_cast<std::size_t>(e) + 1);
+        urgency_.resize(groups_.size());
+    }
     return groups_[e];
 }
 
@@ -101,13 +103,23 @@ RequestQueue::pushBack(const Request &req, Time estimate)
             r = static_cast<Idx>(runs_.size());
             runs_.emplace_back();
         }
-        runs_[r] = Run{req.expert, tailRun_, kNil, kNil, kNil, 0};
+        GroupInfo &info = groupFor(req.expert);
+        runs_[r] = Run{};
+        runs_[r].expert = req.expert;
+        runs_[r].prev = tailRun_;
+        runs_[r].prevSame = info.last;
+        runs_[r].seq = ++runSeq_;
         if (tailRun_ != kNil)
             runs_[tailRun_].next = r;
         else
             headRun_ = r;
         tailRun_ = r;
-        groupFor(req.expert).runs += 1;
+        // The new run is the expert's last; noteInserted re-points
+        // GroupInfo::last at it.
+        if (info.last != kNil)
+            runs_[info.last].nextSame = r;
+        else
+            info.first = r;
     }
     appendToRun(tailRun_, req, estimate);
 }
@@ -144,6 +156,7 @@ RequestQueue::popBatchInto(int maxCount, std::vector<Request> &out)
     COSERVE_CHECK(headRun_ != kNil, "popBatch on empty queue");
     out.clear();
     popFromRun(headRun_, maxCount, out);
+    reindexStale();
 }
 
 void
@@ -191,19 +204,16 @@ RequestQueue::removeRun(Idx r)
     freeRuns_ = r;
 
     GroupInfo &info = groups_[run.expert];
-    info.runs -= 1;
-    if (info.count == 0) {
-        COSERVE_CHECK(info.last == r, "group emptied but last run differs");
-        info.last = kNil;
-    } else if (info.last == r) {
-        // The group's last run emptied while earlier runs survive:
-        // hand the role to the nearest earlier run of the expert.
-        Idx p = run.prev;
-        while (p != kNil && runs_[p].expert != run.expert)
-            p = runs_[p].prev;
-        COSERVE_CHECK(p != kNil, "queue group lost");
-        info.last = p;
-    }
+    if (run.prevSame != kNil)
+        runs_[run.prevSame].nextSame = run.nextSame;
+    else
+        info.first = run.nextSame;
+    if (run.nextSame != kNil)
+        runs_[run.nextSame].prevSame = run.prevSame;
+    else
+        info.last = run.prevSame;
+    COSERVE_CHECK((info.count == 0) == (info.last == kNil),
+                  "queue group lost");
     if (run.prev != kNil && run.next != kNil &&
         runs_[run.prev].expert == runs_[run.next].expert)
         mergeNext(run.prev);
@@ -225,47 +235,19 @@ RequestQueue::mergeNext(Idx r)
         tailRun_ = r;
     runs_[n].next = freeRuns_;
     freeRuns_ = n;
+    // No run of the expert lies between the two, so @p n is @p r's
+    // nextSame. The merged run keeps @p r's sequence: no live run was
+    // created between the two.
     GroupInfo &info = groups_[run.expert];
-    info.runs -= 1;
-    if (info.last == n)
+    run.nextSame = next.nextSame;
+    if (next.nextSame != kNil)
+        runs_[next.nextSame].prevSame = r;
+    else
         info.last = r;
-}
-
-template <typename Fn>
-void
-RequestQueue::forEachRequest(Fn &&fn) const
-{
-    for (Idx r = headRun_; r != kNil; r = runs_[r].next) {
-        for (Idx c = runs_[r].first; c != kNil; c = chunkAt(c).next) {
-            const Chunk &chunk = chunkAt(c);
-            for (int k = chunk.begin; k < chunk.end; ++k)
-                fn(chunk.entries[k].req);
-        }
-    }
-}
-
-ExpertId
-RequestQueue::bestExpert() const
-{
-    if (headRun_ == kNil)
-        return kNoExpert;
-    if (sloUrgent_ == 0) {
-        // Plain queue: head group pops first, exactly as pre-SLO.
-        return runs_[headRun_].expert;
-    }
-    ExpertId best = kNoExpert;
-    int bestPrio = 0;
-    Time bestDeadline = kTimeNever;
-    forEachRequest([&](const Request &r) {
-        const int prio = priorityOf(r.cls);
-        if (best == kNoExpert ||
-            moreUrgent(prio, r.deadline, bestPrio, bestDeadline)) {
-            best = r.expert;
-            bestPrio = prio;
-            bestDeadline = r.deadline;
-        }
-    });
-    return best;
+    // Only urgent entries have holders: classless queues skip the
+    // index here as everywhere.
+    if (sloUrgent_ > 0 && urgency_[run.expert].holderRun == n)
+        urgency_[run.expert].holderRun = r;
 }
 
 ExpertId
@@ -273,48 +255,22 @@ RequestQueue::prefetchExpert() const
 {
     if (sloUrgent_ == 0)
         return nextDistinctExpert();
-    // One pass tracking the two most urgent *distinct* experts (the
-    // per-expert maximum urgency decides): the runner-up is the group
-    // that runs after the next one — the prefetch target.
-    ExpertId best = kNoExpert, second = kNoExpert;
-    int bestPrio = 0, secondPrio = 0;
-    Time bestDl = kTimeNever, secondDl = kTimeNever;
-    forEachRequest([&](const Request &r) {
-        const int prio = priorityOf(r.cls);
-        if (r.expert == best) {
-            if (moreUrgent(prio, r.deadline, bestPrio, bestDl)) {
-                bestPrio = prio;
-                bestDl = r.deadline;
-            }
-        } else if (r.expert == second) {
-            if (moreUrgent(prio, r.deadline, secondPrio, secondDl)) {
-                secondPrio = prio;
-                secondDl = r.deadline;
-                // The runner-up's accumulated urgency may overtake.
-                if (moreUrgent(secondPrio, secondDl, bestPrio,
-                               bestDl)) {
-                    std::swap(best, second);
-                    std::swap(bestPrio, secondPrio);
-                    std::swap(bestDl, secondDl);
-                }
-            }
-        } else if (best == kNoExpert ||
-                   moreUrgent(prio, r.deadline, bestPrio, bestDl)) {
-            second = best;
-            secondPrio = bestPrio;
-            secondDl = bestDl;
-            best = r.expert;
-            bestPrio = prio;
-            bestDl = r.deadline;
-        } else if (second == kNoExpert ||
-                   moreUrgent(prio, r.deadline, secondPrio,
-                              secondDl)) {
-            second = r.expert;
-            secondPrio = prio;
-            secondDl = r.deadline;
-        }
-    });
-    return second;
+    // Runner-up of the tournament: the best subtree winner that lost
+    // to the overall winner on its path to the root.
+    const ExpertId best = tree_[1];
+    ExpertId second = kNoExpert;
+    for (std::size_t i = leaves_ + static_cast<std::size_t>(best); i > 1;
+         i >>= 1)
+        second = winnerOf(second, tree_[i ^ 1]);
+    if (second != kNoExpert)
+        return second;
+    // Only the winner holds urgent entries: the others tie at
+    // classless urgency, and the first other expert in queue order
+    // wins. Adjacent runs never share an expert.
+    const Run &head = runs_[headRun_];
+    if (head.expert != best)
+        return head.expert;
+    return head.next == kNil ? kNoExpert : runs_[head.next].expert;
 }
 
 void
@@ -326,50 +282,15 @@ RequestQueue::popBatchFor(ExpertId e, int maxCount,
                   "popBatchFor on absent expert ", e);
 
     out.clear();
-    const GroupInfo &info = groups_[e];
-    if (info.runs == 1) {
-        // One run (every expert of a grouped-only queue): it is the
-        // group's last run.
-        popFromRun(info.last, maxCount, out);
-        return;
-    }
-    Idx start = headRun_;
-    while (runs_[start].expert != e)
-        start = runs_[start].next;
-    if (sloUrgent_ > 0) {
-        // A FIFO-interleaved queue may hold several disjoint runs of
-        // @p e; the first run may contain only old deadline-less work
-        // while the urgency that selected @p e sits in a later run.
-        // Pop the run holding the most urgent member, or EDF would
-        // invert behind the very request it chose to serve.
-        const Chunk &head = chunkAt(runs_[start].first);
-        int bestPrio = priorityOf(head.entries[head.begin].req.cls);
-        Time bestDl = head.entries[head.begin].req.deadline;
-        Idx urgent = start;
-        for (Idx r = start;; r = runs_[r].next) {
-            if (runs_[r].expert != e)
-                continue;
-            for (Idx c = runs_[r].first; c != kNil; c = chunkAt(c).next) {
-                const Chunk &chunk = chunkAt(c);
-                for (int k = chunk.begin; k < chunk.end; ++k) {
-                    const Request &q = chunk.entries[k].req;
-                    const int prio = priorityOf(q.cls);
-                    if (moreUrgent(prio, q.deadline, bestPrio, bestDl)) {
-                        urgent = r;
-                        bestPrio = prio;
-                        bestDl = q.deadline;
-                    }
-                }
-            }
-            if (r == info.last)
-                break;
-        }
-        start = urgent;
-    }
-    // Pop the front of the run (the whole group under grouped
-    // insertion); same-expert requests in other runs stay in place,
+    // A FIFO-interleaved queue may hold several disjoint runs of @p e;
+    // the first may contain only old deadline-less work while the
+    // urgency that selected @p e sits in a later run. Pop the holder's
+    // run, or EDF would invert behind the very request it chose to
+    // serve. Same-expert requests in other runs stay in place,
     // matching popBatchInto's head-run semantics.
-    popFromRun(start, maxCount, out);
+    const Idx holder = sloUrgent_ > 0 ? urgency_[e].holderRun : kNil;
+    popFromRun(holder != kNil ? holder : groups_[e].first, maxCount, out);
+    reindexStale();
 }
 
 ExpertId
@@ -438,6 +359,7 @@ RequestQueue::stealFromTail(int maxCount, std::vector<Request> &out,
         r = prev;
         visit = prevVisit;
     }
+    reindexStale();
     return stolen;
 }
 
@@ -447,6 +369,7 @@ RequestQueue::drainAll(std::vector<Request> &out)
     const int drained = static_cast<int>(size_);
     while (headRun_ != kNil)
         popFromRun(headRun_, INT_MAX, out);
+    reindexStale();
     return drained;
 }
 
@@ -455,7 +378,13 @@ RequestQueue::snapshot() const
 {
     std::vector<Request> out;
     out.reserve(size_);
-    forEachRequest([&](const Request &r) { out.push_back(r); });
+    for (Idx r = headRun_; r != kNil; r = runs_[r].next) {
+        for (Idx c = runs_[r].first; c != kNil; c = chunkAt(c).next) {
+            const Chunk &chunk = chunkAt(c);
+            for (int k = chunk.begin; k < chunk.end; ++k)
+                out.push_back(chunk.entries[k].req);
+        }
+    }
     return out;
 }
 
@@ -469,8 +398,18 @@ RequestQueue::noteInserted(Idx r, const Entry &entry)
     info.last = r;
     info.count += 1;
     pendingWork_ += entry.estimate;
-    if (sloUrgent(entry.req))
+    if (sloUrgent(entry.req)) {
         sloUrgent_ += 1;
+        // The new entry is its expert's last, so it becomes the holder
+        // only by being strictly more urgent.
+        Urgency &u = urgency_[entry.req.expert];
+        if (u.holderRun == kNil ||
+            moreUrgent(priorityOf(entry.req.cls), entry.req.deadline,
+                       u.prio, u.deadline)) {
+            setHolder(u, r, entry.req);
+            updateLeaf(entry.req.expert);
+        }
+    }
 }
 
 void
@@ -485,6 +424,106 @@ RequestQueue::noteRemoved(const Entry &entry)
     if (sloUrgent(entry.req)) {
         COSERVE_CHECK(sloUrgent_ > 0, "urgent count underflow");
         sloUrgent_ -= 1;
+        // Entries carry no identity, so any request tied with the
+        // holder's urgency may be the holder: recompute to be sure.
+        Urgency &u = urgency_[e];
+        if (u.holderRun != kNil && u.prio == priorityOf(entry.req.cls) &&
+            u.deadline == entry.req.deadline) {
+            u.holderRun = kNil;
+            stale_.push_back(e);
+        }
+    }
+}
+
+bool
+RequestQueue::outranks(ExpertId a, ExpertId b) const
+{
+    const Urgency &x = urgency_[a];
+    const Urgency &y = urgency_[b];
+    if (x.prio != y.prio)
+        return x.prio > y.prio;
+    if (x.deadline != y.deadline)
+        return x.deadline < y.deadline;
+    // Two experts never share a run, so run order decides the tie.
+    return x.runSeq < y.runSeq;
+}
+
+ExpertId
+RequestQueue::winnerOf(ExpertId a, ExpertId b) const
+{
+    if (a == kNoExpert)
+        return b;
+    if (b == kNoExpert)
+        return a;
+    return outranks(b, a) ? b : a;
+}
+
+void
+RequestQueue::setHolder(Urgency &u, Idx r, const Request &req)
+{
+    u.holderRun = r;
+    u.prio = priorityOf(req.cls);
+    u.deadline = req.deadline;
+    u.runSeq = runs_[r].seq;
+}
+
+void
+RequestQueue::reindex(ExpertId e)
+{
+    Urgency &u = urgency_[e];
+    u.holderRun = kNil;
+    for (Idx r = groups_[e].first; r != kNil; r = runs_[r].nextSame) {
+        for (Idx c = runs_[r].first; c != kNil; c = chunkAt(c).next) {
+            const Chunk &chunk = chunkAt(c);
+            for (int k = chunk.begin; k < chunk.end; ++k) {
+                const Request &q = chunk.entries[k].req;
+                if (sloUrgent(q) &&
+                    (u.holderRun == kNil ||
+                     moreUrgent(priorityOf(q.cls), q.deadline, u.prio,
+                                u.deadline)))
+                    setHolder(u, r, q);
+            }
+        }
+    }
+    updateLeaf(e);
+}
+
+void
+RequestQueue::reindexStale()
+{
+    for (const ExpertId e : stale_)
+        reindex(e);
+    stale_.clear();
+}
+
+void
+RequestQueue::updateLeaf(ExpertId e)
+{
+    const auto leaf = static_cast<std::size_t>(e);
+    if (leaf >= leaves_) {
+        // First urgent entry, or an expert id past the tree: regrow
+        // over every group and rebuild from the leaves.
+        leaves_ = std::max<std::size_t>(leaves_, 1);
+        while (leaves_ < groups_.size())
+            leaves_ *= 2;
+        tree_.assign(2 * leaves_, kNoExpert);
+        for (std::size_t g = 0; g < groups_.size(); ++g) {
+            if (urgency_[g].holderRun != kNil)
+                tree_[leaves_ + g] = static_cast<ExpertId>(g);
+        }
+        for (std::size_t i = leaves_ - 1; i >= 1; --i)
+            tree_[i] = winnerOf(tree_[2 * i], tree_[2 * i + 1]);
+        return;
+    }
+    std::size_t i = leaves_ + leaf;
+    tree_[i] = urgency_[e].holderRun != kNil ? e : kNoExpert;
+    for (i >>= 1; i >= 1; i >>= 1) {
+        const ExpertId w = winnerOf(tree_[2 * i], tree_[2 * i + 1]);
+        // An unchanged winner other than @p e keeps its key, so every
+        // node above is unchanged too.
+        if (w == tree_[i] && w != e)
+            return;
+        tree_[i] = w;
     }
 }
 

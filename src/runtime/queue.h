@@ -19,15 +19,35 @@
  * pool grows in fixed slabs, so growth moves nothing). Adjacent
  * runs never share an expert: when a middle run empties, its two
  * neighbours merge if they do. A flat per-expert group index (experts
- * are small dense ids) records each expert's request count, run count
- * and last run. The scheduler probes every executor queue on every
+ * are small dense ids) records each expert's request count and its
+ * first and last run; an expert's runs also chain to each other in
+ * queue order. The scheduler probes every executor queue on every
  * dispatch — containsExpert() and pendingWork() are the hottest reads
  * in the system — so membership tests are array lookups, and the
  * steady path performs no per-request allocation. Under grouped
  * insertion every expert owns exactly one run, so popBatchFor() finds
- * its group in O(1) and nextDistinctExpert() is the next run's
- * expert; the SLO scans walk contiguous chunk arrays instead of
- * chasing one pointer per request.
+ * its group in O(1) and nextDistinctExpert() is the next run's expert.
+ *
+ * SLO order (EDF within priority) comes from a per-expert *urgency
+ * index*, never from a queue scan. Each expert's index entry (a table
+ * beside the group index) records its most urgent (priority, deadline)
+ * among its SLO-urgent entries, the run holding the first such entry
+ * in queue order (the *holder*), and that run's creation sequence as
+ * the holder's queue position. Runs are only created at the tail, so
+ * sequences increase along the queue; a merge joins two adjacent runs,
+ * between which no live run remains; and two experts never share a
+ * run — so the sequence alone orders any two experts' holders as the
+ * queue does. A tournament tree over the dense expert ids keys the
+ * experts by (priority desc, deadline asc, position asc): its winner
+ * runs next, and the best sibling along the winner's path is the
+ * runner-up. Classless entries never enter the index — priorities are
+ * >= 0, so any urgent entry strictly outranks them, and the experts
+ * without urgent entries rank by their first entry in queue order. An
+ * expert's index entry changes when it receives a more urgent entry
+ * (only an expert's last run receives appends, so a new entry never
+ * precedes the holder), and is recomputed over that expert's own
+ * entries when a request tied with the holder's urgency leaves (pop,
+ * steal or drain).
  *
  * Determinism: no hash container — the group index visits experts in
  * dense-id order by construction.
@@ -100,33 +120,48 @@ class RequestQueue
 
     /**
      * Expert of the next batch to execute. Plain queues (sloOrdered()
-     * false) answer the head expert in O(1); SLO-ordered queues scan
-     * for the group holding the most urgent request — highest class
-     * priority first, earliest deadline within a priority (EDF), queue
-     * position as the tie-break. Runs and the per-expert group index
-     * are untouched: urgency changes which group *pops* next, never
-     * where requests sit. kNoExpert when empty.
+     * false) answer the head expert; SLO-ordered queues answer the
+     * urgency index's winner — the expert holding the most urgent
+     * request: highest class priority first, earliest deadline within
+     * a priority (EDF), first in queue order as the tie-break. Both
+     * are O(1). Runs and the per-expert group index are untouched:
+     * urgency changes which group *pops* next, never where requests
+     * sit. kNoExpert when empty.
      */
-    ExpertId nextBatchExpert() const { return bestExpert(); }
+    ExpertId
+    nextBatchExpert() const
+    {
+        if (sloUrgent_ > 0)
+            return tree_[1];
+        return headRun_ == kNil ? kNoExpert : runs_[headRun_].expert;
+    }
 
     /**
      * Prefetch target under the same order: the expert of the batch
      * that will run *after* the next one (the executor prefetches one
      * group ahead while a batch executes). Equals nextDistinctExpert()
-     * for plain queues; SLO-ordered queues compute the two most
-     * urgent distinct experts in one scan and answer the runner-up.
+     * for plain queues (O(1)). SLO-ordered queues answer the urgency
+     * index's runner-up in O(log experts); when no other expert holds
+     * an urgent entry, every other expert ties at classless urgency
+     * and the first other expert in queue order wins — the head run's
+     * expert, or the next run's when the head run is the winner's.
      */
     ExpertId prefetchExpert() const;
 
     /**
-     * Pop up to @p maxCount same-expert requests of @p e: the
-     * contiguous run *containing the most urgent @p e request* (the
-     * whole group under grouped insertion — and the first run when
-     * nothing is urgent, so popBatchFor(headExpert()) on a classless
-     * queue is exactly popBatchInto()). A FIFO-interleaved queue may
-     * hold several disjoint runs of @p e; starting from the urgent
-     * one keeps the EDF promise that the selected request actually
-     * runs in the popped batch. @p e must be queued.
+     * Pop up to @p maxCount same-expert requests of @p e from the
+     * front of one run: the run holding @p e's most urgent request
+     * (the index records that holder's run), or @p e's first run when
+     * @p e has no urgent request — so popBatchFor(headExpert()) on a
+     * classless queue is exactly popBatchInto(). Under grouped
+     * insertion that run is @p e's whole group. A FIFO-interleaved
+     * queue may hold several disjoint runs of @p e; starting from the
+     * urgent one keeps the EDF promise that the selected request runs
+     * in a batch of the run it sits in. The pop always takes the run's
+     * *front*: when the urgent member lies beyond @p maxCount it stays
+     * queued for a later batch. O(popped requests), plus a rescan of
+     * @p e's remaining entries when a popped request ties with its
+     * holder's urgency. @p e must be queued.
      */
     void popBatchFor(ExpertId e, int maxCount, std::vector<Request> &out);
 
@@ -232,17 +267,40 @@ class RequestQueue
         Idx first = kNil;
         Idx last = kNil;
         int size = 0;
+        /** Neighbouring runs of the same expert, in queue order. */
+        Idx prevSame = kNil;
+        Idx nextSame = kNil;
+        /** Creation sequence: increases along the queue. */
+        std::uint64_t seq = 0;
     };
 
     /** Per-expert bookkeeping, indexed by (dense, small) ExpertId. */
     struct GroupInfo
     {
-        /** Run holding the last queued request of this expert. */
+        /** First and last run holding a request of this expert. */
+        Idx first = kNil;
         Idx last = kNil;
         /** Queued requests of this expert. */
         int count = 0;
-        /** Runs of this expert (1 under grouped-only insertion). */
-        int runs = 0;
+    };
+
+    /**
+     * Per-expert urgency index entry, indexed like the group index but
+     * kept apart from it, so the scheduler's containsExpert() probes
+     * stay on a dense count array.
+     */
+    struct Urgency
+    {
+        /**
+         * Run holding the first of this expert's most urgent
+         * SLO-urgent entries (the holder); kNil when it has none. The
+         * remaining fields are the holder's key.
+         */
+        Idx holderRun = kNil;
+        int prio = 0;
+        Time deadline = kTimeNever;
+        /** The holder's queue position: its run's creation sequence. */
+        std::uint64_t runSeq = 0;
     };
 
     Idx allocChunk();
@@ -257,20 +315,28 @@ class RequestQueue
      */
     void popFromRun(Idx r, int maxCount, std::vector<Request> &out);
     /**
-     * Unlink emptied run @p r, re-point its group's last run, and
-     * merge its neighbours when they share an expert.
+     * Unlink emptied run @p r from the queue and from its expert's
+     * runs, and merge its neighbours when they share an expert.
      */
     void removeRun(Idx r);
     /** Append run @p r's successor (same expert) onto @p r. */
     void mergeNext(Idx r);
-    /** Call @p fn(request) for every queued request, head to tail. */
-    template <typename Fn>
-    void forEachRequest(Fn &&fn) const;
     void noteInserted(Idx r, const Entry &entry);
     void noteRemoved(const Entry &entry);
     GroupInfo &groupFor(ExpertId e);
-    /** Most urgent group's expert (head group when nothing urgent). */
-    ExpertId bestExpert() const;
+
+    /** Does expert @p a's index key rank ahead of @p b's? */
+    bool outranks(ExpertId a, ExpertId b) const;
+    /** The better-ranked of two tree slots (kNoExpert = empty). */
+    ExpertId winnerOf(ExpertId a, ExpertId b) const;
+    /** Record request @p req of run @p r as its expert's holder. */
+    void setHolder(Urgency &u, Idx r, const Request &req);
+    /** Recompute @p e's index entry over its own queued entries. */
+    void reindex(ExpertId e);
+    /** Reindex the experts in stale_; every mutation ends with it. */
+    void reindexStale();
+    /** Refresh @p e's tree leaf and the path above it. */
+    void updateLeaf(ExpertId e);
 
     std::vector<std::unique_ptr<Chunk[]>> slabs_;
     Idx chunkCount_ = 0;
@@ -281,6 +347,7 @@ class RequestQueue
     Idx tailRun_ = kNil;
     std::size_t size_ = 0;
     std::vector<GroupInfo> groups_;
+    std::vector<Urgency> urgency_;
     Time pendingWork_ = 0;
     /**
      * Queued requests carrying SLO urgency (non-default priority or a
@@ -288,6 +355,21 @@ class RequestQueue
      * the O(1) head-group fast path.
      */
     std::size_t sloUrgent_ = 0;
+    /** Sequence of the most recently created run. */
+    std::uint64_t runSeq_ = 0;
+    /**
+     * Tournament tree over expert ids: leaf leaves_ + e holds e while
+     * e has an index entry; each inner node holds its children's
+     * winner; tree_[1] is the overall winner. Empty until the first
+     * urgent entry arrives, so classless queues never touch it.
+     */
+    std::vector<ExpertId> tree_;
+    std::size_t leaves_ = 0;
+    /**
+     * Experts that lost a request tied with their holder's urgency
+     * (possibly the holder) during the current operation.
+     */
+    std::vector<ExpertId> stale_;
     /** stealFromTail's per-run scratch: the visited run's entries. */
     std::vector<Entry *> stealSpan_;
     std::vector<Entry> stealKeep_;

@@ -705,6 +705,32 @@ TEST(RequestQueueDifferential, DeepQueueCrossesChunks)
     }
 }
 
+TEST(RequestQueueDifferential, DeepGroupedSloManyExperts)
+{
+    // Deep grouped-only SLO queues: hundreds of requests over 80
+    // experts, four distinct deadlines and three classes, so many
+    // experts tie on their most urgent (priority, deadline) and the
+    // urgency index's queue-position tie-break decides both the
+    // winner and the runner-up.
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        for (const double share : {0.3, 0.6, 0.9})
+            runDifferential(seed + static_cast<std::uint64_t>(share * 1e4),
+                            {80, 300, 400, 8, 0.0, share});
+    }
+}
+
+TEST(RequestQueueDifferential, DeepMixedSloManyExperts)
+{
+    // As above with FIFO pushes mixed in: experts own several disjoint
+    // runs, so index holders move through run merges and steal
+    // rebuilds, and popBatchFor must find the holder's run.
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        for (const double share : {0.3, 0.6, 0.9})
+            runDifferential(seed + static_cast<std::uint64_t>(share * 1e4),
+                            {64, 300, 400, 8, 0.4, share});
+    }
+}
+
 TEST(CpuTierTest, InsertAndEvictLru)
 {
     MemoryTier cache("c", 100 * kMB, TierLevel::CpuDram);

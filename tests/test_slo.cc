@@ -247,6 +247,66 @@ TEST(SloQueueTest, FifoQueuePopsTheUrgentRunNotTheFirst)
     EXPECT_EQ(q.headExpert(), 2);
 }
 
+TEST(SloQueueTest, PrefetchWithOneUrgentExpertFollowsQueueOrder)
+{
+    // Only the winner holds urgent requests: every other expert ties
+    // at classless urgency, so the first other expert in queue order
+    // is the runner-up.
+    {
+        // The head run is the urgent expert's: the next run follows.
+        RequestQueue q;
+        q.pushGrouped(
+            slotRequest(0, 1, RequestClass::Interactive, seconds(1)), 5);
+        q.pushGrouped(slotRequest(1, 2, RequestClass::None, kTimeNever),
+                      5);
+        q.pushGrouped(slotRequest(2, 3, RequestClass::None, kTimeNever),
+                      5);
+        EXPECT_EQ(q.nextBatchExpert(), 1);
+        EXPECT_EQ(q.prefetchExpert(), 2);
+    }
+    {
+        // The urgent expert sits behind the head: the head follows it,
+        // not nextDistinctExpert().
+        RequestQueue q;
+        q.pushGrouped(slotRequest(0, 4, RequestClass::None, kTimeNever),
+                      5);
+        q.pushGrouped(
+            slotRequest(1, 5, RequestClass::BestEffort, kTimeNever), 5);
+        q.pushGrouped(slotRequest(2, 6, RequestClass::Batch, seconds(3)),
+                      5);
+        EXPECT_EQ(q.nextBatchExpert(), 6);
+        EXPECT_EQ(q.nextDistinctExpert(), 5);
+        EXPECT_EQ(q.prefetchExpert(), 4);
+    }
+}
+
+TEST(SloQueueTest, PopBatchForTakesTheRunFrontPastTheUrgentMember)
+{
+    // Pinned behaviour: popBatchFor pops the front of the selected run
+    // even when the member that made the expert urgent lies beyond
+    // maxCount; that member waits for the next batch.
+    RequestQueue q;
+    for (RequestId id = 0; id < 3; ++id)
+        q.pushGrouped(slotRequest(id, 7, RequestClass::None, kTimeNever),
+                      5);
+    q.pushGrouped(slotRequest(3, 7, RequestClass::Interactive, seconds(1)),
+                  5);
+    q.pushGrouped(slotRequest(4, 8, RequestClass::Batch, seconds(1)), 5);
+    ASSERT_EQ(q.nextBatchExpert(), 7);
+
+    std::vector<Request> batch;
+    q.popBatchFor(7, 2, batch);
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_EQ(batch[0].id, 0);
+    EXPECT_EQ(batch[1].id, 1);
+    EXPECT_EQ(q.nextBatchExpert(), 7); // the urgent member still waits
+    q.popBatchFor(7, 2, batch);
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_EQ(batch[0].id, 2);
+    EXPECT_EQ(batch[1].id, 3);
+    EXPECT_EQ(q.nextBatchExpert(), 8);
+}
+
 TEST(SloQueueTest, StealFilterSeesDeadlines)
 {
     RequestQueue q;
