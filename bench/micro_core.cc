@@ -6,8 +6,9 @@
  * residency lookups, eviction victim
  * selection, one full scheduling decision (the real-world
  * wall-clock cost behind Figure 19's scheduling bar), one
- * cluster-level LeastLoaded routing decision, and a whole
- * ServingEngine::run per arrival.
+ * cluster-level LeastLoaded routing decision, cluster admission's
+ * live pricing of one arrival, and a whole ServingEngine::run per
+ * arrival.
  */
 
 #include <benchmark/benchmark.h>
@@ -261,6 +262,54 @@ BM_LeastLoadedRoute(benchmark::State &state)
     perArrivalCounter(state, "route", s.trace.size());
 }
 BENCHMARK(BM_LeastLoadedRoute)->Arg(8192);
+
+void
+BM_LiveQuote(benchmark::State &state)
+{
+    // Cluster admission's pricing of one arrival over 4 replicas:
+    // LiveCostModel::quote plus detectAdd on every replica, min taken.
+    // The live views come from 4 online engines fed the first half of
+    // the trace round-robin, so queued/resident answers are mixed; the
+    // timed loop prices the second half against them. "quote" reads as
+    // time per priced arrival (all 4 replicas).
+    const BoardASetup s(state.range(0));
+    constexpr std::size_t kReplicas = 4;
+    const std::vector<ReplicaView> views(kReplicas,
+                                         ReplicaView{&s.ctx, &s.cfg});
+    const LiveCostModel costs(s.model, views);
+
+    std::vector<std::unique_ptr<ServingEngine>> engines;
+    for (std::size_t i = 0; i < kReplicas; ++i) {
+        engines.push_back(makeCoServeEngine(s.ctx, s.cfg));
+        engines.back()->beginOnline(static_cast<RequestId>(i),
+                                    static_cast<RequestId>(kReplicas));
+    }
+    const std::size_t half = s.trace.size() / 2;
+    for (std::size_t k = 0; k < half; ++k) {
+        const ImageArrival &a = s.trace.arrivals[k];
+        for (const auto &engine : engines)
+            engine->stepUntil(a.time);
+        engines[k % kReplicas]->admitArrival(a);
+    }
+    std::vector<ReplicaLoadView> live(kReplicas);
+    for (std::size_t i = 0; i < kReplicas; ++i)
+        engines[i]->fillLoadView(live[i]);
+
+    for (auto _ : state) {
+        for (std::size_t k = half; k < s.trace.size(); ++k) {
+            const ImageArrival &a = s.trace.arrivals[k];
+            Time best = kTimeNever;
+            for (std::size_t i = 0; i < kReplicas; ++i) {
+                best = std::min(best,
+                                costs.quote(i, a, live[i]).finish +
+                                    costs.detectAdd(i, a.component));
+            }
+            benchmark::DoNotOptimize(best);
+        }
+    }
+    perArrivalCounter(state, "quote", s.trace.size() - half);
+}
+BENCHMARK(BM_LiveQuote)->Arg(8192);
 
 void
 BM_EngineRun(benchmark::State &state)

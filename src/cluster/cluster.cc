@@ -7,7 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/scheduler.h"
 #include "metrics/report.h"
 #include "replay/decision_log.h"
 #include "slo/admission.h"
@@ -17,58 +16,6 @@
 namespace coserve {
 
 namespace {
-
-/**
- * Predicted completion of @p a on one replica, from its live view: the
- * earliest-free executor plus the Section-4.2 execution estimate, the
- * switch when the classifier is neither queued nor resident, and the
- * detect child's execution when the component chains one. The
- * cluster-admission twin of ServingEngine::predictCompletion, using
- * the replica's *profiled* matrix since the coordinator has it.
- */
-Time
-predictReplicaCompletion(const ReplicaView &view,
-                         const ReplicaLoadView &live,
-                         const CoEModel &model, const ImageArrival &a)
-{
-    const ComponentType &comp = model.component(a.component);
-    const ExpertId expert = comp.classifier;
-    const ArchId arch = model.expert(expert).arch;
-    bool hasGpu = false;
-    for (const ExecutorConfig &e : view.cfg->executors)
-        hasGpu = hasGpu || e.kind == ProcKind::GPU;
-    const ProcKind proc = hasGpu ? ProcKind::GPU : ProcKind::CPU;
-
-    const bool joins = live.queued(expert);
-    Time add = DependencyAwareScheduler::execEstimate(
-        &view.ctx->perf(), &view.ctx->truth(), arch, proc, joins);
-    if (!joins && !live.resident(expert) &&
-        view.ctx->perf().has(arch, proc)) {
-        const Time load = view.ctx->perf().at(arch, proc).loadLatency;
-        add += proc == ProcKind::GPU
-                   ? static_cast<Time>(static_cast<double>(load) *
-                                       live.gpuPressure)
-                   : load;
-        add += std::max<Time>(0, live.storageFreeAt -
-                                     std::max(live.now, a.time));
-    }
-    if (comp.detector != kNoExpert) {
-        add += DependencyAwareScheduler::execEstimate(
-            &view.ctx->perf(), &view.ctx->truth(),
-            model.expert(comp.detector).arch, proc, false);
-    }
-
-    Time soonest = a.time;
-    if (!live.executors.empty()) {
-        soonest = kTimeNever;
-        for (const ReplicaLoadView::ExecutorLoad &ex : live.executors) {
-            soonest = std::min(soonest,
-                               std::max(a.time, ex.busyUntil) +
-                                   ex.pendingWork);
-        }
-    }
-    return std::max(a.time, soonest) + add;
-}
 
 /** One scheduled fault application, flattened from a FaultPlan. */
 struct FaultAction
@@ -584,10 +531,14 @@ ClusterEngine::runCoordinated(const Trace &trace,
     }
 
     const std::vector<ReplicaView> views = makeReplicaViews();
+    const CoEModel &model = cfg_.replicas.front().ctx->model();
+    // Every capability check below and cluster admission's live
+    // estimate read this one model's tables.
+    const LiveCostModel costs(model, views);
+    const CapabilityTable &caps = costs.caps();
     std::unique_ptr<ReplicaRouter> router;
     if (liveRouting) {
-        router = makeRouter(cfg_.routing,
-                            cfg_.replicas.front().ctx->model(), views);
+        router = makeRouter(cfg_.routing, model, views);
     }
     // Static under faults: routing pinned to the offline assignment,
     // exactly what runSharded would execute — re-homing applies only
@@ -627,16 +578,15 @@ ClusterEngine::runCoordinated(const Trace &trace,
         // active replica can chain-serve. Activate the first capable
         // quiesced replica for each uncovered component (same rule
         // the quiesce path enforces via its coverage guard).
-        const CoEModel &m = cfg_.replicas.front().ctx->model();
-        for (std::size_t c = 0; c < m.numComponents(); ++c) {
+        for (std::size_t c = 0; c < model.numComponents(); ++c) {
             const auto comp = static_cast<ComponentId>(c);
             bool covered = false;
             for (std::size_t i = 0; i < n && !covered; ++i)
-                covered = active[i] && chainCapable(views[i], m, comp);
+                covered = active[i] && caps.chainOk(i, comp);
             if (covered)
                 continue;
             for (std::size_t i = 0; i < n; ++i) {
-                if (!active[i] && chainCapable(views[i], m, comp)) {
+                if (!active[i] && caps.chainOk(i, comp)) {
                     active[i] = 1;
                     activeCount += 1;
                     break;
@@ -746,16 +696,14 @@ ClusterEngine::runCoordinated(const Trace &trace,
     // classify request brings its whole chain, so the thief must also
     // serve the detect child it may spawn. The autoscaler's
     // quiesce-evacuation and crash re-homing reuse the same filters.
-    const CoEModel &model = cfg_.replicas.front().ctx->model();
     std::vector<RequestQueue::StealFilter> canServe(n);
     if (cfg_.workStealing.enabled || as.enabled || opts.faults.any() ||
         migrationOn) {
         for (std::size_t i = 0; i < n; ++i) {
-            canServe[i] = [&model,
-                           view = views[i]](const Request &req) {
+            canServe[i] = [&model, &caps, i](const Request &req) {
                 if (req.stage == Stage::Classify)
-                    return chainCapable(view, model, req.component);
-                return capable(view, model.expert(req.expert).arch);
+                    return caps.chainOk(i, req.component);
+                return caps.archOk(i, model.expert(req.expert).arch);
             };
         }
     }
@@ -997,8 +945,7 @@ ClusterEngine::runCoordinated(const Trace &trace,
             bool covered = false;
             for (std::size_t i = 0; i < n && !covered; ++i) {
                 covered = i != excluding && active[i] &&
-                          chainCapable(views[i], model,
-                                       static_cast<ComponentId>(c));
+                          caps.chainOk(i, static_cast<ComponentId>(c));
             }
             if (!covered)
                 return false;
@@ -1421,21 +1368,20 @@ ClusterEngine::runCoordinated(const Trace &trace,
             ++next;
 
             // Cluster-level admission: can *any* active capable
-            // replica make this deadline? Predicted from the live
-            // views with the same Section-4.2 estimate the routers
-            // use, upstream of routing.
+            // replica make this deadline? Priced from the live views
+            // by the same cost model LeastLoaded routes with, plus
+            // the detect child the chain may spawn, upstream of
+            // routing.
             if (liveRouting && cfg_.admission.enabled &&
                 a.deadline != kTimeNever) {
                 refreshViews();
                 Time best = kTimeNever;
                 for (std::size_t i = 0; i < n; ++i) {
-                    if (!active[i] ||
-                        !chainCapable(views[i], model, a.component))
+                    if (!active[i] || !caps.chainOk(i, a.component))
                         continue;
-                    best = std::min(
-                        best, predictReplicaCompletion(views[i],
-                                                       live[i], model,
-                                                       a));
+                    best = std::min(best,
+                                    costs.quote(i, a, live[i]).finish +
+                                        costs.detectAdd(i, a.component));
                 }
                 const AdmissionVerdict verdict = admission.assess(
                     a.cls, a.time, a.deadline, best);
@@ -1491,8 +1437,7 @@ ClusterEngine::runCoordinated(const Trace &trace,
                 // which case the image is genuinely lost.
                 for (std::size_t j = 0; j < n; ++j) {
                     const std::size_t i = (r + j) % n;
-                    if (active[i] &&
-                        chainCapable(views[i], model, a.component)) {
+                    if (active[i] && caps.chainOk(i, a.component)) {
                         r = i;
                         break;
                     }

@@ -235,7 +235,10 @@ struct ClusterConfig
      * active capable replicas from the live load views and rejects or
      * downgrades arrivals that cannot make their deadline anywhere —
      * upstream of (and cheaper than) the per-replica admission in
-     * EngineConfig::admission. Off by default.
+     * EngineConfig::admission. A replica's prediction is
+     * LiveCostModel::quote() (router.h), the estimate LeastLoaded
+     * routes with, plus detectAdd() for the detect child the chain
+     * may spawn. Off by default.
      */
     AdmissionConfig admission;
     /** Elastic autoscaling (online mode only); see AutoscaleConfig. */

@@ -43,80 +43,131 @@ archCount(const CoEModel &model)
     return n;
 }
 
-/**
- * Per-replica capability, computed once at router construction.
- * capable() and chainCapable() stay the single capability rule; the
- * table only caches their answers, so routing an arrival reads flat
- * bytes instead of walking each replica's perf matrix. Stored
- * replica-minor, so one arrival's scan over the replicas is
- * contiguous.
- */
-class CapabilityTable
+} // namespace
+
+CapabilityTable::CapabilityTable(const CoEModel &model,
+                                 const std::vector<ReplicaView> &replicas)
+    : replicas_(replicas.size())
 {
-  public:
-    CapabilityTable(const CoEModel &model,
-                    const std::vector<ReplicaView> &replicas)
-        : replicas_(replicas.size())
-    {
-        const std::size_t archs = archCount(model);
-        archOk_.assign(archs * replicas_, 0);
-        chainOk_.assign(model.numComponents() * replicas_, 0);
-        for (std::size_t i = 0; i < replicas_; ++i) {
-            for (std::size_t a = 0; a < archs; ++a) {
-                archOk_[a * replicas_ + i] =
-                    capable(replicas[i], static_cast<ArchId>(a));
-            }
-            for (std::size_t c = 0; c < model.numComponents(); ++c) {
-                chainOk_[c * replicas_ + i] = chainCapable(
-                    replicas[i], model, static_cast<ComponentId>(c));
+    const std::size_t archs = archCount(model);
+    archOk_.assign(archs * replicas_, 0);
+    chainOk_.assign(model.numComponents() * replicas_, 0);
+    for (std::size_t i = 0; i < replicas_; ++i) {
+        for (std::size_t a = 0; a < archs; ++a) {
+            archOk_[a * replicas_ + i] =
+                capable(replicas[i], static_cast<ArchId>(a));
+        }
+        for (std::size_t c = 0; c < model.numComponents(); ++c) {
+            chainOk_[c * replicas_ + i] = chainCapable(
+                replicas[i], model, static_cast<ComponentId>(c));
+        }
+    }
+}
+
+std::size_t
+CapabilityTable::firstChainCapable(ComponentId component,
+                                   std::size_t start) const
+{
+    for (std::size_t j = 0; j < replicas_; ++j) {
+        const std::size_t i = (start + j) % replicas_;
+        if (chainOk(i, component))
+            return i;
+    }
+    panic("no replica can serve component ", static_cast<int>(component));
+}
+
+LiveCostModel::LiveCostModel(const CoEModel &model,
+                             const std::vector<ReplicaView> &replicas)
+    : caps_(model, replicas)
+{
+    const std::size_t n = replicas.size();
+    const std::size_t archs = archCount(model);
+    for (const ComponentType &comp : model.components())
+        classifier_.push_back(
+            {comp.classifier, model.expert(comp.classifier).arch});
+    proc_.resize(n, ProcKind::CPU);
+    cost_.resize(archs * n);
+    detect_.assign(model.numComponents() * n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        const ReplicaView &view = replicas[i];
+        for (const ExecutorConfig &e : view.cfg->executors) {
+            if (e.kind == ProcKind::GPU)
+                proc_[i] = ProcKind::GPU;
+        }
+        // Only capable archs get costs: every replica a caller prices
+        // is chain-capable, so its classifier and detector archs are.
+        const PerfMatrix &perf = view.ctx->perf();
+        const auto estimate = [&](ArchId arch, bool joins) {
+            return DependencyAwareScheduler::execEstimate(
+                &perf, &view.ctx->truth(), arch, proc_[i], joins);
+        };
+        for (std::size_t a = 0; a < archs; ++a) {
+            const auto arch = static_cast<ArchId>(a);
+            if (!caps_.archOk(i, arch))
+                continue;
+            ArchCost &c = cost_[a * n + i];
+            c.execJoin = estimate(arch, true);
+            c.execNew = estimate(arch, false);
+            c.profiled = perf.has(arch, proc_[i]);
+            if (c.profiled)
+                c.load = perf.at(arch, proc_[i]).loadLatency;
+        }
+        for (std::size_t c = 0; c < model.numComponents(); ++c) {
+            const ComponentType &comp =
+                model.component(static_cast<ComponentId>(c));
+            if (comp.detector != kNoExpert &&
+                caps_.chainOk(i, static_cast<ComponentId>(c))) {
+                detect_[c * n + i] =
+                    estimate(model.expert(comp.detector).arch, false);
             }
         }
     }
+}
 
-    /** @return number of replicas. */
-    std::size_t replicas() const { return replicas_; }
-
-    /** capable(replica, arch), cached. */
-    bool
-    archOk(std::size_t replica, ArchId arch) const
-    {
-        return archOk_[static_cast<std::size_t>(arch) * replicas_ +
-                       replica] != 0;
-    }
-
-    /** chainCapable(replica, component), cached. */
-    bool
-    chainOk(std::size_t replica, ComponentId component) const
-    {
-        return chainOk_[static_cast<std::size_t>(component) * replicas_ +
-                        replica] != 0;
-    }
-
-    /**
-     * First chain-capable replica at or after @p start (wrapping): an
-     * assignment must not pin a component onto a replica whose context
-     * lacks a perf entry for its classifier — or for the detector its
-     * chain may continue on.
-     */
-    std::size_t
-    firstChainCapable(ComponentId component, std::size_t start) const
-    {
-        for (std::size_t j = 0; j < replicas_; ++j) {
-            const std::size_t i = (start + j) % replicas_;
-            if (chainOk(i, component))
-                return i;
+LiveCostModel::Quote
+LiveCostModel::quote(std::size_t i, const ImageArrival &a,
+                     const ReplicaLoadView &live) const
+{
+    const auto [expert, arch] =
+        classifier_[static_cast<std::size_t>(a.component)];
+    const ArchCost &c = cost(i, arch);
+    // Section 4.2 at replica granularity, with *actual* state: joining
+    // an already-queued same-expert group costs K and no switch; a
+    // resident expert skips the switch; anything else pays K + B plus
+    // the live switch cost.
+    const bool joins = live.queued(expert);
+    Time add = joins ? c.execJoin : c.execNew;
+    if (!joins && !live.resident(expert))
+        add += switchCost(i, arch, live, a.time);
+    // Earliest-free executor at the arrival instant: live per-executor
+    // loads make an offline parallelism division unnecessary.
+    Time soonest = a.time;
+    if (!live.executors.empty()) {
+        soonest = kTimeNever;
+        for (const ReplicaLoadView::ExecutorLoad &ex : live.executors) {
+            soonest = std::min(soonest, std::max(a.time, ex.busyUntil) +
+                                            ex.pendingWork);
         }
-        panic("no replica can serve component ",
-              static_cast<int>(component));
     }
+    return {std::max(a.time, soonest) + add, add};
+}
 
-  private:
-    std::size_t replicas_;
-    /** [arch * replicas + replica] */
-    std::vector<char> archOk_;
-    /** [component * replicas + replica] */
-    std::vector<char> chainOk_;
-};
+Time
+LiveCostModel::switchCost(std::size_t i, ArchId arch,
+                          const ReplicaLoadView &live, Time at) const
+{
+    const ArchCost &c = cost(i, arch);
+    if (!c.profiled)
+        return 0;
+    Time t = proc_[i] == ProcKind::GPU
+                 ? static_cast<Time>(static_cast<double>(c.load) *
+                                     live.gpuPressure)
+                 : c.load;
+    t += std::max<Time>(0, live.storageFreeAt - std::max(live.now, at));
+    return t;
+}
+
+namespace {
 
 class RoundRobinRouter : public ReplicaRouter
 {
@@ -285,26 +336,25 @@ class ExpertLru
 };
 
 /**
- * Least-loaded by predicted makespan. Per replica we track (a) the
- * predicted completion time of the work routed so far and (b) an LRU
- * approximation of which experts are resident, sized from the
+ * Least-loaded by predicted makespan. Offline, per replica we track (a)
+ * the predicted completion time of the work routed so far and (b) an
+ * LRU approximation of which experts are resident, sized from the
  * replica's pool bytes. Each candidate's cost is the dependency-aware
  * scheduler's execution estimate (K / K + B) plus the profiled load
  * latency when the expert is predicted non-resident, divided by the
- * replica's executor parallelism. Those per-(replica, arch) inputs
- * never change during a run, so they are read from the perf matrix
- * once, at construction.
+ * replica's executor parallelism. Online, the replicas' live views
+ * replace both guesses and the LiveCostModel prices each candidate.
+ * The per-(replica, arch) inputs come from the model's tables either
+ * way.
  */
 class LeastLoadedRouter : public ReplicaRouter
 {
   public:
     LeastLoadedRouter(const CoEModel &model,
                       const std::vector<ReplicaView> &replicas)
-        : model_(model), caps_(model, replicas)
+        : model_(model), costs_(model, replicas)
     {
-        const std::size_t archs = archCount(model);
-        for (std::size_t i = 0; i < replicas.size(); ++i) {
-            const ReplicaView &view = replicas[i];
+        for (const ReplicaView &view : replicas) {
             // Footprints are per-device: size each replica's residency
             // estimate from its own context.
             std::int64_t totalBytes = 0;
@@ -315,11 +365,8 @@ class LeastLoadedRouter : public ReplicaRouter
                 static_cast<std::int64_t>(model_.numExperts());
 
             std::int64_t poolBytes = 0;
-            bool hasGpu = false;
-            for (const ExecutorConfig &e : view.cfg->executors) {
+            for (const ExecutorConfig &e : view.cfg->executors)
                 poolBytes += e.poolBytes;
-                hasGpu = hasGpu || e.kind == ProcKind::GPU;
-            }
             State st(model_.numExperts(),
                      std::max<std::size_t>(
                          1, static_cast<std::size_t>(
@@ -327,25 +374,6 @@ class LeastLoadedRouter : public ReplicaRouter
                                 std::max<std::int64_t>(1, avgBytes))));
             st.parallelism =
                 std::max<std::size_t>(1, view.cfg->executors.size());
-            st.proc = hasGpu ? ProcKind::GPU : ProcKind::CPU;
-
-            // Only capable archs get costs: every replica a route
-            // considers is chain-capable, so its classifier arch is.
-            st.cost.resize(archs);
-            const PerfMatrix &perf = view.ctx->perf();
-            for (std::size_t a = 0; a < archs; ++a) {
-                const auto arch = static_cast<ArchId>(a);
-                if (!caps_.archOk(i, arch))
-                    continue;
-                ArchCost &c = st.cost[a];
-                c.execJoin = DependencyAwareScheduler::execEstimate(
-                    &perf, &view.ctx->truth(), arch, st.proc, true);
-                c.execNew = DependencyAwareScheduler::execEstimate(
-                    &perf, &view.ctx->truth(), arch, st.proc, false);
-                c.profiled = perf.has(arch, st.proc);
-                if (c.profiled)
-                    c.load = perf.at(arch, st.proc).loadLatency;
-            }
             states_.push_back(std::move(st));
         }
     }
@@ -363,9 +391,9 @@ class LeastLoadedRouter : public ReplicaRouter
         Time bestFinish = kTimeNever;
         Time bestAdd = kTimeNever;
         for (std::size_t i = 0; i < states_.size(); ++i) {
-            if (!caps_.chainOk(i, arrival.component))
+            if (!costs_.caps().chainOk(i, arrival.component))
                 continue;
-            const Time add = additionalLatency(states_[i], expert, arch);
+            const Time add = additionalLatency(i, expert, arch);
             const Time finish =
                 std::max(arrival.time, states_[i].finish) + add;
             if (finish < bestFinish ||
@@ -386,11 +414,10 @@ class LeastLoadedRouter : public ReplicaRouter
 
     /**
      * Online routing: replace the router's private finish model and
-     * LRU residency guess with the replicas' actual state — the
-     * earliest-free executor's predicted finish, and residency from
-     * the replica's live pools. The prediction itself is stateless
-     * (nothing drifts between arrivals); the only cross-arrival state
-     * is the sticky per-expert home used for affinity hysteresis.
+     * LRU residency guess with the replicas' actual state, priced by
+     * the LiveCostModel. The prediction itself is stateless (nothing
+     * drifts between arrivals); the only cross-arrival state is the
+     * sticky per-expert home used for affinity hysteresis.
      */
     bool usesLiveViews() const override { return true; }
 
@@ -401,7 +428,6 @@ class LeastLoadedRouter : public ReplicaRouter
         const ExpertId expert =
             model_.component(arrival.component).classifier;
         const ArchId arch = model_.expert(expert).arch;
-        const auto archIdx = static_cast<std::size_t>(arch);
 
         std::size_t best = states_.size();
         Time bestFinish = kTimeNever;
@@ -413,42 +439,16 @@ class LeastLoadedRouter : public ReplicaRouter
             // finishes entry stays kTimeNever, which also disarms the
             // affinity hysteresis below while a home is drained.
             if (!views[i].acceptingWork ||
-                !caps_.chainOk(i, arrival.component))
+                !costs_.caps().chainOk(i, arrival.component))
                 continue;
-            const State &st = states_[i];
-            const ArchCost &cost = st.cost[archIdx];
-            const ReplicaLoadView &live = views[i];
-            // Section 4.2 at replica granularity, with *actual* state:
-            // joining an already-queued same-expert group costs K and
-            // no switch; a resident expert skips the switch; anything
-            // else pays K + B plus the switch — the profiled load
-            // latency inflated by the replica's live GPU memory
-            // pressure and queued behind its in-flight storage
-            // transfers, both of which the offline router cannot see.
-            const bool joins = live.queued(expert);
-            const bool resident = live.resident(expert);
-            Time add = joins ? cost.execJoin : cost.execNew;
-            if (!joins && !resident)
-                add += switchCost(st.proc, cost, live, arrival.time);
-            // Earliest-free executor at the arrival instant: live
-            // per-executor loads make the offline parallelism
-            // division unnecessary.
-            Time soonest = kTimeNever;
-            for (const ReplicaLoadView::ExecutorLoad &ex :
-                 live.executors) {
-                soonest = std::min(
-                    soonest, std::max(arrival.time, ex.busyUntil) +
-                                 ex.pendingWork);
-            }
-            if (live.executors.empty())
-                soonest = arrival.time;
-            const Time finish = std::max(arrival.time, soonest) + add;
-            finishes[i] = finish;
-            if (finish < bestFinish ||
-                (finish == bestFinish && add < bestAdd)) {
+            const LiveCostModel::Quote q =
+                costs_.quote(i, arrival, views[i]);
+            finishes[i] = q.finish;
+            if (q.finish < bestFinish ||
+                (q.finish == bestFinish && q.add < bestAdd)) {
                 best = i;
-                bestFinish = finish;
-                bestAdd = add;
+                bestFinish = q.finish;
+                bestAdd = q.add;
             }
         }
         COSERVE_CHECK(best < states_.size(),
@@ -466,31 +466,16 @@ class LeastLoadedRouter : public ReplicaRouter
         if (static_cast<std::size_t>(expert) >= home_.size())
             home_.resize(static_cast<std::size_t>(expert) + 1, SIZE_MAX);
         const std::size_t h = home_[expert];
-        if (h != SIZE_MAX && h != best && finishes[h] != kTimeNever) {
-            const State &st = states_[h];
-            if (finishes[h] <= bestFinish +
-                                   switchCost(st.proc, st.cost[archIdx],
-                                              views[h], arrival.time))
-                best = h;
-        }
+        if (h != SIZE_MAX && h != best && finishes[h] != kTimeNever &&
+            finishes[h] <= bestFinish + costs_.switchCost(
+                                            h, arch, views[h],
+                                            arrival.time))
+            best = h;
         home_[expert] = best;
         return best;
     }
 
   private:
-    /** One (replica, arch) pair's profiled inputs, read once. */
-    struct ArchCost
-    {
-        /** execEstimate joining a queued same-expert group: K. */
-        Time execJoin = 0;
-        /** execEstimate opening a new group: K + B. */
-        Time execNew = 0;
-        /** Whether perf() has the pair (no entry: no switch cost). */
-        bool profiled = false;
-        /** Profiled load latency (0 when not profiled). */
-        Time load = 0;
-    };
-
     struct State
     {
         State(std::size_t numExperts, std::size_t capacity)
@@ -502,41 +487,14 @@ class LeastLoadedRouter : public ReplicaRouter
         /** Experts predicted resident, sized from the pool bytes. */
         ExpertLru resident;
         std::size_t parallelism = 1;
-        /** GPU when the replica has a GPU executor, else CPU. */
-        ProcKind proc = ProcKind::CPU;
-        /** Indexed by arch; filled for capable archs only. */
-        std::vector<ArchCost> cost;
     };
 
-    /**
-     * Live switch cost of loading an arch costed by @p cost onto a
-     * replica whose primary processor is @p proc, at time @p at: the
-     * profiled load latency, inflated by the replica's current GPU
-     * memory pressure, queued behind its in-flight storage transfers.
-     * @p at is the decision instant (the arrival time) — a cached
-     * view's own clock may be older.
-     */
-    static Time
-    switchCost(ProcKind proc, const ArchCost &cost,
-               const ReplicaLoadView &live, Time at)
+    Time
+    additionalLatency(std::size_t i, ExpertId expert, ArchId arch) const
     {
-        if (!cost.profiled)
-            return 0;
-        Time t = proc == ProcKind::GPU
-                     ? static_cast<Time>(static_cast<double>(cost.load) *
-                                         live.gpuPressure)
-                     : cost.load;
-        t += std::max<Time>(0, live.storageFreeAt -
-                                   std::max(live.now, at));
-        return t;
-    }
-
-    static Time
-    additionalLatency(const State &st, ExpertId expert, ArchId arch)
-    {
-        const ArchCost &cost = st.cost[static_cast<std::size_t>(arch)];
+        const LiveCostModel::ArchCost &cost = costs_.cost(i, arch);
         // A resident expert's group is likely still queued: K only.
-        const bool resident = st.resident.contains(expert);
+        const bool resident = states_[i].resident.contains(expert);
         const Time execPart = resident ? cost.execJoin : cost.execNew;
         const Time switchPart =
             !resident && cost.profiled ? cost.load : 0;
@@ -546,11 +504,11 @@ class LeastLoadedRouter : public ReplicaRouter
         // integer division truncates them to zero and degenerates the
         // finish/add tie-break).
         return replicaAdditionalLatency(execPart, switchPart,
-                                        st.parallelism);
+                                        states_[i].parallelism);
     }
 
     const CoEModel &model_;
-    CapabilityTable caps_;
+    LiveCostModel costs_;
     std::vector<State> states_;
     /** Live mode: each expert's current home replica (SIZE_MAX: none). */
     std::vector<std::size_t> home_;

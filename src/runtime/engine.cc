@@ -737,9 +737,24 @@ ServingEngine::admitArrival(const ImageArrival &a)
     COSERVE_CHECK(online_, "admitArrival outside an online run");
     COSERVE_CHECK(!crashed_, "admitting into a crashed replica");
     // Online arrivals are heap events: each takes a fresh seq when the
-    // coordinator admits it.
-    const Request req = arrivalRequest(a, allocRequestId());
-    eq_.schedule(a.time, [this, req]() { admitTimed(req); });
+    // coordinator admits it. The id is drawn now, so ids keep admission
+    // order; the Request is built when the event fires, which keeps the
+    // capture inside the event's inline buffer.
+    struct Admit
+    {
+        ServingEngine *engine;
+        ImageArrival arrival;
+        RequestId id;
+
+        void
+        operator()() const
+        {
+            engine->admitTimed(engine->arrivalRequest(arrival, id));
+        }
+    };
+    static_assert(sizeof(Admit) <= MoveFunction::kInlineBytes,
+                  "an online arrival must not heap-allocate");
+    eq_.schedule(a.time, Admit{this, a, allocRequestId()});
 }
 
 void

@@ -6,7 +6,8 @@
  * the least-loaded router's round-up parallelism division, the
  * expert-affinity router's capability fallback on heterogeneous
  * clusters, load-view parity with the engine's pools and queues, and
- * pinned decision digests for the live-view routing paths.
+ * pinned decision digests for the live-view routing and coordinator
+ * admission paths.
  */
 
 #include <gtest/gtest.h>
@@ -541,7 +542,8 @@ TEST_F(OnlineClusterFixture, LoadViewMatchesPoolsAndQueues)
 // Decision digests of the online paths that read the live views'
 // resident()/queued() and that no other pin covers: expert-affinity
 // routing, and least-loaded routing behind coordinator admission on an
-// SLO trace. Any change to what the views answer moves them.
+// SLO trace, homogeneous and heterogeneous. Any change to what the
+// views answer, or to how LiveCostModel prices them, moves them.
 
 TEST_F(OnlineClusterFixture, ExpertAffinityOnlineDigestIsPinned)
 {
@@ -587,6 +589,97 @@ TEST_F(OnlineClusterFixture, AdmissionSloOnlineDigestIsPinned)
     EXPECT_EQ(r.decisionDigest, 0x8ceb2665c226c79full)
         << std::hex << "0x" << r.decisionDigest;
     EXPECT_EQ(r.decisionCount, 1266);
+}
+
+TEST_F(OnlineClusterFixture, AdmissionHeterogeneousDigestIsPinned)
+{
+    // Coordinator admission in front of least-loaded routing on a
+    // cluster that exercises every input of the live estimate: a GPU
+    // replica under GPU memory pressure (gpuPressure > 1 scales its
+    // switch), a CPU-only replica (CPU costs, no pressure), a replica
+    // whose context lacks YoloV5l (chain-incapable for components with
+    // a YoloV5l detector) and detector-bearing components (the detect
+    // child's cost). Budgets are tight enough that admission both
+    // admits and misses; the two runs turn misses into downgrades and
+    // into rejects.
+    CoServeContext partialCtx(
+        device_, model_,
+        partialLatencyModel(device_, {ArchId::ResNet101, ArchId::YoloV5m}),
+        {});
+    const auto [minCount, maxCount] = gpuExpertCountBounds(ctx_, 1, 0);
+    EngineConfig pressured = coserveConfig(
+        ctx_, coserveExecutorLayout(ctx_, 1, 0, maxCount), "pressured");
+    pressured.executors.front().batchMemBytes /= 4;
+    EngineConfig cpuOnly =
+        coserveConfig(ctx_, coserveExecutorLayout(ctx_, 1, 1, minCount),
+                      "cpu-only");
+    cpuOnly.executors.erase(cpuOnly.executors.begin());
+    ASSERT_EQ(cpuOnly.executors.size(), 1u);
+    ASSERT_EQ(cpuOnly.executors.front().kind, ProcKind::CPU);
+    const auto engine = makeCoServeEngine(ctx_, pressured);
+    engine->beginOnline(0, 1);
+    ReplicaLoadView view;
+    engine->fillLoadView(view);
+    ASSERT_GT(view.gpuPressure, 1.0);
+
+    TenantSpec interactive;
+    interactive.cls = RequestClass::Interactive;
+    interactive.ratePerSec = 40.0;
+    interactive.latencyBudget = milliseconds(120);
+    TenantSpec batch;
+    batch.cls = RequestClass::Batch;
+    batch.ratePerSec = 30.0;
+    batch.latencyBudget = milliseconds(600);
+    TenantSpec bestEffort;
+    bestEffort.cls = RequestClass::BestEffort;
+    bestEffort.ratePerSec = 10.0;
+    bestEffort.arrivals = ArrivalProcess::MMPP;
+    const Trace slo = generateSloTrace(
+        model_, {interactive, batch, bestEffort}, seconds(10), 0x4E7);
+
+    // Arrivals admission judges: deadline-carrying, tracked, not
+    // best-effort (see AdmissionController::assess).
+    std::int64_t assessed = 0;
+    for (const ImageArrival &a : slo.arrivals) {
+        assessed += a.deadline != kTimeNever && sloTracked(a.cls) &&
+                    a.cls != RequestClass::BestEffort;
+    }
+
+    struct Pin
+    {
+        bool downgrade;
+        std::int64_t misses;
+        std::uint64_t digest;
+        std::int64_t decisions;
+    };
+    for (const Pin &pin : {Pin{true, 280, 0x84e58cdc3c2461dcull, 1143},
+                           Pin{false, 99, 0xfae60006eb1b076cull, 863}}) {
+        ClusterConfig cc = heterogeneousCluster(
+            {{&ctx_, pressured}, {&ctx_, cpuOnly}, {&partialCtx, cfg_},
+             {&ctx_, cfg_}},
+            RoutingPolicy::LeastLoaded, "admission-hetero");
+        cc.admission.enabled = true;
+        cc.admission.downgrade = pin.downgrade;
+        cc.workStealing.enabled = true;
+        ClusterEngine cluster(std::move(cc));
+        const ClusterResult r =
+            cluster.run(slo, runWithMode(RunMode::Online));
+        SCOPED_TRACE(pin.downgrade ? "downgrade" : "reject");
+        EXPECT_EQ(r.images + r.slo.rejected(),
+                  static_cast<std::int64_t>(slo.size()));
+        EXPECT_EQ(pin.downgrade ? r.slo.downgraded() : r.slo.rejected(),
+                  pin.misses);
+        EXPECT_EQ(pin.downgrade ? r.slo.rejected() : r.slo.downgraded(),
+                  0);
+        EXPECT_GT(assessed - pin.misses, 0) << "nothing admitted";
+        // Every replica, the CPU-only and the partial one included,
+        // took part.
+        for (std::int64_t images : r.imagesPerReplica)
+            EXPECT_GT(images, 0);
+        EXPECT_EQ(r.decisionDigest, pin.digest)
+            << std::hex << "0x" << r.decisionDigest;
+        EXPECT_EQ(r.decisionCount, pin.decisions);
+    }
 }
 
 } // namespace
