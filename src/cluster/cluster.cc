@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <iterator>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -67,6 +67,48 @@ flattenFaults(const FaultPlan &plan)
               });
     return out;
 }
+
+/**
+ * A coordinator trace instant: its name and the arg keys that label a
+ * decision record's `a`, `b` and `c` (null: not shown).
+ */
+struct InstantSpec
+{
+    const char *name;
+    const char *a;
+    const char *b;
+    const char *c;
+};
+
+/**
+ * The instant each DecisionKind emits, indexed by kind; a null name
+ * emits none (preemption records: the replicas trace their own spans).
+ */
+constexpr InstantSpec kInstants[] = {
+    {"route", "image", "replica", nullptr},
+    {"admission reject", "image", nullptr, nullptr},
+    {"admission downgrade", "image", nullptr, nullptr},
+    {"steal", "victim", "thief", "requests"},
+    {"scale-up", "replica", nullptr, nullptr},
+    {"quiesce", "replica", nullptr, nullptr},
+    {"evacuate", "from", "to", "requests"},
+    {"crash", "replica", "rehomed", "lost"},
+    {"straggler on", "replica", nullptr, nullptr},
+    {"straggler off", "replica", nullptr, nullptr},
+    {"brownout on", "replica", nullptr, nullptr},
+    {"brownout off", "replica", nullptr, nullptr},
+    {nullptr, nullptr, nullptr, nullptr},
+    {nullptr, nullptr, nullptr, nullptr},
+    {nullptr, nullptr, nullptr, nullptr},
+    {"migrate", "from", "to", "requests"},
+};
+static_assert(std::size(kInstants) ==
+                  static_cast<std::size_t>(DecisionKind::Migrate) + 1,
+              "one InstantSpec per DecisionKind");
+
+/** A Route to the out-of-range sentinel replica: the image was lost. */
+constexpr InstantSpec kLostRoute = {"route (lost)", "image", nullptr,
+                                    nullptr};
 
 /** Report interval-window problems of [from, to) fault windows. */
 template <typename W>
@@ -314,6 +356,1055 @@ ClusterEngine::routeTrace(const Trace &trace) const
     return assignment;
 }
 
+/**
+ * The coordinator path: online mode always; static mode when a fault
+ * plan needs the shared clock (routing pinned to the offline
+ * assignment, no stealing/admission/autoscale). It builds every
+ * replica engine up front and steps them in lockstep; each member
+ * function is one phase of the loop, and run() only decides which
+ * phase comes next. Single-use: construct, then run() once.
+ */
+class Coordinator
+{
+  public:
+    Coordinator(const ClusterEngine &cluster, const Trace &trace,
+                const RunOptions &opts, bool liveRouting,
+                DecisionTrace &decisions, obs::Telemetry &telem)
+        : cluster_(cluster), cfg_(cluster.config()), trace_(trace),
+          opts_(opts), liveRouting_(liveRouting), decisions_(decisions),
+          telem_(telem)
+    {
+        if (tracer_ != nullptr) {
+            tracer_->setProcessName("coordinator");
+            tracer_->setThreadName(0, "coordinator");
+        }
+        // Every arrival logs one Route or Reject decision, live or
+        // pinned.
+        decisions_.reserve(trace_.arrivals.size());
+        if (as_.enabled) {
+            // validate() keeps both counts within the replica count.
+            const std::size_t start = as_.startReplicas == 0
+                                          ? as_.minReplicas
+                                          : as_.startReplicas;
+            for (std::size_t i = start; i < n_; ++i)
+                setActive(i, false, 0);
+            // The initial active set must cover every component on a
+            // heterogeneous cluster — routers abort on an arrival no
+            // active replica can chain-serve. Activate the first
+            // capable quiesced replica for each uncovered component
+            // (same rule the quiesce path enforces via its coverage
+            // guard).
+            for (std::size_t c = 0; c < model_.numComponents(); ++c) {
+                const auto comp = static_cast<ComponentId>(c);
+                for (std::size_t i = 0; i < n_ && !covered(comp, n_);
+                     ++i) {
+                    if (caps_.chainOk(i, comp))
+                        setActive(i, true, 0);
+                }
+            }
+        }
+    }
+
+    ClusterResult
+    run()
+    {
+        // Lockstep coordination on the shared virtual clock: the next
+        // thing that happens cluster-wide is the earliest of the next
+        // pending replica event, the next arrival, the next fault
+        // action, and (autoscale only) the next control tick — fault
+        // actions win all ties (a crash at t kills same-time work),
+        // control ticks win ties against arrivals so same-time
+        // arrivals see the post-scale active set, and arrivals win
+        // ties against events so routing sees state as of the arrival
+        // instant. Everything is driven by virtual time, so the
+        // schedule is reproducible by construction. Fault actions
+        // scheduled after the last arrival and event are never
+        // applied (there is nothing left for them to affect).
+        const WallTimer coordWall;
+        for (;;) {
+            const Time tArr = nextArrival_ < trace_.arrivals.size()
+                                  ? trace_.arrivals[nextArrival_].time
+                                  : kTimeNever;
+            Time tEv = kTimeNever;
+            for (const auto &engine : engines_)
+                tEv = std::min(tEv, engine->nextEventTime());
+            if (tArr == kTimeNever && tEv == kTimeNever)
+                break;
+            // From here min(tArr, tEv) is finite, so a never-due
+            // fault, tick or sample loses every comparison below.
+            const Time tFault = nextFault_ < faults_.size()
+                                    ? faults_[nextFault_].time
+                                    : kTimeNever;
+            const Time tCtl = as_.enabled ? nextControl_ : kTimeNever;
+
+            // Sampler rows are due before anything else happens; they
+            // never step, decide or mutate, so firing them first
+            // cannot perturb the schedule below.
+            const Time tSample = telem_.nextSampleTime();
+            if (tSample <= std::min({tArr, tEv, tFault, tCtl})) {
+                sample(tSample);
+            } else if (tFault <= std::min({tArr, tEv, tCtl})) {
+                stepAll(tFault);
+                applyFault(faults_[nextFault_++]);
+            } else if (tCtl <= std::min(tArr, tEv)) {
+                stepAll(tCtl);
+                control(tCtl);
+                nextControl_ += as_.interval;
+            } else if (tArr <= tEv) {
+                // No replica event strictly precedes the arrival:
+                // advance every clock to the arrival instant and
+                // route it.
+                stepAll(tArr);
+                route(nextArrival_++);
+            } else {
+                // Replica events precede the next arrival: execute the
+                // earliest round everywhere, then let idle replicas
+                // steal.
+                stepAll(tEv);
+                if (cfg_.workStealing.enabled)
+                    steal(tEv);
+            }
+        }
+        telem_.host().add("coordinate", coordWall.elapsedMicros());
+        return collect();
+    }
+
+  private:
+    /**
+     * Note @p d in the decision stream and, when tracing, emit the
+     * coordinator instant its kind maps to in kInstants.
+     */
+    void
+    record(const DecisionRecord &d)
+    {
+        decisions_.note(d);
+        const InstantSpec &s =
+            d.kind == DecisionKind::Route && d.b == n_
+                ? kLostRoute
+                : kInstants[static_cast<std::size_t>(d.kind)];
+        if (tracer_ == nullptr || s.name == nullptr)
+            return;
+        tracer_->instant(s.name, 0, d.time,
+                         {s.a, static_cast<std::int64_t>(d.a)},
+                         {s.b, static_cast<std::int64_t>(d.b)},
+                         {s.c, static_cast<std::int64_t>(d.c)});
+    }
+
+    /**
+     * Capability rule for moving @p req to replica @p i, shared by
+     * stealing, evacuation, crash re-homing and migration: the same
+     * rule the routers apply (router.h). On a heterogeneous cluster a
+     * replica may never have been profiled for some architecture, and
+     * dispatching such a request there aborts deep in the scheduler's
+     * estimate. A classify request brings its whole chain, so the
+     * target must also serve the detect child it may spawn.
+     */
+    bool
+    serves(std::size_t i, const Request &req) const
+    {
+        if (req.stage == Stage::Classify)
+            return caps_.chainOk(i, req.component);
+        return caps_.archOk(i, model_.expert(req.expert).arch);
+    }
+
+    /** Whether an active replica other than @p excluding chain-serves @p c. */
+    bool
+    covered(ComponentId c, std::size_t excluding) const
+    {
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (i != excluding && active_[i] && caps_.chainOk(i, c))
+                return true;
+        }
+        return false;
+    }
+
+    /**
+     * First active replica at or after @p cursor (wrapping) that
+     * serves @p req; @p none when no active replica does.
+     */
+    std::size_t
+    rehomeTarget(std::size_t cursor, const Request &req,
+                 std::size_t none) const
+    {
+        for (std::size_t j = 0; j < n_; ++j) {
+            const std::size_t i = (cursor + j) % n_;
+            if (active_[i] && serves(i, req))
+                return i;
+        }
+        return none;
+    }
+
+    /**
+     * Move replica @p i into or out of the active set at @p now: the
+     * one place the active count, its time integral and the view gate
+     * change.
+     */
+    void
+    setActive(std::size_t i, bool on, Time now)
+    {
+        live_[i].acceptingWork = on;
+        if ((active_[i] != 0) == on)
+            return;
+        activeIntegral_ += static_cast<double>(activeCount_) *
+                           static_cast<double>(now - lastActiveMark_);
+        lastActiveMark_ = now;
+        active_[i] = on ? 1 : 0;
+        activeCount_ = on ? activeCount_ + 1 : activeCount_ - 1;
+    }
+
+    /** Refill replica @p i's view and re-apply the active-set gate. */
+    void
+    refreshView(std::size_t i)
+    {
+        engines_[i]->fillLoadView(live_[i]);
+        // fillLoadView resets the gate.
+        live_[i].acceptingWork = active_[i] != 0;
+        dirty_[i] = 0;
+    }
+
+    /**
+     * Views are refilled lazily: a replica's observable state only
+     * changes when it executes events or accepts a request, so clean
+     * views are reused across arrivals (the clock-only staleness of
+     * `now` is absorbed by the routers' max(arrival.time, ...)). The
+     * same rule keeps resident()/queued(), which read the engine live,
+     * equal to what a fill-time copy would hold. A clean view's gate
+     * is current: setActive() updates it.
+     */
+    void
+    refreshViews()
+    {
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (dirty_[i])
+                refreshView(i);
+        }
+    }
+
+    /**
+     * Replica-local preemption decisions (pause / checkpoint /
+     * restore) are part of the replayable schedule: drained into the
+     * decision stream in replica order after every step, so the
+     * interleaving is deterministic.
+     */
+    void
+    drainPreempt(std::size_t i)
+    {
+        if (!preemptOn_)
+            return;
+        pevBuf_.clear();
+        engines_[i]->drainPreemptEvents(pevBuf_);
+        for (const PreemptEvent &ev : pevBuf_) {
+            DecisionKind kind = DecisionKind::Preempt;
+            if (ev.what == PreemptEvent::What::Checkpoint)
+                kind = DecisionKind::Checkpoint;
+            else if (ev.what == PreemptEvent::What::Restore)
+                kind = DecisionKind::Restore;
+            record({ev.time, kind, i, static_cast<std::uint64_t>(ev.executor),
+                    ev.count});
+        }
+    }
+
+    /**
+     * Quiesce-drain latency: virtual time from a quiesce decision to
+     * the replica going fully idle — the metric migration shrinks (no
+     * more waiting out the longest running batch).
+     */
+    void
+    noteQuiesceDrains()
+    {
+        if (quiescing_ == 0)
+            return;
+        for (std::size_t i = 0; i < n_; ++i) {
+            // Died or was re-activated mid-drain: not a completed
+            // quiesce, so it does not enter the drain statistics.
+            const bool abandoned = crashed_[i] != 0 || active_[i] != 0;
+            if (quiesceStart_[i] == kTimeNever ||
+                (!abandoned && engines_[i]->nextEventTime() != kTimeNever))
+                continue;
+            if (!abandoned) {
+                const Time drain = engines_[i]->now() - quiesceStart_[i];
+                quiesceDrains_ += 1;
+                quiesceDrainTotal_ += drain;
+                quiesceDrainMax_ = std::max(quiesceDrainMax_, drain);
+            }
+            quiesceStart_[i] = kTimeNever;
+            quiescing_ -= 1;
+        }
+    }
+
+    void
+    stepAll(Time t)
+    {
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (engines_[i]->stepUntil(t) > 0) {
+                dirty_[i] = 1;
+                drainPreempt(i);
+            }
+        }
+        if (migrationOn_)
+            drainOutboxes(t);
+        noteQuiesceDrains();
+    }
+
+    /**
+     * Shared-tier steal hint: the distinct experts of re-routed
+     * requests (see SharedCpuTier::hintUpcomingLoads).
+     */
+    void
+    hintSharedTier(const std::vector<Request> &loot)
+    {
+        if (sharedCpu_ == nullptr || loot.empty())
+            return;
+        lootExperts_.clear();
+        for (const Request &req : loot)
+            lootExperts_.push_back(req.expert);
+        std::sort(lootExperts_.begin(), lootExperts_.end());
+        lootExperts_.erase(
+            std::unique(lootExperts_.begin(), lootExperts_.end()),
+            lootExperts_.end());
+        sharedCpu_->hintUpcomingLoads(lootExperts_);
+    }
+
+    /**
+     * Migration target selection, shared by the outbox drain and crash
+     * evacuation: least-backlogged active capable replica of the
+     * image's processor kind (ties: lowest index). A live source with
+     * no target keeps its group (self-migration, recorded so replays
+     * cover the fallback); a dead source's unroutable group is lost —
+     * the caller accounts it. Assumes refreshViews() ran.
+     */
+    bool
+    routeCheckpoint(std::size_t src, CheckpointImage img, Time now)
+    {
+        std::size_t target = n_;
+        Time bestLoad = 0;
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (i == src || !active_[i] || crashed_[i] ||
+                !engines_[i]->hasExecutorKind(img.kind) ||
+                !std::all_of(
+                    img.requests.begin(), img.requests.end(),
+                    [&](const Request &req) { return serves(i, req); }))
+                continue;
+            const Time load = live_[i].backlog;
+            if (target == n_ || load < bestLoad) {
+                target = i;
+                bestLoad = load;
+            }
+        }
+        const auto cnt = static_cast<std::uint64_t>(img.requests.size());
+        if (target == n_) {
+            if (crashed_[src]) {
+                // Same out-of-range sentinel the crash route uses.
+                decisions_.note({now, DecisionKind::Migrate, src, n_, cnt});
+                return false;
+            }
+            target = src;
+        }
+        record({now, DecisionKind::Migrate, src, target, cnt});
+        if (target != src) {
+            migratedGroups_ += 1;
+            migratedRequests_ += static_cast<std::int64_t>(cnt);
+            hintSharedTier(img.requests);
+        }
+        engines_[target]->adoptCheckpoint(std::move(img));
+        dirty_[target] = 1;
+        return true;
+    }
+
+    /**
+     * Route every image in imageBuf_ off replica @p src.
+     * @return requests in images no survivor could take.
+     */
+    std::int64_t
+    routeImages(std::size_t src, Time now)
+    {
+        refreshViews();
+        std::int64_t lost = 0;
+        for (CheckpointImage &img : imageBuf_) {
+            const auto cnt = static_cast<std::int64_t>(img.requests.size());
+            if (!routeCheckpoint(src, std::move(img), now))
+                lost += cnt;
+        }
+        return lost;
+    }
+
+    /** Route completed checkpoint saves out of replica outboxes. */
+    void
+    drainOutboxes(Time now)
+    {
+        for (std::size_t src = 0; src < n_; ++src) {
+            imageBuf_.clear();
+            if (engines_[src]->takeMigratedImages(imageBuf_) == 0)
+                continue;
+            const std::int64_t stranded = routeImages(src, now);
+            COSERVE_CHECK(stranded == 0,
+                          "outbox image stranded on a crashed replica");
+        }
+    }
+
+    /**
+     * In-flight stealing: when an idle thief finds no queued loot, it
+     * may still pull the checkpointed tail of a *running* batch off a
+     * sibling that has more queued work stuck behind it. The pause
+     * request is issued here; the image lands in the sibling's outbox
+     * after the (charged) save and is routed by drainOutboxes to the
+     * least-loaded capable replica. The break-even guard
+     * (migrationMinRemaining) and the per-group preemption budget
+     * bound the churn.
+     */
+    void
+    migrateSteal(std::size_t thief)
+    {
+        if (!migrationOn_)
+            return;
+        for (std::size_t j = 0; j < n_; ++j) {
+            if (j == thief || crashed_[j] || live_[j].queueDepth == 0 ||
+                !engines_[j]->hasMigratableGroup())
+                continue;
+            if (engines_[j]->requestMigrateOut(1) > 0)
+                return;
+        }
+    }
+
+    /**
+     * An idle replica raids the most backlogged sibling whose
+     * queued-but-unstarted count exceeds the threshold, taking half
+     * the backlog. The victim's *time* backlog must also dwarf a
+     * demand load — a thief almost always pays one switch for its
+     * loot, and stealing a trivial batch trades a ~5 ms/img backlog
+     * for a ~100 ms load. Deterministic: fixed iteration order on the
+     * shared clock.
+     */
+    void
+    steal(Time now)
+    {
+        bool anyIdle = false;
+        for (const auto &engine : engines_)
+            anyIdle = anyIdle || engine->nextEventTime() == kTimeNever;
+        if (!anyIdle)
+            return; // common case: skip the full view refresh
+        refreshViews();
+        for (std::size_t thief = 0; thief < n_; ++thief) {
+            // A quiesced or crashed replica must not pull new work.
+            if (!live_[thief].idle || !active_[thief])
+                continue;
+            std::size_t victim = n_;
+            std::size_t depth = cfg_.workStealing.backlogThreshold;
+            for (std::size_t j = 0; j < n_; ++j) {
+                if (j != thief && live_[j].queueDepth > depth &&
+                    live_[j].backlog > cfg_.workStealing.minBacklog) {
+                    depth = live_[j].queueDepth;
+                    victim = j;
+                }
+            }
+            requestBuf_.clear();
+            const std::size_t want =
+                victim < n_ ? live_[victim].queueDepth / 2 : 0;
+            std::size_t got = 0;
+            if (sloTrace_ && want > 0) {
+                // Deadline-aware pass first: prefer the loot that
+                // would *violate* if it stayed — requests whose
+                // deadline falls inside the victim's predicted
+                // backlog drain. Only then top up with arbitrary
+                // (servable) tail requests.
+                const Time victimEta =
+                    live_[victim].now + live_[victim].backlog;
+                got = engines_[victim]->stealRequests(
+                    want, requestBuf_,
+                    [this, thief, victimEta](const Request &req) {
+                        return req.deadline < victimEta &&
+                               serves(thief, req);
+                    });
+            }
+            if (got < want) {
+                got += engines_[victim]->stealRequests(
+                    want - got, requestBuf_,
+                    [this, thief](const Request &req) {
+                        return serves(thief, req);
+                    });
+            }
+            if (got == 0) {
+                migrateSteal(thief);
+                continue;
+            }
+            record({now, DecisionKind::Steal, victim, thief, got});
+            // Keep the thief's upcoming demand loads resident in the
+            // shared DRAM tier (steal-aware admission).
+            hintSharedTier(requestBuf_);
+            for (const Request &req : requestBuf_)
+                engines_[thief]->injectRequest(req);
+            stolenFrom_[victim] += static_cast<std::int64_t>(got);
+            stolenTo_[thief] += static_cast<std::int64_t>(got);
+            // Only the two parties' state changed.
+            refreshView(thief);
+            refreshView(victim);
+        }
+    }
+
+    /**
+     * Drain a quiescing replica through the steal machinery: its
+     * queued-but-unstarted requests re-route to active siblings in
+     * small round-robin chunks (no sibling swallows the whole drain),
+     * each sibling filtering by its own capability. Queue heads stay
+     * behind by design (stealFromTail) and simply finish where they
+     * are — quiesce is a drain, not a kill.
+     */
+    void
+    evacuate(std::size_t q, Time now)
+    {
+        for (bool progress = true; progress;) {
+            progress = false;
+            for (std::size_t t = 0; t < n_; ++t) {
+                if (!active_[t] || t == q)
+                    continue;
+                requestBuf_.clear();
+                const std::size_t got = engines_[q]->stealRequests(
+                    4, requestBuf_,
+                    [this, t](const Request &req) { return serves(t, req); });
+                if (got == 0)
+                    continue;
+                record({now, DecisionKind::Evacuate, q, t, got});
+                hintSharedTier(requestBuf_);
+                for (const Request &req : requestBuf_)
+                    engines_[t]->injectRequest(req);
+                evacuated_ += static_cast<std::int64_t>(got);
+                dirty_[t] = 1;
+                progress = true;
+            }
+        }
+        // With migration on, the drain takes the *running* batches
+        // too: each pauses at its next step boundary, checkpoints and
+        // migrates to an active sibling — quiesce no longer waits out
+        // the longest batch. (Queue heads and short tails below the
+        // break-even guard still finish in place.)
+        if (migrationOn_) {
+            engines_[q]->requestMigrateOut(
+                std::numeric_limits<std::size_t>::max());
+        }
+        dirty_[q] = 1;
+    }
+
+    /** One autoscale control tick at @p now. */
+    void
+    control(Time now)
+    {
+        // Window signals: SLO violation rate and queued backlog per
+        // active replica since the previous control tick.
+        std::int64_t completed = 0, violated = 0;
+        for (const auto &engine : engines_) {
+            completed += engine->sloStats().completed();
+            violated += engine->sloStats().violated();
+        }
+        const std::int64_t dc = completed - lastCompleted_;
+        const std::int64_t dv = violated - lastViolated_;
+        lastCompleted_ = completed;
+        lastViolated_ = violated;
+        const double violRate =
+            dc > 0 ? static_cast<double>(dv) / static_cast<double>(dc)
+                   : 0.0;
+        refreshViews();
+        std::size_t backlog = 0;
+        for (std::size_t i = 0; i < n_; ++i)
+            backlog += live_[i].queueDepth;
+        const double perActive =
+            static_cast<double>(backlog) /
+            static_cast<double>(activeCount_ > 0 ? activeCount_ : 1);
+
+        // Scale up fast, down slow (the classic asymmetry): only
+        // quiesces respect the cooldown — underprovision costs
+        // violations immediately, overprovision only efficiency.
+        if ((violRate > as_.violationHigh ||
+             perActive > static_cast<double>(as_.backlogHigh)) &&
+            activeCount_ + static_cast<std::size_t>(crashes_) < n_) {
+            // Scale up: wake the lowest-index quiesced replica (it is
+            // built, preloaded and idle — activation is instant).
+            // Crashed replicas never come back.
+            for (std::size_t i = 0; i < n_; ++i) {
+                if (active_[i] || crashed_[i])
+                    continue;
+                setActive(i, true, now);
+                activations_ += 1;
+                lastScaleAction_ = now;
+                record({now, DecisionKind::ScaleUp, i, 0, 0});
+                break;
+            }
+        } else if (violRate < as_.violationLow &&
+                   perActive <= static_cast<double>(as_.backlogLow) &&
+                   activeCount_ > as_.minReplicas &&
+                   now - lastScaleAction_ >= as_.cooldown) {
+            // Scale down: quiesce the active replica with the least
+            // queued work (ties: highest index, so replica 0 is the
+            // stable core), provided coverage survives: on a
+            // heterogeneous cluster the candidate may be the last
+            // active replica capable of some chain.
+            std::size_t q = n_;
+            std::size_t qDepth = 0;
+            for (std::size_t i = 0; i < n_; ++i) {
+                if (active_[i] &&
+                    (q == n_ || live_[i].queueDepth <= qDepth)) {
+                    q = i;
+                    qDepth = live_[i].queueDepth;
+                }
+            }
+            if (q == n_)
+                return;
+            for (std::size_t c = 0; c < model_.numComponents(); ++c) {
+                if (!covered(static_cast<ComponentId>(c), q))
+                    return;
+            }
+            setActive(q, false, now);
+            quiesces_ += 1;
+            lastScaleAction_ = now;
+            record({now, DecisionKind::Quiesce, q, 0, 0});
+            evacuate(q, now);
+            if (quiesceStart_[q] == kTimeNever) {
+                quiesceStart_[q] = now;
+                quiescing_ += 1;
+            }
+        }
+    }
+
+    /** Apply one fault action at its virtual time. */
+    void
+    applyFault(const FaultAction &f)
+    {
+        // Off actions carry factor 1.0, restoring full speed; only On
+        // actions count and record their factor.
+        const bool on = f.kind == DecisionKind::StragglerOn ||
+                        f.kind == DecisionKind::BrownoutOn;
+        switch (f.kind) {
+        case DecisionKind::Crash:
+            crash(f.replica, f.time);
+            return;
+        case DecisionKind::StragglerOn:
+        case DecisionKind::StragglerOff:
+            engines_[f.replica]->setComputeScale(f.factor);
+            stragglers_ += on ? 1 : 0;
+            break;
+        case DecisionKind::BrownoutOn:
+        case DecisionKind::BrownoutOff:
+            engines_[f.replica]->setStorageRateScale(f.factor);
+            brownouts_ += on ? 1 : 0;
+            break;
+        default:
+            panic("unexpected fault action kind");
+        }
+        record({f.time, f.kind, f.replica, on ? ppm(f.factor) : 0, 0});
+    }
+
+    void
+    crash(std::size_t r, Time now)
+    {
+        COSERVE_CHECK(!crashed_[r], "replica crashed twice");
+        setActive(r, false, now);
+        crashed_[r] = 1;
+        crashes_ += 1;
+        // Lossless recovery of in-flight work: capture every running
+        // batch at its last *completed* step boundary (plus parked and
+        // outbox images — the periodic boundary save is what survives
+        // a crash) and migrate the checkpoints to capable survivors,
+        // which resume the groups instead of re-running them from
+        // scratch. Work since the last boundary is honestly
+        // re-executed.
+        std::int64_t lostCkpt = 0;
+        if (migrationOn_) {
+            imageBuf_.clear();
+            engines_[r]->captureCheckpoints(imageBuf_);
+            drainPreempt(r); // the capture's Checkpoint records
+            lostCkpt = routeImages(r, now);
+        }
+        // Drain queued + in-flight work off the dead replica and
+        // re-home it round-robin onto active capable siblings (each
+        // filtered by its own capability, like evacuation). Work no
+        // survivor can serve is lost — and accounted.
+        requestBuf_.clear();
+        engines_[r]->crashDrain(requestBuf_);
+        dirty_[r] = 1;
+        hintSharedTier(requestBuf_);
+        std::vector<std::uint64_t> rehomeCnt(n_, 0);
+        std::int64_t lostHere = 0;
+        std::size_t cursor = (r + 1) % n_;
+        for (const Request &req : requestBuf_) {
+            const std::size_t target = rehomeTarget(cursor, req, n_);
+            if (target == n_) {
+                lostHere += 1;
+                continue;
+            }
+            cursor = (target + 1) % n_;
+            engines_[target]->injectRequest(req);
+            rehomeCnt[target] += 1;
+            dirty_[target] = 1;
+        }
+        const auto rehomedHere =
+            static_cast<std::int64_t>(requestBuf_.size()) - lostHere;
+        rehomed_ += rehomedHere;
+        // One request per image is in flight at a time, so every lost
+        // request is exactly one lost image.
+        lostHere += lostCkpt;
+        lostImages_ += lostHere;
+        record({now, DecisionKind::Crash, r,
+                static_cast<std::uint64_t>(rehomedHere),
+                static_cast<std::uint64_t>(lostHere)});
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (rehomeCnt[i] > 0) {
+                decisions_.note(
+                    {now, DecisionKind::Evacuate, r, i, rehomeCnt[i]});
+            }
+        }
+    }
+
+    /**
+     * Cluster-level admission: can *any* active capable replica make
+     * @p a's deadline? Priced from the live views by the same cost
+     * model LeastLoaded routes with, plus the detect child the chain
+     * may spawn, upstream of routing. Downgrades @p a in place;
+     * returns false when it is rejected.
+     */
+    bool
+    admit(ImageArrival &a, std::uint64_t idx)
+    {
+        refreshViews();
+        Time best = kTimeNever;
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (!active_[i] || !caps_.chainOk(i, a.component))
+                continue;
+            best = std::min(best, costs_.quote(i, a, live_[i]).finish +
+                                      costs_.detectAdd(i, a.component));
+        }
+        const AdmissionVerdict verdict =
+            admission_.assess(a.cls, a.time, a.deadline, best);
+        if (verdict == AdmissionVerdict::Reject) {
+            coordSlo_.recordRejected(a.cls);
+            record({a.time, DecisionKind::Reject, idx,
+                    static_cast<std::uint64_t>(a.cls), 0});
+            return false;
+        }
+        if (verdict == AdmissionVerdict::Downgrade) {
+            // Scheduling class drops; the deadline stays for violation
+            // accounting (see ServingEngine's admitTimed).
+            coordSlo_.recordDowngraded(a.cls);
+            record({a.time, DecisionKind::Downgrade, idx,
+                    static_cast<std::uint64_t>(a.cls), 0});
+            a.cls = RequestClass::BestEffort;
+        }
+        return true;
+    }
+
+    /**
+     * Route arrival @p next at its arrival instant, with live views
+     * (skipping the snapshot work for policies whose routeLive falls
+     * back to the offline route()) or by the pinned assignment.
+     */
+    void
+    route(std::size_t next)
+    {
+        ImageArrival a = trace_.arrivals[next];
+        const auto idx = static_cast<std::uint64_t>(next);
+        if (liveRouting_ && cfg_.admission.enabled &&
+            a.deadline != kTimeNever && !admit(a, idx))
+            return;
+
+        std::size_t r = n_;
+        if (!liveRouting_) {
+            r = assignment_[next];
+        } else if (crashes_ == 0 || covered(a.component, n_)) {
+            if (router_->usesLiveViews())
+                refreshViews();
+            r = router_->routeLive(a, live_);
+            COSERVE_CHECK(r < n_, "router returned replica ", r);
+        } else {
+            // A crash took the last active replica able to serve this
+            // chain (start-up and the quiesce guard keep coverage
+            // otherwise); LeastLoaded's routeLive would abort on it.
+            // Fall back as the pinned path does: a quiesced capable
+            // survivor serves it, or it is lost below.
+            for (std::size_t i = 0; i < n_ && r == n_; ++i) {
+                if (!crashed_[i] && caps_.chainOk(i, a.component))
+                    r = i;
+            }
+        }
+        if (r < n_ && !active_[r]) {
+            // Offline-fallback routers (round-robin) ignore the
+            // acceptingWork gate, and a pinned static assignment may
+            // point at a replica that crashed since routing: re-home
+            // onto the next active capable replica. If none exists
+            // (possible only on a pathological heterogeneous config),
+            // serve on the quiesced pick rather than lose the image —
+            // unless it crashed, in which case the image is genuinely
+            // lost.
+            Request probe; // an arrival is a classify request
+            probe.component = a.component;
+            r = rehomeTarget(r, probe, r);
+        }
+        // No survivor can serve this arrival's chain: record the drop
+        // with the out-of-range sentinel replica `n` so replays still
+        // cover it.
+        const bool lost = r == n_ || crashed_[r];
+        record({a.time, DecisionKind::Route, idx, lost ? n_ : r, 0});
+        if (lost) {
+            lostImages_ += 1;
+            return;
+        }
+        engines_[r]->admitArrival(a);
+        // Execute the admission's dispatch now, so a same-time burst
+        // of arrivals sees each predecessor in the queues rather than
+        // racing into one replica.
+        engines_[r]->stepUntil(a.time);
+        dirty_[r] = 1;
+        drainPreempt(r);
+    }
+
+    /**
+     * Epoch sampler: a sample observes the quiescent DES state between
+     * coordinator steps WITHOUT stepping any engine: an extra stepAll()
+     * cut point would reorder the preempt/outbox/quiesce drains
+     * relative to an unsampled run and drift the decision digest. Pure
+     * observation keeps telemetry on/off byte-identical. The sampler
+     * fills its own scratch view: refreshing the coordinator's `live_`
+     * views would rewrite their `now`, which stealing reads.
+     */
+    void
+    sample(Time t)
+    {
+        obs::SampleRow row;
+        row.t = t;
+        row.activeReplicas = static_cast<int>(activeCount_);
+        std::int64_t gpuHits = 0, gpuMisses = 0;
+        std::int64_t cpuHits = 0, cpuMisses = 0;
+        for (std::size_t i = 0; i < n_; ++i) {
+            // Cumulative columns keep a crashed replica's completions.
+            engines_[i]->sampleProgress(row.images, row.inferences,
+                                        row.preemptions);
+            if (crashed_[i])
+                continue;
+            engines_[i]->fillLoadView(sampleView_);
+            row.queueDepth +=
+                static_cast<std::int64_t>(sampleView_.queueDepth);
+            // sampleHitCounters(), not appendTierStats(): TierStats
+            // rows copy tier name strings on every call, which would
+            // dominate the <5% tracing overhead budget.
+            engines_[i]->sampleHitCounters(gpuHits, gpuMisses, cpuHits,
+                                           cpuMisses);
+        }
+        if (sharedCpu_ != nullptr) {
+            const TierStats shared = sharedCpu_->stats();
+            cpuHits += shared.counters.hits;
+            cpuMisses += shared.counters.misses;
+        }
+        const auto rate = [](std::int64_t hits, std::int64_t misses) {
+            return hits + misses > 0 ? static_cast<double>(hits) /
+                                           static_cast<double>(hits + misses)
+                                     : 0.0;
+        };
+        row.gpuHitRate = rate(gpuHits, gpuMisses);
+        row.cpuHitRate = rate(cpuHits, cpuMisses);
+        if (t > 0) {
+            row.goodputImgPerSec =
+                static_cast<double>(row.images) / toSeconds(t);
+        }
+        telem_.recordSample(row);
+    }
+
+    /** Finish every replica and fold the coordinator's tallies in. */
+    ClusterResult
+    collect()
+    {
+        const WallTimer collectWall;
+        std::vector<RunResult> results(n_);
+        std::int64_t images = 0;
+        std::int64_t rejected = coordSlo_.rejected();
+        for (std::size_t i = 0; i < n_; ++i) {
+            rejected += engines_[i]->rejectedImages();
+            results[i] = engines_[i]->finishOnline();
+            images += results[i].images;
+        }
+        // Every arrival either completed somewhere, was rejected by
+        // admission (at the coordinator or at a replica), or was lost
+        // to an injected crash with no capable survivor.
+        COSERVE_CHECK(images + rejected + lostImages_ ==
+                          static_cast<std::int64_t>(trace_.arrivals.size()),
+                      "lost images: ", images, " done + ", rejected,
+                      " rejected + ", lostImages_, " crash-lost of ",
+                      trace_.arrivals.size());
+
+        ClusterResult out = aggregateClusterResult(
+            cfg_.label, toString(cfg_.routing), std::move(results));
+        out.wallSeconds = wall_.elapsedSeconds();
+        out.stolenFromReplica = std::move(stolenFrom_);
+        out.stolenToReplica = std::move(stolenTo_);
+        for (std::int64_t s : out.stolenFromReplica)
+            out.stolenRequests += s;
+        out.workStealingEnabled = cfg_.workStealing.enabled;
+        out.slo.merge(coordSlo_);
+        if (as_.enabled) {
+            out.autoscaleEnabled = true;
+            out.autoscaleActivations = activations_;
+            out.autoscaleQuiesces = quiesces_;
+            out.autoscaleEvacuated = evacuated_;
+            if (out.makespan > lastActiveMark_) {
+                activeIntegral_ += static_cast<double>(activeCount_) *
+                                   static_cast<double>(out.makespan -
+                                                       lastActiveMark_);
+            }
+            if (out.makespan > 0) {
+                out.avgActiveReplicas =
+                    activeIntegral_ / static_cast<double>(out.makespan);
+            }
+        }
+        if (preemptOn_) {
+            out.preemptionEnabled = true;
+            out.migratedGroups = migratedGroups_;
+            out.migratedRequests = migratedRequests_;
+            out.quiesceDrains = quiesceDrains_;
+            out.quiesceDrainTotal = quiesceDrainTotal_;
+            out.quiesceDrainMax = quiesceDrainMax_;
+        }
+        if (opts_.faults.any()) {
+            out.faultsInjected = true;
+            out.crashesInjected = crashes_;
+            out.crashRehomed = rehomed_;
+            out.crashLost = lostImages_;
+            out.stragglersInjected = stragglers_;
+            out.brownoutsInjected = brownouts_;
+        }
+        ClusterEngine::appendSharedTierStats(out, sharedCpu_.get());
+        // The coordinator's counters, exported once from the tallies
+        // rather than from out's fields: those are gated on their
+        // feature flags (an autoscale run with preemption off still
+        // completes quiesce drains), and admission's own verdicts have
+        // no field.
+        const std::pair<const char *, std::int64_t> coordCounters[] = {
+            {"cluster.stolen_requests", out.stolenRequests},
+            {"cluster.migrated_groups", migratedGroups_},
+            {"cluster.migrated_requests", migratedRequests_},
+            {"cluster.autoscale_activations", activations_},
+            {"cluster.autoscale_quiesces", quiesces_},
+            {"cluster.autoscale_evacuated", evacuated_},
+            {"cluster.quiesce_drains", quiesceDrains_},
+            {"cluster.rejected", coordSlo_.rejected()},
+            {"cluster.downgraded", coordSlo_.downgraded()},
+            {"cluster.crashes", crashes_},
+            {"cluster.crash_rehomed", rehomed_},
+            {"cluster.crash_lost", lostImages_},
+            {"cluster.stragglers", stragglers_},
+            {"cluster.brownouts", brownouts_},
+        };
+        for (const auto &[name, value] : coordCounters)
+            telem_.registry().counter(name).add(value);
+        telem_.host().add("collect", collectWall.elapsedMicros());
+        return out;
+    }
+
+    /**
+     * Build every replica engine, timed as the "build" host phase.
+     * The coordinator steps them in lockstep, so — unlike static
+     * sharding — they never run on their own threads and `parallel`
+     * is irrelevant.
+     */
+    std::vector<std::unique_ptr<ServingEngine>>
+    buildEngines() const
+    {
+        std::vector<std::unique_ptr<ServingEngine>> engines;
+        for (std::size_t i = 0; i < n_; ++i) {
+            engines.push_back(
+                cluster_.makeReplicaEngine(i, sharedCpu_.get(), telem_));
+            // Disjoint strided id spaces: stolen requests keep their
+            // id, so ids must stay unique cluster-wide.
+            engines.back()->beginOnline(static_cast<RequestId>(i),
+                                        static_cast<RequestId>(n_));
+        }
+        telem_.host().add("build", wall_.elapsedMicros());
+        return engines;
+    }
+
+    // ----- run inputs (member order is initialization order) ----------
+    const ClusterEngine &cluster_;
+    const ClusterConfig &cfg_;
+    const Trace &trace_;
+    const RunOptions &opts_;
+    const bool liveRouting_;
+    DecisionTrace &decisions_;
+    obs::Telemetry &telem_;
+    const std::size_t n_ = cfg_.replicas.size();
+    const AutoscaleConfig &as_ = cfg_.autoscale;
+    const bool preemptOn_ = cfg_.preemption.enabled;
+    const bool migrationOn_ = preemptOn_ && cfg_.preemption.migration;
+    std::unique_ptr<SharedCpuTier> sharedCpu_ = cluster_.makeSharedCpuTier();
+    // Engine construction and preload count toward wallSeconds, as
+    // they do inside static mode's per-replica threads — otherwise
+    // the modes' host-time comparison is skewed.
+    const WallTimer wall_;
+    const std::vector<std::unique_ptr<ServingEngine>> engines_ =
+        buildEngines();
+    // The coordinator's trace buffer (pid 0; null when telemetry is
+    // off). Its counters are the tallies below, exported once to the
+    // registry at collection time.
+    obs::ReplicaTracer *const tracer_ = telem_.coordinatorTracer();
+
+    // ----- routing: one cost model, a live router or a pinned route ----
+    const std::vector<ReplicaView> views_ = cluster_.makeReplicaViews();
+    const CoEModel &model_ = cfg_.replicas.front().ctx->model();
+    // Every capability check and cluster admission's live estimate
+    // read this one model's tables.
+    const LiveCostModel costs_{model_, views_};
+    const CapabilityTable &caps_ = costs_.caps();
+    const std::unique_ptr<ReplicaRouter> router_ =
+        liveRouting_ ? makeRouter(cfg_.routing, model_, views_) : nullptr;
+    // Static under faults: routing pinned to the offline assignment,
+    // exactly what runSharded would execute — re-homing applies only
+    // when the assigned replica has crashed.
+    const std::vector<std::size_t> assignment_ =
+        liveRouting_ ? std::vector<std::size_t>{}
+                     : cluster_.routeTrace(trace_);
+    std::size_t nextArrival_ = 0;
+    const std::vector<FaultAction> faults_ = flattenFaults(opts_.faults);
+    std::size_t nextFault_ = 0;
+    // Does the trace carry SLO metadata at all? Classless traces skip
+    // every SLO code path (admission, at-risk steal pass).
+    const bool sloTrace_ = std::any_of(
+        trace_.arrivals.begin(), trace_.arrivals.end(),
+        [](const ImageArrival &a) {
+            return sloTracked(a.cls) || a.deadline != kTimeNever;
+        });
+    const AdmissionController admission_{cfg_.admission};
+
+    // ----- per-replica state ------------------------------------------
+    //
+    // Which replicas take new work: with autoscaling off every replica
+    // not crashed is active for the whole run.
+    std::vector<char> active_ = std::vector<char>(n_, 1);
+    std::size_t activeCount_ = n_;
+    double activeIntegral_ = 0.0;
+    Time lastActiveMark_ = 0;
+    std::vector<char> crashed_ = std::vector<char>(n_, 0);
+    std::vector<ReplicaLoadView> live_ = std::vector<ReplicaLoadView>(n_);
+    std::vector<char> dirty_ = std::vector<char>(n_, 1);
+    std::vector<Time> quiesceStart_ = std::vector<Time>(n_, kTimeNever);
+    std::vector<std::int64_t> stolenFrom_ = std::vector<std::int64_t>(n_, 0);
+    std::vector<std::int64_t> stolenTo_ = std::vector<std::int64_t>(n_, 0);
+
+    // ----- tallies ----------------------------------------------------
+    std::int64_t crashes_ = 0, rehomed_ = 0, lostImages_ = 0;
+    std::int64_t stragglers_ = 0, brownouts_ = 0;
+    std::int64_t migratedGroups_ = 0, migratedRequests_ = 0;
+    std::size_t quiescing_ = 0;
+    std::int64_t quiesceDrains_ = 0;
+    Time quiesceDrainTotal_ = 0, quiesceDrainMax_ = 0;
+    SloStats coordSlo_; // cluster-level admission verdicts
+    // Autoscale control window.
+    std::int64_t lastCompleted_ = 0, lastViolated_ = 0;
+    std::int64_t activations_ = 0, quiesces_ = 0, evacuated_ = 0;
+    Time lastScaleAction_ = -as_.cooldown;
+    Time nextControl_ = as_.interval;
+
+    // ----- scratch buffers --------------------------------------------
+    std::vector<PreemptEvent> pevBuf_;
+    std::vector<ExpertId> lootExperts_;
+    std::vector<CheckpointImage> imageBuf_;
+    std::vector<Request> requestBuf_;
+    ReplicaLoadView sampleView_;
+};
+
 ClusterResult
 ClusterEngine::run(const Trace &trace, const RunOptions &opts)
 {
@@ -326,6 +1417,20 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
         for (const std::string &e : errors)
             joined += "\n  - " + e;
         fatal("invalid cluster run configuration:", joined);
+    }
+
+    // Fault plans need every replica on the shared clock even in
+    // static mode (a crash interrupts mid-run), so they take the
+    // coordinator path with routing pinned to the offline assignment.
+    const bool online = cfg_.resolveMode(opts) == RunMode::Online;
+    const bool coordinated = online || opts.faults.any();
+    // The coordinator steps every replica to each arrival in turn, so
+    // an arrival earlier than its predecessor would land in the past.
+    for (std::size_t i = 1; coordinated && i < trace.size(); ++i) {
+        if (trace.arrivals[i].time < trace.arrivals[i - 1].time) {
+            fatal("the coordinator needs time-sorted arrivals: arrival ",
+                  i, " is earlier than arrival ", i - 1);
+        }
     }
 
     DecisionTrace decisions;
@@ -342,13 +1447,9 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
     obs::Telemetry telem(opts.telemetry,
                          static_cast<int>(cfg_.replicas.size()));
 
-    // Fault plans need every replica on the shared clock even in
-    // static mode (a crash interrupts mid-run), so they take the
-    // coordinator path with routing pinned to the offline assignment.
-    const bool online = cfg_.resolveMode(opts) == RunMode::Online;
     ClusterResult out =
-        online || opts.faults.any()
-            ? runCoordinated(trace, opts, online, decisions, telem)
+        coordinated
+            ? Coordinator(*this, trace, opts, online, decisions, telem).run()
             : runSharded(trace, decisions, telem);
 
     decisions.finish();
@@ -489,1082 +1590,6 @@ ClusterEngine::makeReplicaEngine(std::size_t i,
     if (cfg_.preemption.enabled)
         cfg.preemption = cfg_.preemption;
     return makeCoServeEngine(*spec.ctx, std::move(cfg));
-}
-
-ClusterResult
-ClusterEngine::runCoordinated(const Trace &trace,
-                              const RunOptions &opts, bool liveRouting,
-                              DecisionTrace &decisions,
-                              obs::Telemetry &telem)
-{
-    const std::size_t n = cfg_.replicas.size();
-    std::unique_ptr<SharedCpuTier> sharedCpu = makeSharedCpuTier();
-
-    // Engine construction and preload count toward wallSeconds, as
-    // they do inside static mode's per-replica threads — otherwise
-    // the modes' host-time comparison is skewed.
-    const WallTimer wall;
-
-    // Build all replica engines up front; the coordinator steps them
-    // in lockstep, so — unlike static sharding — they never run on
-    // their own threads and `parallel` is irrelevant.
-    std::vector<std::unique_ptr<ServingEngine>> engines;
-    engines.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        engines.push_back(makeReplicaEngine(i, sharedCpu.get(), telem));
-        // Disjoint strided id spaces: stolen requests keep their id,
-        // so ids must stay unique cluster-wide.
-        engines.back()->beginOnline(static_cast<RequestId>(i),
-                                    static_cast<RequestId>(n));
-    }
-    telem.host().add("build", wall.elapsedMicros());
-
-    // ----- observability ---------------------------------------------
-    //
-    // The coordinator's trace buffer (pid 0; null when telemetry is
-    // off). Its counters are the local tallies below, exported once to
-    // the registry at collection time.
-    obs::ReplicaTracer *coordTr = telem.coordinatorTracer();
-    if (coordTr != nullptr) {
-        coordTr->setProcessName("coordinator");
-        coordTr->setThreadName(0, "coordinator");
-    }
-
-    const std::vector<ReplicaView> views = makeReplicaViews();
-    const CoEModel &model = cfg_.replicas.front().ctx->model();
-    // Every capability check below and cluster admission's live
-    // estimate read this one model's tables.
-    const LiveCostModel costs(model, views);
-    const CapabilityTable &caps = costs.caps();
-    std::unique_ptr<ReplicaRouter> router;
-    if (liveRouting) {
-        router = makeRouter(cfg_.routing, model, views);
-    }
-    // Static under faults: routing pinned to the offline assignment,
-    // exactly what runSharded would execute — re-homing applies only
-    // when the assigned replica has crashed.
-    std::vector<std::size_t> assignment;
-    if (!liveRouting)
-        assignment = routeTrace(trace);
-    // Every arrival logs one Route or Reject decision, live or pinned.
-    decisions.reserve(trace.arrivals.size());
-
-    // ----- fault schedule --------------------------------------------
-    const std::vector<FaultAction> faults =
-        flattenFaults(opts.faults);
-    std::size_t nextFault = 0;
-    std::vector<char> crashed(n, 0);
-    std::size_t crashedCount = 0;
-    std::int64_t crashes = 0, rehomed = 0, lostImages = 0;
-    std::int64_t stragglers = 0, brownouts = 0;
-
-    // ----- autoscaler state ------------------------------------------
-    //
-    // Which replicas currently take new work. With autoscaling off
-    // every replica is active for the whole run and none of this has
-    // any effect — online results stay identical to PR 4.
-    const AutoscaleConfig &as = cfg_.autoscale;
-    std::vector<char> active(n, 1);
-    std::size_t activeCount = n;
-    if (as.enabled) {
-        std::size_t start = as.startReplicas == 0 ? as.minReplicas
-                                                  : as.startReplicas;
-        start = std::min(start, n);
-        for (std::size_t i = start; i < n; ++i)
-            active[i] = 0;
-        activeCount = start;
-        // The initial active set must cover every component on a
-        // heterogeneous cluster — routers abort on an arrival no
-        // active replica can chain-serve. Activate the first capable
-        // quiesced replica for each uncovered component (same rule
-        // the quiesce path enforces via its coverage guard).
-        for (std::size_t c = 0; c < model.numComponents(); ++c) {
-            const auto comp = static_cast<ComponentId>(c);
-            bool covered = false;
-            for (std::size_t i = 0; i < n && !covered; ++i)
-                covered = active[i] && caps.chainOk(i, comp);
-            if (covered)
-                continue;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (!active[i] && caps.chainOk(i, comp)) {
-                    active[i] = 1;
-                    activeCount += 1;
-                    break;
-                }
-            }
-        }
-    }
-
-    // ----- preemption / live migration state -------------------------
-
-    const bool preemptOn = cfg_.preemption.enabled;
-    const bool migrationOn = preemptOn && cfg_.preemption.migration;
-    std::int64_t migratedGroups = 0, migratedRequests = 0;
-    std::vector<PreemptEvent> pevBuf;
-    // Replica-local preemption decisions (pause / checkpoint / restore)
-    // are part of the replayable schedule: drained into the decision
-    // stream in replica order after every step, so the interleaving is
-    // deterministic.
-    const auto drainPreempt = [&](std::size_t i) {
-        if (!preemptOn)
-            return;
-        pevBuf.clear();
-        engines[i]->drainPreemptEvents(pevBuf);
-        for (const PreemptEvent &ev : pevBuf) {
-            DecisionKind kind = DecisionKind::Preempt;
-            if (ev.what == PreemptEvent::What::Checkpoint)
-                kind = DecisionKind::Checkpoint;
-            else if (ev.what == PreemptEvent::What::Restore)
-                kind = DecisionKind::Restore;
-            decisions.note({ev.time, kind,
-                            static_cast<std::uint64_t>(i),
-                            static_cast<std::uint64_t>(ev.executor),
-                            ev.count});
-        }
-    };
-    // Routes completed checkpoint saves out of replica outboxes; bound
-    // below, after the capability filters exist (stepAll needs it).
-    std::function<void(Time)> drainOutboxes;
-
-    // Quiesce-drain latency: virtual time from a quiesce decision to
-    // the replica going fully idle — the metric migration shrinks (no
-    // more waiting out the longest running batch).
-    std::vector<Time> quiesceStart(n, kTimeNever);
-    std::size_t quiescing = 0;
-    std::int64_t quiesceDrains = 0;
-    Time quiesceDrainTotal = 0, quiesceDrainMax = 0;
-    const auto noteQuiesceDrains = [&]() {
-        if (quiescing == 0)
-            return;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (quiesceStart[i] == kTimeNever)
-                continue;
-            if (crashed[i] != 0 || active[i] != 0) {
-                // Died or was re-activated mid-drain: not a completed
-                // quiesce, so it does not enter the drain statistics.
-                quiesceStart[i] = kTimeNever;
-                quiescing -= 1;
-                continue;
-            }
-            if (engines[i]->nextEventTime() != kTimeNever)
-                continue;
-            const Time drain = engines[i]->now() - quiesceStart[i];
-            quiesceDrains += 1;
-            quiesceDrainTotal += drain;
-            quiesceDrainMax = std::max(quiesceDrainMax, drain);
-            quiesceStart[i] = kTimeNever;
-            quiescing -= 1;
-        }
-    };
-
-    std::vector<ReplicaLoadView> live(n);
-    // Views are refilled lazily: a replica's observable state only
-    // changes when it executes events or accepts a request, so clean
-    // views are reused across arrivals (the clock-only staleness of
-    // `now` is absorbed by the routers' max(arrival.time, ...)). The
-    // same rule keeps resident()/queued(), which read the engine live,
-    // equal to what a fill-time copy would hold.
-    std::vector<char> dirty(n, 1);
-    const auto refreshViews = [&]() {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (dirty[i]) {
-                engines[i]->fillLoadView(live[i]);
-                dirty[i] = 0;
-            }
-            // fillLoadView resets the gate; re-apply the active set.
-            live[i].acceptingWork = active[i] != 0;
-        }
-    };
-
-    const auto stepAll = [&](Time t) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (engines[i]->stepUntil(t) > 0) {
-                dirty[i] = 1;
-                drainPreempt(i);
-            }
-        }
-        if (drainOutboxes)
-            drainOutboxes(t);
-        noteQuiesceDrains();
-    };
-
-    // A thief may only steal requests its context can serve: on a
-    // heterogeneous cluster a replica may never have been profiled
-    // for some architecture, and dispatching such a request there
-    // aborts deep in the scheduler's estimate. Same capability rule
-    // the routers apply (router.h) — and like routing, a stolen
-    // classify request brings its whole chain, so the thief must also
-    // serve the detect child it may spawn. The autoscaler's
-    // quiesce-evacuation and crash re-homing reuse the same filters.
-    std::vector<RequestQueue::StealFilter> canServe(n);
-    if (cfg_.workStealing.enabled || as.enabled || opts.faults.any() ||
-        migrationOn) {
-        for (std::size_t i = 0; i < n; ++i) {
-            canServe[i] = [&model, &caps, i](const Request &req) {
-                if (req.stage == Stage::Classify)
-                    return caps.chainOk(i, req.component);
-                return caps.archOk(i, model.expert(req.expert).arch);
-            };
-        }
-    }
-
-    // Does the trace carry SLO metadata at all? Classless traces skip
-    // every SLO code path (admission, at-risk steal pass).
-    bool sloTrace = false;
-    for (const ImageArrival &a : trace.arrivals) {
-        if (sloTracked(a.cls) || a.deadline != kTimeNever) {
-            sloTrace = true;
-            break;
-        }
-    }
-    const AdmissionController admission(cfg_.admission);
-    SloStats coordSlo; // cluster-level admission verdicts
-    std::int64_t coordRejected = 0;
-
-    // Shared-tier steal hint scratch: distinct experts of re-routed
-    // requests (see SharedCpuTier::hintUpcomingLoads).
-    std::vector<ExpertId> lootExperts;
-    const auto hintSharedTier = [&](const std::vector<Request> &loot) {
-        if (sharedCpu == nullptr || loot.empty())
-            return;
-        lootExperts.clear();
-        for (const Request &req : loot)
-            lootExperts.push_back(req.expert);
-        std::sort(lootExperts.begin(), lootExperts.end());
-        lootExperts.erase(
-            std::unique(lootExperts.begin(), lootExperts.end()),
-            lootExperts.end());
-        sharedCpu->hintUpcomingLoads(lootExperts);
-    };
-
-    // Migration target selection, shared by the outbox drain and crash
-    // evacuation: least-backlogged active capable replica of the
-    // image's processor kind (ties: lowest index). A live source with
-    // no target keeps its group (self-migration, recorded so replays
-    // cover the fallback); a dead source's unroutable group is lost —
-    // the caller accounts it. Assumes refreshViews() ran.
-    std::vector<CheckpointImage> outboxBuf, crashImgBuf;
-    const auto routeCheckpoint = [&](std::size_t src,
-                                     CheckpointImage img, Time now) {
-        std::size_t target = n;
-        Time bestLoad = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (i == src || !active[i] || crashed[i] ||
-                !engines[i]->hasExecutorKind(img.kind))
-                continue;
-            bool ok = true;
-            for (const Request &req : img.requests)
-                ok = ok && (!canServe[i] || canServe[i](req));
-            if (!ok)
-                continue;
-            const Time load = live[i].backlog;
-            if (target == n || load < bestLoad) {
-                target = i;
-                bestLoad = load;
-            }
-        }
-        const auto cnt =
-            static_cast<std::uint64_t>(img.requests.size());
-        if (target == n) {
-            if (crashed[src]) {
-                // Same out-of-range sentinel the crash route uses.
-                decisions.note({now, DecisionKind::Migrate,
-                                static_cast<std::uint64_t>(src),
-                                static_cast<std::uint64_t>(n), cnt});
-                return false;
-            }
-            target = src;
-        }
-        decisions.note({now, DecisionKind::Migrate,
-                        static_cast<std::uint64_t>(src),
-                        static_cast<std::uint64_t>(target), cnt});
-        if (coordTr != nullptr) {
-            coordTr->instant(
-                "migrate", 0, now,
-                {"from", static_cast<std::int64_t>(src)},
-                {"to", static_cast<std::int64_t>(target)},
-                {"requests", static_cast<std::int64_t>(cnt)});
-        }
-        if (target != src) {
-            migratedGroups += 1;
-            migratedRequests += static_cast<std::int64_t>(cnt);
-            hintSharedTier(img.requests);
-        }
-        engines[target]->adoptCheckpoint(std::move(img));
-        dirty[target] = 1;
-        return true;
-    };
-    if (migrationOn) {
-        drainOutboxes = [&](Time now) {
-            for (std::size_t src = 0; src < n; ++src) {
-                outboxBuf.clear();
-                if (engines[src]->takeMigratedImages(outboxBuf) == 0)
-                    continue;
-                refreshViews();
-                for (CheckpointImage &img : outboxBuf) {
-                    const bool routed =
-                        routeCheckpoint(src, std::move(img), now);
-                    COSERVE_CHECK(routed,
-                                  "outbox image stranded on a crashed "
-                                  "replica");
-                }
-            }
-        };
-    }
-
-    std::vector<std::int64_t> stolenFrom(n, 0), stolenTo(n, 0);
-    std::vector<Request> stealBuf;
-    const auto maybeSteal = [&](Time now) {
-        // An idle replica raids the most backlogged sibling whose
-        // queued-but-unstarted count exceeds the threshold, taking
-        // half the backlog. The victim's *time* backlog must also
-        // dwarf a demand load — a thief almost always pays one switch
-        // for its loot, and stealing a trivial batch trades a ~5 ms/img
-        // backlog for a ~100 ms load. Deterministic: fixed iteration
-        // order on the shared clock.
-        bool anyIdle = false;
-        for (const auto &engine : engines)
-            anyIdle = anyIdle || engine->nextEventTime() == kTimeNever;
-        if (!anyIdle)
-            return; // common case: skip the full view refresh
-        refreshViews();
-        // In-flight stealing: when an idle thief finds no queued loot,
-        // it may still pull the checkpointed tail of a *running* batch
-        // off a sibling that has more queued work stuck behind it. The
-        // pause request is issued here; the image lands in the
-        // sibling's outbox after the (charged) save and is routed by
-        // drainOutboxes to the least-loaded capable replica. The
-        // break-even guard (migrationMinRemaining) and the per-group
-        // preemption budget bound the churn.
-        const auto tryMigrateSteal = [&](std::size_t thief) {
-            if (!migrationOn)
-                return;
-            for (std::size_t j = 0; j < n; ++j) {
-                if (j == thief || crashed[j] ||
-                    live[j].queueDepth == 0 ||
-                    !engines[j]->hasMigratableGroup())
-                    continue;
-                if (engines[j]->requestMigrateOut(1) > 0)
-                    return;
-            }
-        };
-        for (std::size_t thief = 0; thief < n; ++thief) {
-            // A quiesced or crashed replica must not pull new work.
-            if (!live[thief].idle || !active[thief])
-                continue;
-            std::size_t victim = n;
-            std::size_t depth = cfg_.workStealing.backlogThreshold;
-            for (std::size_t j = 0; j < n; ++j) {
-                if (j != thief && live[j].queueDepth > depth &&
-                    live[j].backlog > cfg_.workStealing.minBacklog) {
-                    depth = live[j].queueDepth;
-                    victim = j;
-                }
-            }
-            if (victim == n) {
-                tryMigrateSteal(thief);
-                continue;
-            }
-            stealBuf.clear();
-            const std::size_t want = live[victim].queueDepth / 2;
-            std::size_t got = 0;
-            if (sloTrace) {
-                // Deadline-aware pass first: prefer the loot that
-                // would *violate* if it stayed — requests whose
-                // deadline falls inside the victim's predicted
-                // backlog drain. Only then top up with arbitrary
-                // (servable) tail requests.
-                const Time victimEta =
-                    live[victim].now + live[victim].backlog;
-                const RequestQueue::StealFilter &serve =
-                    canServe[thief];
-                const RequestQueue::StealFilter atRisk =
-                    [&serve, victimEta](const Request &req) {
-                        return req.deadline != kTimeNever &&
-                               req.deadline < victimEta &&
-                               (!serve || serve(req));
-                    };
-                got = engines[victim]->stealRequests(want, stealBuf,
-                                                     atRisk);
-            }
-            if (got < want) {
-                got += engines[victim]->stealRequests(
-                    want - got, stealBuf, canServe[thief]);
-            }
-            if (got == 0) {
-                tryMigrateSteal(thief);
-                continue;
-            }
-            decisions.note({now, DecisionKind::Steal,
-                            static_cast<std::uint64_t>(victim),
-                            static_cast<std::uint64_t>(thief),
-                            static_cast<std::uint64_t>(got)});
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "steal", 0, now,
-                    {"victim", static_cast<std::int64_t>(victim)},
-                    {"thief", static_cast<std::int64_t>(thief)},
-                    {"requests", static_cast<std::int64_t>(got)});
-            }
-            // Keep the thief's upcoming demand loads resident in the
-            // shared DRAM tier (steal-aware admission).
-            hintSharedTier(stealBuf);
-            for (const Request &req : stealBuf)
-                engines[thief]->injectRequest(req);
-            stolenFrom[victim] += static_cast<std::int64_t>(got);
-            stolenTo[thief] += static_cast<std::int64_t>(got);
-            // Only the two parties' state changed.
-            engines[thief]->fillLoadView(live[thief]);
-            engines[victim]->fillLoadView(live[victim]);
-            live[thief].acceptingWork = active[thief] != 0;
-            live[victim].acceptingWork = active[victim] != 0;
-            dirty[thief] = 0;
-            dirty[victim] = 0;
-        }
-    };
-
-    // ----- autoscale control loop ------------------------------------
-
-    std::int64_t lastCompleted = 0, lastViolated = 0;
-    std::int64_t activations = 0, quiesces = 0, evacuated = 0;
-    Time lastScaleAction = -as.cooldown;
-    Time nextControl = as.interval;
-    double activeIntegral = 0.0;
-    Time lastActiveMark = 0;
-    const auto noteActiveChange = [&](Time now) {
-        activeIntegral += static_cast<double>(activeCount) *
-                          static_cast<double>(now - lastActiveMark);
-        lastActiveMark = now;
-    };
-
-    // Quiescing must never leave a component unservable: on a
-    // heterogeneous cluster the candidate may be the last active
-    // replica capable of some chain.
-    const auto activeSetCovers = [&](std::size_t excluding) {
-        for (std::size_t c = 0; c < model.numComponents(); ++c) {
-            bool covered = false;
-            for (std::size_t i = 0; i < n && !covered; ++i) {
-                covered = i != excluding && active[i] &&
-                          caps.chainOk(i, static_cast<ComponentId>(c));
-            }
-            if (!covered)
-                return false;
-        }
-        return true;
-    };
-
-    // Drain a quiescing replica through the steal machinery: its
-    // queued-but-unstarted requests re-route to active siblings in
-    // small round-robin chunks (no sibling swallows the whole drain),
-    // each sibling filtering by its own capability. Queue heads stay
-    // behind by design (stealFromTail) and simply finish where they
-    // are — quiesce is a drain, not a kill.
-    std::vector<Request> evacBuf;
-    const auto evacuate = [&](std::size_t q, Time now) {
-        bool progress = true;
-        while (progress) {
-            progress = false;
-            for (std::size_t t = 0; t < n; ++t) {
-                if (!active[t] || t == q)
-                    continue;
-                evacBuf.clear();
-                const std::size_t got =
-                    engines[q]->stealRequests(4, evacBuf, canServe[t]);
-                if (got == 0)
-                    continue;
-                decisions.note({now, DecisionKind::Evacuate,
-                                static_cast<std::uint64_t>(q),
-                                static_cast<std::uint64_t>(t),
-                                static_cast<std::uint64_t>(got)});
-                if (coordTr != nullptr) {
-                    coordTr->instant(
-                        "evacuate", 0, now,
-                        {"from", static_cast<std::int64_t>(q)},
-                        {"to", static_cast<std::int64_t>(t)},
-                        {"requests", static_cast<std::int64_t>(got)});
-                }
-                hintSharedTier(evacBuf);
-                for (const Request &req : evacBuf)
-                    engines[t]->injectRequest(req);
-                evacuated += static_cast<std::int64_t>(got);
-                dirty[t] = 1;
-                progress = true;
-            }
-        }
-        // With migration on, the drain takes the *running* batches
-        // too: each pauses at its next step boundary, checkpoints and
-        // migrates to an active sibling — quiesce no longer waits out
-        // the longest batch. (Queue heads and short tails below the
-        // break-even guard still finish in place.)
-        if (migrationOn) {
-            engines[q]->requestMigrateOut(
-                std::numeric_limits<std::size_t>::max());
-        }
-        dirty[q] = 1;
-    };
-
-    const auto runControl = [&](Time now) {
-        // Window signals: SLO violation rate and queued backlog per
-        // active replica since the previous control tick.
-        std::int64_t completed = 0, violated = 0;
-        for (const auto &engine : engines) {
-            completed += engine->sloStats().completed();
-            violated += engine->sloStats().violated();
-        }
-        const std::int64_t dc = completed - lastCompleted;
-        const std::int64_t dv = violated - lastViolated;
-        lastCompleted = completed;
-        lastViolated = violated;
-        const double violRate =
-            dc > 0 ? static_cast<double>(dv) / static_cast<double>(dc)
-                   : 0.0;
-        refreshViews();
-        std::size_t backlog = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            backlog += live[i].queueDepth;
-        const double perActive =
-            static_cast<double>(backlog) /
-            static_cast<double>(activeCount > 0 ? activeCount : 1);
-
-        // Scale up fast, down slow (the classic asymmetry): only
-        // quiesces respect the cooldown — underprovision costs
-        // violations immediately, overprovision only efficiency.
-        if ((violRate > as.violationHigh ||
-             perActive > static_cast<double>(as.backlogHigh)) &&
-            activeCount < n - crashedCount) {
-            // Scale up: wake the lowest-index quiesced replica (it is
-            // built, preloaded and idle — activation is instant).
-            // Crashed replicas never come back.
-            for (std::size_t i = 0; i < n; ++i) {
-                if (active[i] || crashed[i])
-                    continue;
-                noteActiveChange(now);
-                active[i] = 1;
-                activeCount += 1;
-                activations += 1;
-                lastScaleAction = now;
-                live[i].acceptingWork = true;
-                decisions.note({now, DecisionKind::ScaleUp,
-                                static_cast<std::uint64_t>(i), 0, 0});
-                if (coordTr != nullptr) {
-                    coordTr->instant(
-                        "scale-up", 0, now,
-                        {"replica", static_cast<std::int64_t>(i)});
-                }
-                break;
-            }
-        } else if (violRate < as.violationLow &&
-                   perActive <= static_cast<double>(as.backlogLow) &&
-                   activeCount > as.minReplicas &&
-                   now - lastScaleAction >= as.cooldown) {
-            // Scale down: quiesce the active replica with the least
-            // queued work (ties: highest index, so replica 0 is the
-            // stable core), provided coverage survives.
-            std::size_t q = n;
-            std::size_t qDepth = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (active[i] &&
-                    (q == n || live[i].queueDepth <= qDepth)) {
-                    q = i;
-                    qDepth = live[i].queueDepth;
-                }
-            }
-            if (q == n || !activeSetCovers(q))
-                return;
-            noteActiveChange(now);
-            active[q] = 0;
-            activeCount -= 1;
-            quiesces += 1;
-            lastScaleAction = now;
-            live[q].acceptingWork = false;
-            decisions.note({now, DecisionKind::Quiesce,
-                            static_cast<std::uint64_t>(q), 0, 0});
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "quiesce", 0, now,
-                    {"replica", static_cast<std::int64_t>(q)});
-            }
-            evacuate(q, now);
-            if (quiesceStart[q] == kTimeNever) {
-                quiesceStart[q] = now;
-                quiescing += 1;
-            }
-        }
-    };
-
-    // ----- fault application -----------------------------------------
-
-    std::vector<Request> drainBuf;
-    std::vector<std::int64_t> rehomeCnt(n, 0);
-    const auto applyFault = [&](const FaultAction &f) {
-        switch (f.kind) {
-        case DecisionKind::Crash: {
-            const std::size_t r = f.replica;
-            COSERVE_CHECK(!crashed[r], "replica crashed twice");
-            if (active[r]) {
-                if (as.enabled)
-                    noteActiveChange(f.time);
-                active[r] = 0;
-                activeCount -= 1;
-            }
-            crashed[r] = 1;
-            crashedCount += 1;
-            crashes += 1;
-            live[r].acceptingWork = false;
-            // Lossless recovery of in-flight work: capture every
-            // running batch at its last *completed* step boundary
-            // (plus parked and outbox images — the periodic boundary
-            // save is what survives a crash) and migrate the
-            // checkpoints to capable survivors, which resume the
-            // groups instead of re-running them from scratch. Work
-            // since the last boundary is honestly re-executed.
-            std::int64_t lostCkpt = 0;
-            if (migrationOn) {
-                crashImgBuf.clear();
-                engines[r]->captureCheckpoints(crashImgBuf);
-                drainPreempt(r); // the capture's Checkpoint records
-                refreshViews();
-                for (CheckpointImage &img : crashImgBuf) {
-                    const auto cnt = static_cast<std::int64_t>(
-                        img.requests.size());
-                    if (!routeCheckpoint(r, std::move(img), f.time))
-                        lostCkpt += cnt;
-                }
-            }
-            // Drain queued + in-flight work off the dead replica and
-            // re-home it round-robin onto active capable siblings
-            // (each filtered by its own capability, like evacuation).
-            // Work no survivor can serve is lost — and accounted.
-            drainBuf.clear();
-            engines[r]->crashDrain(drainBuf);
-            dirty[r] = 1;
-            hintSharedTier(drainBuf);
-            std::fill(rehomeCnt.begin(), rehomeCnt.end(), 0);
-            std::int64_t lostHere = 0;
-            std::size_t cursor = (r + 1) % n;
-            for (const Request &req : drainBuf) {
-                std::size_t target = n;
-                for (std::size_t j = 0; j < n; ++j) {
-                    const std::size_t i = (cursor + j) % n;
-                    if (i == r || !active[i])
-                        continue;
-                    if (canServe[i] && !canServe[i](req))
-                        continue;
-                    target = i;
-                    break;
-                }
-                if (target == n) {
-                    lostHere += 1;
-                    continue;
-                }
-                cursor = (target + 1) % n;
-                engines[target]->injectRequest(req);
-                rehomeCnt[target] += 1;
-                dirty[target] = 1;
-            }
-            const std::int64_t rehomedHere =
-                static_cast<std::int64_t>(drainBuf.size()) - lostHere;
-            rehomed += rehomedHere;
-            // One request per image is in flight at a time, so every
-            // lost request is exactly one lost image.
-            lostHere += lostCkpt;
-            lostImages += lostHere;
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "crash", 0, f.time,
-                    {"replica", static_cast<std::int64_t>(r)},
-                    {"rehomed", rehomedHere}, {"lost", lostHere});
-            }
-            decisions.note({f.time, DecisionKind::Crash,
-                            static_cast<std::uint64_t>(r),
-                            static_cast<std::uint64_t>(rehomedHere),
-                            static_cast<std::uint64_t>(lostHere)});
-            for (std::size_t i = 0; i < n; ++i) {
-                if (rehomeCnt[i] > 0) {
-                    decisions.note(
-                        {f.time, DecisionKind::Evacuate,
-                         static_cast<std::uint64_t>(r),
-                         static_cast<std::uint64_t>(i),
-                         static_cast<std::uint64_t>(rehomeCnt[i])});
-                }
-            }
-            break;
-        }
-        case DecisionKind::StragglerOn:
-            engines[f.replica]->setComputeScale(f.factor);
-            stragglers += 1;
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "straggler on", 0, f.time,
-                    {"replica",
-                     static_cast<std::int64_t>(f.replica)});
-            }
-            decisions.note({f.time, DecisionKind::StragglerOn,
-                            static_cast<std::uint64_t>(f.replica),
-                            ppm(f.factor), 0});
-            break;
-        case DecisionKind::StragglerOff:
-            engines[f.replica]->setComputeScale(1.0);
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "straggler off", 0, f.time,
-                    {"replica",
-                     static_cast<std::int64_t>(f.replica)});
-            }
-            decisions.note({f.time, DecisionKind::StragglerOff,
-                            static_cast<std::uint64_t>(f.replica), 0,
-                            0});
-            break;
-        case DecisionKind::BrownoutOn:
-            engines[f.replica]->setStorageRateScale(f.factor);
-            brownouts += 1;
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "brownout on", 0, f.time,
-                    {"replica",
-                     static_cast<std::int64_t>(f.replica)});
-            }
-            decisions.note({f.time, DecisionKind::BrownoutOn,
-                            static_cast<std::uint64_t>(f.replica),
-                            ppm(f.factor), 0});
-            break;
-        case DecisionKind::BrownoutOff:
-            engines[f.replica]->setStorageRateScale(1.0);
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "brownout off", 0, f.time,
-                    {"replica",
-                     static_cast<std::int64_t>(f.replica)});
-            }
-            decisions.note({f.time, DecisionKind::BrownoutOff,
-                            static_cast<std::uint64_t>(f.replica), 0,
-                            0});
-            break;
-        default:
-            panic("unexpected fault action kind");
-        }
-    };
-
-    // ----- epoch sampler ---------------------------------------------
-    //
-    // A sample observes the quiescent DES state between coordinator
-    // steps WITHOUT stepping any engine: an extra stepAll() cut point
-    // would reorder the preempt/outbox/quiesce drains relative to an
-    // unsampled run and drift the decision digest. Pure observation
-    // keeps telemetry on/off byte-identical. The sampler fills its own
-    // scratch view: refreshing the coordinator's `live` views would
-    // rewrite their `now`, which stealing reads.
-    ReplicaLoadView sampleView;
-    const auto recordEpochSample = [&](Time t) {
-        obs::SampleRow row;
-        row.t = t;
-        row.activeReplicas = static_cast<int>(activeCount);
-        std::int64_t gpuHits = 0, gpuMisses = 0;
-        std::int64_t cpuHits = 0, cpuMisses = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            // Cumulative columns keep a crashed replica's completions.
-            engines[i]->sampleProgress(row.images, row.inferences,
-                                       row.preemptions);
-            if (crashed[i])
-                continue;
-            engines[i]->fillLoadView(sampleView);
-            row.queueDepth +=
-                static_cast<std::int64_t>(sampleView.queueDepth);
-            // sampleHitCounters(), not appendTierStats(): TierStats
-            // rows copy tier name strings on every call, which would
-            // dominate the <5% tracing overhead budget.
-            engines[i]->sampleHitCounters(gpuHits, gpuMisses, cpuHits,
-                                          cpuMisses);
-        }
-        if (sharedCpu != nullptr) {
-            const TierStats shared = sharedCpu->stats();
-            cpuHits += shared.counters.hits;
-            cpuMisses += shared.counters.misses;
-        }
-        if (gpuHits + gpuMisses > 0) {
-            row.gpuHitRate =
-                static_cast<double>(gpuHits) /
-                static_cast<double>(gpuHits + gpuMisses);
-        }
-        if (cpuHits + cpuMisses > 0) {
-            row.cpuHitRate =
-                static_cast<double>(cpuHits) /
-                static_cast<double>(cpuHits + cpuMisses);
-        }
-        if (t > 0) {
-            row.goodputImgPerSec =
-                static_cast<double>(row.images) / toSeconds(t);
-        }
-        telem.recordSample(row);
-    };
-
-    // Lockstep coordination on the shared virtual clock: the next
-    // thing that happens cluster-wide is the earliest of the next
-    // pending replica event, the next arrival, the next fault action,
-    // and (autoscale only) the next control tick — fault actions win
-    // all ties (a crash at t kills same-time work), control ticks win
-    // ties against arrivals so same-time arrivals see the post-scale
-    // active set, and arrivals win ties against events so routing sees
-    // state as of the arrival instant. Everything is driven by virtual
-    // time, so the schedule is reproducible by construction. Fault
-    // actions scheduled after the last arrival and event are never
-    // applied (there is nothing left for them to affect).
-    std::size_t next = 0;
-    Time lastArrival = 0;
-    const WallTimer coordWall;
-    for (;;) {
-        const Time tArr = next < trace.arrivals.size()
-                              ? trace.arrivals[next].time
-                              : kTimeNever;
-        if (tArr != kTimeNever) {
-            COSERVE_CHECK(tArr >= lastArrival,
-                          "online routing needs time-sorted arrivals");
-            lastArrival = tArr;
-        }
-        Time tEv = kTimeNever;
-        for (const auto &engine : engines)
-            tEv = std::min(tEv, engine->nextEventTime());
-        if (tArr == kTimeNever && tEv == kTimeNever)
-            break;
-
-        const Time tFault = nextFault < faults.size()
-                                ? faults[nextFault].time
-                                : kTimeNever;
-        const Time tCtl = as.enabled ? nextControl : kTimeNever;
-
-        // Sampler rows are due before anything else happens; they
-        // never step, decide or mutate, so firing them first cannot
-        // perturb the schedule below.
-        const Time tSample = telem.nextSampleTime();
-        if (tSample != kTimeNever &&
-            tSample <= std::min({tArr, tEv, tFault, tCtl})) {
-            recordEpochSample(tSample);
-            continue;
-        }
-
-        if (tFault != kTimeNever &&
-            tFault <= std::min({tArr, tEv, tCtl})) {
-            stepAll(tFault);
-            applyFault(faults[nextFault]);
-            ++nextFault;
-            continue;
-        }
-
-        if (as.enabled && nextControl <= std::min(tArr, tEv)) {
-            stepAll(nextControl);
-            runControl(nextControl);
-            nextControl += as.interval;
-            continue;
-        }
-
-        if (tArr <= tEv) {
-            // No replica event strictly precedes the arrival: advance
-            // every clock to the arrival instant and route it with
-            // live views (skipping the snapshot work for policies
-            // whose routeLive falls back to the offline route()).
-            stepAll(tArr);
-            ImageArrival a = trace.arrivals[next];
-            const auto idx = static_cast<std::uint64_t>(next);
-            ++next;
-
-            // Cluster-level admission: can *any* active capable
-            // replica make this deadline? Priced from the live views
-            // by the same cost model LeastLoaded routes with, plus
-            // the detect child the chain may spawn, upstream of
-            // routing.
-            if (liveRouting && cfg_.admission.enabled &&
-                a.deadline != kTimeNever) {
-                refreshViews();
-                Time best = kTimeNever;
-                for (std::size_t i = 0; i < n; ++i) {
-                    if (!active[i] || !caps.chainOk(i, a.component))
-                        continue;
-                    best = std::min(best,
-                                    costs.quote(i, a, live[i]).finish +
-                                        costs.detectAdd(i, a.component));
-                }
-                const AdmissionVerdict verdict = admission.assess(
-                    a.cls, a.time, a.deadline, best);
-                if (verdict == AdmissionVerdict::Reject) {
-                    coordSlo.recordRejected(a.cls);
-                    coordRejected += 1;
-                    if (coordTr != nullptr) {
-                        coordTr->instant(
-                            "admission reject", 0, a.time,
-                            {"image",
-                             static_cast<std::int64_t>(idx)});
-                    }
-                    decisions.note(
-                        {a.time, DecisionKind::Reject, idx,
-                         static_cast<std::uint64_t>(a.cls), 0});
-                    continue;
-                }
-                if (verdict == AdmissionVerdict::Downgrade) {
-                    // Scheduling class drops; the deadline stays for
-                    // violation accounting (see ServingEngine's
-                    // admitTimed).
-                    coordSlo.recordDowngraded(a.cls);
-                    if (coordTr != nullptr) {
-                        coordTr->instant(
-                            "admission downgrade", 0, a.time,
-                            {"image",
-                             static_cast<std::int64_t>(idx)});
-                    }
-                    decisions.note(
-                        {a.time, DecisionKind::Downgrade, idx,
-                         static_cast<std::uint64_t>(a.cls), 0});
-                    a.cls = RequestClass::BestEffort;
-                }
-            }
-
-            std::size_t r;
-            if (liveRouting) {
-                if (router->usesLiveViews())
-                    refreshViews();
-                r = router->routeLive(a, live);
-                COSERVE_CHECK(r < n, "router returned replica ", r);
-            } else {
-                r = assignment[idx];
-            }
-            if (!active[r]) {
-                // Offline-fallback routers (round-robin) ignore the
-                // acceptingWork gate, and a pinned static assignment
-                // may point at a replica that crashed since routing:
-                // re-home onto the next active capable replica. If
-                // none exists (possible only on a pathological
-                // heterogeneous config), serve on the quiesced pick
-                // rather than lose the image — unless it crashed, in
-                // which case the image is genuinely lost.
-                for (std::size_t j = 0; j < n; ++j) {
-                    const std::size_t i = (r + j) % n;
-                    if (active[i] && caps.chainOk(i, a.component)) {
-                        r = i;
-                        break;
-                    }
-                }
-            }
-            if (crashed[r]) {
-                // No survivor can serve this arrival's chain. Record
-                // the drop with the out-of-range sentinel replica `n`
-                // so replays still cover it.
-                lostImages += 1;
-                if (coordTr != nullptr) {
-                    coordTr->instant(
-                        "route (lost)", 0, a.time,
-                        {"image", static_cast<std::int64_t>(idx)});
-                }
-                decisions.note({a.time, DecisionKind::Route, idx,
-                                static_cast<std::uint64_t>(n), 0});
-                continue;
-            }
-            decisions.note({a.time, DecisionKind::Route, idx,
-                            static_cast<std::uint64_t>(r), 0});
-            if (coordTr != nullptr) {
-                coordTr->instant(
-                    "route", 0, a.time,
-                    {"image", static_cast<std::int64_t>(idx)},
-                    {"replica", static_cast<std::int64_t>(r)});
-            }
-            engines[r]->admitArrival(a);
-            // Execute the admission's dispatch now, so a same-time
-            // burst of arrivals sees each predecessor in the queues
-            // rather than racing into one replica.
-            engines[r]->stepUntil(tArr);
-            dirty[r] = 1;
-            drainPreempt(r);
-        } else {
-            // Replica events precede the next arrival: execute the
-            // earliest round everywhere, then let idle replicas steal.
-            stepAll(tEv);
-            if (cfg_.workStealing.enabled)
-                maybeSteal(tEv);
-        }
-    }
-
-    telem.host().add("coordinate", coordWall.elapsedMicros());
-    const WallTimer collectWall;
-    std::vector<RunResult> results(n);
-    std::int64_t images = 0;
-    std::int64_t rejected = coordRejected;
-    for (std::size_t i = 0; i < n; ++i) {
-        rejected += engines[i]->rejectedImages();
-        results[i] = engines[i]->finishOnline();
-        images += results[i].images;
-    }
-    // Every arrival either completed somewhere, was rejected by
-    // admission (at the coordinator or at a replica), or was lost to
-    // an injected crash with no capable survivor.
-    COSERVE_CHECK(images + rejected + lostImages ==
-                      static_cast<std::int64_t>(trace.arrivals.size()),
-                  "lost images: ", images, " done + ", rejected,
-                  " rejected + ", lostImages, " crash-lost of ",
-                  trace.arrivals.size());
-
-    ClusterResult out = aggregateClusterResult(
-        cfg_.label, toString(cfg_.routing), std::move(results));
-    out.wallSeconds = wall.elapsedSeconds();
-    out.stolenFromReplica = std::move(stolenFrom);
-    out.stolenToReplica = std::move(stolenTo);
-    for (std::int64_t s : out.stolenFromReplica)
-        out.stolenRequests += s;
-    out.workStealingEnabled = cfg_.workStealing.enabled;
-    out.slo.merge(coordSlo);
-    if (as.enabled) {
-        out.autoscaleEnabled = true;
-        out.autoscaleActivations = activations;
-        out.autoscaleQuiesces = quiesces;
-        out.autoscaleEvacuated = evacuated;
-        if (out.makespan > lastActiveMark) {
-            activeIntegral += static_cast<double>(activeCount) *
-                              static_cast<double>(out.makespan -
-                                                  lastActiveMark);
-        }
-        if (out.makespan > 0) {
-            out.avgActiveReplicas =
-                activeIntegral / static_cast<double>(out.makespan);
-        }
-    }
-    if (preemptOn) {
-        out.preemptionEnabled = true;
-        out.migratedGroups = migratedGroups;
-        out.migratedRequests = migratedRequests;
-        out.quiesceDrains = quiesceDrains;
-        out.quiesceDrainTotal = quiesceDrainTotal;
-        out.quiesceDrainMax = quiesceDrainMax;
-    }
-    if (opts.faults.any()) {
-        out.faultsInjected = true;
-        out.crashesInjected = crashes;
-        out.crashRehomed = rehomed;
-        out.crashLost = lostImages;
-        out.stragglersInjected = stragglers;
-        out.brownoutsInjected = brownouts;
-    }
-    appendSharedTierStats(out, sharedCpu.get());
-    // The coordinator's counters, exported once from the tallies
-    // rather than from out's fields: those are gated on their feature
-    // flags (an autoscale run with preemption off still completes
-    // quiesce drains), and admission's own verdicts have no field.
-    const std::pair<const char *, std::int64_t> coordCounters[] = {
-        {"cluster.stolen_requests", out.stolenRequests},
-        {"cluster.migrated_groups", migratedGroups},
-        {"cluster.migrated_requests", migratedRequests},
-        {"cluster.autoscale_activations", activations},
-        {"cluster.autoscale_quiesces", quiesces},
-        {"cluster.autoscale_evacuated", evacuated},
-        {"cluster.quiesce_drains", quiesceDrains},
-        {"cluster.rejected", coordRejected},
-        {"cluster.downgraded", coordSlo.downgraded()},
-        {"cluster.crashes", crashes},
-        {"cluster.crash_rehomed", rehomed},
-        {"cluster.crash_lost", lostImages},
-        {"cluster.stragglers", stragglers},
-        {"cluster.brownouts", brownouts},
-    };
-    for (const auto &[name, value] : coordCounters)
-        telem.registry().counter(name).add(value);
-    telem.host().add("collect", collectWall.elapsedMicros());
-    return out;
 }
 
 ClusterConfig

@@ -308,20 +308,17 @@ class ClusterEngine
     ClusterResult run(const Trace &trace, const RunOptions &opts);
 
   private:
+    /**
+     * The coordinator path (cluster.cc): online mode always; static
+     * mode when a fault plan needs the shared clock. It builds its
+     * replicas through the helpers below.
+     */
+    friend class Coordinator;
+
     /** Static clean path: route offline, shard, run concurrently. */
     ClusterResult runSharded(const Trace &trace,
                              DecisionTrace &decisions,
                              obs::Telemetry &telem);
-    /**
-     * Coordinator path: online mode always; static mode when a fault
-     * plan needs the shared clock (routing pinned to the offline
-     * assignment, no stealing/admission/autoscale).
-     */
-    ClusterResult runCoordinated(const Trace &trace,
-                                 const RunOptions &opts,
-                                 bool liveRouting,
-                                 DecisionTrace &decisions,
-                                 obs::Telemetry &telem);
     /** Build the shared CPU tier when configured (else null). */
     std::unique_ptr<SharedCpuTier> makeSharedCpuTier() const;
     /** One router-facing view per replica, in replica order. */

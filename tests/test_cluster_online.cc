@@ -7,17 +7,20 @@
  * expert-affinity router's capability fallback on heterogeneous
  * clusters, load-view parity with the engine's pools and queues, and
  * pinned decision digests for the live-view routing and coordinator
- * admission paths.
+ * admission paths, and crash loss when no capable replica survives.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <set>
 
 #include "cluster/cluster.h"
 #include "coe/board_builder.h"
 #include "core/coserve.h"
 #include "metrics/cluster_result.h"
+#include "replay/decision_log.h"
 #include "workload/generator.h"
 
 namespace coserve {
@@ -676,6 +679,59 @@ TEST_F(OnlineClusterFixture, AdmissionHeterogeneousDigestIsPinned)
         // took part.
         for (std::int64_t images : r.imagesPerReplica)
             EXPECT_GT(images, 0);
+        EXPECT_EQ(r.decisionDigest, pin.digest)
+            << std::hex << "0x" << r.decisionDigest;
+        EXPECT_EQ(r.decisionCount, pin.decisions);
+    }
+}
+
+// ------------------------------------------ crash with no capable survivor
+
+TEST_F(OnlineClusterFixture, CrashWithNoCapableSurvivorLosesImages)
+{
+    // Replica 0 lacks YoloV5l; replica 1, the only one that can serve
+    // chains needing it, crashes mid-trace. Its drained work and every
+    // later arrival needing YoloV5l have nowhere to go: they are lost
+    // and accounted, and each lost arrival leaves a Route record with
+    // the out-of-range sentinel replica. Online, routing skips the live
+    // router for such arrivals (it would abort: no active replica can
+    // serve them) and falls back as the pinned static route does.
+    CoServeContext partialCtx(
+        device_, model_,
+        partialLatencyModel(device_, {ArchId::ResNet101, ArchId::YoloV5m}),
+        {});
+    struct Pin
+    {
+        RunMode mode;
+        std::int64_t lost;
+        std::uint64_t digest;
+        std::int64_t decisions;
+    };
+    for (const Pin &pin :
+         {Pin{RunMode::Static, 52, 0x0cfad8c91a3eed87ull, 402},
+          Pin{RunMode::Online, 52, 0x299a5bc5f4508c83ull, 402}}) {
+        SCOPED_TRACE(pin.mode == RunMode::Online ? "online" : "static");
+        const std::string log = ::testing::TempDir() + "no_survivor.bin";
+        RunOptions opts = runWithMode(pin.mode);
+        opts.faults.crashes.push_back({1, trace_.arrivals[150].time});
+        opts.recordPath = log;
+        ClusterEngine cluster(heterogeneousCluster(
+            {{&partialCtx, cfg_}, {&ctx_, cfg_}},
+            RoutingPolicy::LeastLoaded, "no-survivor"));
+        const ClusterResult r = cluster.run(trace_, opts);
+        EXPECT_GT(r.crashLost, 0);
+        EXPECT_EQ(r.crashLost, pin.lost);
+        EXPECT_EQ(r.images + r.slo.rejected() + r.crashLost,
+                  static_cast<std::int64_t>(trace_.size()));
+        const DecisionLog recorded = DecisionLog::load(log);
+        std::remove(log.c_str());
+        EXPECT_NE(std::find_if(recorded.records().begin(),
+                               recorded.records().end(),
+                               [](const DecisionRecord &d) {
+                                   return d.kind == DecisionKind::Route &&
+                                          d.b == 2;
+                               }),
+                  recorded.records().end());
         EXPECT_EQ(r.decisionDigest, pin.digest)
             << std::hex << "0x" << r.decisionDigest;
         EXPECT_EQ(r.decisionCount, pin.decisions);

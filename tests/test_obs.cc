@@ -5,8 +5,9 @@
  * trace-event JSON, host-profile export, TelemetryConfig validation,
  * telemetry on/off schedule invariance (same decision digest and sim
  * metrics), trace byte-stability across repeat runs and the parallel
- * flag, the exported metric key set, and the epoch sampler's CSV time
- * series (with and without a mid-trace crash).
+ * flag, the exported metric key set, the coordinator's trace instants,
+ * and the epoch sampler's CSV time series (with and without a
+ * mid-trace crash).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -44,6 +46,23 @@ std::string
 tempPath(const std::string &name)
 {
     return ::testing::TempDir() + name;
+}
+
+/**
+ * A hardware truth covering only @p archs of the calibrated table, so
+ * contexts built on it cannot serve the other architectures.
+ */
+LatencyModel
+partialLatencyModel(const DeviceSpec &device,
+                    std::initializer_list<ArchId> archs)
+{
+    const LatencyModel full = LatencyModel::calibrated(device);
+    LatencyModel partial;
+    for (ArchId arch : archs) {
+        for (ProcKind proc : {ProcKind::GPU, ProcKind::CPU})
+            partial.setParams(arch, proc, full.params(arch, proc));
+    }
+    return partial;
 }
 
 // ------------------------------------------------- registry primitives
@@ -496,6 +515,93 @@ TEST_F(ObsFixture, ExportedMetricKeySetIsPinned)
     EXPECT_GT(r.preemptions, 0);
     EXPECT_GT(r.migratedGroups, 0);
     EXPECT_EQ(r.crashesInjected, 1);
+}
+
+// ------------------------------------------ coordinator trace instants
+
+TEST_F(ObsFixture, CoordinatorTraceInstantsArePinned)
+{
+    // Three runs that between them emit every coordinator instant:
+    // an online run with stealing, migration, rejecting admission,
+    // autoscale and every fault kind; an online run whose admission
+    // downgrades; and a static run on a heterogeneous cluster whose
+    // only YoloV5l-capable replica crashes, so arrivals are lost.
+    ClusterConfig everything = obsConfig(4, /*migration=*/true);
+    everything.admission.enabled = true;
+    everything.admission.downgrade = false;
+    everything.autoscale.enabled = true;
+    everything.autoscale.interval = seconds(1);
+    everything.autoscale.cooldown = seconds(1);
+    everything.autoscale.startReplicas = 2;
+    // Quiesce whenever the backlog is low, whatever the violation
+    // rate, so a quiesced replica still has queued work to evacuate.
+    everything.autoscale.backlogLow = 6;
+    everything.autoscale.violationLow = 1.0;
+    RunOptions a = telemetryOpts("obs_instants_a");
+    a.faults.stragglers.push_back({0, seconds(2), seconds(6), 3.0});
+    a.faults.brownouts.push_back({1, seconds(3), seconds(8), 0.25});
+    a.faults.crashes.push_back({3, seconds(10)});
+
+    ClusterConfig downgrade = obsConfig(3, /*migration=*/false);
+    downgrade.admission.enabled = true;
+    downgrade.admission.downgrade = true;
+    RunOptions b = telemetryOpts("obs_instants_b");
+
+    CoServeContext partialCtx(
+        device_, model_,
+        partialLatencyModel(device_, {ArchId::ResNet101, ArchId::YoloV5m}),
+        {});
+    ClusterConfig lost = heterogeneousCluster(
+        {{&partialCtx, cfg_}, {&ctx_, cfg_}}, RoutingPolicy::LeastLoaded,
+        "obs-lost");
+    RunOptions c = telemetryOpts("obs_instants_c");
+    c.mode = RunMode::Static;
+    c.faults.crashes.push_back({1, seconds(10)});
+
+    std::map<std::string, int> counts;
+    std::uint64_t hash = 0xcbf29ce484222325ull; // FNV-1a-64
+    const auto scan = [&](ClusterConfig cc, const RunOptions &opts) {
+        ClusterEngine cluster(std::move(cc));
+        cluster.run(trace_, opts);
+        std::istringstream in(readFileText(opts.telemetry.tracePath));
+        removeOutputs(opts);
+        std::string line;
+        while (std::getline(in, line)) {
+            if (line.find("\"pid\":0,") == std::string::npos ||
+                line.find("\"ph\":\"i\"") == std::string::npos)
+                continue;
+            for (const char ch : line + "\n") {
+                hash ^= static_cast<unsigned char>(ch);
+                hash *= 0x100000001b3ull;
+            }
+            const std::size_t from = line.find("\"name\":\"") + 8;
+            counts[line.substr(from, line.find('"', from) - from)] += 1;
+        }
+    };
+    scan(std::move(everything), a);
+    scan(std::move(downgrade), b);
+    scan(std::move(lost), c);
+
+    const std::map<std::string, int> want = {
+        {"route", 1478},
+        {"route (lost)", 24},
+        {"admission reject", 37},
+        {"admission downgrade", 44},
+        {"steal", 5},
+        {"migrate", 1},
+        {"crash", 2},
+        {"scale-up", 4},
+        {"quiesce", 3},
+        {"evacuate", 1},
+        {"straggler on", 1},
+        {"straggler off", 1},
+        {"brownout on", 1},
+        {"brownout off", 1},
+    };
+    for (const auto &[name, count] : want)
+        EXPECT_GT(counts[name], 0) << name;
+    EXPECT_EQ(counts, want);
+    EXPECT_EQ(hash, 0xd48d4777562dcf1full) << std::hex << "0x" << hash;
 }
 
 // ------------------------------------------------------- epoch sampler

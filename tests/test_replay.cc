@@ -3,13 +3,16 @@
  * Tests for deterministic record/replay and fault injection: the
  * decision-log codec and digest, record→replay byte-equality, forced
  * divergence detection, config validation, crash-mid-run request
- * reconciliation, and straggler/brownout determinism.
+ * reconciliation, straggler/brownout determinism, a pinned static
+ * fault-plan digest, and the coordinator's refusal of unsorted traces.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -389,6 +392,75 @@ TEST_F(ReplayFixture, StaticModeSupportsFaultsWithPinnedRouting)
     EXPECT_EQ(r.crashLost, 0);
     // The fault changed the schedule; the digest must say so.
     EXPECT_NE(r.decisionDigest, base.decisionDigest);
+}
+
+TEST_F(ReplayFixture, StaticFaultPlanDigestIsPinned)
+{
+    // A static run under a plan with every fault kind and no
+    // migration: pinned routing, round-robin re-homing of the crashed
+    // replica's drained work, later arrivals re-homed off it, and all
+    // four fault toggles. Any change to those coordinator paths moves
+    // the digest.
+    const std::size_t crashAt = 150;
+    RunOptions opts; // RunMode::Auto resolves static
+    opts.faults.crashes.push_back({1, at(crashAt)});
+    opts.faults.stragglers.push_back({0, at(50), at(250), 3.0});
+    opts.faults.brownouts.push_back({2, at(100), at(300), 0.25});
+    ClusterEngine cluster(
+        homogeneousCluster(ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
+    const std::vector<std::size_t> assignment =
+        cluster.routeTrace(trace_);
+    const ClusterResult r = cluster.run(trace_, opts);
+
+    // Some later arrivals were assigned to the dead replica.
+    EXPECT_NE(std::find(assignment.begin() + crashAt + 1,
+                        assignment.end(), 1u),
+              assignment.end());
+    EXPECT_EQ(r.images, static_cast<std::int64_t>(trace_.size()));
+    EXPECT_EQ(r.crashesInjected, 1);
+    EXPECT_EQ(r.crashLost, 0);
+    EXPECT_EQ(r.stragglersInjected, 1);
+    EXPECT_EQ(r.brownoutsInjected, 1);
+    EXPECT_EQ(r.crashRehomed, 46);
+    EXPECT_EQ(r.decisionDigest, 0x632ee3ccc99829c2ull)
+        << std::hex << "0x" << r.decisionDigest;
+    EXPECT_EQ(r.decisionCount, 407);
+}
+
+TEST_F(ReplayFixture, UnsortedTraceFailsCleanlyOnTheCoordinatorPath)
+{
+    // Two arrivals out of time order: the static sharded path serves
+    // them (an engine admits its shard in time order), but the
+    // coordinator cannot route into the past, so it refuses the trace
+    // up front with a user error naming the first out-of-order
+    // arrival.
+    Trace unsorted = trace_;
+    ASSERT_LT(unsorted.arrivals[10].time, unsorted.arrivals[11].time);
+    std::swap(unsorted.arrivals[10], unsorted.arrivals[11]);
+
+    ClusterEngine clean(
+        homogeneousCluster(ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
+    EXPECT_EQ(clean.run(unsorted, {}).images,
+              static_cast<std::int64_t>(unsorted.size()));
+
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            ClusterEngine cluster(onlineConfig(3));
+            cluster.run(unsorted, runWithMode(RunMode::Online));
+        },
+        ::testing::ExitedWithCode(1),
+        "time-sorted arrivals: arrival 11 is earlier than arrival 10");
+    EXPECT_EXIT(
+        {
+            RunOptions opts; // static, on the coordinator path
+            opts.faults.stragglers.push_back({0, at(50), at(250), 3.0});
+            ClusterEngine cluster(homogeneousCluster(
+                ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
+            cluster.run(unsorted, opts);
+        },
+        ::testing::ExitedWithCode(1),
+        "time-sorted arrivals: arrival 11 is earlier than arrival 10");
 }
 
 TEST_F(ReplayFixture, StragglerSlowsDeterministically)
