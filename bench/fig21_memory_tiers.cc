@@ -14,8 +14,9 @@
  *  3. Heterogeneous 2+2 smoke: two NUMA + two UMA replicas with
  *     per-replica DeviceSpecs behind the least-loaded router.
  *
- * Runs use sequential replica execution so shared-tier population
- * order — and therefore every printed number — is reproducible.
+ * A static cluster runs shared-tier replicas in replica order, so the
+ * shared tier's population order — and therefore every printed
+ * number — is reproducible.
  */
 
 #include "bench/bench_util.h"
@@ -72,7 +73,6 @@ sharedVsPrivate(Harness &h, const Trace &trace)
         ClusterConfig cc = homogeneousCluster(
             h.context(), cfg, 4, RoutingPolicy::LeastLoaded, "fig21");
         cc.sharedCpu.enabled = shared;
-        cc.parallel = false; // reproducible shared-tier population
         ClusterEngine cluster(std::move(cc));
         const ClusterResult r = cluster.run(trace, RunOptions{});
         const TierStats *tier =
@@ -111,7 +111,6 @@ heterogeneousSmoke(const Trace &trace)
          {&uma.context(), umaCfg},
          {&uma.context(), umaCfg}},
         RoutingPolicy::LeastLoaded, "fig21-hetero");
-    cc.parallel = false;
     ClusterEngine cluster(std::move(cc));
     const ClusterResult r = cluster.run(trace, RunOptions{});
 

@@ -18,8 +18,7 @@
  *     them (ClusterResult::stolenRequests > 0).
  *
  * Online-mode runs are coordinator-sequential on the shared virtual
- * clock, so every printed number is reproducible regardless of
- * ClusterConfig::parallel.
+ * clock, so every printed number is reproducible.
  */
 
 #include "bench/bench_util.h"

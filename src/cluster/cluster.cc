@@ -110,6 +110,16 @@ static_assert(std::size(kInstants) ==
 constexpr InstantSpec kLostRoute = {"route (lost)", "image", nullptr,
                                     nullptr};
 
+/**
+ * Whether @p opts runs on the coordinator: online mode always, static
+ * mode when a fault plan needs every replica on the shared clock.
+ */
+bool
+coordinated(const RunOptions &opts)
+{
+    return opts.mode == RunMode::Online || opts.faults.any();
+}
+
 /** Report interval-window problems of [from, to) fault windows. */
 template <typename W>
 void
@@ -153,16 +163,13 @@ ClusterConfig::validate(const RunOptions &opts) const
 {
     std::vector<std::string> errors;
     const std::size_t n = replicas.size();
-    const bool online = resolveMode(opts) == RunMode::Online;
 
     if (n == 0)
         errors.push_back("cluster has no replicas");
 
-    if (!online) {
+    if (opts.mode != RunMode::Online) {
         if (workStealing.enabled) {
-            errors.push_back(
-                "workStealing requires online mode (RunMode::Online "
-                "or ClusterConfig::onlineRouting)");
+            errors.push_back("workStealing requires online mode");
         }
         if (autoscale.enabled)
             errors.push_back("autoscale requires online mode");
@@ -207,7 +214,7 @@ ClusterConfig::validate(const RunOptions &opts) const
                 "preemption.migration requires preemption.enabled "
                 "(migration moves *checkpointed* groups)");
         }
-        if (!online && !opts.faults.any()) {
+        if (!coordinated(opts)) {
             errors.push_back(
                 "preemption.migration requires the coordinator path "
                 "(online mode or a fault plan): static sharded "
@@ -215,6 +222,8 @@ ClusterConfig::validate(const RunOptions &opts) const
         }
     }
 
+    if (sharedCpu.enabled && sharedCpu.bytes < 0)
+        errors.push_back("sharedCpu.bytes must be >= 0");
     if (sharedCpu.enabled && sharedCpu.bytes == 0) {
         bool anyCache = false;
         for (const ReplicaSpec &r : replicas)
@@ -226,24 +235,10 @@ ClusterConfig::validate(const RunOptions &opts) const
         }
     }
 
-    const bool recording = !opts.recordPath.empty();
-    const bool replaying = !opts.replayPath.empty();
-    if (recording && replaying && opts.recordPath == opts.replayPath) {
+    if (!opts.recordPath.empty() && opts.recordPath == opts.replayPath) {
         errors.push_back(
             "recordPath and replayPath must differ (replay reads the "
             "log the run would overwrite)");
-    }
-    // A parallel static run with a shared CPU tier is the one
-    // configuration whose results depend on host thread scheduling:
-    // its decision stream is recordable (routing is precomputed) but
-    // nothing else about it replays bit-identically. Fault runs take
-    // the sequential coordinator path and stay deterministic.
-    if ((recording || replaying) && !online && !opts.faults.any() &&
-        parallel && sharedCpu.enabled) {
-        errors.push_back(
-            "record/replay of a parallel static run with a shared CPU "
-            "tier is nondeterministic: set parallel = false or run "
-            "online");
     }
 
     const obs::TelemetryConfig &tel = opts.telemetry;
@@ -257,8 +252,7 @@ ClusterConfig::validate(const RunOptions &opts) const
         errors.push_back("telemetry.sampleInterval must be > 0");
     // The epoch sampler lives in the coordinator's time race; a static
     // sharded run has no shared stepping loop to sample from.
-    if (tel.enabled && !tel.metricsCsvPath.empty() && !online &&
-        !opts.faults.any()) {
+    if (tel.enabled && !tel.metricsCsvPath.empty() && !coordinated(opts)) {
         errors.push_back(
             "telemetry.metricsCsvPath (epoch sampling) requires the "
             "coordinator path (online mode or a fault plan)");
@@ -368,11 +362,11 @@ class Coordinator
 {
   public:
     Coordinator(const ClusterEngine &cluster, const Trace &trace,
-                const RunOptions &opts, bool liveRouting,
-                DecisionTrace &decisions, obs::Telemetry &telem)
+                const RunOptions &opts, DecisionTrace &decisions,
+                obs::Telemetry &telem)
         : cluster_(cluster), cfg_(cluster.config()), trace_(trace),
-          opts_(opts), liveRouting_(liveRouting), decisions_(decisions),
-          telem_(telem)
+          opts_(opts), liveRouting_(opts.mode == RunMode::Online),
+          decisions_(decisions), telem_(telem)
     {
         if (tracer_ != nullptr) {
             tracer_->setProcessName("coordinator");
@@ -1297,9 +1291,7 @@ class Coordinator
 
     /**
      * Build every replica engine, timed as the "build" host phase.
-     * The coordinator steps them in lockstep, so — unlike static
-     * sharding — they never run on their own threads and `parallel`
-     * is irrelevant.
+     * The coordinator steps them in lockstep on the caller's thread.
      */
     std::vector<std::unique_ptr<ServingEngine>>
     buildEngines() const
@@ -1422,11 +1414,10 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
     // Fault plans need every replica on the shared clock even in
     // static mode (a crash interrupts mid-run), so they take the
     // coordinator path with routing pinned to the offline assignment.
-    const bool online = cfg_.resolveMode(opts) == RunMode::Online;
-    const bool coordinated = online || opts.faults.any();
+    const bool onCoordinator = coordinated(opts);
     // The coordinator steps every replica to each arrival in turn, so
     // an arrival earlier than its predecessor would land in the past.
-    for (std::size_t i = 1; coordinated && i < trace.size(); ++i) {
+    for (std::size_t i = 1; onCoordinator && i < trace.size(); ++i) {
         if (trace.arrivals[i].time < trace.arrivals[i - 1].time) {
             fatal("the coordinator needs time-sorted arrivals: arrival ",
                   i, " is earlier than arrival ", i - 1);
@@ -1448,8 +1439,8 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
                          static_cast<int>(cfg_.replicas.size()));
 
     ClusterResult out =
-        coordinated
-            ? Coordinator(*this, trace, opts, online, decisions, telem).run()
+        onCoordinator
+            ? Coordinator(*this, trace, opts, decisions, telem).run()
             : runSharded(trace, decisions, telem);
 
     decisions.finish();
@@ -1547,7 +1538,10 @@ ClusterEngine::runSharded(const Trace &trace, DecisionTrace &decisions,
 
     std::vector<RunResult> results(cfg_.replicas.size());
     const WallTimer runWall;
-    if (cfg_.parallel) {
+    // Private-tier replicas share no mutable state, so each runs on its
+    // own thread; replicas sharing a CPU tier run in replica order, so
+    // the tier sees one reproducible access sequence.
+    if (sharedCpu == nullptr) {
         std::vector<std::thread> threads;
         threads.reserve(cfg_.replicas.size());
         for (std::size_t i = 0; i < cfg_.replicas.size(); ++i)
@@ -1581,7 +1575,7 @@ ClusterEngine::makeReplicaEngine(std::size_t i,
         cfg.externalCpuTier = sharedCpu;
     // This replica's span-trace buffer (null unless telemetry is
     // enabled). The buffer is pre-created by the Telemetry ctor, so
-    // construction inside a replica thread (static-parallel mode)
+    // construction inside a replica thread (static private-tier runs)
     // never races.
     cfg.tracer = telem.replicaTracer(static_cast<int>(i));
     // Cluster-level preemption policy applies uniformly: migration

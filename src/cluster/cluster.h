@@ -9,14 +9,18 @@
  *
  *     ClusterResult r = engine.run(trace, opts);
  *
- * RunOptions selects the execution mode (static pre-routing vs online
- * lockstep coordination), optional decision-log recording or replay,
- * and an optional fault plan (replay/fault_plan.h). The two modes:
+ * RunOptions selects the execution mode (static pre-routing, the
+ * default, or online lockstep coordination), optional decision-log
+ * recording or replay, and an optional fault plan
+ * (replay/fault_plan.h). The two modes:
  *
  *  - static: route every arrival to one replica up front, shard the
- *    trace, execute the replicas concurrently on std::thread (each
- *    replica keeps its own discrete-event queue; all shards stay on
- *    one shared virtual clock) and merge the per-replica RunResults;
+ *    trace, execute the replicas (each keeps its own discrete-event
+ *    queue; all shards stay on one shared virtual clock) and merge the
+ *    per-replica RunResults. Replicas with private tiers share no
+ *    mutable state and run one per std::thread; replicas sharing a CPU
+ *    tier run in replica order on the caller's thread, so the tier's
+ *    population order — and every result — is reproducible;
  *  - online: a coordinator steps all replicas in lockstep on the
  *    shared virtual clock, routes each arrival at its arrival time
  *    from live replica state, and — per ClusterConfig policy groups —
@@ -119,14 +123,16 @@ struct StealPolicy
  * (runtime/memory_tier.h SharedCpuTier) across all replicas — one
  * physical host DRAM behind the cluster — so an expert evicted by one
  * replica is a DRAM hit for its siblings. Replaces each replica's
- * private cache tier.
+ * private cache tier. A static run with a shared tier executes its
+ * replicas in replica order on the caller's thread, so the tier's
+ * population order does not depend on host thread scheduling.
  */
 struct SharedCpuPolicy
 {
     bool enabled = false;
     /**
-     * Capacity of the shared tier; 0 derives the sum of the replicas'
-     * cpuCacheBytes (same total DRAM as the private split).
+     * Capacity of the shared tier (>= 0); 0 derives the sum of the
+     * replicas' cpuCacheBytes (same total DRAM as the private split).
      */
     std::int64_t bytes = 0;
 };
@@ -149,8 +155,6 @@ struct ReplicaSpec
 /** Execution mode of one cluster run. */
 enum class RunMode
 {
-    /** Follow ClusterConfig::onlineRouting (the legacy switch). */
-    Auto,
     /** Pre-route the whole trace, shard, run replicas independently. */
     Static,
     /** Lockstep coordinator with live routing. */
@@ -160,12 +164,11 @@ enum class RunMode
 /**
  * Per-run options for ClusterEngine::run: mode selection, decision-log
  * recording / replay, and fault injection. Default-constructed options
- * run clean (no faults, no record/replay) in the mode
- * ClusterConfig::onlineRouting selects.
+ * run a clean static run (no faults, no record/replay).
  */
 struct RunOptions
 {
-    RunMode mode = RunMode::Auto;
+    RunMode mode = RunMode::Static;
     /** Write the decision log here after the run ("" = don't). */
     std::string recordPath;
     /**
@@ -198,35 +201,8 @@ struct ClusterConfig
 {
     std::string label = "cluster";
     RoutingPolicy routing = RoutingPolicy::LeastLoaded;
-    /**
-     * Run replicas on one std::thread each (true) or sequentially on
-     * the caller's thread (false). With private CPU tiers results are
-     * identical either way — replicas share no mutable state — so it
-     * only trades wall-clock speed against debuggability. With
-     * sharedCpu the tier's population order follows host thread
-     * scheduling, so only sequential static runs are reproducible
-     * (online mode serializes on the coordinator and ignores this).
-     */
-    bool parallel = true;
     /** Cluster-shared CPU DRAM tier policy. */
     SharedCpuPolicy sharedCpu;
-    /**
-     * Online cluster scheduling: instead of pre-routing the whole
-     * trace and running replica shards in isolation, a cluster-level
-     * coordinator steps all replicas in lockstep on the shared virtual
-     * clock and routes each arrival *at its arrival time* through the
-     * router's routeLive() overload, using live replica load views
-     * (queue depth, per-executor predicted finish, actual resident
-     * experts) instead of the router's private model.
-     *
-     * Deterministic by construction: coordination is driven purely by
-     * the shared virtual clock, so `parallel` is ignored and results
-     * are bit-identical regardless of it — including with sharedCpu
-     * (the coordinator serializes all tier accesses).
-     *
-     * This is the RunMode::Auto default; RunOptions::mode overrides.
-     */
-    bool onlineRouting = false;
     /** Work stealing between replicas (online mode only). */
     StealPolicy workStealing;
     /**
@@ -260,21 +236,11 @@ struct ClusterConfig
     /**
      * Validate this configuration against @p opts: human-readable
      * errors for every inconsistency (online-only policies in a static
-     * run, autoscale bounds, shared-tier capacity, record/replay of a
-     * nondeterministic parallel configuration, fault-plan bounds, ...)
-     * instead of silent misbehavior. Empty means runnable;
+     * run, autoscale bounds, shared-tier capacity, fault-plan bounds,
+     * ...) instead of silent misbehavior. Empty means runnable;
      * ClusterEngine::run() rejects configs with errors.
      */
     std::vector<std::string> validate(const RunOptions &opts = {}) const;
-
-    /** The mode @p opts resolves to under this config. */
-    RunMode
-    resolveMode(const RunOptions &opts) const
-    {
-        if (opts.mode != RunMode::Auto)
-            return opts.mode;
-        return onlineRouting ? RunMode::Online : RunMode::Static;
-    }
 };
 
 /** Single-use cluster instance. */
@@ -315,7 +281,11 @@ class ClusterEngine
      */
     friend class Coordinator;
 
-    /** Static clean path: route offline, shard, run concurrently. */
+    /**
+     * Static clean path: route offline, shard, run the replicas —
+     * one per thread with private tiers, in replica order with a
+     * shared CPU tier.
+     */
     ClusterResult runSharded(const Trace &trace,
                              DecisionTrace &decisions,
                              obs::Telemetry &telem);

@@ -159,9 +159,9 @@ struct ClusterResult
     std::int64_t brownoutsInjected = 0;
 
     /**
-     * Host wall-clock seconds spent executing the replicas (threaded
-     * or sequential per ClusterConfig::parallel), for speedup
-     * reporting.
+     * Host wall-clock seconds spent routing and executing the
+     * replicas (threaded with private tiers, sequential with a shared
+     * CPU tier or on the coordinator), for speedup reporting.
      */
     double wallSeconds = 0.0;
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Metrics registry: named Counter / Gauge / Histogram handles.
+ * Metrics registry: named Counter / Gauge handles.
  *
  * The registry is an export, not a store: the engines and the cluster
  * coordinator count into their typed result structs, and a cluster run
@@ -61,46 +61,11 @@ class Gauge
     double v_ = 0.0;
 };
 
-/**
- * Fixed-bucket histogram (relaxed atomics). Bucket @c i counts samples
- * <= bounds[i]; one overflow bucket catches the rest. Sum is kept in
- * integer units of the caller's choosing so accumulation commutes.
- */
-class Histogram
-{
-  public:
-    explicit Histogram(std::vector<std::int64_t> bounds);
-
-    void record(std::int64_t sample);
-
-    std::int64_t count() const
-    {
-        return count_.load(std::memory_order_relaxed);
-    }
-
-    std::int64_t sum() const
-    {
-        return sum_.load(std::memory_order_relaxed);
-    }
-
-    const std::vector<std::int64_t> &bounds() const { return bounds_; }
-
-    /** Count in bucket @p i (bounds().size() + 1 buckets). */
-    std::int64_t bucketCount(std::size_t i) const;
-
-  private:
-    std::vector<std::int64_t> bounds_;
-    /** One atomic per bucket + overflow; sized at construction. */
-    std::vector<std::atomic<std::int64_t>> buckets_;
-    std::atomic<std::int64_t> count_{0};
-    std::atomic<std::int64_t> sum_{0};
-};
-
 /** One named value in a frozen snapshot. */
 struct MetricSample
 {
     std::string name;
-    /** "counter", "gauge" or "histogram" (count exposed as value). */
+    /** "counter" or "gauge". */
     std::string kind;
     double value = 0.0;
 };
@@ -123,9 +88,9 @@ struct MetricsSnapshot
 };
 
 /**
- * Named-handle registry. counter()/gauge()/histogram() register on
- * first use and return a stable reference (map storage is node-based);
- * callers cache the pointer and increment lock-free afterwards.
+ * Named-handle registry. counter()/gauge() register on first use and
+ * return a stable reference (map storage is node-based); callers cache
+ * the pointer and increment lock-free afterwards.
  */
 class MetricsRegistry
 {
@@ -136,8 +101,6 @@ class MetricsRegistry
 
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
-    Histogram &histogram(const std::string &name,
-                         std::vector<std::int64_t> bounds);
 
     /** Freeze current values into a name-sorted snapshot. */
     MetricsSnapshot snapshot() const;
@@ -149,7 +112,6 @@ class MetricsRegistry
     mutable Mutex mu_;
     std::map<std::string, Counter> counters_ CS_GUARDED_BY(mu_);
     std::map<std::string, Gauge> gauges_ CS_GUARDED_BY(mu_);
-    std::map<std::string, Histogram> histograms_ CS_GUARDED_BY(mu_);
 };
 
 } // namespace coserve::obs

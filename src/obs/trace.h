@@ -12,8 +12,8 @@
  * pid 0, replica i is pid i+1), executors as threads.
  *
  * Thread model: each replica records into its own ReplicaTracer
- * buffer, handed out *before* replica threads start, so the
- * static-parallel mode never shares a buffer. The final merge
+ * buffer, handed out *before* replica threads start, so threaded
+ * static replicas never share a buffer. The final merge
  * concatenates buffers in pid order and stable-sorts by timestamp:
  * equal timestamps keep pid order, so the merge is deterministic.
  */

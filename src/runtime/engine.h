@@ -147,11 +147,12 @@ class ServingEngine
 
     // ----- API for cluster-level online coordination -----------------
     //
-    // In ClusterConfig::onlineRouting mode the cluster coordinator —
-    // not the engine — owns the trace: it steps all replicas in
-    // lockstep on the shared virtual clock, routes each arrival at its
-    // arrival time using live load views, and may re-route
-    // queued-but-unstarted requests between replicas (work stealing).
+    // On the coordinator path (RunMode::Online, or a static run with a
+    // fault plan) the cluster coordinator — not the engine — owns the
+    // trace: it steps all replicas in lockstep on the shared virtual
+    // clock, routes each arrival at its arrival time using live load
+    // views, and may re-route queued-but-unstarted requests between
+    // replicas (work stealing).
     // Protocol: beginOnline() once, then any interleaving of
     // admitArrival / stepUntil / nextEventTime / fillLoadView /
     // stealRequests / injectRequest, then finishOnline() once.

@@ -1,6 +1,5 @@
 #include "runtime/memory_tier.h"
 
-#include "runtime/policies.h"
 #include "util/logging.h"
 
 namespace coserve {
@@ -23,14 +22,6 @@ MemoryTier::MemoryTier(std::string name, std::int64_t capacityBytes,
     : name_(std::move(name)), level_(level), capacity_(capacityBytes)
 {
     COSERVE_CHECK(capacity_ >= 0, "tier ", name_, " negative capacity");
-}
-
-MemoryTier::~MemoryTier() = default;
-
-void
-MemoryTier::setEvictionPolicy(std::unique_ptr<EvictionPolicy> policy)
-{
-    policy_ = std::move(policy);
 }
 
 void
@@ -211,28 +202,19 @@ bool
 MemoryTier::makeRoom(std::int64_t need, Time now)
 {
     while (used_ + need > capacity_) {
+        // LRU: minimum lastUse among unpinned, settled entries,
+        // lastUse ties broken by smallest id, so the victim does not
+        // depend on the entries' array order.
         ExpertId victim = kNoExpert;
-        if (policy_) {
-            EvictionContext ctx;
-            ctx.now = now;
-            const std::optional<ExpertId> v =
-                policy_->selectVictim(*this, ctx);
-            if (v)
-                victim = *v;
-        } else {
-            // Built-in LRU: minimum lastUse among unpinned, settled
-            // entries, lastUse ties broken by smallest id, so the
-            // victim does not depend on the entries' array order.
-            Time oldest = kTimeNever;
-            for (const auto &[id, entry] : entries_) {
-                if (entry.pins > 0 || entry.loading)
-                    continue;
-                if (entry.lastUse < oldest ||
-                    (entry.lastUse == oldest &&
-                     (victim == kNoExpert || id < victim))) {
-                    victim = id;
-                    oldest = entry.lastUse;
-                }
+        Time oldest = kTimeNever;
+        for (const auto &[id, entry] : entries_) {
+            if (entry.pins > 0 || entry.loading)
+                continue;
+            if (entry.lastUse < oldest ||
+                (entry.lastUse == oldest &&
+                 (victim == kNoExpert || id < victim))) {
+                victim = id;
+                oldest = entry.lastUse;
             }
         }
         if (victim == kNoExpert)

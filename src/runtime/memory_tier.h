@@ -10,9 +10,8 @@
  *
  *   MemoryTier      byte-capacity set of experts with pin state, LRU /
  *                   FIFO / LFU bookkeeping fields, per-tier hit / miss /
- *                   eviction counters, an optional pluggable
- *                   EvictionPolicy for cache-style self-eviction, and a
- *                   link to the tier below;
+ *                   eviction counters, built-in LRU self-eviction for
+ *                   the cache role, and a link to the tier below;
  *   DiskTier        the unbounded bottom of the hierarchy — holds every
  *                   expert, admissions are free (weights already
  *                   persist on disk);
@@ -31,7 +30,6 @@
 #define COSERVE_RUNTIME_MEMORY_TIER_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,8 +41,6 @@
 #include "util/time.h"
 
 namespace coserve {
-
-class EvictionPolicy; // runtime/policies.h
 
 /** Storage level of a tier, top to bottom. */
 enum class TierLevel
@@ -155,8 +151,8 @@ class TierBelow
  *    through its configured EvictionPolicy, and calls evict() — which
  *    demotes the victim into the linked tier below;
  *  - *cache tier*: admissions go through insert() / admit(), which
- *    makes room by self-evicting through the installed policy (or the
- *    built-in LRU scan), cascading spills into the tier below.
+ *    makes room by self-evicting the least recently used entry,
+ *    cascading spills into the tier below.
  *
  * Pins protect experts the executor is about to use:
  *  - hard pins: the expert is executing or being loaded — never evict;
@@ -176,8 +172,6 @@ class MemoryTier : public TierBelow
     MemoryTier(std::string name, std::int64_t capacityBytes,
                TierLevel level = TierLevel::Gpu);
 
-    ~MemoryTier() override;
-
     MemoryTier(const MemoryTier &) = delete;
     MemoryTier &operator=(const MemoryTier &) = delete;
 
@@ -188,14 +182,6 @@ class MemoryTier : public TierBelow
 
     /** @return the linked tier below, or null. */
     TierBelow *below() const { return below_; }
-
-    /**
-     * Install the policy used for cache-style self-eviction (insert /
-     * admit making room). Null restores the built-in LRU scan. The
-     * EvictionContext handed to a self-eviction policy carries only
-     * the clock — no model / dependency / usage information.
-     */
-    void setEvictionPolicy(std::unique_ptr<EvictionPolicy> policy);
 
     /**
      * Evict resident, unpinned @p e, demoting it into the tier below
@@ -342,9 +328,9 @@ class MemoryTier : public TierBelow
     void emplace(ExpertId e, const TierEntry &entry);
 
     /**
-     * Self-evict until @p need more bytes fit, via the installed policy
-     * or the built-in LRU scan (skipping pinned / loading entries;
-     * lastUse ties broken by smallest ExpertId).
+     * Self-evict until @p need more bytes fit, by an LRU scan
+     * (skipping pinned / loading entries; lastUse ties broken by
+     * smallest ExpertId).
      * @return false when no evictable victim remains.
      */
     bool makeRoom(std::int64_t need, Time now);
@@ -358,7 +344,6 @@ class MemoryTier : public TierBelow
     /** ExpertId -> index into entries_, -1 when absent. */
     std::vector<std::int32_t> slots_;
     TierBelow *below_ = nullptr;
-    std::unique_ptr<EvictionPolicy> policy_;
     TierCounters counters_;
 };
 
@@ -395,9 +380,9 @@ class DiskTier : public TierBelow
 
 /**
  * CPU DRAM tier shared by every replica of a cluster: one physical
- * host DRAM behind N replica engines. All accesses serialize on a
- * mutex, so replicas running on std::thread may hit it concurrently;
- * an expert demoted by replica 0 becomes a DRAM hit for replica 1.
+ * host DRAM behind N replica engines; an expert demoted by replica 0
+ * becomes a DRAM hit for replica 1. All accesses serialize on a mutex,
+ * so the tier stays safe to reach from any thread.
  *
  * Recency inside the shared tier uses an internal monotonic access
  * counter, not the callers' timestamps: each replica engine runs its
@@ -406,9 +391,11 @@ class DiskTier : public TierBelow
  * *running* replica's fresh entries in favor of a finished sibling's
  * dead ones).
  *
- * With threaded replicas the interleaving of insertions follows host
- * scheduling, so shared-tier runs are only reproducible with
- * sequential replica execution (ClusterConfig::parallel = false).
+ * The cluster never races replicas on it: a static run executes
+ * shared-tier replicas in replica order on one thread, and the
+ * coordinator steps every replica from its single thread, so the access
+ * sequence — and with it every hit, miss and eviction — is
+ * reproducible.
  *
  * Every member behind mutex_ is CS_GUARDED_BY-annotated: clang's
  * `-Wthread-safety -Werror` CI lane proves at compile time that no

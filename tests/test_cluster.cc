@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the cluster serving layer: trace sharding, routing-policy
- * behavior, single-replica equivalence with ServingEngine, and
- * ClusterResult aggregation math.
+ * behavior, single-replica and per-shard equivalence with
+ * ServingEngine, and ClusterResult aggregation math.
  */
 
 #include <gtest/gtest.h>
@@ -173,27 +173,32 @@ TEST_F(ClusterFixture, SingleReplicaReproducesServingEngine)
     }
 }
 
-TEST_F(ClusterFixture, ParallelAndSequentialRunsAgree)
+TEST_F(ClusterFixture, ThreadedReplicasMatchStandaloneShardRuns)
 {
-    ClusterConfig seqCfg = homogeneousCluster(
-        ctx_, cfg_, 3, RoutingPolicy::LeastLoaded);
-    seqCfg.parallel = false;
-    ClusterEngine sequential(std::move(seqCfg));
-    const ClusterResult a = sequential.run(trace_, {});
-
-    ClusterEngine parallel(homogeneousCluster(
+    // Private-tier replicas run one per thread and share no mutable
+    // state: each must equal a standalone engine serving its shard.
+    ClusterEngine cluster(homogeneousCluster(
         ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
-    const ClusterResult b = parallel.run(trace_, {});
-
-    EXPECT_EQ(a.images, b.images);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.switches.total(), b.switches.total());
-    EXPECT_EQ(a.imagesPerReplica, b.imagesPerReplica);
-    // Static runs digest their (precomputed) route stream; identical
-    // assignments mean identical digests regardless of `parallel`.
-    EXPECT_EQ(a.decisionDigest, b.decisionDigest);
-    EXPECT_EQ(a.decisionCount,
+    const std::vector<Trace> shards =
+        shardTrace(trace_, cluster.routeTrace(trace_), 3);
+    const ClusterResult r = cluster.run(trace_, {});
+    EXPECT_EQ(r.decisionCount,
               static_cast<std::int64_t>(trace_.size()));
+    ASSERT_EQ(r.replicas.size(), 3u);
+
+    for (std::size_t i = 0; i < 3; ++i) {
+        const RunResult solo =
+            makeCoServeEngine(ctx_, cfg_)->run(shards[i]);
+        const RunResult &rep = r.replicas[i];
+        EXPECT_GT(solo.images, 0) << "replica " << i;
+        EXPECT_EQ(rep.images, solo.images) << "replica " << i;
+        EXPECT_EQ(rep.inferences, solo.inferences);
+        EXPECT_EQ(rep.makespan, solo.makespan);
+        EXPECT_EQ(rep.eventsExecuted, solo.eventsExecuted);
+        EXPECT_EQ(rep.switches.total(), solo.switches.total());
+        EXPECT_EQ(rep.switches.bytesLoaded, solo.switches.bytesLoaded);
+        EXPECT_DOUBLE_EQ(rep.throughput, solo.throughput);
+    }
 }
 
 TEST(ClusterResultTest, AggregationMath)

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for online cluster scheduling (ClusterConfig::onlineRouting):
- * static routeTrace()/run() consistency, online-mode determinism
- * across the `parallel` flag, work-stealing counter reconciliation,
+ * Tests for online cluster scheduling (RunMode::Online): static
+ * routeTrace()/run() consistency, online-mode determinism across
+ * repeat runs, work-stealing counter reconciliation,
  * the least-loaded router's round-up parallelism division, the
  * expert-affinity router's capability fallback on heterogeneous
  * clusters, load-view parity with the engine's pools and queues, and
@@ -68,15 +68,11 @@ class OnlineClusterFixture : public ::testing::Test
     }
 
     ClusterConfig
-    onlineConfig(int replicas, bool stealing, bool parallel = true) const
+    onlineConfig(int replicas, bool stealing) const
     {
         ClusterConfig cc = homogeneousCluster(
             ctx_, cfg_, replicas, RoutingPolicy::LeastLoaded, "online");
-        // The legacy mode switch: RunOptions{} (RunMode::Auto) must
-        // honor it, which this fixture's run(trace, {}) calls cover.
-        cc.onlineRouting = true;
         cc.workStealing.enabled = stealing;
-        cc.parallel = parallel;
         return cc;
     }
 
@@ -118,7 +114,8 @@ TEST_F(OnlineClusterFixture, StaticRunMatchesRouteTraceAssignment)
 TEST_F(OnlineClusterFixture, OnlineModeServesEveryImage)
 {
     ClusterEngine cluster(onlineConfig(4, /*stealing=*/false));
-    const ClusterResult r = cluster.run(trace_, {});
+    const ClusterResult r =
+        cluster.run(trace_, runWithMode(RunMode::Online));
     EXPECT_EQ(r.images, 400);
     EXPECT_GT(r.makespan, 0);
     EXPECT_EQ(r.stolenRequests, 0);
@@ -134,26 +131,25 @@ TEST_F(OnlineClusterFixture, OnlineModeServesEveryImage)
     EXPECT_GT(used, 1);
 }
 
-TEST_F(OnlineClusterFixture, OnlineModeDeterministicAcrossParallelFlag)
+TEST_F(OnlineClusterFixture, OnlineModeDeterministicAcrossRuns)
 {
-    // Online coordination is lockstep on the shared virtual clock;
-    // `parallel` must not change a single metric — stealing and a
-    // cluster-shared CPU tier (whose access order the coordinator
-    // serializes) included.
+    // Online coordination is lockstep on the shared virtual clock: the
+    // same config run twice must not change a single metric — stealing
+    // and a cluster-shared CPU tier (whose access order the
+    // coordinator serializes) included.
     for (bool stealing : {false, true}) {
         for (bool sharedTier : {false, true}) {
-            ClusterConfig ca = onlineConfig(3, stealing, /*parallel=*/true);
-            ClusterConfig cb = onlineConfig(3, stealing, /*parallel=*/false);
+            ClusterConfig cc = onlineConfig(3, stealing);
             if (sharedTier) {
-                for (ClusterConfig *cc : {&ca, &cb}) {
-                    cc->sharedCpu.enabled = true;
-                    cc->sharedCpu.bytes = 512ll * 1024 * 1024;
-                }
+                cc.sharedCpu.enabled = true;
+                cc.sharedCpu.bytes = 512ll * 1024 * 1024;
             }
-            ClusterEngine a(std::move(ca));
-            ClusterEngine b(std::move(cb));
-            const ClusterResult ra = a.run(trace_, {});
-            const ClusterResult rb = b.run(trace_, {});
+            ClusterEngine a(cc);
+            ClusterEngine b(std::move(cc));
+            const ClusterResult ra =
+                a.run(trace_, runWithMode(RunMode::Online));
+            const ClusterResult rb =
+                b.run(trace_, runWithMode(RunMode::Online));
 
             // Equal decision digests subsume every aggregate check
             // below — kept anyway as the diagnostic breakdown.
@@ -425,7 +421,6 @@ TEST_F(OnlineClusterFixture, AffinityHeteroNumaUmaClusterServes)
     ClusterConfig cc = heterogeneousCluster(
         {{&ctx_, cfg_}, {&umaCtx, umaCfg}},
         RoutingPolicy::ExpertAffinity, "numa-uma");
-    cc.parallel = false;
     ClusterEngine cluster(std::move(cc));
     const ClusterResult r = cluster.run(trace_, {});
     EXPECT_EQ(r.images, 400);
@@ -584,7 +579,8 @@ TEST_F(OnlineClusterFixture, AdmissionSloOnlineDigestIsPinned)
     ClusterConfig cc = onlineConfig(3, /*stealing=*/true);
     cc.admission.enabled = true;
     ClusterEngine cluster(std::move(cc));
-    const ClusterResult r = cluster.run(slo, {});
+    const ClusterResult r =
+        cluster.run(slo, runWithMode(RunMode::Online));
     EXPECT_EQ(r.images + r.slo.rejected(),
               static_cast<std::int64_t>(slo.size()));
     // The coordinator's admission verdicts are part of the digest.

@@ -288,7 +288,6 @@ TEST_F(TierClusterFixture, SharedTierReportedOnceInClusterResult)
                                           RoutingPolicy::RoundRobin,
                                           "shared");
     cc.sharedCpu.enabled = true;
-    cc.parallel = false; // deterministic population order
     ClusterEngine cluster(std::move(cc));
     const ClusterResult r = cluster.run(trace_, {});
 
@@ -315,7 +314,6 @@ TEST_F(TierClusterFixture, SharedTierBeatsPrivateTiersOnHitRate)
     ClusterConfig priv = homogeneousCluster(ctx_, cfg_, 2,
                                             RoutingPolicy::RoundRobin,
                                             "private");
-    priv.parallel = false;
     ClusterEngine privCluster(std::move(priv));
     const double privRate =
         hitRate(privCluster.run(trace_, {}), "cpu.cache");
@@ -324,7 +322,6 @@ TEST_F(TierClusterFixture, SharedTierBeatsPrivateTiersOnHitRate)
                                               RoutingPolicy::RoundRobin,
                                               "shared");
     shared.sharedCpu.enabled = true; // same total DRAM, one tier
-    shared.parallel = false;
     ClusterEngine sharedCluster(std::move(shared));
     const double sharedRate =
         hitRate(sharedCluster.run(trace_, {}), "cpu.shared");
@@ -338,7 +335,6 @@ TEST_F(TierClusterFixture, PrivateTiersMergeAcrossReplicas)
     ClusterConfig cc = homogeneousCluster(ctx_, cfg_, 2,
                                           RoutingPolicy::RoundRobin,
                                           "merge");
-    cc.parallel = false;
     ClusterEngine cluster(std::move(cc));
     const ClusterResult r = cluster.run(trace_, {});
 
@@ -371,7 +367,6 @@ TEST_F(TierClusterFixture, HeterogeneousClusterMixedDevices)
     ClusterConfig cc = heterogeneousCluster(
         {{&ctx_, cfg_}, {&ctx_, cfg_}, {&bigCtx, bigCfg}, {&bigCtx, bigCfg}},
         RoutingPolicy::LeastLoaded, "hetero");
-    cc.parallel = false;
     ClusterEngine cluster(std::move(cc));
     ASSERT_EQ(cluster.numReplicas(), 4u);
 

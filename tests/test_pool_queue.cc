@@ -818,40 +818,5 @@ TEST(CpuTierTest, EraseFreesBytes)
     EXPECT_FALSE(cache.contains(1));
 }
 
-TEST(CpuTierTest, PluggableEvictionPolicy)
-{
-    // A FIFO-by-loadSeq tier: recency no longer decides the victim.
-    struct FifoByInsert : EvictionPolicy
-    {
-        const char *name() const override { return "fifo-test"; }
-        std::optional<ExpertId>
-        selectVictim(const MemoryTier &pool,
-                     const EvictionContext &ctx) override
-        {
-            std::optional<ExpertId> victim;
-            Time oldest = kTimeNever;
-            for (const auto &[id, entry] : pool.entries()) {
-                if (!evictable(entry, ctx))
-                    continue;
-                // Victim = smallest id (deterministic, non-LRU).
-                if (!victim || id < *victim) {
-                    victim = id;
-                    oldest = entry.lastUse;
-                }
-            }
-            (void)oldest;
-            return victim;
-        }
-    };
-    MemoryTier cache("c", 100 * kMB, TierLevel::CpuDram);
-    cache.setEvictionPolicy(std::make_unique<FifoByInsert>());
-    cache.insert(1, 40 * kMB, 50); // most recent...
-    cache.insert(2, 40 * kMB, 10);
-    cache.insert(3, 40 * kMB, 20); // ...but 1 is still the victim
-    EXPECT_FALSE(cache.contains(1));
-    EXPECT_TRUE(cache.contains(2));
-    EXPECT_TRUE(cache.contains(3));
-}
-
 } // namespace
 } // namespace coserve

@@ -2,7 +2,7 @@
  * @file
  * Tests for preemptive checkpoint/restore and live migration: the
  * CheckpointModel pricing, config validation, deadline-rescue
- * preemption counters, on/off and parallel-flag determinism,
+ * preemption counters, on/off and repeat-run determinism,
  * record→replay with the v2 decision kinds, forced divergence on a
  * preemption mismatch, the v1-log version gate, and crash + migration
  * request reconciliation.
@@ -112,13 +112,10 @@ class PreemptFixture : public ::testing::Test
     }
 
     ClusterConfig
-    preemptConfig(int replicas, bool migration,
-                  bool parallel = true) const
+    preemptConfig(int replicas, bool migration) const
     {
         ClusterConfig cc = homogeneousCluster(
             ctx_, cfg_, replicas, RoutingPolicy::LeastLoaded, "preempt");
-        cc.onlineRouting = true;
-        cc.parallel = parallel;
         cc.preemption.enabled = true;
         cc.preemption.minRunQuantum = milliseconds(5);
         cc.preemption.migration = migration;
@@ -151,7 +148,6 @@ TEST_F(PreemptFixture, ValidateCoversPreemptionKnobs)
 {
     ClusterConfig cc = homogeneousCluster(
         ctx_, cfg_, 2, RoutingPolicy::LeastLoaded);
-    cc.onlineRouting = true;
     cc.preemption.enabled = true;
     cc.preemption.minRunQuantum = 0;
     cc.preemption.maxPreemptionsPerGroup = 0;
@@ -163,7 +159,6 @@ TEST_F(PreemptFixture, ValidateCoversPreemptionKnobs)
     // Migration without the master switch is refused.
     ClusterConfig solo = homogeneousCluster(
         ctx_, cfg_, 2, RoutingPolicy::LeastLoaded);
-    solo.onlineRouting = true;
     solo.preemption.migration = true;
     EXPECT_FALSE(solo.validate(runWithMode(RunMode::Online)).empty());
 
@@ -253,11 +248,12 @@ TEST_F(PreemptFixture, PreemptionChangesTheScheduleOnlyWhenOn)
 
 // --------------------------------------------------------- determinism
 
-TEST_F(PreemptFixture, PreemptionDeterministicAcrossParallelFlag)
+TEST_F(PreemptFixture, PreemptionDeterministicAcrossRuns)
 {
+    // The same config run twice gives the same decisions and metrics.
     for (bool migration : {false, true}) {
-        ClusterEngine a(preemptConfig(3, migration, /*parallel=*/true));
-        ClusterEngine b(preemptConfig(3, migration, /*parallel=*/false));
+        ClusterEngine a(preemptConfig(3, migration));
+        ClusterEngine b(preemptConfig(3, migration));
         const ClusterResult ra =
             a.run(trace_, runWithMode(RunMode::Online));
         const ClusterResult rb =

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for deterministic record/replay and fault injection: the
- * decision-log codec and digest, record→replay byte-equality, forced
+ * decision-log codec and digest, record→replay byte-equality (online,
+ * and static with a shared CPU tier), forced
  * divergence detection, config validation, crash-mid-run request
  * reconciliation, straggler/brownout determinism, a pinned static
  * fault-plan digest, and the coordinator's refusal of unsorted traces.
@@ -223,29 +224,64 @@ TEST_F(ReplayFixture, RecordThenReplayIsByteIdentical)
     std::remove(logB.c_str());
 }
 
-TEST_F(ReplayFixture, StaticRecordReplaysAcrossParallelFlag)
+TEST_F(ReplayFixture, SharedTierStaticRunRecordsAndReplays)
 {
-    // Static runs digest the precomputed route assignment, so a
-    // sequential replica execution must replay a parallel recording.
-    const std::string log = tempPath("replay_static.bin");
+    // A static run whose replicas share one CPU tier executes them in
+    // replica order, so default options record it, the replay
+    // verifies it, and the replay run reproduces every tier counter
+    // and per-replica result of the recording. The smallest GPU pool
+    // makes experts cycle through the shared tier.
+    const int minCount = gpuExpertCountBounds(ctx_, 1, 0).first;
+    const EngineConfig small = coserveConfig(
+        ctx_, coserveExecutorLayout(ctx_, 1, 0, minCount), "replica");
+    const auto sharedConfig = [this, &small] {
+        ClusterConfig cc = homogeneousCluster(
+            ctx_, small, 3, RoutingPolicy::LeastLoaded, "shared-static");
+        cc.sharedCpu.enabled = true;
+        cc.sharedCpu.bytes = 512ll * 1024 * 1024;
+        return cc;
+    };
+    const std::string log = tempPath("replay_shared_static.bin");
     RunOptions rec;
     rec.recordPath = log;
-    ClusterConfig par = homogeneousCluster(ctx_, cfg_, 3,
-                                           RoutingPolicy::LeastLoaded);
-    ClusterEngine recorder(std::move(par));
+    ClusterEngine recorder(sharedConfig());
     const ClusterResult r1 = recorder.run(trace_, rec);
 
     RunOptions rep;
     rep.replayPath = log;
-    ClusterConfig seq = homogeneousCluster(ctx_, cfg_, 3,
-                                           RoutingPolicy::LeastLoaded);
-    seq.parallel = false;
-    ClusterEngine replayer(std::move(seq));
+    ClusterEngine replayer(sharedConfig());
     const ClusterResult r2 = replayer.run(trace_, rep);
+    std::remove(log.c_str());
+
     EXPECT_EQ(r1.decisionDigest, r2.decisionDigest);
     EXPECT_EQ(r1.decisionCount,
               static_cast<std::int64_t>(trace_.size()));
-    std::remove(log.c_str());
+    EXPECT_EQ(r1.images, static_cast<std::int64_t>(trace_.size()));
+
+    const TierStats *t1 = findTierStats(r1.tiers, "cpu.shared");
+    const TierStats *t2 = findTierStats(r2.tiers, "cpu.shared");
+    ASSERT_NE(t1, nullptr);
+    ASSERT_NE(t2, nullptr);
+    EXPECT_GT(t1->counters.hits, 0);
+    EXPECT_GT(t1->counters.evictions, 0);
+    EXPECT_EQ(t1->counters.hits, t2->counters.hits);
+    EXPECT_EQ(t1->counters.misses, t2->counters.misses);
+    EXPECT_EQ(t1->counters.evictions, t2->counters.evictions);
+    EXPECT_EQ(t1->counters.insertions, t2->counters.insertions);
+    EXPECT_EQ(t1->usedBytes, t2->usedBytes);
+
+    ASSERT_EQ(r1.replicas.size(), 3u);
+    ASSERT_EQ(r2.replicas.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        const RunResult &a = r1.replicas[i];
+        const RunResult &b = r2.replicas[i];
+        EXPECT_EQ(a.images, b.images) << "replica " << i;
+        EXPECT_EQ(a.makespan, b.makespan) << "replica " << i;
+        EXPECT_EQ(a.eventsExecuted, b.eventsExecuted) << "replica " << i;
+        EXPECT_EQ(a.switches.loadsFromSsd, b.switches.loadsFromSsd);
+        EXPECT_EQ(a.switches.loadsFromCache, b.switches.loadsFromCache);
+        EXPECT_EQ(a.switches.bytesLoaded, b.switches.bytesLoaded);
+    }
 }
 
 TEST_F(ReplayFixture, ReplayDivergenceIsFatal)
@@ -301,6 +337,16 @@ TEST_F(ReplayFixture, ValidateReportsHumanReadableErrors)
     opts.faults.brownouts.push_back({1, seconds(1), seconds(2), 1.5});
     errors = cc.validate(opts);
     ASSERT_GE(errors.size(), 5u);
+
+    // A negative shared-tier capacity is a config error, not an
+    // internal check failure at run time.
+    ClusterConfig negative = homogeneousCluster(
+        ctx_, cfg_, 2, RoutingPolicy::LeastLoaded);
+    negative.sharedCpu.enabled = true;
+    negative.sharedCpu.bytes = -1;
+    errors = negative.validate({});
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_NE(errors[0].find("sharedCpu.bytes"), std::string::npos);
 
     // Same record and replay path.
     RunOptions paths;
@@ -381,7 +427,7 @@ TEST_F(ReplayFixture, StaticModeSupportsFaultsWithPinnedRouting)
         homogeneousCluster(ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
     const ClusterResult base = clean.run(trace_, {});
 
-    RunOptions opts; // RunMode::Auto resolves static
+    RunOptions opts; // static by default
     opts.faults.crashes.push_back({2, at(100)});
     ClusterEngine cluster(
         homogeneousCluster(ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
@@ -402,7 +448,7 @@ TEST_F(ReplayFixture, StaticFaultPlanDigestIsPinned)
     // four fault toggles. Any change to those coordinator paths moves
     // the digest.
     const std::size_t crashAt = 150;
-    RunOptions opts; // RunMode::Auto resolves static
+    RunOptions opts; // static by default
     opts.faults.crashes.push_back({1, at(crashAt)});
     opts.faults.stragglers.push_back({0, at(50), at(250), 3.0});
     opts.faults.brownouts.push_back({2, at(100), at(300), 0.25});

@@ -617,13 +617,11 @@ class SloClusterFixture : public SloServingFixture
 {
   protected:
     ClusterConfig
-    onlineConfig(bool autoscale, bool parallel = true) const
+    onlineConfig(bool autoscale) const
     {
         ClusterConfig cc = homogeneousCluster(
             ctx_, cfg_, 4, RoutingPolicy::LeastLoaded, "slo-cluster");
-        cc.onlineRouting = true;
         cc.workStealing.enabled = true;
-        cc.parallel = parallel;
         cc.admission.enabled = true;
         if (autoscale) {
             cc.autoscale.enabled = true;
@@ -638,10 +636,12 @@ class SloClusterFixture : public SloServingFixture
 TEST_F(SloClusterFixture, OnlineSloServingReconcilesAndIsDeterministic)
 {
     for (bool autoscale : {false, true}) {
-        ClusterEngine a(onlineConfig(autoscale, /*parallel=*/true));
-        ClusterEngine b(onlineConfig(autoscale, /*parallel=*/false));
-        const ClusterResult ra = a.run(trace_, {});
-        const ClusterResult rb = b.run(trace_, {});
+        ClusterEngine a(onlineConfig(autoscale));
+        ClusterEngine b(onlineConfig(autoscale));
+        const ClusterResult ra =
+            a.run(trace_, runWithMode(RunMode::Online));
+        const ClusterResult rb =
+            b.run(trace_, runWithMode(RunMode::Online));
 
         // The decision stream (routes + admission verdicts + scale
         // actions) must match before any aggregate does.
@@ -655,7 +655,7 @@ TEST_F(SloClusterFixture, OnlineSloServingReconcilesAndIsDeterministic)
                           ra.slo.rejected()),
                   static_cast<std::int64_t>(trace_.size()));
 
-        // Bit-identical regardless of `parallel`, autoscale included.
+        // Bit-identical across repeat runs, autoscale included.
         EXPECT_EQ(ra.images, rb.images);
         EXPECT_EQ(ra.makespan, rb.makespan);
         EXPECT_EQ(ra.eventsExecuted, rb.eventsExecuted);
@@ -696,14 +696,14 @@ TEST_F(SloClusterFixture, AutoscaleStartupCoversHeterogeneousCluster)
     ClusterConfig cc = heterogeneousCluster(
         {{&partialCtx, cfg_}, {&ctx_, cfg_}},
         RoutingPolicy::LeastLoaded, "hetero-scale");
-    cc.onlineRouting = true;
     cc.autoscale.enabled = true;
     cc.autoscale.interval = milliseconds(500);
     cc.autoscale.minReplicas = 1;
     cc.autoscale.startReplicas = 1; // replica 0 alone cannot serve
 
     ClusterEngine cluster(std::move(cc));
-    const ClusterResult r = cluster.run(trace_, {});
+    const ClusterResult r =
+        cluster.run(trace_, runWithMode(RunMode::Online));
     EXPECT_EQ(r.images, static_cast<std::int64_t>(trace_.size()));
 }
 
@@ -714,7 +714,6 @@ TEST_F(SloClusterFixture, QuiesceEvacuatesQueuedWork)
     // the evacuated counter is unambiguous.
     ClusterConfig cc = homogeneousCluster(
         ctx_, cfg_, 4, RoutingPolicy::LeastLoaded, "evac");
-    cc.onlineRouting = true;
     cc.autoscale.enabled = true;
     cc.autoscale.interval = milliseconds(250);
     cc.autoscale.cooldown = milliseconds(250);
@@ -726,7 +725,8 @@ TEST_F(SloClusterFixture, QuiesceEvacuatesQueuedWork)
     cc.autoscale.violationHigh = 2.0; // never scale up
 
     ClusterEngine cluster(std::move(cc));
-    const ClusterResult r = cluster.run(trace_, {});
+    const ClusterResult r =
+        cluster.run(trace_, runWithMode(RunMode::Online));
     EXPECT_EQ(r.images, static_cast<std::int64_t>(trace_.size()));
     EXPECT_EQ(r.autoscaleQuiesces, 3); // down to minReplicas
     EXPECT_GT(r.autoscaleEvacuated, 0);
