@@ -21,29 +21,6 @@ LruEviction::selectVictim(const MemoryTier &pool,
 }
 
 std::optional<ExpertId>
-LfuEviction::selectVictim(const MemoryTier &pool,
-                          const EvictionContext &ctx)
-{
-    std::optional<ExpertId> victim;
-    std::int64_t fewest = INT64_MAX;
-    Time oldest = kTimeNever;
-    for (const auto &[id, entry] : pool.entries()) {
-        if (!evictable(entry, ctx))
-            continue;
-        // Ties broken by recency, then id, for determinism.
-        if (entry.uses < fewest ||
-            (entry.uses == fewest && entry.lastUse < oldest) ||
-            (entry.uses == fewest && entry.lastUse == oldest &&
-             (!victim || id < *victim))) {
-            victim = id;
-            fewest = entry.uses;
-            oldest = entry.lastUse;
-        }
-    }
-    return victim;
-}
-
-std::optional<ExpertId>
 FifoEviction::selectVictim(const MemoryTier &pool,
                            const EvictionContext &ctx)
 {

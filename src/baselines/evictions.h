@@ -36,22 +36,6 @@ class FifoEviction : public EvictionPolicy
         override;
 };
 
-/**
- * Least-frequently-used eviction. Not a paper baseline; included as an
- * extended comparison point: LFU approximates the usage-probability
- * ordering *after* enough history accumulates, which demonstrates why
- * CoServe's pre-assessed probabilities win early (Section 3.2).
- */
-class LfuEviction : public EvictionPolicy
-{
-  public:
-    const char *name() const override { return "lfu"; }
-
-    std::optional<ExpertId>
-    selectVictim(const MemoryTier &pool, const EvictionContext &ctx)
-        override;
-};
-
 } // namespace coserve
 
 #endif // COSERVE_BASELINES_EVICTIONS_H

@@ -280,15 +280,16 @@ ClusterConfig::validate(const RunOptions &opts) const
         errors.push_back(
             "fault plan: crashing every replica leaves no survivors");
     }
+    // Written to accept only valid values: NaN fails every comparison.
     for (const Straggler &s : opts.faults.stragglers) {
-        if (s.slowdown < 1.0) {
+        if (!(s.slowdown >= 1.0 && std::isfinite(s.slowdown))) {
             errors.push_back(
-                "fault plan: straggler slowdown must be >= 1, got " +
-                std::to_string(s.slowdown));
+                "fault plan: straggler slowdown must be finite and >= 1, "
+                "got " + std::to_string(s.slowdown));
         }
     }
     for (const StorageBrownout &b : opts.faults.brownouts) {
-        if (b.factor <= 0.0 || b.factor > 1.0) {
+        if (!(b.factor > 0.0 && b.factor <= 1.0)) {
             errors.push_back(
                 "fault plan: brownout factor must be in (0, 1], got " +
                 std::to_string(b.factor));
@@ -641,25 +642,6 @@ class Coordinator
     }
 
     /**
-     * Shared-tier steal hint: the distinct experts of re-routed
-     * requests (see SharedCpuTier::hintUpcomingLoads).
-     */
-    void
-    hintSharedTier(const std::vector<Request> &loot)
-    {
-        if (sharedCpu_ == nullptr || loot.empty())
-            return;
-        lootExperts_.clear();
-        for (const Request &req : loot)
-            lootExperts_.push_back(req.expert);
-        std::sort(lootExperts_.begin(), lootExperts_.end());
-        lootExperts_.erase(
-            std::unique(lootExperts_.begin(), lootExperts_.end()),
-            lootExperts_.end());
-        sharedCpu_->hintUpcomingLoads(lootExperts_);
-    }
-
-    /**
      * Migration target selection, shared by the outbox drain and crash
      * evacuation: least-backlogged active capable replica of the
      * image's processor kind (ties: lowest index). A live source with
@@ -698,7 +680,6 @@ class Coordinator
         if (target != src) {
             migratedGroups_ += 1;
             migratedRequests_ += static_cast<std::int64_t>(cnt);
-            hintSharedTier(img.requests);
         }
         engines_[target]->adoptCheckpoint(std::move(img));
         dirty_[target] = 1;
@@ -822,9 +803,6 @@ class Coordinator
                 continue;
             }
             record({now, DecisionKind::Steal, victim, thief, got});
-            // Keep the thief's upcoming demand loads resident in the
-            // shared DRAM tier (steal-aware admission).
-            hintSharedTier(requestBuf_);
             for (const Request &req : requestBuf_)
                 engines_[thief]->injectRequest(req);
             stolenFrom_[victim] += static_cast<std::int64_t>(got);
@@ -858,7 +836,6 @@ class Coordinator
                 if (got == 0)
                     continue;
                 record({now, DecisionKind::Evacuate, q, t, got});
-                hintSharedTier(requestBuf_);
                 for (const Request &req : requestBuf_)
                     engines_[t]->injectRequest(req);
                 evacuated_ += static_cast<std::int64_t>(got);
@@ -1014,7 +991,6 @@ class Coordinator
         requestBuf_.clear();
         engines_[r]->crashDrain(requestBuf_);
         dirty_[r] = 1;
-        hintSharedTier(requestBuf_);
         std::vector<std::uint64_t> rehomeCnt(n_, 0);
         std::int64_t lostHere = 0;
         std::size_t cursor = (r + 1) % n_;
@@ -1391,7 +1367,6 @@ class Coordinator
 
     // ----- scratch buffers --------------------------------------------
     std::vector<PreemptEvent> pevBuf_;
-    std::vector<ExpertId> lootExperts_;
     std::vector<CheckpointImage> imageBuf_;
     std::vector<Request> requestBuf_;
     ReplicaLoadView sampleView_;

@@ -217,36 +217,6 @@ class ExpertAffinityRouter : public ReplicaRouter
         return caps_.firstChainCapable(arrival.component, home(e));
     }
 
-    bool usesLiveViews() const override { return true; }
-
-    std::size_t
-    routeLive(const ImageArrival &arrival,
-              const std::vector<ReplicaLoadView> &views) override
-    {
-        const ExpertId e =
-            model_.component(arrival.component).classifier;
-        // Prefer a replica that *actually* holds the classifier
-        // resident right now — the hash is only a stateless guess at
-        // that. The hashed home wins ties, and the fallback scan
-        // wraps from it, so the mapping stays sticky instead of
-        // biasing toward low replica indices. Quiesced replicas
-        // (acceptingWork false, autoscaler) are skipped; the
-        // coordinator re-homes the hashed fallback if needed.
-        const std::size_t n = caps_.replicas();
-        const std::size_t hashed =
-            caps_.firstChainCapable(arrival.component, home(e));
-        if (views[hashed].acceptingWork && views[hashed].resident(e))
-            return hashed;
-        for (std::size_t j = 1; j < n; ++j) {
-            const std::size_t i = (hashed + j) % n;
-            if (views[i].acceptingWork &&
-                caps_.chainOk(i, arrival.component) &&
-                views[i].resident(e))
-                return i;
-        }
-        return hashed;
-    }
-
   private:
     std::size_t
     home(ExpertId e) const

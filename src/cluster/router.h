@@ -14,8 +14,8 @@
  *                     lifted to replica granularity with a residency
  *                     approximation per replica.
  *  - ExpertAffinity   requests hash by their classification expert, so
- *                     all images of one component type land on the
- *                     replica that already holds that expert resident
+ *                     all images of one component type land on one
+ *                     home replica, which keeps that expert resident
  *                     (minimizes cluster-wide expert switches).
  */
 

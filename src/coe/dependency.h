@@ -18,7 +18,7 @@
 
 namespace coserve {
 
-/** Bidirectional preliminary/subsequent adjacency for one CoE model. */
+/** Preliminary experts of each subsequent expert, for one CoE model. */
 class DependencyGraph
 {
   public:
@@ -31,15 +31,11 @@ class DependencyGraph
     /** Preliminary experts whose output can route to @p e. */
     const std::vector<ExpertId> &preliminariesOf(ExpertId e) const;
 
-    /** Subsequent experts reachable from preliminary expert @p e. */
-    const std::vector<ExpertId> &subsequentsOf(ExpertId e) const;
-
     /** @return number of experts covered. */
     std::size_t size() const { return preliminaries_.size(); }
 
   private:
     std::vector<std::vector<ExpertId>> preliminaries_;
-    std::vector<std::vector<ExpertId>> subsequents_;
     std::vector<bool> isSubsequent_;
 };
 

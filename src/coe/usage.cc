@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "coe/routing.h"
 #include "util/logging.h"
 
 namespace coserve {
@@ -27,42 +26,6 @@ UsageProfile::exact(const CoEModel &model)
     for (double &w : weight)
         w /= total;
     return UsageProfile(std::move(weight));
-}
-
-UsageProfile
-UsageProfile::estimated(const CoEModel &model, std::size_t numSamples,
-                        Rng &rng)
-{
-    COSERVE_CHECK(numSamples > 0, "need at least one sample");
-    Router router(model);
-
-    // Sample component types from the image distribution.
-    std::vector<double> cdf(model.numComponents());
-    double acc = 0.0;
-    for (std::size_t i = 0; i < model.numComponents(); ++i) {
-        acc += model.component(static_cast<ComponentId>(i)).imageProb;
-        cdf[i] = acc;
-    }
-
-    std::vector<double> count(model.numExperts(), 0.0);
-    double executions = 0.0;
-    for (std::size_t s = 0; s < numSamples; ++s) {
-        const auto c = static_cast<ComponentId>(rng.discreteFromCdf(cdf));
-        const ComponentType &comp = model.component(c);
-        count[static_cast<std::size_t>(router.preliminary(c))] += 1.0;
-        executions += 1.0;
-        const ClassVerdict verdict = rng.bernoulli(comp.defectProb)
-                                         ? ClassVerdict::Defective
-                                         : ClassVerdict::Ok;
-        const ExpertId det = router.subsequent(c, verdict);
-        if (det != kNoExpert) {
-            count[static_cast<std::size_t>(det)] += 1.0;
-            executions += 1.0;
-        }
-    }
-    for (double &x : count)
-        x /= executions;
-    return UsageProfile(std::move(count));
 }
 
 UsageProfile::UsageProfile(std::vector<double> probabilities)
@@ -91,12 +54,6 @@ const std::vector<ExpertId> &
 UsageProfile::byDescendingUsage() const
 {
     return order_;
-}
-
-const std::vector<double> &
-UsageProfile::cdf() const
-{
-    return cdf_;
 }
 
 double

@@ -2,12 +2,9 @@
  * @file
  * Expert usage probabilities (Section 4.5).
  *
- * Two ways to obtain them, both implemented here:
- *  - exact: computed directly from the routing rules and the known
- *    component-quantity distribution ("if the routing rules are
- *    predefined, expert usage probabilities can be calculated directly");
- *  - estimated: replay the router over a sample dataset and count
- *    ("run the CoE routing on a small, real-world sample dataset").
+ * They are computed exactly from the routing rules and the known
+ * component-quantity distribution ("if the routing rules are
+ * predefined, expert usage probabilities can be calculated directly").
  *
  * The profile also exposes the descending-probability CDF used by the
  * memory planner's decay-window search (Section 4.4, Figure 11).
@@ -19,7 +16,6 @@
 #include <vector>
 
 #include "coe/coe_model.h"
-#include "util/rng.h"
 
 namespace coserve {
 
@@ -29,16 +25,6 @@ class UsageProfile
   public:
     /** Exact probabilities from routing rules (Section 4.5, way 2). */
     static UsageProfile exact(const CoEModel &model);
-
-    /**
-     * Estimate by sampling @p numSamples routed images (way 1).
-     *
-     * @param model CoE model (supplies rules and image distribution).
-     * @param numSamples sample dataset size.
-     * @param rng randomness source (deterministic given the seed).
-     */
-    static UsageProfile estimated(const CoEModel &model,
-                                  std::size_t numSamples, Rng &rng);
 
     /** Construct from raw probabilities (must sum to ~1). */
     explicit UsageProfile(std::vector<double> probabilities);
@@ -53,13 +39,9 @@ class UsageProfile
     const std::vector<ExpertId> &byDescendingUsage() const;
 
     /**
-     * Cumulative distribution over the descending-usage ordering:
-     * cdf()[k] = total probability of the top (k+1) experts. This is
-     * the curve of paper Figure 11.
+     * Total probability mass of the top @p k experts: over k, the
+     * descending-usage CDF of paper Figure 11.
      */
-    const std::vector<double> &cdf() const;
-
-    /** Total probability mass of the top @p k experts. */
     double topKMass(std::size_t k) const;
 
   private:

@@ -15,12 +15,6 @@ toString(ProcKind k)
     return k == ProcKind::GPU ? "GPU" : "CPU";
 }
 
-const char *
-toString(MemArch a)
-{
-    return a == MemArch::NUMA ? "NUMA" : "UMA";
-}
-
 DeviceSpec
 numaRtx3080Ti()
 {

@@ -40,9 +40,6 @@ enum class ProcKind { GPU, CPU };
 /** @return "GPU" / "CPU". */
 const char *toString(ProcKind k);
 
-/** @return "NUMA" / "UMA". */
-const char *toString(MemArch a);
-
 /** One compute resource of a device. */
 struct ProcessorSpec
 {

@@ -1,12 +1,11 @@
 #include "metrics/report.h"
 
-#include <iostream>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "util/strutil.h"
-#include "util/table.h"
 #include "util/time.h"
 
 namespace coserve {
@@ -151,53 +150,6 @@ summarize(const ClusterResult &r)
     }
     appendTierLines(os, r.tiers);
     return os.str();
-}
-
-std::string
-summarizeExecutors(const RunResult &r)
-{
-    std::ostringstream os;
-    Table t({"Executor", "Batches", "Requests", "Avg batch", "Busy",
-             "Load stall", "Switches"});
-    for (const ExecutorStats &es : r.executors) {
-        t.addRow({es.name, std::to_string(es.batches),
-                  std::to_string(es.requests),
-                  formatDouble(es.avgBatchSize, 1),
-                  formatTime(es.busyTime), formatTime(es.loadStall),
-                  std::to_string(es.switches.total())});
-    }
-    t.print(os);
-    return os.str();
-}
-
-void
-printComparison(const std::vector<RunResult> &results, std::ostream &os)
-{
-    if (results.empty())
-        return;
-    const RunResult &base = results.front();
-    Table t({"System", "img/s", "Speedup", "Switches",
-             "Switch reduction", "Makespan"});
-    for (const RunResult &r : results) {
-        const double speedup =
-            base.throughput > 0 ? r.throughput / base.throughput : 0.0;
-        const double reduction =
-            base.switches.total() > 0
-                ? 1.0 - static_cast<double>(r.switches.total()) /
-                            static_cast<double>(base.switches.total())
-                : 0.0;
-        t.addRow({r.label, formatDouble(r.throughput, 1),
-                  formatDouble(speedup, 2) + "x",
-                  std::to_string(r.switches.total()),
-                  formatPercent(reduction), formatTime(r.makespan)});
-    }
-    t.print(os);
-}
-
-void
-printComparison(const std::vector<RunResult> &results)
-{
-    printComparison(results, std::cout);
 }
 
 void

@@ -1,17 +1,16 @@
 /**
  * @file
- * Human-readable rendering and cross-system comparison of RunResults.
+ * Human-readable rendering of engine and cluster runs, and a cluster
+ * run's export into the metrics registry.
  *
- * Used by examples and ad-hoc experiments; the figure benches format
- * their own tables to match the paper's layout.
+ * The figure benches format their own tables to match the paper's
+ * layout.
  */
 
 #ifndef COSERVE_METRICS_REPORT_H
 #define COSERVE_METRICS_REPORT_H
 
-#include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "metrics/cluster_result.h"
 #include "metrics/run_result.h"
@@ -32,20 +31,6 @@ std::string summarize(const RunResult &result);
  * merged tier counters.
  */
 std::string summarize(const ClusterResult &result);
-
-/** Render per-executor utilization rows. */
-std::string summarizeExecutors(const RunResult &result);
-
-/**
- * Comparison across systems on the same workload: one row per run with
- * throughput, speedup vs. the first entry (the baseline), switch
- * counts and reduction vs. the baseline.
- */
-void printComparison(const std::vector<RunResult> &results,
-                     std::ostream &os);
-
-/** Convenience overload writing to stdout. */
-void printComparison(const std::vector<RunResult> &results);
 
 /**
  * Export a collected cluster run into @p registry: the aggregated

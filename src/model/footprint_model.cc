@@ -66,11 +66,4 @@ FootprintModel::batchBytes(ArchId arch, ProcKind proc, int batchSize) const
     return activationBytesPerImage(arch, proc) * batchSize;
 }
 
-double
-FootprintModel::memoryScore(ArchId arch, std::int64_t unit) const
-{
-    return static_cast<double>(expertBytes(arch)) /
-           static_cast<double>(unit);
-}
-
 } // namespace coserve

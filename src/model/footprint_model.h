@@ -37,13 +37,6 @@ class FootprintModel
     std::int64_t batchBytes(ArchId arch, ProcKind proc,
                             int batchSize) const;
 
-    /**
-     * Normalized "memory score" as used for eviction ordering
-     * (Section 4.3, Figure 10): expert bytes divided by @p unit.
-     */
-    double memoryScore(ArchId arch,
-                       std::int64_t unit = 64ll * 1024 * 1024) const;
-
   private:
     /** Multiplier on raw weight bytes for runtime buffers. */
     double weightOverhead_ = 1.05;

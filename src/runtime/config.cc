@@ -7,15 +7,6 @@
 namespace coserve {
 
 int
-EngineConfig::countExecutors(ProcKind kind) const
-{
-    int n = 0;
-    for (const ExecutorConfig &e : executors)
-        n += e.kind == kind ? 1 : 0;
-    return n;
-}
-
-int
 saturationMaxBatch(const LatencyModel &truth, ArchId arch, ProcKind proc,
                    int limit)
 {

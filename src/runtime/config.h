@@ -99,9 +99,6 @@ struct EngineConfig
      * offline profiler.
      */
     std::map<std::pair<ArchId, ProcKind>, int> maxBatch;
-
-    /** @return number of executors of @p kind. */
-    int countExecutors(ProcKind kind) const;
 };
 
 /**

@@ -205,13 +205,6 @@ ServingEngine::gpuLoadSource(ExpertId e) const
     return LoadSource::Ssd;
 }
 
-Time
-ServingEngine::predictUnitLatency(std::size_t i, ArchId arch) const
-{
-    const Executor &exec = executorAt(i);
-    return truth_.params(arch, exec.kind()).perImage;
-}
-
 int
 ServingEngine::maxExecutableBatch(const Executor &exec, ArchId arch) const
 {

@@ -391,9 +391,6 @@ class ServingEngine
      */
     Time predictLoadTime(std::size_t i, ExpertId e) const;
 
-    /** Predicted execution time of one request on executor @p i. */
-    Time predictUnitLatency(std::size_t i, ArchId arch) const;
-
     /** Current virtual time. */
     Time now() const { return eq_.now(); }
 

@@ -114,7 +114,6 @@ MemoryTier::touch(ExpertId e, Time now)
 {
     TierEntry &entry = mutableEntry(e);
     entry.lastUse = now;
-    entry.uses += 1;
 }
 
 void
@@ -239,6 +238,16 @@ MemoryTier::refresh(ExpertId e, Time now)
         mutableEntry(e).lastUse = now;
 }
 
+bool
+MemoryTier::lookupAndTouch(ExpertId e, Time now)
+{
+    if (!holds(e))
+        return false;
+    noteHit();
+    refresh(e, now);
+    return true;
+}
+
 TierStats
 MemoryTier::stats() const
 {
@@ -268,7 +277,7 @@ DiskTier::stats() const
 // --------------------------------------------------------- SharedCpuTier
 
 SharedCpuTier::SharedCpuTier(std::int64_t capacityBytes)
-    : tier_(name_, capacityBytes, TierLevel::CpuDram), disk_("disk")
+    : tier_("cpu.shared", capacityBytes, TierLevel::CpuDram), disk_("disk")
 {
     COSERVE_CHECK(capacityBytes > 0, "shared CPU tier needs capacity");
     tier_.linkBelow(&disk_);
@@ -309,14 +318,6 @@ SharedCpuTier::warm(ExpertId e, std::int64_t bytes)
     return tier_.warm(e, bytes);
 }
 
-void
-SharedCpuTier::refresh(ExpertId e, Time now)
-{
-    (void)now;
-    MutexLock lock(mutex_);
-    tier_.refresh(e, ++tick_);
-}
-
 bool
 SharedCpuTier::lookupAndTouch(ExpertId e, Time now)
 {
@@ -327,13 +328,6 @@ SharedCpuTier::lookupAndTouch(ExpertId e, Time now)
     tier_.noteHit();
     tier_.refresh(e, ++tick_);
     return true;
-}
-
-void
-SharedCpuTier::noteHit()
-{
-    MutexLock lock(mutex_);
-    tier_.noteHit();
 }
 
 void
@@ -357,28 +351,6 @@ SharedCpuTier::diskStats() const
 {
     MutexLock lock(mutex_);
     return disk_.stats();
-}
-
-std::size_t
-SharedCpuTier::hintUpcomingLoads(const std::vector<ExpertId> &experts)
-{
-    MutexLock lock(mutex_);
-    std::size_t protectedCount = 0;
-    for (ExpertId e : experts) {
-        if (!tier_.holds(e))
-            continue;
-        tier_.refresh(e, ++tick_);
-        protectedCount += 1;
-    }
-    stealHintsProtected_ += static_cast<std::int64_t>(protectedCount);
-    return protectedCount;
-}
-
-std::int64_t
-SharedCpuTier::stealHintsProtected() const
-{
-    MutexLock lock(mutex_);
-    return stealHintsProtected_;
 }
 
 } // namespace coserve

@@ -9,7 +9,7 @@
  * abstraction:
  *
  *   MemoryTier      byte-capacity set of experts with pin state, LRU /
- *                   FIFO / LFU bookkeeping fields, per-tier hit / miss /
+ *                   FIFO bookkeeping fields, per-tier hit / miss /
  *                   eviction counters, built-in LRU self-eviction for
  *                   the cache role, and a link to the tier below;
  *   DiskTier        the unbounded bottom of the hierarchy — holds every
@@ -59,8 +59,6 @@ struct TierEntry
     std::int64_t bytes = 0;
     /** Completion time of the last batch (or admission) that used it. */
     Time lastUse = 0;
-    /** Number of times the expert was touched (LFU bookkeeping). */
-    std::int64_t uses = 0;
     /** Monotonic load sequence number (FIFO eviction order). */
     std::uint64_t loadSeq = 0;
     /** Hard pin count (executing / loading). */
@@ -74,20 +72,14 @@ struct TierEntry
 /**
  * What an upper tier (or the engine) may do to the tier below it:
  * look experts up, demote (admit) evicted experts into it, warm it
- * during preload, refresh recency, and account hits / misses observed
- * against it. Implemented by MemoryTier, DiskTier and SharedCpuTier;
- * the shared implementation serializes every call on a mutex.
+ * during preload, and account misses observed against it. Implemented
+ * by MemoryTier, DiskTier and SharedCpuTier; the shared implementation
+ * serializes every call on a mutex.
  */
 class TierBelow
 {
   public:
     virtual ~TierBelow() = default;
-
-    /** @return diagnostic name, e.g. "cpu.cache". */
-    virtual const std::string &name() const = 0;
-
-    /** @return storage level of this tier. */
-    virtual TierLevel level() const = 0;
 
     /** @return false when the tier is configured off (capacity 0). */
     virtual bool enabled() const = 0;
@@ -108,38 +100,20 @@ class TierBelow
      */
     virtual bool warm(ExpertId e, std::int64_t bytes) = 0;
 
-    /** Refresh recency of @p e; no-op when absent. */
-    virtual void refresh(ExpertId e, Time now) = 0;
-
     /**
      * Combined residency lookup and hit accounting: when @p e is
      * resident, count a hit, refresh its recency and return true.
      * Absence returns false *without* counting a miss — the caller may
      * still satisfy the load elsewhere (e.g. a CPU executor pool) and
-     * decides the miss accounting itself. Equivalent to
-     * holds + noteHit + refresh, but a shared tier serializes it under
-     * one lock acquisition instead of three, and the result is one
+     * decides the miss accounting itself. A shared tier serializes the
+     * three steps under one lock acquisition, so the result is one
      * consistent snapshot even when sibling replicas mutate the tier
      * concurrently.
      */
-    virtual bool
-    lookupAndTouch(ExpertId e, Time now)
-    {
-        if (!holds(e))
-            return false;
-        noteHit();
-        refresh(e, now);
-        return true;
-    }
-
-    /** Record an access served by this tier. */
-    virtual void noteHit() = 0;
+    virtual bool lookupAndTouch(ExpertId e, Time now) = 0;
 
     /** Record an access this tier could not serve. */
     virtual void noteMiss() = 0;
-
-    /** @return counter / occupancy snapshot for metrics. */
-    virtual TierStats stats() const = 0;
 };
 
 /**
@@ -179,9 +153,6 @@ class MemoryTier : public TierBelow
 
     /** Link the tier evictions demote into (not owned; may be null). */
     void linkBelow(TierBelow *below) { below_ = below; }
-
-    /** @return the linked tier below, or null. */
-    TierBelow *below() const { return below_; }
 
     /**
      * Evict resident, unpinned @p e, demoting it into the tier below
@@ -302,10 +273,23 @@ class MemoryTier : public TierBelow
      */
     const TierCounters &counters() const { return counters_; }
 
+    /** @return diagnostic name, e.g. "cpu.cache". */
+    const std::string &name() const { return name_; }
+
+    /** @return storage level of this tier. */
+    TierLevel level() const { return level_; }
+
+    /** Refresh recency of @p e; no-op when absent. */
+    void refresh(ExpertId e, Time now);
+
+    /** Record an access served by this tier. */
+    void noteHit() { counters_.hits += 1; }
+
+    /** @return counter / occupancy snapshot for metrics. */
+    TierStats stats() const;
+
     // ----- TierBelow ------------------------------------------------
 
-    const std::string &name() const override { return name_; }
-    TierLevel level() const override { return level_; }
     bool enabled() const override { return capacity_ > 0; }
     bool holds(ExpertId e) const override
     {
@@ -316,10 +300,8 @@ class MemoryTier : public TierBelow
         return insert(e, bytes, now);
     }
     bool warm(ExpertId e, std::int64_t bytes) override;
-    void refresh(ExpertId e, Time now) override;
-    void noteHit() override { counters_.hits += 1; }
+    bool lookupAndTouch(ExpertId e, Time now) override;
     void noteMiss() override { counters_.misses += 1; }
-    TierStats stats() const override;
 
   private:
     TierEntry &mutableEntry(ExpertId e);
@@ -358,8 +340,12 @@ class DiskTier : public TierBelow
   public:
     explicit DiskTier(std::string name = "disk");
 
-    const std::string &name() const override { return name_; }
-    TierLevel level() const override { return TierLevel::Disk; }
+    /** Record a load that paid the storage leg. */
+    void noteHit() { counters_.hits += 1; }
+
+    /** @return counter snapshot for metrics. */
+    TierStats stats() const;
+
     bool enabled() const override { return true; }
     bool holds(ExpertId) const override { return true; }
     bool admit(ExpertId, std::int64_t, Time) override
@@ -368,10 +354,12 @@ class DiskTier : public TierBelow
         return true;
     }
     bool warm(ExpertId, std::int64_t) override { return true; }
-    void refresh(ExpertId, Time) override {}
-    void noteHit() override { counters_.hits += 1; }
+    bool lookupAndTouch(ExpertId, Time) override
+    {
+        noteHit();
+        return true;
+    }
     void noteMiss() override { counters_.misses += 1; }
-    TierStats stats() const override;
 
   private:
     std::string name_;
@@ -408,17 +396,15 @@ class SharedCpuTier : public TierBelow
     /** @param capacityBytes shared tier capacity (> 0). */
     explicit SharedCpuTier(std::int64_t capacityBytes);
 
-    const std::string &name() const override { return name_; }
-    TierLevel level() const override { return TierLevel::CpuDram; }
+    /** @return counter / occupancy snapshot, marked shared. */
+    TierStats stats() const;
+
     bool enabled() const override;
     bool holds(ExpertId e) const override;
     bool admit(ExpertId e, std::int64_t bytes, Time now) override;
     bool warm(ExpertId e, std::int64_t bytes) override;
-    void refresh(ExpertId e, Time now) override;
     bool lookupAndTouch(ExpertId e, Time now) override;
-    void noteHit() override;
     void noteMiss() override;
-    TierStats stats() const override;
 
     /**
      * Snapshot of the disk tier the shared tier spills into (named
@@ -427,34 +413,12 @@ class SharedCpuTier : public TierBelow
      */
     TierStats diskStats() const;
 
-    /**
-     * Steal-aware admission hint: the cluster coordinator just
-     * re-routed requests, and the thief is about to demand-load
-     * @p experts. Any of them resident here are refreshed to the
-     * newest recency under one lock, so sibling evictions between the
-     * steal and the thief's loads will not push out exactly the
-     * experts the steal made hot again (turning the thief's cheap
-     * DRAM adoption into a full SSD reload). A recency bump rather
-     * than a pin: it cannot wedge the tier when a hinted load never
-     * materializes (e.g. the thief already held the expert).
-     *
-     * @return number of hinted experts found (and protected) here.
-     */
-    std::size_t hintUpcomingLoads(const std::vector<ExpertId> &experts);
-
-    /** Total experts protected by steal hints (tests / reports). */
-    std::int64_t stealHintsProtected() const;
-
   private:
-    /** Tier name, immutable after construction (lock-free reads). */
-    const std::string name_{"cpu.shared"};
     mutable Mutex mutex_;
     MemoryTier tier_ CS_GUARDED_BY(mutex_);
     DiskTier disk_ CS_GUARDED_BY(mutex_);
     /** Cross-replica recency clock (see class comment). */
     Time tick_ CS_GUARDED_BY(mutex_) = 0;
-    /** Cumulative hintUpcomingLoads protections. */
-    std::int64_t stealHintsProtected_ CS_GUARDED_BY(mutex_) = 0;
 };
 
 } // namespace coserve

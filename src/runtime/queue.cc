@@ -141,24 +141,6 @@ RequestQueue::headExpert() const
     return runs_[headRun_].expert;
 }
 
-std::vector<Request>
-RequestQueue::popBatch(int maxCount)
-{
-    std::vector<Request> batch;
-    popBatchInto(maxCount, batch);
-    return batch;
-}
-
-void
-RequestQueue::popBatchInto(int maxCount, std::vector<Request> &out)
-{
-    COSERVE_CHECK(maxCount >= 1, "batch of ", maxCount);
-    COSERVE_CHECK(headRun_ != kNil, "popBatch on empty queue");
-    out.clear();
-    popFromRun(headRun_, maxCount, out);
-    reindexStale();
-}
-
 void
 RequestQueue::popFromRun(Idx r, int maxCount, std::vector<Request> &out)
 {
@@ -286,8 +268,7 @@ RequestQueue::popBatchFor(ExpertId e, int maxCount,
     // the first may contain only old deadline-less work while the
     // urgency that selected @p e sits in a later run. Pop the holder's
     // run, or EDF would invert behind the very request it chose to
-    // serve. Same-expert requests in other runs stay in place,
-    // matching popBatchInto's head-run semantics.
+    // serve. Same-expert requests in other runs stay in place.
     const Idx holder = sloUrgent_ > 0 ? urgency_[e].holderRun : kNil;
     popFromRun(holder != kNil ? holder : groups_[e].first, maxCount, out);
     reindexStale();

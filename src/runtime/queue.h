@@ -95,19 +95,6 @@ class RequestQueue
     /** Expert of the head request; panics when empty. */
     ExpertId headExpert() const;
 
-    /**
-     * Remove and return up to @p maxCount head requests that all use
-     * the head expert (one executable batch).
-     */
-    std::vector<Request> popBatch(int maxCount);
-
-    /**
-     * As popBatch, but *moves* the requests into @p out (cleared
-     * first), so a caller-owned buffer can be recycled batch after
-     * batch instead of allocating a fresh vector per batch.
-     */
-    void popBatchInto(int maxCount, std::vector<Request> &out);
-
     // ----- SLO-aware (EDF-within-priority) pop order ------------------
 
     /**
@@ -153,7 +140,7 @@ class RequestQueue
      * front of one run: the run holding @p e's most urgent request
      * (the index records that holder's run), or @p e's first run when
      * @p e has no urgent request — so popBatchFor(headExpert()) on a
-     * classless queue is exactly popBatchInto(). Under grouped
+     * classless queue pops the head run. Under grouped
      * insertion that run is @p e's whole group. A FIFO-interleaved
      * queue may hold several disjoint runs of @p e; starting from the
      * urgent one keeps the EDF promise that the selected request runs

@@ -57,7 +57,6 @@ QuantileSketch::add(double x)
         max_ = std::max(max_, x);
     }
     count_ += 1;
-    sum_ += x;
 
     if (x <= 0.0) {
         zeroCount_ += 1;
@@ -81,7 +80,6 @@ QuantileSketch::merge(const QuantileSketch &other)
         max_ = std::max(max_, other.max_);
     }
     count_ += other.count_;
-    sum_ += other.sum_;
     zeroCount_ += other.zeroCount_;
     for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
         if (other.buckets_[i] == 0)
@@ -112,12 +110,6 @@ QuantileSketch::quantile(double q) const
         }
     }
     return max_;
-}
-
-double
-QuantileSketch::mean() const
-{
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
 }
 
 } // namespace coserve

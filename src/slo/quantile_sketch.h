@@ -62,9 +62,6 @@ class QuantileSketch
     /** @return exact largest observation (0 when empty). */
     double max() const { return count_ ? max_ : 0.0; }
 
-    /** @return arithmetic mean (exact; 0 when empty). */
-    double mean() const;
-
   private:
     /** Log-bucket index of a positive value. */
     int indexOf(double x) const;
@@ -84,7 +81,6 @@ class QuantileSketch
     std::uint64_t count_ = 0;
     double min_ = 0.0;
     double max_ = 0.0;
-    double sum_ = 0.0;
 };
 
 } // namespace coserve

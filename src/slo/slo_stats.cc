@@ -20,15 +20,6 @@ toString(RequestClass cls)
     return "?";
 }
 
-double
-SloClassStats::violationRate() const
-{
-    return completed > 0
-               ? static_cast<double>(violated) /
-                     static_cast<double>(completed)
-               : 0.0;
-}
-
 void
 SloClassStats::merge(const SloClassStats &o)
 {

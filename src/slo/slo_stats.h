@@ -52,9 +52,6 @@ struct SloClassStats
     /** End-to-end latency (ms) of completions, image arrival to done. */
     QuantileSketch latencyMs;
 
-    /** violated / completed; 0 when nothing completed. */
-    double violationRate() const;
-
     /** Accumulate @p o into this (sketches merge bucket-wise). */
     void merge(const SloClassStats &o);
 };

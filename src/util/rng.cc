@@ -92,12 +92,6 @@ Rng::discreteFromCdf(const std::vector<double> &cdf)
     return static_cast<std::size_t>(it - cdf.begin());
 }
 
-Rng
-Rng::fork()
-{
-    return Rng(next());
-}
-
 ZipfDistribution::ZipfDistribution(std::size_t n, double s)
 {
     COSERVE_CHECK(n >= 1, "Zipf over empty support");
@@ -113,14 +107,6 @@ std::size_t
 ZipfDistribution::operator()(Rng &rng) const
 {
     return rng.discreteFromCdf(cdf_);
-}
-
-double
-ZipfDistribution::probability(std::size_t k) const
-{
-    COSERVE_CHECK(k < cdf_.size(), "Zipf rank out of range");
-    const double lo = (k == 0) ? 0.0 : cdf_[k - 1];
-    return (cdf_[k] - lo) / cdf_.back();
 }
 
 } // namespace coserve

@@ -48,9 +48,6 @@ class Rng
      */
     std::size_t discreteFromCdf(const std::vector<double> &cdf);
 
-    /** Derive an independent child generator (for sub-streams). */
-    Rng fork();
-
   private:
     std::uint64_t s_[4];
 };
@@ -74,9 +71,6 @@ class ZipfDistribution
 
     /** @return a rank in [0, n). */
     std::size_t operator()(Rng &rng) const;
-
-    /** @return P(rank = k). */
-    double probability(std::size_t k) const;
 
     /** @return number of ranks n. */
     std::size_t size() const { return cdf_.size(); }

@@ -538,26 +538,10 @@ TEST_F(OnlineClusterFixture, LoadViewMatchesPoolsAndQueues)
 // -------------------------------------------- pinned live-view digests
 //
 // Decision digests of the online paths that read the live views'
-// resident()/queued() and that no other pin covers: expert-affinity
-// routing, and least-loaded routing behind coordinator admission on an
-// SLO trace, homogeneous and heterogeneous. Any change to what the
+// resident()/queued() and that no other pin covers: least-loaded
+// routing behind coordinator admission on an SLO trace, homogeneous
+// and heterogeneous. Any change to what the
 // views answer, or to how LiveCostModel prices them, moves them.
-
-TEST_F(OnlineClusterFixture, ExpertAffinityOnlineDigestIsPinned)
-{
-    // Four replicas: enough that a classifier evicted at its hashed
-    // home is often still resident elsewhere, so resident() steers.
-    ClusterConfig cc = homogeneousCluster(
-        ctx_, cfg_, 4, RoutingPolicy::ExpertAffinity, "affinity-pin");
-    cc.workStealing.enabled = true;
-    ClusterEngine cluster(std::move(cc));
-    const ClusterResult r =
-        cluster.run(trace_, runWithMode(RunMode::Online));
-    EXPECT_EQ(r.images, 400);
-    EXPECT_EQ(r.decisionDigest, 0xaf47492cc067024cull)
-        << std::hex << "0x" << r.decisionDigest;
-    EXPECT_EQ(r.decisionCount, 402);
-}
 
 TEST_F(OnlineClusterFixture, AdmissionSloOnlineDigestIsPinned)
 {

@@ -1,14 +1,11 @@
 /**
  * @file
  * Tests for the extension features beyond the paper's core: the report
- * module, LFU eviction, and the Poisson/bursty arrival processes.
+ * module and the Poisson/bursty arrival processes.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "baselines/evictions.h"
 #include "baselines/systems.h"
 #include "coe/board_builder.h"
 #include "metrics/report.h"
@@ -16,8 +13,6 @@
 
 namespace coserve {
 namespace {
-
-constexpr std::int64_t kMB = 1024 * 1024;
 
 TEST(ReportTest, SummaryMentionsKeyNumbers)
 {
@@ -35,65 +30,6 @@ TEST(ReportTest, SummaryMentionsKeyNumbers)
     EXPECT_NE(s.find("unit-system"), std::string::npos);
     EXPECT_NE(s.find("100 images"), std::string::npos);
     EXPECT_NE(s.find("10 expert switches"), std::string::npos);
-}
-
-TEST(ReportTest, ComparisonUsesFirstAsBaseline)
-{
-    RunResult base;
-    base.label = "baseline";
-    base.throughput = 5.0;
-    base.switches.loadsFromSsd = 100;
-    RunResult better;
-    better.label = "better";
-    better.throughput = 20.0;
-    better.switches.loadsFromSsd = 10;
-
-    std::ostringstream os;
-    printComparison({base, better}, os);
-    const std::string s = os.str();
-    EXPECT_NE(s.find("4.00x"), std::string::npos);
-    EXPECT_NE(s.find("90.0%"), std::string::npos);
-}
-
-TEST(ReportTest, ExecutorSummaryHasOneRowPerExecutor)
-{
-    RunResult r;
-    ExecutorStats a;
-    a.name = "GPU0";
-    ExecutorStats b;
-    b.name = "CPU0";
-    r.executors = {a, b};
-    const std::string s = summarizeExecutors(r);
-    EXPECT_NE(s.find("GPU0"), std::string::npos);
-    EXPECT_NE(s.find("CPU0"), std::string::npos);
-}
-
-TEST(LfuEvictionTest, PicksLeastFrequentlyUsed)
-{
-    ModelPool pool("p", 1000 * kMB);
-    pool.insertResident(1, 10 * kMB, 1, 0);
-    pool.insertResident(2, 10 * kMB, 2, 0);
-    pool.touch(1, 10);
-    pool.touch(1, 20);
-    pool.touch(2, 30);
-
-    EvictionContext ctx;
-    LfuEviction lfu;
-    EXPECT_EQ(lfu.selectVictim(pool, ctx), std::optional<ExpertId>(2));
-}
-
-TEST(LfuEvictionTest, TiesBreakByRecency)
-{
-    ModelPool pool("p", 1000 * kMB);
-    pool.insertResident(1, 10 * kMB, 1, 0);
-    pool.insertResident(2, 10 * kMB, 2, 0);
-    pool.touch(1, 50);
-    pool.touch(2, 10); // same frequency, older
-
-    EvictionContext ctx;
-    LfuEviction lfu;
-    EXPECT_EQ(lfu.selectVictim(pool, ctx), std::optional<ExpertId>(2));
-    EXPECT_STREQ(lfu.name(), "lfu");
 }
 
 TEST(ArrivalProcessTest, PoissonMeanGapMatches)

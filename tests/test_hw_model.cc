@@ -38,8 +38,6 @@ TEST(DeviceTest, ToStringHelpers)
 {
     EXPECT_STREQ(toString(ProcKind::GPU), "GPU");
     EXPECT_STREQ(toString(ProcKind::CPU), "CPU");
-    EXPECT_STREQ(toString(MemArch::NUMA), "NUMA");
-    EXPECT_STREQ(toString(MemArch::UMA), "UMA");
 }
 
 TEST(TransferTest, LegsCompose)
@@ -195,16 +193,6 @@ TEST(FootprintTest, GpuAndCpuFootprintsDiffer)
     EXPECT_NE(f.activationBytesPerImage(ArchId::ResNet101, ProcKind::GPU),
               f.activationBytesPerImage(ArchId::ResNet101,
                                         ProcKind::CPU));
-}
-
-TEST(FootprintTest, MemoryScoreNormalizes)
-{
-    const FootprintModel f = FootprintModel::calibrated(numaRtx3080Ti());
-    const std::int64_t unit = 64ll * 1024 * 1024;
-    EXPECT_NEAR(f.memoryScore(ArchId::ResNet101, unit),
-                static_cast<double>(f.expertBytes(ArchId::ResNet101)) /
-                    static_cast<double>(unit),
-                1e-9);
 }
 
 } // namespace

@@ -215,7 +215,7 @@ TEST(SharedCpuTierTest, SiblingEvictionIsSiblingHit)
     EXPECT_FALSE(shared.holds(7));
     EXPECT_TRUE(gpuA.evict(7, 20)); // A demotes...
     EXPECT_TRUE(shared.holds(7));   // ...and B can adopt from DRAM.
-    shared.noteHit();
+    EXPECT_TRUE(shared.lookupAndTouch(7, 30));
     EXPECT_EQ(shared.stats().counters.hits, 1);
     EXPECT_EQ(shared.stats().counters.insertions, 1);
 }

@@ -119,7 +119,8 @@ TEST(RequestQueueTest, FifoOrder)
     q.pushBack(makeReq(2, 10));
     EXPECT_EQ(q.size(), 3u);
     EXPECT_EQ(q.headExpert(), 10);
-    const auto batch = q.popBatch(8);
+    std::vector<Request> batch;
+    q.popBatchFor(q.headExpert(), 8, batch);
     EXPECT_EQ(batch.size(), 1u); // head run stops at the expert switch
     EXPECT_EQ(q.headExpert(), 11);
 }
@@ -150,7 +151,8 @@ TEST(RequestQueueTest, PopBatchHonorsMax)
     RequestQueue q;
     for (int i = 0; i < 10; ++i)
         q.pushGrouped(makeReq(i, 7));
-    const auto batch = q.popBatch(4);
+    std::vector<Request> batch;
+    q.popBatchFor(q.headExpert(), 4, batch);
     EXPECT_EQ(batch.size(), 4u);
     EXPECT_EQ(q.size(), 6u);
     EXPECT_EQ(q.countForExpert(7), 6);
@@ -175,7 +177,8 @@ TEST(RequestQueueTest, ContainsAndCounts)
     EXPECT_TRUE(q.containsExpert(5));
     EXPECT_FALSE(q.containsExpert(6));
     EXPECT_EQ(q.countForExpert(5), 2);
-    q.popBatch(8);
+    std::vector<Request> batch;
+    q.popBatchFor(q.headExpert(), 8, batch);
     EXPECT_FALSE(q.containsExpert(5));
 }
 
@@ -185,7 +188,8 @@ TEST(RequestQueueTest, PendingWorkTracksEstimates)
     q.pushGrouped(makeReq(0, 5), milliseconds(10));
     q.pushGrouped(makeReq(1, 6), milliseconds(20));
     EXPECT_EQ(q.pendingWork(), milliseconds(30));
-    q.popBatch(8);
+    std::vector<Request> batch;
+    q.popBatchFor(q.headExpert(), 8, batch);
     EXPECT_EQ(q.pendingWork(), milliseconds(20));
 }
 
@@ -242,17 +246,6 @@ class ListQueue
     std::size_t size() const { return size_; }
 
     ExpertId headExpert() const { return nodes_[head_].req.expert; }
-
-    void
-    popBatchInto(int maxCount, std::vector<Request> &out)
-    {
-        out.clear();
-        const ExpertId e = nodes_[head_].req.expert;
-        while (head_ != kNil &&
-               out.size() < static_cast<std::size_t>(maxCount) &&
-               nodes_[head_].req.expert == e)
-            remove(head_, out);
-    }
 
     ExpertId
     nextBatchExpert() const
@@ -619,11 +612,13 @@ runDifferential(std::uint64_t seed, const DiffShape &shape)
             ASSERT_EQ(idsOf(got), idsOf(want));
             compare("popBatchFor");
         } else if (op == 7) {
+            // The head expert's batch; the head run on a classless queue.
+            const ExpertId e = model.headExpert();
             const int n = take();
-            q.popBatchInto(n, got);
-            model.popBatchInto(n, want);
+            q.popBatchFor(e, n, got);
+            model.popBatchFor(e, n, want);
             ASSERT_EQ(idsOf(got), idsOf(want));
-            compare("popBatchInto");
+            compare("popBatchFor(head)");
         } else if (op == 8) {
             const int n = take();
             got.clear();

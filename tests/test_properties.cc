@@ -136,10 +136,9 @@ TEST_P(BoardInvariants, UsageProfileWellFormed)
     EXPECT_NEAR(sum, 1.0, 1e-9);
 
     // CDF is monotone and ends at 1.
-    const auto &cdf = usage.cdf();
-    for (std::size_t i = 1; i < cdf.size(); ++i)
-        EXPECT_GE(cdf[i] + 1e-12, cdf[i - 1]);
-    EXPECT_NEAR(cdf.back(), 1.0, 1e-9);
+    for (std::size_t k = 2; k <= usage.size(); ++k)
+        EXPECT_GE(usage.topKMass(k) + 1e-12, usage.topKMass(k - 1));
+    EXPECT_NEAR(usage.topKMass(usage.size()), 1.0, 1e-9);
 
     // Descending order really descends.
     const auto &order = usage.byDescendingUsage();

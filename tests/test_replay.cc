@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <utility>
@@ -337,6 +338,18 @@ TEST_F(ReplayFixture, ValidateReportsHumanReadableErrors)
     opts.faults.brownouts.push_back({1, seconds(1), seconds(2), 1.5});
     errors = cc.validate(opts);
     ASSERT_GE(errors.size(), 5u);
+
+    // NaN factors fail every comparison; they must still be reported,
+    // not reach the engine's run-time checks.
+    RunOptions nan = runWithMode(RunMode::Online);
+    nan.faults.stragglers.push_back(
+        {0, seconds(1), seconds(2), std::nan("")});
+    nan.faults.brownouts.push_back(
+        {1, seconds(1), seconds(2), std::nan("")});
+    errors = cc.validate(nan);
+    ASSERT_EQ(errors.size(), 2u);
+    EXPECT_NE(errors[0].find("straggler slowdown"), std::string::npos);
+    EXPECT_NE(errors[1].find("brownout factor"), std::string::npos);
 
     // A negative shared-tier capacity is a config error, not an
     // internal check failure at run time.

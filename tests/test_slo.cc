@@ -4,7 +4,7 @@
  * through workload, runtime and cluster): the streaming quantile
  * sketch, EDF-within-priority queue order and its interaction with
  * work stealing, the admission controller, the SLO trace generators,
- * steal-aware shared-tier hints, end-to-end engine accounting, and
+ * end-to-end engine accounting, and
  * the online coordinator's admission + autoscaling.
  */
 
@@ -15,7 +15,6 @@
 #include "cluster/cluster.h"
 #include "coe/board_builder.h"
 #include "metrics/report.h"
-#include "runtime/memory_tier.h"
 #include "runtime/queue.h"
 #include "slo/admission.h"
 #include "slo/quantile_sketch.h"
@@ -449,24 +448,6 @@ TEST(SloTraceTest, MmppTaskArrivalsAreMonotoneAndBursty)
     }
     // Burst states compress gaps far below the calm mean.
     EXPECT_GT(shortGaps, 200u);
-}
-
-// --------------------------------- shared-tier steal hint (satellite)
-
-TEST(SloSharedTierTest, HintProtectsUpcomingLoadsFromEviction)
-{
-    SharedCpuTier tier(300);
-    ASSERT_TRUE(tier.admit(1, 100, 0));
-    ASSERT_TRUE(tier.admit(2, 100, 0));
-    ASSERT_TRUE(tier.admit(3, 100, 0));
-    // Expert 1 is the LRU victim-to-be; a steal hint refreshes it.
-    EXPECT_EQ(tier.hintUpcomingLoads({1, 99}), 1u);
-    EXPECT_EQ(tier.stealHintsProtected(), 1);
-    // New admission must evict someone — not the hinted expert.
-    ASSERT_TRUE(tier.admit(4, 100, 0));
-    EXPECT_TRUE(tier.holds(1));
-    EXPECT_FALSE(tier.holds(2)); // oldest unhinted entry paid
-    EXPECT_TRUE(tier.holds(4));
 }
 
 // ------------------------------------------------ report gating

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -99,13 +100,6 @@ TEST(RngTest, BernoulliRate)
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
-TEST(RngTest, ForkDecorrelates)
-{
-    Rng a(5);
-    Rng child = a.fork();
-    EXPECT_NE(a.next(), child.next());
-}
-
 TEST(RngTest, DiscreteFromCdfRespectsWeights)
 {
     Rng rng(3);
@@ -118,62 +112,27 @@ TEST(RngTest, DiscreteFromCdfRespectsWeights)
     EXPECT_NEAR(counts[2] / 30000.0, 0.25, 0.02);
 }
 
-TEST(ZipfTest, ProbabilitiesSumToOne)
-{
-    ZipfDistribution zipf(50, 1.0);
-    double sum = 0.0;
-    for (std::size_t k = 0; k < 50; ++k)
-        sum += zipf.probability(k);
-    EXPECT_NEAR(sum, 1.0, 1e-9);
-}
-
-TEST(ZipfTest, RankZeroMostLikely)
-{
-    ZipfDistribution zipf(100, 1.2);
-    EXPECT_GT(zipf.probability(0), zipf.probability(1));
-    EXPECT_GT(zipf.probability(1), zipf.probability(50));
-}
-
-TEST(ZipfTest, ZeroExponentIsUniform)
-{
-    ZipfDistribution zipf(10, 0.0);
-    for (std::size_t k = 0; k < 10; ++k)
-        EXPECT_NEAR(zipf.probability(k), 0.1, 1e-9);
-}
-
 TEST(ZipfTest, SamplingMatchesProbability)
 {
-    ZipfDistribution zipf(8, 1.0);
-    Rng rng(13);
-    std::vector<int> counts(8, 0);
-    const int n = 40000;
-    for (int i = 0; i < n; ++i)
-        counts[zipf(rng)] += 1;
-    for (std::size_t k = 0; k < 8; ++k) {
-        EXPECT_NEAR(static_cast<double>(counts[k]) / n,
-                    zipf.probability(k), 0.01);
+    // P(k) = (1 / (k + 1)^s) / sum; s = 0 is uniform.
+    for (const double s : {1.0, 0.0}) {
+        ZipfDistribution zipf(8, s);
+        Rng rng(13);
+        std::vector<int> counts(8, 0);
+        const int n = 40000;
+        for (int i = 0; i < n; ++i)
+            counts[zipf(rng)] += 1;
+        std::vector<double> weights(8);
+        double total = 0.0;
+        for (std::size_t k = 0; k < 8; ++k) {
+            weights[k] = 1.0 / std::pow(static_cast<double>(k + 1), s);
+            total += weights[k];
+        }
+        for (std::size_t k = 0; k < 8; ++k) {
+            EXPECT_NEAR(static_cast<double>(counts[k]) / n,
+                        weights[k] / total, 0.01);
+        }
     }
-}
-
-TEST(RunningStatTest, Moments)
-{
-    RunningStat s;
-    for (double x : {1.0, 2.0, 3.0, 4.0})
-        s.add(x);
-    EXPECT_EQ(s.count(), 4u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 4.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 10.0);
-    EXPECT_NEAR(s.variance(), 1.25, 1e-12);
-}
-
-TEST(RunningStatTest, EmptyIsZero)
-{
-    RunningStat s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.stddev(), 0.0);
 }
 
 TEST(SamplesTest, PercentileInterpolates)
@@ -185,22 +144,6 @@ TEST(SamplesTest, PercentileInterpolates)
     EXPECT_NEAR(s.percentile(100), 100.0, 1e-9);
     EXPECT_NEAR(s.percentile(50), 50.5, 1e-9);
     EXPECT_NEAR(s.mean(), 50.5, 1e-9);
-}
-
-TEST(HistogramTest, BucketsAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);
-    h.add(0.5);
-    h.add(9.5);
-    h.add(10.0);
-    h.add(25.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_DOUBLE_EQ(h.bucketLow(3), 3.0);
 }
 
 TEST(LinearFitTest, ExactLine)
