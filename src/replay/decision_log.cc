@@ -1,5 +1,6 @@
 #include "replay/decision_log.h"
 
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -238,14 +239,22 @@ DecisionLog::save(const std::string &path) const
 DecisionLog
 DecisionLog::load(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    std::ifstream in(path, std::ios::binary);
     if (!in)
         fatal("cannot open decision log: ", path);
-    const std::streamsize size = in.tellg();
-    in.seekg(0);
+    // A directory opens without error and tellg() then reports a bogus
+    // size: take the size from the file system, which refuses anything
+    // but a regular file.
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (ec)
+        fatal("decision log is not a regular file: ", path, " (",
+              ec.message(), ")");
     std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-    if (size > 0)
-        in.read(reinterpret_cast<char *>(bytes.data()), size);
+    if (size > 0) {
+        in.read(reinterpret_cast<char *>(bytes.data()),
+                static_cast<std::streamsize>(size));
+    }
     if (!in)
         fatal("short read from decision log: ", path);
     return decode(bytes);

@@ -29,7 +29,7 @@ ServingEngine::ServingEngine(EngineConfig cfg, const CoEModel &model,
 {
     COSERVE_CHECK(scheduler_ != nullptr, "engine needs a scheduler");
     COSERVE_CHECK(eviction_ != nullptr, "engine needs an eviction policy");
-    validate();
+    COSERVE_CHECK(!cfg_.executors.empty(), "config has no executors");
 
     // Assemble the tier hierarchy: the CPU DRAM cache tier is either
     // this engine's private tier or a cluster-shared one, and spills
@@ -58,10 +58,25 @@ ServingEngine::ServingEngine(EngineConfig cfg, const CoEModel &model,
     // physical GPU memory and one CPU DRAM, regardless of how many
     // executor queues drain it. Pool capacity is the sum of the
     // per-executor expert budgets.
-    std::int64_t gpuPoolBytes = 0, cpuPoolBytes = 0;
+    std::int64_t gpuPoolBytes = 0, cpuPoolBytes = 0, gpuBatchBytes = 0;
     for (const ExecutorConfig &ec : cfg_.executors) {
+        COSERVE_CHECK(ec.batchMemBytes >= 0, "negative batch memory");
+        COSERVE_CHECK(ec.poolBytes >= 0, "negative pool memory");
         (ec.kind == ProcKind::GPU ? gpuPoolBytes : cpuPoolBytes) +=
             ec.poolBytes;
+        if (ec.kind == ProcKind::GPU)
+            gpuBatchBytes += ec.batchMemBytes;
+    }
+    // A shared pool must hold at least two of the largest expert.
+    std::int64_t largest = 0;
+    for (const Expert &e : model_.experts())
+        largest = std::max(largest, footprint_.expertBytes(e.arch));
+    for (std::int64_t poolBytes : {gpuPoolBytes, cpuPoolBytes}) {
+        if (poolBytes > 0 && poolBytes < 2 * largest) {
+            fatal("shared pool too small (", poolBytes,
+                  " bytes) for largest expert (", largest,
+                  " bytes): need at least two experts resident");
+        }
     }
     if (gpuPoolBytes > 0) {
         gpuPool_ = std::make_unique<ModelPool>("gpu.pool", gpuPoolBytes,
@@ -77,11 +92,6 @@ ServingEngine::ServingEngine(EngineConfig cfg, const CoEModel &model,
 
     // Memory-pressure slowdown of GPU loads: fraction of GPU memory
     // held by resident experts vs. batch workspace.
-    std::int64_t gpuBatchBytes = 0;
-    for (const ExecutorConfig &ec : cfg_.executors) {
-        if (ec.kind == ProcKind::GPU)
-            gpuBatchBytes += ec.batchMemBytes;
-    }
     if (gpuPoolBytes > 0) {
         const double fraction =
             static_cast<double>(gpuPoolBytes) /
@@ -117,29 +127,6 @@ ServingEngine::ServingEngine(EngineConfig cfg, const CoEModel &model,
 }
 
 ServingEngine::~ServingEngine() = default;
-
-void
-ServingEngine::validate() const
-{
-    COSERVE_CHECK(!cfg_.executors.empty(), "config has no executors");
-    std::int64_t largest = 0;
-    for (const Expert &e : model_.experts())
-        largest = std::max(largest, footprint_.expertBytes(e.arch));
-    std::int64_t gpuPoolBytes = 0, cpuPoolBytes = 0;
-    for (const ExecutorConfig &ec : cfg_.executors) {
-        COSERVE_CHECK(ec.batchMemBytes >= 0, "negative batch memory");
-        COSERVE_CHECK(ec.poolBytes >= 0, "negative pool memory");
-        (ec.kind == ProcKind::GPU ? gpuPoolBytes : cpuPoolBytes) +=
-            ec.poolBytes;
-    }
-    for (std::int64_t poolBytes : {gpuPoolBytes, cpuPoolBytes}) {
-        if (poolBytes > 0 && poolBytes < 2 * largest) {
-            fatal("shared pool too small (", poolBytes,
-                  " bytes) for largest expert (", largest,
-                  " bytes): need at least two experts resident");
-        }
-    }
-}
 
 const Executor &
 ServingEngine::executorAt(std::size_t i) const
@@ -601,87 +588,20 @@ ServingEngine::preload()
     }
 }
 
-void
-ServingEngine::beginRun()
-{
-    result_.label = cfg_.label;
-    scheduler_->reset();
-    preload();
-}
-
 RunResult
 ServingEngine::run(const Trace &trace)
 {
-    COSERVE_CHECK(!ran_, "ServingEngine instances are single-use");
-    ran_ = true;
-
-    beginRun();
-
-    // Arrivals never enter the event heap. Arrival i takes request id
-    // i and sequence number seq0 + i, reserved before any event runs,
-    // and is admitted from the trace at exactly the (time, seq) slot a
-    // scheduled arrival event would hold. Children continue from id n.
-    const std::vector<ImageArrival> &arrivals = trace.arrivals;
-    const std::size_t n = arrivals.size();
-    nextRequestId_ = static_cast<RequestId>(n);
-    const std::uint64_t seq0 = eq_.reserveSeq(n);
-    const auto admit = [&](std::size_t i) {
-        eq_.enterAt(arrivals[i].time, seq0 + i);
-        admitTimed(arrivalRequest(arrivals[i], static_cast<RequestId>(i)));
-    };
-    const auto byTime = [](const ImageArrival &a, const ImageArrival &b) {
-        return a.time < b.time;
-    };
-    if (std::is_sorted(arrivals.begin(), arrivals.end(), byTime)) {
-        for (std::size_t i = 0; i < n; ++i)
-            admit(i);
-    } else {
-        // Stable (time, index) order: the order the arrivals would
-        // run in had each been scheduled as an event, in index order.
-        std::vector<std::size_t> order(n);
-        std::iota(order.begin(), order.end(), std::size_t{0});
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return byTime(arrivals[a], arrivals[b]);
-                         });
-        for (std::size_t i : order)
-            admit(i);
-    }
-
-    eq_.run();
-
+    beginOnline(0, 1);
+    admitPlanned(trace.arrivals);
+    stepUntil(kTimeNever);
+    RunResult result = finishOnline();
     // Every arrival either completed or was dropped at the door by
     // admission control; anything else is a lost request.
-    COSERVE_CHECK(imagesDone_ + imagesRejected_ ==
+    COSERVE_CHECK(result.images + rejectedImages() ==
                       static_cast<std::int64_t>(trace.arrivals.size()),
-                  "lost images: ", imagesDone_, " done + ",
-                  imagesRejected_, " rejected of ",
-                  trace.arrivals.size());
-    return collectResult();
-}
-
-RunResult
-ServingEngine::collectResult()
-{
-    result_.images = imagesDone_;
-    result_.makespan = lastCompletion_;
-    result_.eventsExecuted = eq_.executed();
-    result_.throughput =
-        lastCompletion_ > 0
-            ? static_cast<double>(imagesDone_) / toSeconds(lastCompletion_)
-            : 0.0;
-    for (const auto &exec : executors_) {
-        ExecutorStats st = exec->stats();
-        st.avgBatchSize =
-            st.batches > 0 ? static_cast<double>(st.requests) /
-                                 static_cast<double>(st.batches)
-                           : 0.0;
-        result_.switches.merge(st.switches);
-        result_.executors.push_back(std::move(st));
-    }
-
-    appendTierStats(result_.tiers);
-    return result_;
+                  "lost images: ", result.images, " done + ",
+                  rejectedImages(), " rejected of ", trace.arrivals.size());
+    return result;
 }
 
 void
@@ -703,31 +623,84 @@ ServingEngine::appendTierStats(std::vector<TierStats> &out) const
 bool
 ReplicaLoadView::resident(ExpertId e) const
 {
-    return engine != nullptr && engine->expertResident(e);
+    return engine != nullptr &&
+           ((engine->gpuPool_ && engine->gpuPool_->resident(e)) ||
+            (engine->cpuPool_ && engine->cpuPool_->resident(e)));
 }
 
 bool
 ReplicaLoadView::queued(ExpertId e) const
 {
-    return engine != nullptr && engine->expertQueued(e);
+    if (engine == nullptr)
+        return false;
+    for (const auto &exec : engine->executors_) {
+        if (exec->queue().containsExpert(e))
+            return true;
+    }
+    return false;
 }
 
 void
 ServingEngine::beginOnline(RequestId idBase, RequestId idStride)
 {
-    COSERVE_CHECK(!ran_, "ServingEngine instances are single-use");
+    COSERVE_CHECK(!begun_, "ServingEngine instances are single-use");
     COSERVE_CHECK(idStride >= 1, "request id stride must be >= 1");
-    ran_ = true;
-    online_ = true;
+    begun_ = true;
     nextRequestId_ = idBase;
     requestIdStride_ = idStride;
-    beginRun();
+    result_.label = cfg_.label;
+    scheduler_->reset();
+    preload();
+}
+
+void
+ServingEngine::admitPlanned(const std::vector<ImageArrival> &arrivals)
+{
+    COSERVE_CHECK(begun_ && planned_ == nullptr,
+                  "admitPlanned runs once, after beginOnline");
+    // Planned arrivals never enter the event heap. Arrival i takes
+    // sequence number seq0 + i and the i-th id of a block reserved
+    // now; feedPlanned() admits it at exactly the (time, seq) slot a
+    // scheduled arrival event would hold.
+    const std::size_t n = arrivals.size();
+    planned_ = &arrivals;
+    plannedEnd_ = n;
+    plannedSeq0_ = eq_.reserveSeq(n);
+    plannedId0_ = nextRequestId_;
+    nextRequestId_ += static_cast<RequestId>(n) * requestIdStride_;
+    const auto byTime = [](const ImageArrival &a, const ImageArrival &b) {
+        return a.time < b.time;
+    };
+    if (std::is_sorted(arrivals.begin(), arrivals.end(), byTime))
+        return;
+    // Stable (time, index) order: the order the arrivals would run in
+    // had each been scheduled as an event, in index order.
+    plannedOrder_.resize(n);
+    std::iota(plannedOrder_.begin(), plannedOrder_.end(), std::size_t{0});
+    std::stable_sort(plannedOrder_.begin(), plannedOrder_.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return byTime(arrivals[a], arrivals[b]);
+                     });
+}
+
+void
+ServingEngine::feedPlanned(Time t)
+{
+    for (; plannedNext_ < plannedEnd_; ++plannedNext_) {
+        const std::size_t i = plannedIndex();
+        const ImageArrival &a = (*planned_)[i];
+        if (a.time > t)
+            break;
+        eq_.enterAt(a.time, plannedSeq0_ + i);
+        admitTimed(arrivalRequest(
+            a, plannedId0_ + static_cast<RequestId>(i) * requestIdStride_));
+    }
 }
 
 void
 ServingEngine::admitArrival(const ImageArrival &a)
 {
-    COSERVE_CHECK(online_, "admitArrival outside an online run");
+    COSERVE_CHECK(begun_, "admitArrival before beginOnline");
     COSERVE_CHECK(!crashed_, "admitting into a crashed replica");
     // Online arrivals are heap events: each takes a fresh seq when the
     // coordinator admits it. The id is drawn now, so ids keep admission
@@ -773,23 +746,6 @@ ServingEngine::fillLoadView(ReplicaLoadView &out) const
     out.engine = this;
 }
 
-bool
-ServingEngine::expertResident(ExpertId e) const
-{
-    return (gpuPool_ && gpuPool_->resident(e)) ||
-           (cpuPool_ && cpuPool_->resident(e));
-}
-
-bool
-ServingEngine::expertQueued(ExpertId e) const
-{
-    for (const auto &exec : executors_) {
-        if (exec->queue().containsExpert(e))
-            return true;
-    }
-    return false;
-}
-
 void
 ServingEngine::sampleHitCounters(std::int64_t &gpuHits,
                                  std::int64_t &gpuMisses,
@@ -821,7 +777,6 @@ ServingEngine::stealRequests(std::size_t maxCount,
                              std::vector<Request> &out,
                              const RequestQueue::StealFilter &allow)
 {
-    COSERVE_CHECK(online_, "stealRequests outside an online run");
     std::size_t total = 0;
     // A queue can run out of stealable (filter-passing, non-head)
     // requests while a shallower one still has some.
@@ -866,7 +821,7 @@ ServingEngine::stealRequests(std::size_t maxCount,
 void
 ServingEngine::injectRequest(const Request &req)
 {
-    COSERVE_CHECK(online_, "injectRequest outside an online run");
+    COSERVE_CHECK(begun_, "injectRequest before beginOnline");
     COSERVE_CHECK(!crashed_, "injecting into a crashed replica");
     COSERVE_CHECK(req.arrival <= eq_.now(),
                   "stolen request from the future");
@@ -876,7 +831,6 @@ ServingEngine::injectRequest(const Request &req)
 std::size_t
 ServingEngine::crashDrain(std::vector<Request> &out)
 {
-    COSERVE_CHECK(online_, "crashDrain outside an online run");
     COSERVE_CHECK(!crashed_, "replica crashed twice");
     crashed_ = true;
     std::size_t drained = 0;
@@ -919,9 +873,10 @@ ServingEngine::setStorageRateScale(double scale)
 RunResult
 ServingEngine::finishOnline()
 {
-    COSERVE_CHECK(online_, "finishOnline without beginOnline");
-    COSERVE_CHECK(eq_.pending() == 0, "finishOnline with ",
-                  eq_.pending(), " events pending");
+    COSERVE_CHECK(begun_, "finishOnline without beginOnline");
+    COSERVE_CHECK(eq_.pending() == 0 && plannedNext_ == plannedEnd_,
+                  "finishOnline with ", eq_.pending(), " events and ",
+                  plannedEnd_ - plannedNext_, " planned arrivals pending");
     COSERVE_CHECK(migrateOutbox_.empty(), "finishOnline with ",
                   migrateOutbox_.size(),
                   " checkpoints stranded in the migration outbox");
@@ -930,7 +885,25 @@ ServingEngine::finishOnline()
                       exec->parkedCount(), " parked checkpoints on ",
                       exec->name());
     }
-    return collectResult();
+    result_.images = imagesDone_;
+    result_.makespan = lastCompletion_;
+    result_.eventsExecuted = eq_.executed();
+    result_.throughput =
+        lastCompletion_ > 0
+            ? static_cast<double>(imagesDone_) / toSeconds(lastCompletion_)
+            : 0.0;
+    for (const auto &exec : executors_) {
+        ExecutorStats st = exec->stats();
+        st.avgBatchSize =
+            st.batches > 0 ? static_cast<double>(st.requests) /
+                                 static_cast<double>(st.batches)
+                           : 0.0;
+        result_.switches.merge(st.switches);
+        result_.executors.push_back(std::move(st));
+    }
+
+    appendTierStats(result_.tiers);
+    return result_;
 }
 
 // ----------------------- preemption / checkpoint / live migration API
@@ -991,14 +964,11 @@ ServingEngine::onGroupCheckpointed(Executor &exec, CheckpointImage img,
                                    bool migrateOut)
 {
     result_.checkpointedGroups += 1;
-    if (online_) {
-        preemptEvents_.push_back(
-            {eq_.now(),
-             migrateOut ? PreemptEvent::What::Checkpoint
-                        : PreemptEvent::What::Preempt,
-             exec.index(),
-             static_cast<std::uint64_t>(img.requests.size())});
-    }
+    preemptEvents_.push_back(
+        {eq_.now(),
+         migrateOut ? PreemptEvent::What::Checkpoint
+                    : PreemptEvent::What::Preempt,
+         exec.index(), static_cast<std::uint64_t>(img.requests.size())});
     if (cfg_.tracer != nullptr) {
         cfg_.tracer->instant(
             migrateOut ? "checkpoint (migrate-out)"
@@ -1019,11 +989,9 @@ void
 ServingEngine::onGroupRestored(Executor &exec, int requests)
 {
     result_.restoredGroups += 1;
-    if (online_) {
-        preemptEvents_.push_back({eq_.now(), PreemptEvent::What::Restore,
-                                  exec.index(),
-                                  static_cast<std::uint64_t>(requests)});
-    }
+    preemptEvents_.push_back({eq_.now(), PreemptEvent::What::Restore,
+                              exec.index(),
+                              static_cast<std::uint64_t>(requests)});
     if (cfg_.tracer != nullptr) {
         cfg_.tracer->instant("restore", exec.index() + 1, eq_.now(),
                              {"requests", requests});
@@ -1038,13 +1006,9 @@ ServingEngine::captureCheckpoints(std::vector<CheckpointImage> &out)
         const std::size_t mark = out.size();
         if (exec->checkpointRunning(out) > 0) {
             result_.checkpointedGroups += 1;
-            if (online_) {
-                preemptEvents_.push_back(
-                    {eq_.now(), PreemptEvent::What::Checkpoint,
-                     exec->index(),
-                     static_cast<std::uint64_t>(
-                         out[mark].requests.size())});
-            }
+            preemptEvents_.push_back(
+                {eq_.now(), PreemptEvent::What::Checkpoint, exec->index(),
+                 static_cast<std::uint64_t>(out[mark].requests.size())});
             captured += 1;
         }
         captured += exec->takeParked(out);

@@ -11,6 +11,7 @@
 #ifndef COSERVE_RUNTIME_ENGINE_H
 #define COSERVE_RUNTIME_ENGINE_H
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -132,34 +133,32 @@ class ServingEngine
     ServingEngine(const ServingEngine &) = delete;
     ServingEngine &operator=(const ServingEngine &) = delete;
 
+    // ----- lifecycle ---------------------------------------------------
+    //
+    // One protocol drives every engine: beginOnline() once; then any
+    // interleaving of admitPlanned (at most once) / admitArrival /
+    // stepUntil / nextEventTime / fillLoadView / stealRequests /
+    // injectRequest and the fault and migration calls below; then
+    // finishOnline() once. run() is that protocol driven to the end
+    // over a whole trace; the cluster coordinator drives it instead
+    // when it owns the trace (RunMode::Online, or a static run with a
+    // fault plan), stepping all replicas in lockstep on the shared
+    // virtual clock, routing each arrival at its arrival time from
+    // live load views and re-routing queued-but-unstarted requests
+    // between replicas (work stealing).
+
     /**
-     * Serve @p trace to completion; callable once per engine. An empty
-     * trace is legal (a cluster replica may be routed zero requests)
-     * and yields an empty result.
-     *
-     * Arrival i gets request id i and is admitted in (time, i) order,
-     * so an unsorted trace is legal too. Arrivals are fed to the event
-     * queue from the trace (EventQueue::enterAt) rather than scheduled
-     * up front: the heap holds only in-flight events. Each arrival
-     * still counts as one executed event in the result.
+     * Serve @p trace to completion: beginOnline(0, 1), admitPlanned(),
+     * stepUntil(kTimeNever), finishOnline(). An empty trace is legal (a
+     * cluster replica may be routed zero requests) and yields an empty
+     * result. Arrival i gets request id i, so an unsorted trace is
+     * legal too; every arrival must complete or be rejected.
      */
     RunResult run(const Trace &trace);
 
-    // ----- API for cluster-level online coordination -----------------
-    //
-    // On the coordinator path (RunMode::Online, or a static run with a
-    // fault plan) the cluster coordinator — not the engine — owns the
-    // trace: it steps all replicas in lockstep on the shared virtual
-    // clock, routes each arrival at its arrival time using live load
-    // views, and may re-route queued-but-unstarted requests between
-    // replicas (work stealing).
-    // Protocol: beginOnline() once, then any interleaving of
-    // admitArrival / stepUntil / nextEventTime / fillLoadView /
-    // stealRequests / injectRequest, then finishOnline() once.
-
     /**
-     * Start an externally-driven run (instead of run()): resets the
-     * scheduler and preloads the pools, but schedules no arrivals.
+     * Start a run: resets the scheduler and preloads the pools, but
+     * admits no arrivals. Callable once per engine.
      *
      * Request ids are allocated as @p idBase + k * @p idStride so a
      * coordinator can give each replica a disjoint id space (replica i
@@ -168,15 +167,41 @@ class ServingEngine
      */
     void beginOnline(RequestId idBase, RequestId idStride);
 
+    /**
+     * Plan known arrivals: arrival i takes the i-th id of a block
+     * reserved from the id space (id i after beginOnline(0, 1); later
+     * ids continue after the block) and is admitted by stepUntil() in
+     * stable (time, i) order. Planned arrivals never
+     * enter the event heap: each runs at the (time, seq) slot reserved
+     * for it here (EventQueue::enterAt) and counts as one executed
+     * event. @p arrivals is read in place: the caller keeps it alive
+     * and unchanged until every arrival has been stepped past. At most
+     * once per engine.
+     */
+    void admitPlanned(const std::vector<ImageArrival> &arrivals);
+
     /** Admit one arrival; its dispatch runs at @p a.time (>= now()). */
     void admitArrival(const ImageArrival &a);
 
-    /** Timestamp of the next pending event; kTimeNever when drained. */
-    Time nextEventTime() { return eq_.nextTime(); }
+    /**
+     * Timestamp of the next pending event or planned arrival;
+     * kTimeNever when drained.
+     */
+    Time
+    nextEventTime()
+    {
+        const Time t = eq_.nextTime();
+        return plannedNext_ < plannedEnd_
+                   ? std::min(t, (*planned_)[plannedIndex()].time)
+                   : t;
+    }
 
     /**
-     * Execute all events with timestamp <= @p t and advance the clock
-     * to exactly @p t (also when no events were pending).
+     * Admit the planned arrivals and execute the events with
+     * timestamp <= @p t, in (time, seq) order, then advance the clock
+     * to exactly @p t (also when nothing was pending).
+     * stepUntil(kTimeNever) drains the engine and leaves the clock at
+     * its last event.
      *
      * @return number of events executed — zero means the engine's
      *         observable state (beyond the clock) did not change, so
@@ -186,7 +211,12 @@ class ServingEngine
     stepUntil(Time t)
     {
         const std::uint64_t before = eq_.executed();
-        eq_.runUntil(t);
+        if (plannedNext_ < plannedEnd_)
+            feedPlanned(t);
+        if (t == kTimeNever)
+            eq_.run();
+        else
+            eq_.runUntil(t);
         return eq_.executed() - before;
     }
 
@@ -196,16 +226,10 @@ class ServingEngine
      */
     void fillLoadView(ReplicaLoadView &out) const;
 
-    /** @return true when @p e is resident (not loading) in a pool. */
-    bool expertResident(ExpertId e) const;
-
-    /** @return true when some executor queue holds a request for @p e. */
-    bool expertQueued(ExpertId e) const;
-
     /**
      * Accumulate this engine's GPU and CPU-DRAM hit/miss counters —
-     * the numbers behind appendTierStats()'s hit rates, without
-     * building TierStats rows (two string copies each) per sample.
+     * the numbers behind the result's tier hit rates, without building
+     * TierStats rows (two string copies each) per sample.
      */
     void sampleHitCounters(std::int64_t &gpuHits,
                            std::int64_t &gpuMisses,
@@ -248,10 +272,12 @@ class ServingEngine
     void injectRequest(const Request &req);
 
     /**
-     * Finish an online run: collect metrics exactly as run() does. The
-     * per-engine images == arrivals invariant is *not* checked — with
-     * work stealing a chain may complete on a different replica than
-     * it was admitted to; the cluster validates the total instead.
+     * Finish the run and collect its metrics; requires a drained
+     * engine (no pending event or planned arrival, no stranded
+     * checkpoint). The per-engine images == arrivals invariant is
+     * *not* checked here — with work stealing a chain may complete on a
+     * different replica than it was admitted to; run() and the cluster
+     * validate their totals instead.
      */
     RunResult finishOnline();
 
@@ -268,9 +294,6 @@ class ServingEngine
      */
     std::size_t crashDrain(std::vector<Request> &out);
 
-    /** @return true once crashDrain() ran. */
-    bool crashed() const { return crashed_; }
-
     /**
      * Straggler injection: scale every future batch's compute latency
      * by @p scale (>= 1 slows the replica down; 1.0 restores full
@@ -278,9 +301,6 @@ class ServingEngine
      * online routing and stealing see the straggler naturally.
      */
     void setComputeScale(double scale);
-
-    /** @return the current compute-latency multiplier. */
-    double computeScale() const { return computeScale_; }
 
     /**
      * Brownout injection: scale the storage channel's bandwidth for
@@ -296,39 +316,6 @@ class ServingEngine
     // requestMigrateOut / takeMigratedImages / adoptCheckpoint /
     // captureCheckpoints and drains the engine's PreemptEvents into
     // its decision log after every step.
-
-    /**
-     * Checkpoint state bytes of @p exec's running batch
-     * (CheckpointModel: per-image activations + descriptor).
-     */
-    std::int64_t checkpointStateBytes(const Executor &exec) const;
-
-    /**
-     * Estimated (uncontended) duration of moving @p bytes of
-     * checkpoint state for @p exec: over the link channel into the
-     * DRAM tier when one exists, else over the storage channel to disk
-     * — a cold tier is honestly slower.
-     */
-    Time predictCheckpointTransfer(const Executor &exec,
-                                   std::int64_t bytes) const;
-
-    /**
-     * Charge a checkpoint save/restore stream of @p bytes for @p exec
-     * through the real channels (FIFO contention with expert loads
-     * included); @p done runs at completion.
-     *
-     * @return the completion time.
-     */
-    Time chargeCheckpointTransfer(const Executor &exec,
-                                  std::int64_t bytes,
-                                  EventQueue::Callback done);
-
-    /** Executor callback: a group finished its checkpoint save. */
-    void onGroupCheckpointed(Executor &exec, CheckpointImage img,
-                             bool migrateOut);
-
-    /** Executor callback: a checkpointed group resumed execution. */
-    void onGroupRestored(Executor &exec, int requests);
 
     /**
      * Crash/quiesce capture: every in-flight batch (at its last step
@@ -406,30 +393,6 @@ class ServingEngine
     /** @return this replica's span-trace buffer; null when untraced. */
     obs::ReplicaTracer *tracer() const { return cfg_.tracer; }
 
-    /**
-     * Append live per-tier statistics (GPU pool, CPU pool, private
-     * cache tier, disk) to @p out — the same rows collectResult()
-     * reports at end of run, readable mid-run by the epoch sampler.
-     * Pure observation: never steps the engine.
-     */
-    void appendTierStats(std::vector<TierStats> &out) const;
-
-    // ----- API for Executor ------------------------------------------
-
-    /**
-     * Begin loading @p e into @p exec's pool, evicting victims as
-     * needed through the configured policy.
-     *
-     * @param isPrefetch prefetch loads may fail (return false) instead
-     *        of evicting soft-pinned or unevictable entries.
-     * @return true when the load was started.
-     */
-    bool startLoad(Executor &exec, ExpertId e, bool isPrefetch);
-
-    /** Record completion of one inference request. */
-    void onInferenceComplete(Executor &exec, const Request &req,
-                             Time batchLatency);
-
     // ----- SLO layer -------------------------------------------------
 
     /**
@@ -449,20 +412,11 @@ class ServingEngine
     /** Arrivals dropped by admission control so far. */
     std::int64_t rejectedImages() const { return imagesRejected_; }
 
-    /** Maximum executable batch size on executor @p i for @p arch. */
-    int maxExecutableBatch(const Executor &exec, ArchId arch) const;
-
-    /** @return event queue (executors schedule completions). */
-    EventQueue &eventQueue() { return eq_; }
-
     /** @return ground-truth latency model. */
     const LatencyModel &truth() const { return truth_; }
 
     /** @return footprint model. */
     const FootprintModel &footprint() const { return footprint_; }
-
-    /** @return dependency graph of the served model. */
-    const DependencyGraph &deps() const { return deps_; }
 
     /**
      * Slowdown of GPU expert loads when resident experts crowd the
@@ -475,12 +429,82 @@ class ServingEngine
     double gpuMemoryPressure() const { return gpuPressure_; }
 
   private:
-    void validate() const;
+    // ----- API for Executor; ReplicaLoadView reads pools and queues ----
+    friend class Executor;
+    friend struct ReplicaLoadView;
+
+    /**
+     * Begin loading @p e into @p exec's pool, evicting victims as
+     * needed through the configured policy.
+     *
+     * @param isPrefetch prefetch loads may fail (return false) instead
+     *        of evicting soft-pinned or unevictable entries.
+     * @return true when the load was started.
+     */
+    bool startLoad(Executor &exec, ExpertId e, bool isPrefetch);
+
+    /** Record completion of one inference request. */
+    void onInferenceComplete(Executor &exec, const Request &req,
+                             Time batchLatency);
+
+    /** Maximum executable batch size on @p exec for @p arch. */
+    int maxExecutableBatch(const Executor &exec, ArchId arch) const;
+
+    /** @return event queue (executors schedule completions). */
+    EventQueue &eventQueue() { return eq_; }
+
+    /** @return the current compute-latency multiplier. */
+    double computeScale() const { return computeScale_; }
+
+    /**
+     * Checkpoint state bytes of @p exec's running batch
+     * (CheckpointModel: per-image activations + descriptor).
+     */
+    std::int64_t checkpointStateBytes(const Executor &exec) const;
+
+    /**
+     * Estimated (uncontended) duration of moving @p bytes of
+     * checkpoint state for @p exec: over the link channel into the
+     * DRAM tier when one exists, else over the storage channel to disk
+     * — a cold tier is honestly slower.
+     */
+    Time predictCheckpointTransfer(const Executor &exec,
+                                   std::int64_t bytes) const;
+
+    /**
+     * Charge a checkpoint save/restore stream of @p bytes for @p exec
+     * through the real channels (FIFO contention with expert loads
+     * included); @p done runs at completion.
+     *
+     * @return the completion time.
+     */
+    Time chargeCheckpointTransfer(const Executor &exec,
+                                  std::int64_t bytes,
+                                  EventQueue::Callback done);
+
+    /** Executor callback: a group finished its checkpoint save. */
+    void onGroupCheckpointed(Executor &exec, CheckpointImage img,
+                             bool migrateOut);
+
+    /** Executor callback: a checkpointed group resumed execution. */
+    void onGroupRestored(Executor &exec, int requests);
+
+    /**
+     * Append live per-tier statistics (GPU pool, CPU pool, private
+     * cache tier, disk) to @p out — the rows finishOnline() reports.
+     */
+    void appendTierStats(std::vector<TierStats> &out) const;
+
     void preload();
-    /** Shared head of run() / beginOnline(): reset + preload. */
-    void beginRun();
-    /** Shared tail of run() / finishOnline(): metrics assembly. */
-    RunResult collectResult();
+    /** Index of the next planned arrival to admit. */
+    std::size_t
+    plannedIndex() const
+    {
+        return plannedOrder_.empty() ? plannedNext_
+                                     : plannedOrder_[plannedNext_];
+    }
+    /** Admit every planned arrival with time <= @p t, in order. */
+    void feedPlanned(Time t);
     /** Next request id in this engine's (possibly strided) id space. */
     RequestId allocRequestId();
     /** The classify request for arrival @p a, with request id @p id. */
@@ -538,8 +562,18 @@ class ServingEngine
     CheckpointModel ckpt_;
     /** Checkpointed groups awaiting cluster-level migration pickup. */
     std::vector<CheckpointImage> migrateOutbox_;
-    /** Buffered preemption decisions (online runs only; see preempt.h). */
+    /** Buffered preemption decisions (see preempt.h), until drained. */
     std::vector<PreemptEvent> preemptEvents_;
+    /** admitPlanned()'s arrivals, read in place; null until then. */
+    const std::vector<ImageArrival> *planned_ = nullptr;
+    /** Stable (time, index) admission order; empty for a sorted plan. */
+    std::vector<std::size_t> plannedOrder_;
+    /** Planned arrivals admitted so far, and in the plan. */
+    std::size_t plannedNext_ = 0;
+    std::size_t plannedEnd_ = 0;
+    /** Sequence number and request id of planned arrival 0. */
+    std::uint64_t plannedSeq0_ = 0;
+    RequestId plannedId0_ = 0;
 
     double gpuPressure_ = 1.0;
     /** Straggler fault multiplier on batch latencies (1.0 = nominal). */
@@ -548,14 +582,14 @@ class ServingEngine
     /** Dispatches seen; drives 1-in-16 scheduling-wall sampling. */
     std::uint64_t dispatchCount_ = 0;
     RequestId nextRequestId_ = 0;
-    /** Id increment; > 1 only for cluster-coordinated online runs. */
+    /** Id increment; > 1 only for cluster-coordinated runs. */
     RequestId requestIdStride_ = 1;
     std::int64_t imagesDone_ = 0;
     /** Arrivals dropped by admission (images + rejected == arrivals). */
     std::int64_t imagesRejected_ = 0;
     Time lastCompletion_ = 0;
-    bool ran_ = false;
-    bool online_ = false;
+    /** True once beginOnline() ran. */
+    bool begun_ = false;
     /** True once crashDrain() ran (fault injection). */
     bool crashed_ = false;
 

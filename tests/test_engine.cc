@@ -2,8 +2,9 @@
  * @file
  * Integration tests for the serving engine on a small board and a tiny
  * device: completion, determinism, prefetch overlap, cache tier, the
- * effect of grouped scheduling on switch counts, and pinned schedules
- * for traces with tied and out-of-order arrival times.
+ * effect of grouped scheduling on switch counts, pinned schedules for
+ * traces with tied and out-of-order arrival times (run() and the same
+ * trace stepped through the lifecycle calls), and planned arrivals.
  */
 
 #include <gtest/gtest.h>
@@ -305,9 +306,13 @@ class DigestScheduler : public Scheduler
 class EngineTraceOrderTest : public EngineFixture
 {
   protected:
-    /** Dependency-aware run of @p trace; @return the schedule digest. */
+    /**
+     * Dependency-aware run of @p trace; @return the schedule digest.
+     * With @p stepped the trace is driven through the lifecycle calls
+     * (admitPlanned + uneven stepUntil chunks) instead of run().
+     */
     std::uint64_t
-    digestRun(const Trace &trace, RunResult &out)
+    digestRun(const Trace &trace, RunResult &out, bool stepped = false)
     {
         std::uint64_t digest = 0xcbf29ce484222325ull;
         EngineConfig cfg = smallConfig(2, 1200);
@@ -317,7 +322,26 @@ class EngineTraceOrderTest : public EngineFixture
             std::make_unique<DigestScheduler>(
                 std::make_unique<DependencyAwareScheduler>(), &digest),
             std::make_unique<TwoStageEviction>());
-        out = engine.run(trace);
+        if (stepped) {
+            engine.beginOnline(0, 1);
+            engine.admitPlanned(trace.arrivals);
+            // Every fifth arrival instant, in trace order (an unsorted
+            // trace also steps backwards, which must do nothing), each
+            // followed by a point just past the next event; then
+            // between events to the end, and past the end.
+            for (std::size_t i = 0; i < trace.arrivals.size(); i += 5) {
+                engine.stepUntil(trace.arrivals[i].time);
+                const Time next = engine.nextEventTime();
+                if (next != kTimeNever)
+                    engine.stepUntil(next + 1);
+            }
+            for (Time t; (t = engine.nextEventTime()) != kTimeNever;)
+                engine.stepUntil(t + 1);
+            engine.stepUntil(engine.now() + seconds(1));
+            out = engine.finishOnline();
+        } else {
+            out = engine.run(trace);
+        }
         for (double ms : out.requestLatencyMs.raw()) {
             std::uint64_t bits = 0;
             std::memcpy(&bits, &ms, sizeof bits);
@@ -349,11 +373,13 @@ TEST_F(EngineTraceOrderTest, TiedArrivalsKeepIndexOrder)
         [](const ImageArrival &a, const ImageArrival &b) {
             return a.time < b.time;
         }));
-    RunResult r;
-    const std::uint64_t digest = digestRun(tied, r);
-    EXPECT_EQ(r.images, 300);
-    EXPECT_EQ(r.eventsExecuted, 697u);
-    EXPECT_EQ(digest, 0xe1d813e3b8e558c0ull);
+    for (const bool stepped : {false, true}) {
+        RunResult r;
+        const std::uint64_t digest = digestRun(tied, r, stepped);
+        EXPECT_EQ(r.images, 300) << "stepped " << stepped;
+        EXPECT_EQ(r.eventsExecuted, 697u) << "stepped " << stepped;
+        EXPECT_EQ(digest, 0xe1d813e3b8e558c0ull) << "stepped " << stepped;
+    }
 }
 
 TEST_F(EngineTraceOrderTest, UnsortedTraceRunsInTimeThenIndexOrder)
@@ -371,11 +397,41 @@ TEST_F(EngineTraceOrderTest, UnsortedTraceRunsInTimeThenIndexOrder)
                               b + 8, shuffled.arrivals.size()));
         std::reverse(first, last);
     }
-    RunResult r;
-    const std::uint64_t digest = digestRun(shuffled, r);
-    EXPECT_EQ(r.images, 300);
-    EXPECT_EQ(r.eventsExecuted, 695u);
-    EXPECT_EQ(digest, 0xdec1b57394e16057ull);
+    for (const bool stepped : {false, true}) {
+        RunResult r;
+        const std::uint64_t digest = digestRun(shuffled, r, stepped);
+        EXPECT_EQ(r.images, 300) << "stepped " << stepped;
+        EXPECT_EQ(r.eventsExecuted, 695u) << "stepped " << stepped;
+        EXPECT_EQ(digest, 0xdec1b57394e16057ull) << "stepped " << stepped;
+    }
+}
+
+TEST_F(EngineFixture, NextEventTimeReportsFirstPlannedArrival)
+{
+    Trace reversed = trace_;
+    std::reverse(reversed.arrivals.begin(), reversed.arrivals.end());
+    const Time first = trace_.arrivals.front().time + milliseconds(5);
+    for (ImageArrival &a : reversed.arrivals)
+        a.time += milliseconds(5);
+    ServingEngine engine(smallConfig(1, 800), model_, truth_, footprint_,
+                         usage_, std::make_unique<FcfsSingleScheduler>(),
+                         std::make_unique<LruEviction>());
+    engine.beginOnline(0, 1);
+    EXPECT_EQ(engine.nextEventTime(), kTimeNever);
+    engine.admitPlanned(reversed.arrivals);
+    EXPECT_EQ(engine.nextEventTime(), first);
+    EXPECT_EQ(engine.stepUntil(first - 1), 0u);
+    EXPECT_EQ(engine.nextEventTime(), first);
+}
+
+TEST_F(EngineFixture, FinishDiesWhilePlannedArrivalsRemain)
+{
+    ServingEngine engine(smallConfig(1, 800), model_, truth_, footprint_,
+                         usage_, std::make_unique<FcfsSingleScheduler>(),
+                         std::make_unique<LruEviction>());
+    engine.beginOnline(0, 1);
+    engine.admitPlanned(trace_.arrivals);
+    EXPECT_DEATH(engine.finishOnline(), "planned arrivals pending");
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <utility>
 #include <vector>
@@ -144,6 +145,18 @@ TEST(DecisionLogTest, DecodeRejectsCorruption)
     overflow.insert(overflow.end(), 8, 0); // digest
     EXPECT_EXIT(DecisionLog::decode(overflow),
                 ::testing::ExitedWithCode(1), "time overflows");
+}
+
+TEST(DecisionLogTest, LoadRejectsDirectory)
+{
+    // A directory opens like a file but is no log: exit 1 naming the
+    // path, not an allocation failure from a bogus size.
+    const std::string dir = tempPath("decision_log_dir");
+    std::filesystem::create_directories(dir);
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(DecisionLog::load(dir), ::testing::ExitedWithCode(1),
+                "not a regular file: .*decision_log_dir");
+    std::filesystem::remove(dir);
 }
 
 // ------------------------------------------------------ cluster fixture
