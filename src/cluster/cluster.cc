@@ -35,9 +35,10 @@ ppm(double factor)
 }
 
 /**
- * Flatten a plan into one virtual-time-ordered action list. Same-time
- * actions order by (kind, replica), so the schedule — and therefore
- * the decision digest — is independent of the plan's vector order.
+ * Flatten a plan into one virtual-time-ordered action list, ended by a
+ * sentinel that is never due. Same-time actions order by (kind,
+ * replica), so the schedule — and therefore the decision digest — is
+ * independent of the plan's vector order.
  */
 std::vector<FaultAction>
 flattenFaults(const FaultPlan &plan)
@@ -65,6 +66,7 @@ flattenFaults(const FaultPlan &plan)
                       return x.kind < y.kind;
                   return x.replica < y.replica;
               });
+    out.push_back({kTimeNever, DecisionKind::Crash, 0, 0.0});
     return out;
 }
 
@@ -110,16 +112,6 @@ static_assert(std::size(kInstants) ==
 constexpr InstantSpec kLostRoute = {"route (lost)", "image", nullptr,
                                     nullptr};
 
-/**
- * Whether @p opts runs on the coordinator: online mode always, static
- * mode when a fault plan needs every replica on the shared clock.
- */
-bool
-coordinated(const RunOptions &opts)
-{
-    return opts.mode == RunMode::Online || opts.faults.any();
-}
-
 /** Report interval-window problems of [from, to) fault windows. */
 template <typename W>
 void
@@ -154,6 +146,17 @@ checkWindows(const std::vector<W> &windows, std::size_t n,
                              std::to_string(spans[i].first));
         }
     }
+}
+
+/** One router-facing view per replica of @p cfg, in replica order. */
+std::vector<ReplicaView>
+makeReplicaViews(const ClusterConfig &cfg)
+{
+    std::vector<ReplicaView> views;
+    views.reserve(cfg.replicas.size());
+    for (const ReplicaSpec &r : cfg.replicas)
+        views.push_back({r.ctx, &r.cfg});
+    return views;
 }
 
 } // namespace
@@ -208,18 +211,10 @@ ClusterConfig::validate(const RunOptions &opts) const
                 "preemption.migrationMinRemaining must be >= 0");
         }
     }
-    if (preemption.migration) {
-        if (!preemption.enabled) {
-            errors.push_back(
-                "preemption.migration requires preemption.enabled "
-                "(migration moves *checkpointed* groups)");
-        }
-        if (!coordinated(opts)) {
-            errors.push_back(
-                "preemption.migration requires the coordinator path "
-                "(online mode or a fault plan): static sharded "
-                "replicas cannot exchange in-flight groups");
-        }
+    if (preemption.migration && !preemption.enabled) {
+        errors.push_back(
+            "preemption.migration requires preemption.enabled "
+            "(migration moves *checkpointed* groups)");
     }
 
     if (sharedCpu.enabled && sharedCpu.bytes < 0)
@@ -250,13 +245,6 @@ ClusterConfig::validate(const RunOptions &opts) const
     }
     if (tel.enabled && tel.sampleInterval <= 0)
         errors.push_back("telemetry.sampleInterval must be > 0");
-    // The epoch sampler lives in the coordinator's time race; a static
-    // sharded run has no shared stepping loop to sample from.
-    if (tel.enabled && !tel.metricsCsvPath.empty() && !coordinated(opts)) {
-        errors.push_back(
-            "telemetry.metricsCsvPath (epoch sampling) requires the "
-            "coordinator path (online mode or a fault plan)");
-    }
 
     std::vector<char> crashSeen(n, 0);
     for (const ReplicaCrash &c : opts.faults.crashes) {
@@ -326,23 +314,13 @@ ClusterEngine::ClusterEngine(ClusterConfig cfg) : cfg_(std::move(cfg))
     }
 }
 
-std::vector<ReplicaView>
-ClusterEngine::makeReplicaViews() const
-{
-    std::vector<ReplicaView> views;
-    views.reserve(cfg_.replicas.size());
-    for (const ReplicaSpec &r : cfg_.replicas)
-        views.push_back({r.ctx, &r.cfg});
-    return views;
-}
-
 std::vector<std::size_t>
 ClusterEngine::routeTrace(const Trace &trace) const
 {
     // All replicas serve the same CoE model; route by the first's.
     auto router = makeRouter(cfg_.routing,
                              cfg_.replicas.front().ctx->model(),
-                             makeReplicaViews());
+                             makeReplicaViews(cfg_));
 
     std::vector<std::size_t> assignment;
     assignment.reserve(trace.arrivals.size());
@@ -351,13 +329,21 @@ ClusterEngine::routeTrace(const Trace &trace) const
     return assignment;
 }
 
+namespace {
+
 /**
- * The coordinator path: online mode always; static mode when a fault
- * plan needs the shared clock (routing pinned to the offline
- * assignment, no stealing/admission/autoscale). It builds every
- * replica engine up front and steps them in lockstep; each member
- * function is one phase of the loop, and run() only decides which
- * phase comes next. Single-use: construct, then run() once.
+ * Runs one cluster run in either mode. It builds every replica engine
+ * up front; each member function is one phase, and the two loops only
+ * decide which phase comes next:
+ *
+ *  - online (runLockstep): every replica steps in lockstep on the
+ *    shared virtual clock, and each arrival is routed at its arrival
+ *    time from live views;
+ *  - static (runEpochs): routing is pinned to the offline assignment,
+ *    each replica serves its shard as planned arrivals, and the
+ *    replicas run on their own between coordination points.
+ *
+ * Single-use: construct, then run() once.
  */
 class Coordinator
 {
@@ -403,18 +389,31 @@ class Coordinator
     ClusterResult
     run()
     {
-        // Lockstep coordination on the shared virtual clock: the next
-        // thing that happens cluster-wide is the earliest of the next
-        // pending replica event, the next arrival, the next fault
-        // action, and (autoscale only) the next control tick — fault
-        // actions win all ties (a crash at t kills same-time work),
-        // control ticks win ties against arrivals so same-time
-        // arrivals see the post-scale active set, and arrivals win
-        // ties against events so routing sees state as of the arrival
-        // instant. Everything is driven by virtual time, so the
-        // schedule is reproducible by construction. Fault actions
-        // scheduled after the last arrival and event are never
-        // applied (there is nothing left for them to affect).
+        if (liveRouting_)
+            runLockstep();
+        else
+            runEpochs();
+        return collect();
+    }
+
+  private:
+    /**
+     * Online mode. Lockstep coordination on the shared virtual clock:
+     * the next thing that happens cluster-wide is the earliest of the
+     * next pending replica event, the next arrival, the next fault
+     * action, and (autoscale only) the next control tick — fault
+     * actions win all ties (a crash at t kills same-time work),
+     * control ticks win ties against arrivals so same-time arrivals
+     * see the post-scale active set, and arrivals win ties against
+     * events so routing sees state as of the arrival instant.
+     * Everything is driven by virtual time, so the schedule is
+     * reproducible by construction. Fault actions scheduled after the
+     * last arrival and event are never applied (there is nothing left
+     * for them to affect).
+     */
+    void
+    runLockstep()
+    {
         const WallTimer coordWall;
         for (;;) {
             const Time tArr = nextArrival_ < trace_.arrivals.size()
@@ -427,9 +426,7 @@ class Coordinator
                 break;
             // From here min(tArr, tEv) is finite, so a never-due
             // fault, tick or sample loses every comparison below.
-            const Time tFault = nextFault_ < faults_.size()
-                                    ? faults_[nextFault_].time
-                                    : kTimeNever;
+            const Time tFault = faults_[nextFault_].time;
             const Time tCtl = as_.enabled ? nextControl_ : kTimeNever;
 
             // Sampler rows are due before anything else happens; they
@@ -461,10 +458,93 @@ class Coordinator
             }
         }
         telem_.host().add("coordinate", coordWall.elapsedMicros());
-        return collect();
     }
 
-  private:
+    /**
+     * Static mode: route the whole trace offline, give replica i its
+     * shard as planned arrivals, and let the replicas run on their own
+     * between coordination points — a fault action, an epoch sample
+     * and an orphan (an arrival pinned to a replica that has crashed
+     * since routing). Replicas interact only at faults, so an orphan
+     * steps only the replica it is re-homed to. At one instant a
+     * sample comes first, then a fault, then arrivals. Samples and
+     * faults after the last event and arrival never apply, as in
+     * online mode.
+     */
+    void
+    runEpochs()
+    {
+        const WallTimer routeWall;
+        assignment_ = cluster_.routeTrace(trace_);
+        shards_ = shardTrace(trace_, assignment_, n_);
+        for (std::size_t i = 0; i < n_; ++i)
+            engines_[i]->admitPlanned(shards_[i].arrivals);
+        telem_.host().add("route_shard", routeWall.elapsedMicros());
+
+        const WallTimer runWall;
+        for (;;) {
+            const Time tSample = telem_.nextSampleTime();
+            const Time tFault = faults_[nextFault_].time;
+            notePinned(tFault);
+            const Time t = std::min(tSample, tFault);
+            if (nextNote_ < trace_.size() &&
+                trace_.arrivals[nextNote_].time < t) {
+                // notePinned() stopped at an orphan.
+                route(nextNote_++);
+                continue;
+            }
+            if (t == kTimeNever)
+                break;
+            // A sample at t sees everything before t; so does a fault,
+            // which then applies after every event at t and before the
+            // arrivals at t.
+            stepAll(t - 1);
+            if (nextNote_ == trace_.size() &&
+                std::all_of(engines_.begin(), engines_.end(),
+                            [](const auto &engine) {
+                                return engine->nextEventTime() == kTimeNever;
+                            }))
+                break; // nothing is left at or after t
+            if (tSample == t) {
+                sample(t);
+                continue;
+            }
+            for (std::size_t i = 0; i < n_; ++i) {
+                noteStepped(i, engines_[i]->stepBefore(t));
+                drainPreempt(i);
+            }
+            applyFault(faults_[nextFault_++]);
+        }
+        stepAll(kTimeNever);
+        for (std::size_t i = 0; i < n_; ++i)
+            drainPreempt(i);
+        telem_.host().add("replica_run", runWall.elapsedMicros());
+    }
+
+    /**
+     * Note the Route records of the pinned arrivals before @p before,
+     * in arrival order (a trace with a fault plan is time-sorted).
+     * They were decided offline, so they emit no trace instant. Stops
+     * at an orphan: its replica crashed at or before its arrival time
+     * (every earlier crash has been applied), so it is re-homed, and
+     * route() records it, at its arrival instant.
+     */
+    void
+    notePinned(Time before)
+    {
+        for (; nextNote_ < trace_.size() &&
+               trace_.arrivals[nextNote_].time < before;
+             ++nextNote_) {
+            const std::size_t r = assignment_[nextNote_];
+            if (crashed_[r])
+                return;
+            decisions_.note({trace_.arrivals[nextNote_].time,
+                             DecisionKind::Route,
+                             static_cast<std::uint64_t>(nextNote_),
+                             static_cast<std::uint64_t>(r), 0});
+        }
+    }
+
     /**
      * Note @p d in the decision stream and, when tracing, emit the
      * coordinator instant its kind maps to in kInstants.
@@ -578,8 +658,8 @@ class Coordinator
     /**
      * Replica-local preemption decisions (pause / checkpoint /
      * restore) are part of the replayable schedule: drained into the
-     * decision stream in replica order after every step, so the
-     * interleaving is deterministic.
+     * decision stream in replica order at fixed points (see
+     * noteStepped), so the interleaving is deterministic.
      */
     void
     drainPreempt(std::size_t i)
@@ -627,15 +707,47 @@ class Coordinator
         }
     }
 
+    /**
+     * Replica @p i executed @p events: its view is stale (crash
+     * migration reads the backlogs through refreshViews()). Online,
+     * its preemption decisions drain now; static runs drain them at
+     * each fault and at the end, so that epoch samples, which also
+     * step the replicas, leave the decision stream as it is.
+     */
+    void
+    noteStepped(std::size_t i, std::uint64_t events)
+    {
+        if (events == 0)
+            return;
+        dirty_[i] = 1;
+        if (liveRouting_)
+            drainPreempt(i);
+    }
+
+    /**
+     * Step every replica to @p t. Static private-tier replicas share
+     * no mutable state, so each with work due steps on its own
+     * thread; online and shared-tier replicas step in replica order on
+     * the caller's thread, so a shared tier sees one reproducible
+     * access sequence.
+     */
     void
     stepAll(Time t)
     {
+        std::vector<std::thread> threads;
         for (std::size_t i = 0; i < n_; ++i) {
-            if (engines_[i]->stepUntil(t) > 0) {
-                dirty_[i] = 1;
-                drainPreempt(i);
-            }
+            const auto step = [this, i, t] {
+                stepped_[i] = engines_[i]->stepUntil(t);
+            };
+            if (threaded_ && engines_[i]->nextEventTime() <= t)
+                threads.emplace_back(step);
+            else
+                step();
         }
+        for (std::thread &th : threads)
+            th.join();
+        for (std::size_t i = 0; i < n_; ++i)
+            noteStepped(i, stepped_[i]);
         if (migrationOn_)
             drainOutboxes(t);
         noteQuiesceDrains();
@@ -1061,9 +1173,10 @@ class Coordinator
     }
 
     /**
-     * Route arrival @p next at its arrival instant, with live views
-     * (skipping the snapshot work for policies whose routeLive falls
-     * back to the offline route()) or by the pinned assignment.
+     * Route arrival @p next at its arrival instant: online with live
+     * views (skipping the snapshot work for policies whose routeLive
+     * falls back to the offline route()); static only for an orphan,
+     * re-homed off the crashed replica of its pinned assignment.
      */
     void
     route(std::size_t next)
@@ -1110,6 +1223,10 @@ class Coordinator
         // with the out-of-range sentinel replica `n` so replays still
         // cover it.
         const bool lost = r == n_ || crashed_[r];
+        // A static orphan: only its new replica moves to the arrival
+        // instant.
+        if (!liveRouting_ && !lost)
+            noteStepped(r, engines_[r]->stepUntil(a.time));
         record({a.time, DecisionKind::Route, idx, lost ? n_ : r, 0});
         if (lost) {
             lostImages_ += 1;
@@ -1125,10 +1242,13 @@ class Coordinator
     }
 
     /**
-     * Epoch sampler: a sample observes the quiescent DES state between
-     * coordinator steps WITHOUT stepping any engine: an extra stepAll()
-     * cut point would reorder the preempt/outbox/quiesce drains
-     * relative to an unsampled run and drift the decision digest. Pure
+     * Epoch sampler: online, a sample observes the quiescent DES state
+     * between coordinator steps WITHOUT stepping any engine: an extra
+     * stepAll() cut point would reorder the preempt/outbox/quiesce
+     * drains relative to an unsampled run and drift the decision
+     * digest. A static run steps its replicas to just before the
+     * sample, which drains nothing there (no outbox or quiesce exists
+     * in static mode; see noteStepped for preemption). Pure
      * observation keeps telemetry on/off byte-identical. The sampler
      * fills its own scratch view: refreshing the coordinator's `live_`
      * views would rewrite their `now`, which stealing reads.
@@ -1237,7 +1357,15 @@ class Coordinator
             out.stragglersInjected = stragglers_;
             out.brownoutsInjected = brownouts_;
         }
-        ClusterEngine::appendSharedTierStats(out, sharedCpu_.get());
+        if (sharedCpu_ != nullptr) {
+            // The shared tier is cluster-owned: replicas do not report
+            // it, so append its (cross-replica) counters once, and fold
+            // its disk spills into the cluster-wide disk entry
+            // (private-tier runs account the same spills through each
+            // engine's own disk tier).
+            out.tiers.push_back(sharedCpu_->stats());
+            mergeTierStats(out.tiers, sharedCpu_->diskStats());
+        }
         // The coordinator's counters, exported once from the tallies
         // rather than from out's fields: those are gated on their
         // feature flags (an autoscale run with preemption off still
@@ -1266,20 +1394,53 @@ class Coordinator
     }
 
     /**
-     * Build every replica engine, timed as the "build" host phase.
-     * The coordinator steps them in lockstep on the caller's thread.
+     * The shared CPU tier when configured (else null): one physical
+     * host DRAM behind all replicas, so evictions from any replica's
+     * GPU pool demote into it and any replica's loads may hit it.
      */
+    std::unique_ptr<SharedCpuTier>
+    makeSharedCpuTier() const
+    {
+        if (!cfg_.sharedCpu.enabled)
+            return nullptr;
+        // bytes 0 means the same total DRAM as the private split: only
+        // replicas whose private tier would be enabled contribute.
+        const std::int64_t bytes = cfg_.sharedCpu.bytes;
+        std::int64_t cap = bytes;
+        for (const ReplicaSpec &r : cfg_.replicas)
+            cap += bytes == 0 && r.cfg.cpuCacheTier ? r.cfg.cpuCacheBytes : 0;
+        COSERVE_CHECK(cap > 0, "sharedCpu needs bytes ",
+                      "or replicas with an enabled cpuCacheTier");
+        return std::make_unique<SharedCpuTier>(cap);
+    }
+
+    /** Build every replica engine, timed as the "build" host phase. */
     std::vector<std::unique_ptr<ServingEngine>>
     buildEngines() const
     {
         std::vector<std::unique_ptr<ServingEngine>> engines;
         for (std::size_t i = 0; i < n_; ++i) {
-            engines.push_back(
-                cluster_.makeReplicaEngine(i, sharedCpu_.get(), telem_));
-            // Disjoint strided id spaces: stolen requests keep their
-            // id, so ids must stay unique cluster-wide.
-            engines.back()->beginOnline(static_cast<RequestId>(i),
-                                        static_cast<RequestId>(n_));
+            const ReplicaSpec &spec = cfg_.replicas[i];
+            EngineConfig cfg = spec.cfg;
+            cfg.label = cfg_.label + "/replica" + std::to_string(i);
+            if (sharedCpu_ != nullptr)
+                cfg.externalCpuTier = sharedCpu_.get();
+            // This replica's span-trace buffer (null unless telemetry
+            // is enabled), pre-created by the Telemetry ctor.
+            cfg.tracer = telem_.replicaTracer(static_cast<int>(i));
+            // Cluster-level preemption policy applies uniformly:
+            // migration break-even and hysteresis must agree across
+            // replicas or a group migratable at its source would be
+            // un-adoptable at its target.
+            if (preemptOn_)
+                cfg.preemption = cfg_.preemption;
+            engines.push_back(makeCoServeEngine(*spec.ctx, std::move(cfg)));
+            // Online: disjoint strided id spaces, since stolen requests
+            // keep their id. Static: a replica numbers its shard as a
+            // standalone engine serving it would.
+            engines.back()->beginOnline(
+                static_cast<RequestId>(liveRouting_ ? i : 0),
+                static_cast<RequestId>(liveRouting_ ? n_ : 1));
         }
         telem_.host().add("build", wall_.elapsedMicros());
         return engines;
@@ -1297,10 +1458,9 @@ class Coordinator
     const AutoscaleConfig &as_ = cfg_.autoscale;
     const bool preemptOn_ = cfg_.preemption.enabled;
     const bool migrationOn_ = preemptOn_ && cfg_.preemption.migration;
-    std::unique_ptr<SharedCpuTier> sharedCpu_ = cluster_.makeSharedCpuTier();
-    // Engine construction and preload count toward wallSeconds, as
-    // they do inside static mode's per-replica threads — otherwise
-    // the modes' host-time comparison is skewed.
+    const std::unique_ptr<SharedCpuTier> sharedCpu_ = makeSharedCpuTier();
+    const bool threaded_ = !liveRouting_ && sharedCpu_ == nullptr;
+    // Engine construction and preload count toward wallSeconds.
     const WallTimer wall_;
     const std::vector<std::unique_ptr<ServingEngine>> engines_ =
         buildEngines();
@@ -1310,7 +1470,7 @@ class Coordinator
     obs::ReplicaTracer *const tracer_ = telem_.coordinatorTracer();
 
     // ----- routing: one cost model, a live router or a pinned route ----
-    const std::vector<ReplicaView> views_ = cluster_.makeReplicaViews();
+    const std::vector<ReplicaView> views_ = makeReplicaViews(cfg_);
     const CoEModel &model_ = cfg_.replicas.front().ctx->model();
     // Every capability check and cluster admission's live estimate
     // read this one model's tables.
@@ -1318,18 +1478,19 @@ class Coordinator
     const CapabilityTable &caps_ = costs_.caps();
     const std::unique_ptr<ReplicaRouter> router_ =
         liveRouting_ ? makeRouter(cfg_.routing, model_, views_) : nullptr;
-    // Static under faults: routing pinned to the offline assignment,
-    // exactly what runSharded would execute — re-homing applies only
-    // when the assigned replica has crashed.
-    const std::vector<std::size_t> assignment_ =
-        liveRouting_ ? std::vector<std::size_t>{}
-                     : cluster_.routeTrace(trace_);
+    // Online: the next arrival to route.
     std::size_t nextArrival_ = 0;
+    // Static: routing pinned to the offline assignment, each replica's
+    // shard of the trace (its planned arrivals), and the next arrival
+    // whose Route record is due.
+    std::vector<std::size_t> assignment_;
+    std::vector<Trace> shards_;
+    std::size_t nextNote_ = 0;
     const std::vector<FaultAction> faults_ = flattenFaults(opts_.faults);
     std::size_t nextFault_ = 0;
     // Does the trace carry SLO metadata at all? Classless traces skip
-    // every SLO code path (admission, at-risk steal pass).
-    const bool sloTrace_ = std::any_of(
+    // every SLO code path (admission, at-risk steal pass; online only).
+    const bool sloTrace_ = liveRouting_ && std::any_of(
         trace_.arrivals.begin(), trace_.arrivals.end(),
         [](const ImageArrival &a) {
             return sloTracked(a.cls) || a.deadline != kTimeNever;
@@ -1347,6 +1508,8 @@ class Coordinator
     std::vector<char> crashed_ = std::vector<char>(n_, 0);
     std::vector<ReplicaLoadView> live_ = std::vector<ReplicaLoadView>(n_);
     std::vector<char> dirty_ = std::vector<char>(n_, 1);
+    // Events each replica executed in the last stepAll().
+    std::vector<std::uint64_t> stepped_ = std::vector<std::uint64_t>(n_, 0);
     std::vector<Time> quiesceStart_ = std::vector<Time>(n_, kTimeNever);
     std::vector<std::int64_t> stolenFrom_ = std::vector<std::int64_t>(n_, 0);
     std::vector<std::int64_t> stolenTo_ = std::vector<std::int64_t>(n_, 0);
@@ -1372,6 +1535,8 @@ class Coordinator
     ReplicaLoadView sampleView_;
 };
 
+} // namespace
+
 ClusterResult
 ClusterEngine::run(const Trace &trace, const RunOptions &opts)
 {
@@ -1386,13 +1551,12 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
         fatal("invalid cluster run configuration:", joined);
     }
 
-    // Fault plans need every replica on the shared clock even in
-    // static mode (a crash interrupts mid-run), so they take the
-    // coordinator path with routing pinned to the offline assignment.
-    const bool onCoordinator = coordinated(opts);
-    // The coordinator steps every replica to each arrival in turn, so
-    // an arrival earlier than its predecessor would land in the past.
-    for (std::size_t i = 1; onCoordinator && i < trace.size(); ++i) {
+    // The online coordinator steps every replica to each arrival in
+    // turn, and a fault plan re-homes arrivals at their arrival
+    // instants, so an arrival earlier than its predecessor would land
+    // in the past. A clean static run admits each shard in time order.
+    const bool sorted = opts.mode == RunMode::Online || opts.faults.any();
+    for (std::size_t i = 1; sorted && i < trace.size(); ++i) {
         if (trace.arrivals[i].time < trace.arrivals[i - 1].time) {
             fatal("the coordinator needs time-sorted arrivals: arrival ",
                   i, " is earlier than arrival ", i - 1);
@@ -1414,9 +1578,7 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
                          static_cast<int>(cfg_.replicas.size()));
 
     ClusterResult out =
-        onCoordinator
-            ? Coordinator(*this, trace, opts, decisions, telem).run()
-            : runSharded(trace, decisions, telem);
+        Coordinator(*this, trace, opts, decisions, telem).run();
 
     decisions.finish();
     out.decisionDigest = decisions.log().digest();
@@ -1443,122 +1605,6 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
         fatal("telemetry: failed to write configured output files");
     out.metrics = telem.registry().snapshot();
     return out;
-}
-
-std::unique_ptr<SharedCpuTier>
-ClusterEngine::makeSharedCpuTier() const
-{
-    // One physical host DRAM behind all replicas: evictions from any
-    // replica's GPU pool demote into this tier, and any replica's
-    // loads may hit it. Lives only for the duration of the run.
-    if (!cfg_.sharedCpu.enabled)
-        return nullptr;
-    std::int64_t cap = cfg_.sharedCpu.bytes;
-    if (cap == 0) {
-        // Same total DRAM as the private split: only replicas
-        // whose private tier would actually be enabled contribute.
-        for (const ReplicaSpec &r : cfg_.replicas) {
-            if (r.cfg.cpuCacheTier)
-                cap += r.cfg.cpuCacheBytes;
-        }
-    }
-    COSERVE_CHECK(cap > 0, "sharedCpu needs bytes ",
-                  "or replicas with an enabled cpuCacheTier");
-    return std::make_unique<SharedCpuTier>(cap);
-}
-
-void
-ClusterEngine::appendSharedTierStats(ClusterResult &out,
-                                     const SharedCpuTier *tier)
-{
-    // The shared tier is cluster-owned: replicas do not report it, so
-    // append its (cross-replica) counters once, and fold its disk
-    // spills into the cluster-wide disk entry (private-tier runs
-    // account the same spills through each engine's own disk tier).
-    if (tier == nullptr)
-        return;
-    out.tiers.push_back(tier->stats());
-    mergeTierStats(out.tiers, tier->diskStats());
-}
-
-ClusterResult
-ClusterEngine::runSharded(const Trace &trace, DecisionTrace &decisions,
-                          obs::Telemetry &telem)
-{
-    // wallSeconds covers routing as well as the replica runs, as the
-    // coordinator's covers engine build and routeTrace: the serial
-    // routing prefix is part of a static run's host time.
-    const WallTimer wall;
-    const std::vector<std::size_t> assignment = routeTrace(trace);
-    // The route stream *is* the static coordinator's decision stream:
-    // digesting it here keeps static runs replay-checkable and their
-    // digests identical to a fault-free pinned-routing coordinator run.
-    decisions.reserve(trace.arrivals.size());
-    for (std::size_t i = 0; i < trace.arrivals.size(); ++i) {
-        decisions.note({trace.arrivals[i].time, DecisionKind::Route,
-                        static_cast<std::uint64_t>(i),
-                        static_cast<std::uint64_t>(assignment[i]), 0});
-    }
-    const std::vector<Trace> shards =
-        shardTrace(trace, assignment, cfg_.replicas.size());
-    telem.host().add("route_shard", wall.elapsedMicros());
-
-    std::unique_ptr<SharedCpuTier> sharedCpu = makeSharedCpuTier();
-
-    const auto runReplica = [this, &shards, &sharedCpu,
-                             &telem](std::size_t i, RunResult &out) {
-        out = makeReplicaEngine(i, sharedCpu.get(), telem)
-                  ->run(shards[i]);
-    };
-
-    std::vector<RunResult> results(cfg_.replicas.size());
-    const WallTimer runWall;
-    // Private-tier replicas share no mutable state, so each runs on its
-    // own thread; replicas sharing a CPU tier run in replica order, so
-    // the tier sees one reproducible access sequence.
-    if (sharedCpu == nullptr) {
-        std::vector<std::thread> threads;
-        threads.reserve(cfg_.replicas.size());
-        for (std::size_t i = 0; i < cfg_.replicas.size(); ++i)
-            threads.emplace_back(runReplica, i, std::ref(results[i]));
-        for (std::thread &t : threads)
-            t.join();
-    } else {
-        for (std::size_t i = 0; i < cfg_.replicas.size(); ++i)
-            runReplica(i, results[i]);
-    }
-    telem.host().add("replica_run", runWall.elapsedMicros());
-    const WallTimer collectWall;
-    ClusterResult out = aggregateClusterResult(
-        cfg_.label, toString(cfg_.routing), std::move(results));
-    out.wallSeconds = wall.elapsedSeconds();
-    telem.host().add("collect", collectWall.elapsedMicros());
-    out.preemptionEnabled = cfg_.preemption.enabled;
-    appendSharedTierStats(out, sharedCpu.get());
-    return out;
-}
-
-std::unique_ptr<ServingEngine>
-ClusterEngine::makeReplicaEngine(std::size_t i,
-                                 SharedCpuTier *sharedCpu,
-                                 obs::Telemetry &telem) const
-{
-    const ReplicaSpec &spec = cfg_.replicas[i];
-    EngineConfig cfg = spec.cfg;
-    cfg.label = cfg_.label + "/replica" + std::to_string(i);
-    if (sharedCpu != nullptr)
-        cfg.externalCpuTier = sharedCpu;
-    // This replica's span-trace buffer (null unless telemetry is
-    // enabled). The buffer is pre-created by the Telemetry ctor, so
-    // construction inside a replica thread (static private-tier runs)
-    // never races.
-    cfg.tracer = telem.replicaTracer(static_cast<int>(i));
-    // Cluster-level preemption policy applies uniformly: migration
-    // break-even and hysteresis must agree across replicas or a group
-    // migratable at its source would be un-adoptable at its target.
-    if (cfg_.preemption.enabled)
-        cfg.preemption = cfg_.preemption;
-    return makeCoServeEngine(*spec.ctx, std::move(cfg));
 }
 
 ClusterConfig

@@ -15,18 +15,22 @@
  * (replay/fault_plan.h). The two modes:
  *
  *  - static: route every arrival to one replica up front, shard the
- *    trace, execute the replicas (each keeps its own discrete-event
- *    queue; all shards stay on one shared virtual clock) and merge the
- *    per-replica RunResults. Replicas with private tiers share no
- *    mutable state and run one per std::thread; replicas sharing a CPU
- *    tier run in replica order on the caller's thread, so the tier's
+ *    trace, and give each replica its shard as planned arrivals (each
+ *    keeps its own discrete-event queue; all stay on one shared
+ *    virtual clock). The replicas run on their own between
+ *    coordination points — a fault action, an epoch sample, and an
+ *    arrival pinned to a replica that has since crashed, which is
+ *    re-homed at its arrival time — and the per-replica RunResults
+ *    merge at the end. Replicas with private tiers share no mutable
+ *    state and run one per std::thread; replicas sharing a CPU tier
+ *    run in replica order on the caller's thread, so the tier's
  *    population order — and every result — is reproducible;
  *  - online: a coordinator steps all replicas in lockstep on the
  *    shared virtual clock, routes each arrival at its arrival time
  *    from live replica state, and — per ClusterConfig policy groups —
  *    steals work, admits against SLOs, and autoscales.
  *
- * Every coordinator decision is folded into a 64-bit semantic digest
+ * Every cluster decision is folded into a 64-bit semantic digest
  * (ClusterResult::decisionDigest) and can be recorded to a compact
  * binary log and replayed with forced-divergence checking — see
  * replay/decision_log.h. Fault plans (replica crash, straggler,
@@ -42,7 +46,6 @@
 #ifndef COSERVE_CLUSTER_CLUSTER_H
 #define COSERVE_CLUSTER_CLUSTER_H
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,8 +58,6 @@
 #include "workload/trace.h"
 
 namespace coserve {
-
-class DecisionTrace;
 
 /**
  * Elastic-autoscaler knobs (online mode only). The coordinator runs a
@@ -124,8 +125,9 @@ struct StealPolicy
  * physical host DRAM behind the cluster — so an expert evicted by one
  * replica is a DRAM hit for its siblings. Replaces each replica's
  * private cache tier. A static run with a shared tier executes its
- * replicas in replica order on the caller's thread, so the tier's
- * population order does not depend on host thread scheduling.
+ * replicas in replica order on the caller's thread, between fault
+ * actions too, so the tier's population order does not depend on
+ * host thread scheduling.
  */
 struct SharedCpuPolicy
 {
@@ -155,7 +157,10 @@ struct ReplicaSpec
 /** Execution mode of one cluster run. */
 enum class RunMode
 {
-    /** Pre-route the whole trace, shard, run replicas independently. */
+    /**
+     * Pre-route the whole trace, shard, and run the replicas
+     * independently between fault actions and epoch samples.
+     */
     Static,
     /** Lockstep coordinator with live routing. */
     Online,
@@ -226,9 +231,9 @@ struct ClusterConfig
      * coordinator move checkpointed in-flight groups between capable
      * replicas — in the steal path, on autoscaler quiesce (no more
      * waiting out the longest batch) and on crash evacuation (resume
-     * from the last step-boundary checkpoint instead of re-running) —
-     * and requires the coordinator path (online mode or a fault plan).
-     * Copied into every replica's EngineConfig; off by default.
+     * from the last step-boundary checkpoint instead of re-running;
+     * the only migration a static run makes). Copied into every
+     * replica's EngineConfig; off by default.
      */
     PreemptionConfig preemption;
     std::vector<ReplicaSpec> replicas;
@@ -274,37 +279,6 @@ class ClusterEngine
     ClusterResult run(const Trace &trace, const RunOptions &opts);
 
   private:
-    /**
-     * The coordinator path (cluster.cc): online mode always; static
-     * mode when a fault plan needs the shared clock. It builds its
-     * replicas through the helpers below.
-     */
-    friend class Coordinator;
-
-    /**
-     * Static clean path: route offline, shard, run the replicas —
-     * one per thread with private tiers, in replica order with a
-     * shared CPU tier.
-     */
-    ClusterResult runSharded(const Trace &trace,
-                             DecisionTrace &decisions,
-                             obs::Telemetry &telem);
-    /** Build the shared CPU tier when configured (else null). */
-    std::unique_ptr<SharedCpuTier> makeSharedCpuTier() const;
-    /** One router-facing view per replica, in replica order. */
-    std::vector<ReplicaView> makeReplicaViews() const;
-    /**
-     * Build replica @p i's engine (label suffixed, shared CPU tier
-     * attached when present) — the one construction path for both
-     * static and online modes.
-     */
-    std::unique_ptr<ServingEngine>
-    makeReplicaEngine(std::size_t i, SharedCpuTier *sharedCpu,
-                      obs::Telemetry &telem) const;
-    /** Fold shared-tier counters into @p out once, cluster-level. */
-    static void appendSharedTierStats(ClusterResult &out,
-                                      const SharedCpuTier *tier);
-
     ClusterConfig cfg_;
     bool ran_ = false;
 };

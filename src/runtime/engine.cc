@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -850,9 +851,11 @@ ServingEngine::crashDrain(std::vector<Request> &out)
     migrateOutbox_.clear();
     // Drop everything still scheduled — batch completions (their
     // requests were just surrendered), in-flight expert loads, pending
-    // prefetches. The clock survives, so finishOnline() reports the
-    // pre-crash metrics at the right makespan.
+    // prefetches — and end the planned stream. The clock survives, so
+    // finishOnline() reports the pre-crash metrics at the right
+    // makespan.
     eq_.clear();
+    plannedNext_ = plannedEnd_;
     return drained;
 }
 
@@ -903,7 +906,7 @@ ServingEngine::finishOnline()
     }
 
     appendTierStats(result_.tiers);
-    return result_;
+    return std::move(result_);
 }
 
 // ----------------------- preemption / checkpoint / live migration API

@@ -137,15 +137,16 @@ class ServingEngine
     //
     // One protocol drives every engine: beginOnline() once; then any
     // interleaving of admitPlanned (at most once) / admitArrival /
-    // stepUntil / nextEventTime / fillLoadView / stealRequests /
-    // injectRequest and the fault and migration calls below; then
-    // finishOnline() once. run() is that protocol driven to the end
-    // over a whole trace; the cluster coordinator drives it instead
-    // when it owns the trace (RunMode::Online, or a static run with a
-    // fault plan), stepping all replicas in lockstep on the shared
-    // virtual clock, routing each arrival at its arrival time from
-    // live load views and re-routing queued-but-unstarted requests
-    // between replicas (work stealing).
+    // stepUntil / stepBefore / nextEventTime / fillLoadView /
+    // stealRequests / injectRequest and the fault and migration calls
+    // below; then finishOnline() once. run() is that protocol driven
+    // to the end over a whole trace. The cluster drives it for every
+    // replica: a static replica plans its shard (admitPlanned) and
+    // steps on its own between fault actions and epoch samples, taking
+    // re-homed work through admitArrival / injectRequest; an online
+    // replica steps in lockstep on the shared virtual clock, takes
+    // each arrival at its arrival time (admitArrival) and trades
+    // queued-but-unstarted requests with its siblings (work stealing).
 
     /**
      * Serve @p trace to completion: beginOnline(0, 1), admitPlanned(),
@@ -207,18 +208,14 @@ class ServingEngine
      *         observable state (beyond the clock) did not change, so
      *         a coordinator may keep its cached load view.
      */
-    std::uint64_t
-    stepUntil(Time t)
-    {
-        const std::uint64_t before = eq_.executed();
-        if (plannedNext_ < plannedEnd_)
-            feedPlanned(t);
-        if (t == kTimeNever)
-            eq_.run();
-        else
-            eq_.runUntil(t);
-        return eq_.executed() - before;
-    }
+    std::uint64_t stepUntil(Time t) { return step(t, t); }
+
+    /**
+     * stepUntil(@p t), but admitting only the planned arrivals before
+     * @p t: a coordinator that acts at @p t (a fault) acts after every
+     * event at @p t and before the arrivals at @p t.
+     */
+    std::uint64_t stepBefore(Time t) { return step(t - 1, t); }
 
     /**
      * Fill @p out with this engine's load (buffers reused) and bind
@@ -272,12 +269,13 @@ class ServingEngine
     void injectRequest(const Request &req);
 
     /**
-     * Finish the run and collect its metrics; requires a drained
-     * engine (no pending event or planned arrival, no stranded
-     * checkpoint). The per-engine images == arrivals invariant is
-     * *not* checked here — with work stealing a chain may complete on a
-     * different replica than it was admitted to; run() and the cluster
-     * validate their totals instead.
+     * Finish the run and move its metrics out (nothing may read the
+     * engine's results afterwards); requires a drained engine (no
+     * pending event or planned arrival, no stranded checkpoint). The
+     * per-engine images == arrivals invariant is *not* checked here —
+     * with work stealing a chain may complete on a different replica
+     * than it was admitted to; run() and the cluster validate their
+     * totals instead.
      */
     RunResult finishOnline();
 
@@ -286,7 +284,8 @@ class ServingEngine
     /**
      * Crash this replica at the current virtual time: every queued and
      * in-flight request is appended to @p out (for re-homing on
-     * surviving replicas), all pending events are dropped, and the
+     * surviving replicas), all pending events and the planned arrivals
+     * not yet admitted are dropped (the caller re-homes those), and the
      * engine goes permanently idle. finishOnline() still collects the
      * metrics accumulated before the crash.
      *
@@ -496,6 +495,22 @@ class ServingEngine
     void appendTierStats(std::vector<TierStats> &out) const;
 
     void preload();
+    /**
+     * Admit the planned arrivals with time <= @p admitUntil, then run
+     * the events with timestamp <= @p t (all of them for kTimeNever).
+     */
+    std::uint64_t
+    step(Time admitUntil, Time t)
+    {
+        const std::uint64_t before = eq_.executed();
+        if (plannedNext_ < plannedEnd_)
+            feedPlanned(admitUntil);
+        if (t == kTimeNever)
+            eq_.run();
+        else
+            eq_.runUntil(t);
+        return eq_.executed() - before;
+    }
     /** Index of the next planned arrival to admit. */
     std::size_t
     plannedIndex() const
@@ -582,7 +597,7 @@ class ServingEngine
     /** Dispatches seen; drives 1-in-16 scheduling-wall sampling. */
     std::uint64_t dispatchCount_ = 0;
     RequestId nextRequestId_ = 0;
-    /** Id increment; > 1 only for cluster-coordinated runs. */
+    /** Id increment; > 1 only for online cluster replicas. */
     RequestId requestIdStride_ = 1;
     std::int64_t imagesDone_ = 0;
     /** Arrivals dropped by admission (images + rejected == arrivals). */

@@ -177,27 +177,48 @@ TEST_F(ClusterFixture, ThreadedReplicasMatchStandaloneShardRuns)
 {
     // Private-tier replicas run one per thread and share no mutable
     // state: each must equal a standalone engine serving its shard.
-    ClusterEngine cluster(homogeneousCluster(
-        ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
-    const std::vector<Trace> shards =
-        shardTrace(trace_, cluster.routeTrace(trace_), 3);
-    const ClusterResult r = cluster.run(trace_, {});
-    EXPECT_EQ(r.decisionCount,
-              static_cast<std::int64_t>(trace_.size()));
-    ASSERT_EQ(r.replicas.size(), 3u);
+    // A fault plan that never fires (a straggler window after the
+    // last event) must change nothing, request numbering included.
+    const std::vector<Trace> shards = shardTrace(
+        trace_,
+        ClusterEngine(homogeneousCluster(ctx_, cfg_, 3,
+                                         RoutingPolicy::LeastLoaded))
+            .routeTrace(trace_),
+        3);
+    std::vector<RunResult> solos;
+    for (std::size_t i = 0; i < 3; ++i)
+        solos.push_back(makeCoServeEngine(ctx_, cfg_)->run(shards[i]));
+    Time end = 0;
+    for (const RunResult &solo : solos)
+        end = std::max(end, solo.makespan);
 
-    for (std::size_t i = 0; i < 3; ++i) {
-        const RunResult solo =
-            makeCoServeEngine(ctx_, cfg_)->run(shards[i]);
-        const RunResult &rep = r.replicas[i];
-        EXPECT_GT(solo.images, 0) << "replica " << i;
-        EXPECT_EQ(rep.images, solo.images) << "replica " << i;
-        EXPECT_EQ(rep.inferences, solo.inferences);
-        EXPECT_EQ(rep.makespan, solo.makespan);
-        EXPECT_EQ(rep.eventsExecuted, solo.eventsExecuted);
-        EXPECT_EQ(rep.switches.total(), solo.switches.total());
-        EXPECT_EQ(rep.switches.bytesLoaded, solo.switches.bytesLoaded);
-        EXPECT_DOUBLE_EQ(rep.throughput, solo.throughput);
+    RunOptions late;
+    late.faults.stragglers.push_back(
+        {1, end + seconds(1), end + seconds(2), 3.0});
+    for (const RunOptions &opts : {RunOptions{}, late}) {
+        SCOPED_TRACE(opts.faults.any() ? "late straggler" : "clean");
+        ClusterEngine cluster(homogeneousCluster(
+            ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
+        const ClusterResult r = cluster.run(trace_, opts);
+        EXPECT_EQ(r.decisionCount,
+                  static_cast<std::int64_t>(trace_.size()));
+        EXPECT_EQ(r.stragglersInjected, 0);
+        ASSERT_EQ(r.replicas.size(), 3u);
+
+        for (std::size_t i = 0; i < 3; ++i) {
+            const RunResult &solo = solos[i];
+            const RunResult &rep = r.replicas[i];
+            EXPECT_GT(solo.images, 0) << "replica " << i;
+            EXPECT_EQ(rep.images, solo.images) << "replica " << i;
+            EXPECT_EQ(rep.inferences, solo.inferences);
+            EXPECT_EQ(rep.makespan, solo.makespan);
+            EXPECT_EQ(rep.eventsExecuted, solo.eventsExecuted);
+            EXPECT_EQ(rep.switches.total(), solo.switches.total());
+            EXPECT_EQ(rep.switches.bytesLoaded, solo.switches.bytesLoaded);
+            EXPECT_DOUBLE_EQ(rep.throughput, solo.throughput);
+            EXPECT_EQ(rep.assignments, solo.assignments)
+                << "replica " << i;
+        }
     }
 }
 

@@ -287,14 +287,14 @@ TEST_F(ObsFixture, ValidateCoversTelemetryKnobs)
     bad.telemetry.sampleInterval = 0;
     EXPECT_FALSE(obsConfig(2, false).validate(bad).empty());
 
-    // Epoch sampling needs the coordinator's stepping loop: a static
-    // clean run has none, a static run with a fault plan does.
+    // Epoch sampling works in every static run, clean or with a
+    // fault plan.
     ClusterConfig stat = homogeneousCluster(
         ctx_, cfg_, 2, RoutingPolicy::LeastLoaded);
     RunOptions csv;
     csv.telemetry.enabled = true;
     csv.telemetry.metricsCsvPath = "x.csv";
-    EXPECT_FALSE(stat.validate(csv).empty());
+    EXPECT_TRUE(stat.validate(csv).empty());
     RunOptions faulty = csv;
     faulty.faults.crashes.push_back({1, seconds(1)});
     EXPECT_TRUE(stat.validate(faulty).empty());
@@ -401,7 +401,7 @@ TEST_F(ObsFixture, ExportedMetricKeySetIsPinned)
     // export, so a counter dropped from (or added to) the export shows
     // up here. host.* wall-time gauges vary with the phases timed, so
     // only two of them are checked, by presence.
-    const std::vector<std::string> staticKeys = {
+    std::vector<std::string> staticKeys = {
         "cluster.decision_count",
         "cluster.events_executed",
         "cluster.images",
@@ -459,10 +459,9 @@ TEST_F(ObsFixture, ExportedMetricKeySetIsPinned)
         "tier.gpu.pool.hits",
         "tier.gpu.pool.used_bytes",
     };
-    // A coordinated run adds the coordinator's counters (all of them,
-    // whatever features ran) and, with preemption on, the quiesce-drain
-    // gauges.
-    std::vector<std::string> coordinatedKeys = {
+    // Every run, static or online, adds the coordinator's counters
+    // (all of them, whatever features ran).
+    const std::vector<std::string> coordinatorCounters = {
         "cluster.autoscale_activations",
         "cluster.autoscale_evacuated",
         "cluster.autoscale_quiesces",
@@ -473,15 +472,18 @@ TEST_F(ObsFixture, ExportedMetricKeySetIsPinned)
         "cluster.downgraded",
         "cluster.migrated_groups",
         "cluster.migrated_requests",
-        "cluster.quiesce_drain_max_ns",
-        "cluster.quiesce_drain_total_ns",
         "cluster.quiesce_drains",
         "cluster.rejected",
         "cluster.stolen_requests",
         "cluster.stragglers",
     };
-    coordinatedKeys.insert(coordinatedKeys.end(), staticKeys.begin(),
-                           staticKeys.end());
+    staticKeys.insert(staticKeys.end(), coordinatorCounters.begin(),
+                      coordinatorCounters.end());
+    std::sort(staticKeys.begin(), staticKeys.end());
+    // An online run with preemption on adds the quiesce-drain gauges.
+    std::vector<std::string> coordinatedKeys = staticKeys;
+    coordinatedKeys.push_back("cluster.quiesce_drain_max_ns");
+    coordinatedKeys.push_back("cluster.quiesce_drain_total_ns");
     std::sort(coordinatedKeys.begin(), coordinatedKeys.end());
 
     const auto checkKeys = [](const ClusterResult &r,
@@ -522,7 +524,9 @@ TEST_F(ObsFixture, CoordinatorTraceInstantsArePinned)
     // an online run with stealing, migration, rejecting admission,
     // autoscale and every fault kind; an online run whose admission
     // downgrades; and a static run on a heterogeneous cluster whose
-    // only YoloV5l-capable replica crashes, so arrivals are lost.
+    // only YoloV5l-capable replica crashes, so arrivals are lost. A
+    // static run's pinned routes were decided offline and emit no
+    // instant; only its re-homed (or lost) orphans do.
     ClusterConfig everything = obsConfig(4, /*migration=*/true);
     everything.admission.enabled = true;
     everything.admission.downgrade = false;
@@ -580,7 +584,7 @@ TEST_F(ObsFixture, CoordinatorTraceInstantsArePinned)
     scan(std::move(lost), c);
 
     const std::map<std::string, int> want = {
-        {"route", 1478},
+        {"route", 1056},
         {"route (lost)", 24},
         {"admission reject", 37},
         {"admission downgrade", 44},
@@ -598,25 +602,34 @@ TEST_F(ObsFixture, CoordinatorTraceInstantsArePinned)
     for (const auto &[name, count] : want)
         EXPECT_GT(counts[name], 0) << name;
     EXPECT_EQ(counts, want);
-    EXPECT_EQ(hash, 0xd48d4777562dcf1full) << std::hex << "0x" << hash;
+    EXPECT_EQ(hash, 0x167889a01408738full) << std::hex << "0x" << hash;
 }
 
 // ------------------------------------------------------- epoch sampler
 
 TEST_F(ObsFixture, EpochSamplerWritesMonotonicCsv)
 {
-    // Without and with a mid-trace crash: the cumulative columns sum
-    // every replica's completions, a crashed one's included, so they
-    // never step back when a replica dies.
-    for (const bool crash : {false, true}) {
-        SCOPED_TRACE(crash ? "mid-trace crash" : "no fault");
-        RunOptions on = telemetryOpts(crash ? "obs_sampler_crash"
-                                            : "obs_sampler");
+    // Online without and with a mid-trace crash, and a clean static
+    // run: the cumulative columns sum every replica's completions, a
+    // crashed one's included, so they never step back when a replica
+    // dies.
+    for (const char *run : {"online", "online crash", "static"}) {
+        SCOPED_TRACE(run);
+        const bool crash = std::string(run) == "online crash";
+        const bool isStatic = std::string(run) == "static";
+        RunOptions on = telemetryOpts(crash      ? "obs_sampler_crash"
+                                      : isStatic ? "obs_sampler_static"
+                                                 : "obs_sampler");
+        ClusterConfig cc = obsConfig(3, /*migration=*/true);
         if (crash) {
             on.faults.crashes.push_back(
                 {1, trace_.arrivals[trace_.size() / 2].time});
         }
-        ClusterEngine cluster(obsConfig(3, /*migration=*/true));
+        if (isStatic) {
+            on.mode = RunMode::Static;
+            cc.workStealing.enabled = false; // online only
+        }
+        ClusterEngine cluster(std::move(cc));
         const ClusterResult r = cluster.run(trace_, on);
         EXPECT_EQ(r.crashesInjected, crash ? 1 : 0);
 
@@ -663,6 +676,52 @@ TEST_F(ObsFixture, EpochSamplerWritesMonotonicCsv)
         EXPECT_LE(lastPreempts, r.preemptions);
         removeOutputs(on);
     }
+}
+
+TEST_F(ObsFixture, StaticFaultEpochCsvIsPinned)
+{
+    // A static run with migration on, a straggler window and a
+    // mid-trace crash, sampled every 500 ms: pin the whole epoch CSV
+    // (FNV-1a-64 over its bytes) and its row count, so any change to
+    // when a static run's samples, faults and arrivals interleave
+    // shows up here.
+    ClusterConfig cc = obsConfig(3, /*migration=*/true);
+    cc.workStealing.enabled = false; // online only
+    RunOptions opts; // static by default
+    opts.telemetry.enabled = true;
+    opts.telemetry.metricsCsvPath = tempPath("obs_static_epochs.csv");
+    opts.telemetry.sampleInterval = milliseconds(500);
+    opts.faults.stragglers.push_back({0, seconds(4), seconds(12), 3.0});
+    opts.faults.crashes.push_back(
+        {1, trace_.arrivals[trace_.size() / 2].time});
+    ClusterEngine cluster(cc);
+    const ClusterResult r = cluster.run(trace_, opts);
+    EXPECT_EQ(r.crashesInjected, 1);
+    EXPECT_EQ(r.stragglersInjected, 1);
+    EXPECT_GT(r.migratedGroups, 0);
+    EXPECT_GT(r.preemptions, 0);
+
+    // Sampling steps a static run's replicas, but must leave its
+    // decision stream, preemption records included, as it is.
+    RunOptions quiet = opts;
+    quiet.telemetry = {};
+    ClusterEngine unsampled(std::move(cc));
+    const ClusterResult u = unsampled.run(trace_, quiet);
+    EXPECT_EQ(u.decisionDigest, r.decisionDigest);
+    EXPECT_EQ(u.decisionCount, r.decisionCount);
+    EXPECT_EQ(u.images, r.images);
+    EXPECT_EQ(u.makespan, r.makespan);
+
+    const std::string csv = readFileText(opts.telemetry.metricsCsvPath);
+    removeOutputs(opts);
+    std::uint64_t hash = 0xcbf29ce484222325ull; // FNV-1a-64
+    for (const char ch : csv) {
+        hash ^= static_cast<unsigned char>(ch);
+        hash *= 0x100000001b3ull;
+    }
+    const auto rows = std::count(csv.begin(), csv.end(), '\n') - 1;
+    EXPECT_EQ(rows, 71);
+    EXPECT_EQ(hash, 0xb55eabfb27a2a923ull) << std::hex << "0x" << hash;
 }
 
 } // namespace

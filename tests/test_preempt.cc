@@ -162,13 +162,13 @@ TEST_F(PreemptFixture, ValidateCoversPreemptionKnobs)
     solo.preemption.migration = true;
     EXPECT_FALSE(solo.validate(runWithMode(RunMode::Online)).empty());
 
-    // Migration needs the coordinator: static clean runs have no
-    // inter-replica channel, but a static run with faults does.
+    // Migration is valid in every static run, clean or with faults
+    // (a crash migrates the dead replica's checkpoints).
     ClusterConfig stat = homogeneousCluster(
         ctx_, cfg_, 2, RoutingPolicy::LeastLoaded);
     stat.preemption.enabled = true;
     stat.preemption.migration = true;
-    EXPECT_FALSE(stat.validate({}).empty());
+    EXPECT_TRUE(stat.validate({}).empty());
     RunOptions faulty;
     faulty.faults.crashes.push_back({1, seconds(1)});
     EXPECT_TRUE(stat.validate(faulty).empty());

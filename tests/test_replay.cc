@@ -244,7 +244,9 @@ TEST_F(ReplayFixture, SharedTierStaticRunRecordsAndReplays)
     // replica order, so default options record it, the replay
     // verifies it, and the replay run reproduces every tier counter
     // and per-replica result of the recording. The smallest GPU pool
-    // makes experts cycle through the shared tier.
+    // makes experts cycle through the shared tier. Under a crash plan
+    // the replicas run in replica order before and after the crash,
+    // which must be just as reproducible.
     const int minCount = gpuExpertCountBounds(ctx_, 1, 0).first;
     const EngineConfig small = coserveConfig(
         ctx_, coserveExecutorLayout(ctx_, 1, 0, minCount), "replica");
@@ -255,46 +257,58 @@ TEST_F(ReplayFixture, SharedTierStaticRunRecordsAndReplays)
         cc.sharedCpu.bytes = 512ll * 1024 * 1024;
         return cc;
     };
-    const std::string log = tempPath("replay_shared_static.bin");
-    RunOptions rec;
-    rec.recordPath = log;
-    ClusterEngine recorder(sharedConfig());
-    const ClusterResult r1 = recorder.run(trace_, rec);
+    FaultPlan crash;
+    crash.crashes.push_back({1, at(150)});
+    for (const FaultPlan &faults : {FaultPlan{}, crash}) {
+        SCOPED_TRACE(faults.any() ? "crash plan" : "clean");
+        const std::string log = tempPath("replay_shared_static.bin");
+        RunOptions rec;
+        rec.recordPath = log;
+        rec.faults = faults;
+        ClusterEngine recorder(sharedConfig());
+        const ClusterResult r1 = recorder.run(trace_, rec);
 
-    RunOptions rep;
-    rep.replayPath = log;
-    ClusterEngine replayer(sharedConfig());
-    const ClusterResult r2 = replayer.run(trace_, rep);
-    std::remove(log.c_str());
+        RunOptions rep;
+        rep.replayPath = log;
+        rep.faults = faults;
+        ClusterEngine replayer(sharedConfig());
+        const ClusterResult r2 = replayer.run(trace_, rep);
+        std::remove(log.c_str());
 
-    EXPECT_EQ(r1.decisionDigest, r2.decisionDigest);
-    EXPECT_EQ(r1.decisionCount,
-              static_cast<std::int64_t>(trace_.size()));
-    EXPECT_EQ(r1.images, static_cast<std::int64_t>(trace_.size()));
+        EXPECT_EQ(r1.decisionDigest, r2.decisionDigest);
+        EXPECT_EQ(r1.decisionCount, r2.decisionCount);
+        if (!faults.any()) {
+            EXPECT_EQ(r1.decisionCount,
+                      static_cast<std::int64_t>(trace_.size()));
+        }
+        EXPECT_EQ(r1.crashesInjected, faults.any() ? 1 : 0);
+        EXPECT_EQ(r1.images, static_cast<std::int64_t>(trace_.size()));
 
-    const TierStats *t1 = findTierStats(r1.tiers, "cpu.shared");
-    const TierStats *t2 = findTierStats(r2.tiers, "cpu.shared");
-    ASSERT_NE(t1, nullptr);
-    ASSERT_NE(t2, nullptr);
-    EXPECT_GT(t1->counters.hits, 0);
-    EXPECT_GT(t1->counters.evictions, 0);
-    EXPECT_EQ(t1->counters.hits, t2->counters.hits);
-    EXPECT_EQ(t1->counters.misses, t2->counters.misses);
-    EXPECT_EQ(t1->counters.evictions, t2->counters.evictions);
-    EXPECT_EQ(t1->counters.insertions, t2->counters.insertions);
-    EXPECT_EQ(t1->usedBytes, t2->usedBytes);
+        const TierStats *t1 = findTierStats(r1.tiers, "cpu.shared");
+        const TierStats *t2 = findTierStats(r2.tiers, "cpu.shared");
+        ASSERT_NE(t1, nullptr);
+        ASSERT_NE(t2, nullptr);
+        EXPECT_GT(t1->counters.hits, 0);
+        EXPECT_GT(t1->counters.evictions, 0);
+        EXPECT_EQ(t1->counters.hits, t2->counters.hits);
+        EXPECT_EQ(t1->counters.misses, t2->counters.misses);
+        EXPECT_EQ(t1->counters.evictions, t2->counters.evictions);
+        EXPECT_EQ(t1->counters.insertions, t2->counters.insertions);
+        EXPECT_EQ(t1->usedBytes, t2->usedBytes);
 
-    ASSERT_EQ(r1.replicas.size(), 3u);
-    ASSERT_EQ(r2.replicas.size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i) {
-        const RunResult &a = r1.replicas[i];
-        const RunResult &b = r2.replicas[i];
-        EXPECT_EQ(a.images, b.images) << "replica " << i;
-        EXPECT_EQ(a.makespan, b.makespan) << "replica " << i;
-        EXPECT_EQ(a.eventsExecuted, b.eventsExecuted) << "replica " << i;
-        EXPECT_EQ(a.switches.loadsFromSsd, b.switches.loadsFromSsd);
-        EXPECT_EQ(a.switches.loadsFromCache, b.switches.loadsFromCache);
-        EXPECT_EQ(a.switches.bytesLoaded, b.switches.bytesLoaded);
+        ASSERT_EQ(r1.replicas.size(), 3u);
+        ASSERT_EQ(r2.replicas.size(), 3u);
+        for (std::size_t i = 0; i < 3; ++i) {
+            const RunResult &a = r1.replicas[i];
+            const RunResult &b = r2.replicas[i];
+            EXPECT_EQ(a.images, b.images) << "replica " << i;
+            EXPECT_EQ(a.makespan, b.makespan) << "replica " << i;
+            EXPECT_EQ(a.eventsExecuted, b.eventsExecuted) << "replica " << i;
+            EXPECT_EQ(a.switches.loadsFromSsd, b.switches.loadsFromSsd);
+            EXPECT_EQ(a.switches.loadsFromCache, b.switches.loadsFromCache);
+            EXPECT_EQ(a.switches.bytesLoaded, b.switches.bytesLoaded);
+            EXPECT_EQ(a.assignments, b.assignments) << "replica " << i;
+        }
     }
 }
 
@@ -446,9 +460,8 @@ TEST_F(ReplayFixture, CrashIsDeterministicAndReplayable)
 
 TEST_F(ReplayFixture, StaticModeSupportsFaultsWithPinnedRouting)
 {
-    // Faults force the coordinator path even in static mode, with
-    // routing pinned to the offline assignment; only arrivals whose
-    // assigned replica died re-home.
+    // A static run under faults keeps routing pinned to the offline
+    // assignment; only arrivals whose assigned replica died re-home.
     ClusterEngine clean(
         homogeneousCluster(ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
     const ClusterResult base = clean.run(trace_, {});
@@ -501,11 +514,11 @@ TEST_F(ReplayFixture, StaticFaultPlanDigestIsPinned)
 
 TEST_F(ReplayFixture, UnsortedTraceFailsCleanlyOnTheCoordinatorPath)
 {
-    // Two arrivals out of time order: the static sharded path serves
-    // them (an engine admits its shard in time order), but the
-    // coordinator cannot route into the past, so it refuses the trace
-    // up front with a user error naming the first out-of-order
-    // arrival.
+    // Two arrivals out of time order: a clean static run serves them
+    // (an engine admits its shard in time order), but the online
+    // coordinator cannot route into the past, nor can a fault plan
+    // re-home an arrival there, so both refuse the trace up front with
+    // a user error naming the first out-of-order arrival.
     Trace unsorted = trace_;
     ASSERT_LT(unsorted.arrivals[10].time, unsorted.arrivals[11].time);
     std::swap(unsorted.arrivals[10], unsorted.arrivals[11]);
@@ -525,7 +538,7 @@ TEST_F(ReplayFixture, UnsortedTraceFailsCleanlyOnTheCoordinatorPath)
         "time-sorted arrivals: arrival 11 is earlier than arrival 10");
     EXPECT_EXIT(
         {
-            RunOptions opts; // static, on the coordinator path
+            RunOptions opts; // static, with a fault plan
             opts.faults.stragglers.push_back({0, at(50), at(250), 3.0});
             ClusterEngine cluster(homogeneousCluster(
                 ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));

@@ -11,7 +11,9 @@ Build a coverage tree, then run the audit over it:
 
 The audit
 
-  1. deletes the tree's old counters (*.gcda);
+  1. refuses a tree with a product binary older than libcoserve.a
+     (not relinked since the library changed: its counters would carry
+     stale stamps and be lost), then deletes the old counters (*.gcda);
   2. runs the product entry points in a scratch directory: every
      fig* bench, table1_hardware, abl_design_choices, every example,
      perf_smoke, and replay_tool record + replay for both scenarios
@@ -19,12 +21,14 @@ The audit
      run;
   3. runs `gcov -j` over every non-test object: the coserve library's
      objects, and the objects of the bench and example binaries it
-     ran. Counts are summed per (file, demangled name, line), so an
-     inline function counts as reached when any binary ran it;
+     ran. Counts are summed per (file, demangled name), so an inline
+     function counts as reached when any binary ran it, even in a tree
+     rebuilt only in part after a header edit, where objects disagree
+     on its line; the line printed is the newest object's;
   4. prints every src/ function whose summed count is zero and that
      tools/coverage_allowlist.txt does not list, and exits 1 if there
-     is one. An entry point that fails, or a malformed allowlist,
-     exits 2.
+     is one. A stale binary, an entry point or gcov run that fails,
+     or a malformed allowlist exits 2.
 
 Allowlist lines read `<file> | <function> | <reason>`. <file> is the
 path as printed here; <function> is a demangled name as printed here,
@@ -77,11 +81,19 @@ def entry_points(build, scratch):
 
 
 def run_entry_points(build):
-    for gcda in glob.glob(os.path.join(build, "**", "*.gcda"),
-                          recursive=True):
-        os.remove(gcda)
     with tempfile.TemporaryDirectory() as scratch:
-        for cmd in entry_points(build, scratch):
+        runs = entry_points(build, scratch)
+        # A binary not relinked since the library changed writes its
+        # counters with stale stamps, and they are lost.
+        library = os.path.getmtime(os.path.join(build, "libcoserve.a"))
+        for cmd in runs:
+            if os.path.getmtime(cmd[0]) < library:
+                die("%s is older than libcoserve.a; rebuild the whole tree"
+                    % cmd[0])
+        for gcda in glob.glob(os.path.join(build, "**", "*.gcda"),
+                              recursive=True):
+            os.remove(gcda)
+        for cmd in runs:
             done = subprocess.run(cmd, cwd=scratch,
                                   stdout=subprocess.DEVNULL,
                                   stderr=subprocess.PIPE, text=True)
@@ -107,13 +119,19 @@ def product_objects(build):
 
 
 def function_counts(build):
-    """{(file, demangled name, line): summed execution count}."""
+    """{(file, demangled name): (summed execution count, line)}.
+
+    The line is the one the most recently compiled object reports.
+    """
     counts = {}
     for gcno in product_objects(build):
+        built = os.path.getmtime(gcno)
         done = subprocess.run(["gcov", "-j", "-t", gcno], cwd=build,
                               stdout=subprocess.PIPE,
-                              stderr=subprocess.DEVNULL, text=True,
-                              check=True)
+                              stderr=subprocess.PIPE, text=True)
+        if done.returncode != 0:
+            sys.stderr.write(done.stderr)
+            die("gcov failed on %s; rebuild the whole tree" % gcno)
         report = json.loads(done.stdout)
         cwd = report["current_working_directory"]
         for f in report["files"]:
@@ -122,9 +140,13 @@ def function_counts(build):
             if not path.startswith("src" + os.sep):
                 continue
             for fn in f["functions"]:
-                key = (path, fn["demangled_name"], fn["start_line"])
-                counts[key] = counts.get(key, 0) + fn["execution_count"]
-    return counts
+                key = (path, fn["demangled_name"])
+                count, line, newest = counts.get(key, (0, 0, -1.0))
+                if built >= newest:
+                    line, newest = fn["start_line"], built
+                counts[key] = (count + fn["execution_count"], line, newest)
+    return {key: (count, line)
+            for key, (count, line, _) in counts.items()}
 
 
 def load_allowlist():
@@ -153,8 +175,9 @@ def main():
     build = os.path.abspath(sys.argv[1])
     allow = load_allowlist()
     run_entry_points(build)
-    unreached = sorted(k for k, n in function_counts(build).items()
-                       if n == 0)
+    unreached = sorted((path, name, line)
+                       for (path, name), (n, line)
+                       in function_counts(build).items() if n == 0)
     used = set()
     missing = []
     for path, name, line in unreached:
