@@ -432,29 +432,38 @@ class Coordinator
             // Sampler rows are due before anything else happens; they
             // never step, decide or mutate, so firing them first
             // cannot perturb the schedule below.
+            const Time t = std::min({tArr, tEv, tFault, tCtl});
             const Time tSample = telem_.nextSampleTime();
-            if (tSample <= std::min({tArr, tEv, tFault, tCtl})) {
+            if (tSample <= t) {
                 sample(tSample);
-            } else if (tFault <= std::min({tArr, tEv, tCtl})) {
-                stepAll(tFault);
+                continue;
+            }
+            // Advance every clock to t, then drain what the step
+            // produced in a fixed order: each stepped replica's
+            // preemption decisions in replica order, the migration
+            // outboxes, finished quiesce drains.
+            stepAll(t, false);
+            for (std::size_t i = 0; i < n_; ++i) {
+                if (stepped_[i] > 0)
+                    drainPreempt(i);
+            }
+            if (migrationOn_)
+                drainOutboxes(t);
+            noteQuiesceDrains();
+            if (tFault == t) {
                 applyFault(faults_[nextFault_++]);
-            } else if (tCtl <= std::min(tArr, tEv)) {
-                stepAll(tCtl);
-                control(tCtl);
+            } else if (tCtl == t) {
+                control(t);
                 nextControl_ += as_.interval;
-            } else if (tArr <= tEv) {
+            } else if (tArr == t) {
                 // No replica event strictly precedes the arrival:
-                // advance every clock to the arrival instant and
-                // route it.
-                stepAll(tArr);
+                // route it at its arrival instant.
                 route(nextArrival_++);
-            } else {
-                // Replica events precede the next arrival: execute the
-                // earliest round everywhere, then let idle replicas
+            } else if (cfg_.workStealing.enabled) {
+                // Replica events precede the next arrival: the
+                // earliest round ran everywhere; let idle replicas
                 // steal.
-                stepAll(tEv);
-                if (cfg_.workStealing.enabled)
-                    steal(tEv);
+                steal(t);
             }
         }
         telem_.host().add("coordinate", coordWall.elapsedMicros());
@@ -498,7 +507,7 @@ class Coordinator
             // A sample at t sees everything before t; so does a fault,
             // which then applies after every event at t and before the
             // arrivals at t.
-            stepAll(t - 1);
+            stepAll(t - 1, tSample != t);
             if (nextNote_ == trace_.size() &&
                 std::all_of(engines_.begin(), engines_.end(),
                             [](const auto &engine) {
@@ -510,12 +519,13 @@ class Coordinator
                 continue;
             }
             for (std::size_t i = 0; i < n_; ++i) {
-                noteStepped(i, engines_[i]->stepBefore(t));
+                if (engines_[i]->stepBefore(t) > 0)
+                    dirty_[i] = 1;
                 drainPreempt(i);
             }
             applyFault(faults_[nextFault_++]);
         }
-        stepAll(kTimeNever);
+        stepAll(kTimeNever, true);
         for (std::size_t i = 0; i < n_; ++i)
             drainPreempt(i);
         telem_.host().add("replica_run", runWall.elapsedMicros());
@@ -658,8 +668,11 @@ class Coordinator
     /**
      * Replica-local preemption decisions (pause / checkpoint /
      * restore) are part of the replayable schedule: drained into the
-     * decision stream in replica order at fixed points (see
-     * noteStepped), so the interleaving is deterministic.
+     * decision stream in replica order at fixed points, so the
+     * interleaving is deterministic: online after every lockstep step;
+     * static at each fault, each orphan and the end, so that epoch
+     * samples, which also step the replicas, leave the decision stream
+     * as it is.
      */
     void
     drainPreempt(std::size_t i)
@@ -708,49 +721,35 @@ class Coordinator
     }
 
     /**
-     * Replica @p i executed @p events: its view is stale (crash
-     * migration reads the backlogs through refreshViews()). Online,
-     * its preemption decisions drain now; static runs drain them at
-     * each fault and at the end, so that epoch samples, which also
-     * step the replicas, leave the decision stream as it is.
+     * Step every replica to @p t and mark the ones that executed
+     * events dirty (crash migration reads the backlogs through
+     * refreshViews()). With @p parallel, private-tier replicas, which
+     * share no mutable state, step on one thread each when two or more
+     * have work due. Otherwise the replicas step in replica order on
+     * the caller's thread: always online and with a shared tier, so
+     * the tier sees one reproducible access sequence, and in a static
+     * epoch that ends at a sample, whose work per replica costs less
+     * than starting a thread.
      */
     void
-    noteStepped(std::size_t i, std::uint64_t events)
+    stepAll(Time t, bool parallel)
     {
-        if (events == 0)
-            return;
-        dirty_[i] = 1;
-        if (liveRouting_)
-            drainPreempt(i);
-    }
-
-    /**
-     * Step every replica to @p t. Static private-tier replicas share
-     * no mutable state, so each with work due steps on its own
-     * thread; online and shared-tier replicas step in replica order on
-     * the caller's thread, so a shared tier sees one reproducible
-     * access sequence.
-     */
-    void
-    stepAll(Time t)
-    {
+        std::size_t due = 0;
+        for (std::size_t i = 0; parallel && !sharedCpu_ && i < n_; ++i)
+            due += engines_[i]->nextEventTime() <= t ? 1 : 0;
         std::vector<std::thread> threads;
         for (std::size_t i = 0; i < n_; ++i) {
             const auto step = [this, i, t] {
                 stepped_[i] = engines_[i]->stepUntil(t);
+                dirty_[i] |= static_cast<char>(stepped_[i] > 0);
             };
-            if (threaded_ && engines_[i]->nextEventTime() <= t)
+            if (due > 1 && engines_[i]->nextEventTime() <= t)
                 threads.emplace_back(step);
             else
                 step();
         }
         for (std::thread &th : threads)
             th.join();
-        for (std::size_t i = 0; i < n_; ++i)
-            noteStepped(i, stepped_[i]);
-        if (migrationOn_)
-            drainOutboxes(t);
-        noteQuiesceDrains();
     }
 
     /**
@@ -1113,7 +1112,9 @@ class Coordinator
                 continue;
             }
             cursor = (target + 1) % n_;
-            engines_[target]->injectRequest(req);
+            // Online ids are unique cluster-wide; a static replica's
+            // are its own (see buildEngines), so it renumbers.
+            engines_[target]->injectRequest(req, !liveRouting_);
             rehomeCnt[target] += 1;
             dirty_[target] = 1;
         }
@@ -1224,9 +1225,9 @@ class Coordinator
         // cover it.
         const bool lost = r == n_ || crashed_[r];
         // A static orphan: only its new replica moves to the arrival
-        // instant.
+        // instant (after its own arrivals at that instant).
         if (!liveRouting_ && !lost)
-            noteStepped(r, engines_[r]->stepUntil(a.time));
+            engines_[r]->stepUntil(a.time);
         record({a.time, DecisionKind::Route, idx, lost ? n_ : r, 0});
         if (lost) {
             lostImages_ += 1;
@@ -1244,14 +1245,13 @@ class Coordinator
     /**
      * Epoch sampler: online, a sample observes the quiescent DES state
      * between coordinator steps WITHOUT stepping any engine: an extra
-     * stepAll() cut point would reorder the preempt/outbox/quiesce
+     * runLockstep() step would reorder the preempt/outbox/quiesce
      * drains relative to an unsampled run and drift the decision
      * digest. A static run steps its replicas to just before the
-     * sample, which drains nothing there (no outbox or quiesce exists
-     * in static mode; see noteStepped for preemption). Pure
-     * observation keeps telemetry on/off byte-identical. The sampler
-     * fills its own scratch view: refreshing the coordinator's `live_`
-     * views would rewrite their `now`, which stealing reads.
+     * sample with stepAll(), which drains nothing (see drainPreempt).
+     * Pure observation keeps telemetry on/off byte-identical. The
+     * sampler fills its own scratch view: refreshing the coordinator's
+     * `live_` views would rewrite their `now`, which stealing reads.
      */
     void
     sample(Time t)
@@ -1459,7 +1459,6 @@ class Coordinator
     const bool preemptOn_ = cfg_.preemption.enabled;
     const bool migrationOn_ = preemptOn_ && cfg_.preemption.migration;
     const std::unique_ptr<SharedCpuTier> sharedCpu_ = makeSharedCpuTier();
-    const bool threaded_ = !liveRouting_ && sharedCpu_ == nullptr;
     // Engine construction and preload count toward wallSeconds.
     const WallTimer wall_;
     const std::vector<std::unique_ptr<ServingEngine>> engines_ =

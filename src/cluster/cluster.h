@@ -22,9 +22,11 @@
  *    arrival pinned to a replica that has since crashed, which is
  *    re-homed at its arrival time — and the per-replica RunResults
  *    merge at the end. Replicas with private tiers share no mutable
- *    state and run one per std::thread; replicas sharing a CPU tier
- *    run in replica order on the caller's thread, so the tier's
- *    population order — and every result — is reproducible;
+ *    state and run one per std::thread up to each fault action and
+ *    the end (epochs that end at a sample are too short to pay for a
+ *    thread); replicas sharing a CPU tier run in replica order on the
+ *    caller's thread, so the tier's population order — and every
+ *    result — is reproducible;
  *  - online: a coordinator steps all replicas in lockstep on the
  *    shared virtual clock, routes each arrival at its arrival time
  *    from live replica state, and — per ClusterConfig policy groups —

@@ -820,12 +820,14 @@ ServingEngine::stealRequests(std::size_t maxCount,
 }
 
 void
-ServingEngine::injectRequest(const Request &req)
+ServingEngine::injectRequest(Request req, bool freshId)
 {
     COSERVE_CHECK(begun_, "injectRequest before beginOnline");
     COSERVE_CHECK(!crashed_, "injecting into a crashed replica");
     COSERVE_CHECK(req.arrival <= eq_.now(),
                   "stolen request from the future");
+    if (freshId)
+        req.id = allocRequestId();
     dispatchTimed(req);
 }
 

@@ -261,12 +261,15 @@ class ServingEngine
                               const RequestQueue::StealFilter &allow);
 
     /**
-     * Work stealing (thief side): dispatch a request stolen from a
-     * sibling replica through this engine's scheduler at the current
-     * virtual time. The request keeps its original id and arrival time
-     * (end-to-end latency stays measured from cluster arrival).
+     * Dispatch a request taken from a sibling replica (stolen, or
+     * re-homed off a crashed one) through this engine's scheduler at
+     * the current virtual time. It keeps its arrival time (end-to-end
+     * latency stays measured from cluster arrival), its imageId and,
+     * unless @p freshId, its id: a static replica numbers its requests
+     * from 0, so work re-homed onto it needs an id from this engine's
+     * id space (RunResult::assignments is indexed by id).
      */
-    void injectRequest(const Request &req);
+    void injectRequest(Request req, bool freshId = false);
 
     /**
      * Finish the run and move its metrics out (nothing may read the

@@ -282,6 +282,7 @@ TEST_F(ReplayFixture, SharedTierStaticRunRecordsAndReplays)
                       static_cast<std::int64_t>(trace_.size()));
         }
         EXPECT_EQ(r1.crashesInjected, faults.any() ? 1 : 0);
+        EXPECT_EQ(r1.crashRehomed > 0, faults.any());
         EXPECT_EQ(r1.images, static_cast<std::int64_t>(trace_.size()));
 
         const TierStats *t1 = findTierStats(r1.tiers, "cpu.shared");
@@ -308,6 +309,16 @@ TEST_F(ReplayFixture, SharedTierStaticRunRecordsAndReplays)
             EXPECT_EQ(a.switches.loadsFromCache, b.switches.loadsFromCache);
             EXPECT_EQ(a.switches.bytesLoaded, b.switches.bytesLoaded);
             EXPECT_EQ(a.assignments, b.assignments) << "replica " << i;
+            // assignments is indexed by request id: a survivor records
+            // one entry per inference it served, re-homed work
+            // included, so re-homed requests need ids of its own.
+            if (faults.any() && i == 1)
+                continue;
+            EXPECT_EQ(std::count_if(a.assignments.begin(),
+                                    a.assignments.end(),
+                                    [](int e) { return e >= 0; }),
+                      a.inferences)
+                << "replica " << i;
         }
     }
 }
