@@ -1,12 +1,10 @@
 /**
  * @file
- * Ablation bench for the design choices DESIGN.md calls out beyond the
- * paper's own ablation (Figures 15/16):
- *
- *  - prefetch overlap (switch loading during preceding batches),
- *  - usage-ordered preload at initialization,
- *  - batching (head-run batches vs. one-by-one execution),
- *  - the decay-window-planned memory split vs. the casual 75/25 split.
+ * Ablation of prefetch overlap (switch loading during preceding
+ * batches), beyond the paper's own ablation (Figures 15/16): CoServe
+ * Best (decay-window-planned memory split) and CoServe Casual (75/25
+ * split), each with and without prefetch, on board A, task A1, on
+ * both devices.
  */
 
 #include "bench/bench_util.h"

@@ -439,14 +439,12 @@ class Coordinator
                 continue;
             }
             // Advance every clock to t, then drain what the step
-            // produced in a fixed order: each stepped replica's
-            // preemption decisions in replica order, the migration
-            // outboxes, finished quiesce drains.
+            // produced in a fixed order: the preemption decisions in
+            // replica order, the migration outboxes, finished quiesce
+            // drains.
             stepAll(t, false);
-            for (std::size_t i = 0; i < n_; ++i) {
-                if (stepped_[i] > 0)
-                    drainPreempt(i);
-            }
+            for (std::size_t i = 0; i < n_; ++i)
+                drainPreempt(i);
             if (migrationOn_)
                 drainOutboxes(t);
             noteQuiesceDrains();
@@ -496,10 +494,10 @@ class Coordinator
             const Time tFault = faults_[nextFault_].time;
             notePinned(tFault);
             const Time t = std::min(tSample, tFault);
-            if (nextNote_ < trace_.size() &&
-                trace_.arrivals[nextNote_].time < t) {
+            if (nextArrival_ < trace_.size() &&
+                trace_.arrivals[nextArrival_].time < t) {
                 // notePinned() stopped at an orphan.
-                route(nextNote_++);
+                route(nextArrival_++);
                 continue;
             }
             if (t == kTimeNever)
@@ -508,7 +506,7 @@ class Coordinator
             // which then applies after every event at t and before the
             // arrivals at t.
             stepAll(t - 1, tSample != t);
-            if (nextNote_ == trace_.size() &&
+            if (nextArrival_ == trace_.size() &&
                 std::all_of(engines_.begin(), engines_.end(),
                             [](const auto &engine) {
                                 return engine->nextEventTime() == kTimeNever;
@@ -542,15 +540,15 @@ class Coordinator
     void
     notePinned(Time before)
     {
-        for (; nextNote_ < trace_.size() &&
-               trace_.arrivals[nextNote_].time < before;
-             ++nextNote_) {
-            const std::size_t r = assignment_[nextNote_];
+        for (; nextArrival_ < trace_.size() &&
+               trace_.arrivals[nextArrival_].time < before;
+             ++nextArrival_) {
+            const std::size_t r = assignment_[nextArrival_];
             if (crashed_[r])
                 return;
-            decisions_.note({trace_.arrivals[nextNote_].time,
+            decisions_.note({trace_.arrivals[nextArrival_].time,
                              DecisionKind::Route,
-                             static_cast<std::uint64_t>(nextNote_),
+                             static_cast<std::uint64_t>(nextArrival_),
                              static_cast<std::uint64_t>(r), 0});
         }
     }
@@ -622,7 +620,7 @@ class Coordinator
     /**
      * Move replica @p i into or out of the active set at @p now: the
      * one place the active count, its time integral and the view gate
-     * change.
+     * (the only writer of ReplicaLoadView::acceptingWork) change.
      */
     void
     setActive(std::size_t i, bool on, Time now)
@@ -637,13 +635,11 @@ class Coordinator
         activeCount_ = on ? activeCount_ + 1 : activeCount_ - 1;
     }
 
-    /** Refill replica @p i's view and re-apply the active-set gate. */
+    /** Refill replica @p i's view; its gate stays as setActive() left it. */
     void
     refreshView(std::size_t i)
     {
         engines_[i]->fillLoadView(live_[i]);
-        // fillLoadView resets the gate.
-        live_[i].acceptingWork = active_[i] != 0;
         dirty_[i] = 0;
     }
 
@@ -653,8 +649,7 @@ class Coordinator
      * views are reused across arrivals (the clock-only staleness of
      * `now` is absorbed by the routers' max(arrival.time, ...)). The
      * same rule keeps resident()/queued(), which read the engine live,
-     * equal to what a fill-time copy would hold. A clean view's gate
-     * is current: setActive() updates it.
+     * equal to what a fill-time copy would hold.
      */
     void
     refreshViews()
@@ -669,10 +664,10 @@ class Coordinator
      * Replica-local preemption decisions (pause / checkpoint /
      * restore) are part of the replayable schedule: drained into the
      * decision stream in replica order at fixed points, so the
-     * interleaving is deterministic: online after every lockstep step;
-     * static at each fault, each orphan and the end, so that epoch
-     * samples, which also step the replicas, leave the decision stream
-     * as it is.
+     * interleaving is deterministic: online after every lockstep step
+     * and routed arrival; static at each fault, each orphan and the
+     * end, so that epoch samples, which also step the replicas, leave
+     * the decision stream as it is; and after a crash's capture.
      */
     void
     drainPreempt(std::size_t i)
@@ -740,8 +735,7 @@ class Coordinator
         std::vector<std::thread> threads;
         for (std::size_t i = 0; i < n_; ++i) {
             const auto step = [this, i, t] {
-                stepped_[i] = engines_[i]->stepUntil(t);
-                dirty_[i] |= static_cast<char>(stepped_[i] > 0);
+                dirty_[i] |= static_cast<char>(engines_[i]->stepUntil(t) > 0);
             };
             if (due > 1 && engines_[i]->nextEventTime() <= t)
                 threads.emplace_back(step);
@@ -844,10 +838,8 @@ class Coordinator
         if (!migrationOn_)
             return;
         for (std::size_t j = 0; j < n_; ++j) {
-            if (j == thief || crashed_[j] || live_[j].queueDepth == 0 ||
-                !engines_[j]->hasMigratableGroup())
-                continue;
-            if (engines_[j]->requestMigrateOut(1) > 0)
+            if (j != thief && !crashed_[j] && live_[j].queueDepth > 0 &&
+                engines_[j]->requestMigrateOut(1) > 0)
                 return;
         }
     }
@@ -1081,27 +1073,22 @@ class Coordinator
         setActive(r, false, now);
         crashed_[r] = 1;
         crashes_ += 1;
-        // Lossless recovery of in-flight work: capture every running
-        // batch at its last *completed* step boundary (plus parked and
-        // outbox images — the periodic boundary save is what survives
-        // a crash) and migrate the checkpoints to capable survivors,
-        // which resume the groups instead of re-running them from
-        // scratch. Work since the last boundary is honestly
-        // re-executed.
-        std::int64_t lostCkpt = 0;
-        if (migrationOn_) {
-            imageBuf_.clear();
-            engines_[r]->captureCheckpoints(imageBuf_);
-            drainPreempt(r); // the capture's Checkpoint records
-            lostCkpt = routeImages(r, now);
-        }
-        // Drain queued + in-flight work off the dead replica and
-        // re-home it round-robin onto active capable siblings (each
-        // filtered by its own capability, like evacuation). Work no
-        // survivor can serve is lost — and accounted.
+        // Lossless recovery of in-flight work: with migration on, the
+        // drain captures every running batch at its last *completed*
+        // step boundary (plus parked and outbox images) and the
+        // checkpoints migrate to capable survivors, which resume the
+        // groups instead of re-running them from scratch. Work since
+        // the last boundary is honestly re-executed.
+        imageBuf_.clear();
         requestBuf_.clear();
-        engines_[r]->crashDrain(requestBuf_);
+        engines_[r]->crashDrain(imageBuf_, requestBuf_);
+        drainPreempt(r); // the capture's Checkpoint records
+        const std::int64_t lostCkpt = migrationOn_ ? routeImages(r, now) : 0;
         dirty_[r] = 1;
+        // Re-home the queued and in-flight requests round-robin onto
+        // active capable siblings (each filtered by its own capability,
+        // like evacuation). Work no survivor can serve is lost — and
+        // accounted.
         std::vector<std::uint64_t> rehomeCnt(n_, 0);
         std::int64_t lostHere = 0;
         std::size_t cursor = (r + 1) % n_;
@@ -1112,9 +1099,7 @@ class Coordinator
                 continue;
             }
             cursor = (target + 1) % n_;
-            // Online ids are unique cluster-wide; a static replica's
-            // are its own (see buildEngines), so it renumbers.
-            engines_[target]->injectRequest(req, !liveRouting_);
+            engines_[target]->injectRequest(req);
             rehomeCnt[target] += 1;
             dirty_[target] = 1;
         }
@@ -1249,45 +1234,35 @@ class Coordinator
      * drains relative to an unsampled run and drift the decision
      * digest. A static run steps its replicas to just before the
      * sample with stepAll(), which drains nothing (see drainPreempt).
-     * Pure observation keeps telemetry on/off byte-identical. The
-     * sampler fills its own scratch view: refreshing the coordinator's
-     * `live_` views would rewrite their `now`, which stealing reads.
+     * Pure observation keeps telemetry on/off byte-identical; the
+     * sample reads no view, so the coordinator's `live_` views keep
+     * their `now`, which stealing reads.
      */
     void
     sample(Time t)
     {
-        obs::SampleRow row;
-        row.t = t;
-        row.activeReplicas = static_cast<int>(activeCount_);
-        std::int64_t gpuHits = 0, gpuMisses = 0;
-        std::int64_t cpuHits = 0, cpuMisses = 0;
-        for (std::size_t i = 0; i < n_; ++i) {
-            // Cumulative columns keep a crashed replica's completions.
-            engines_[i]->sampleProgress(row.images, row.inferences,
-                                        row.preemptions);
-            if (crashed_[i])
-                continue;
-            engines_[i]->fillLoadView(sampleView_);
-            row.queueDepth +=
-                static_cast<std::int64_t>(sampleView_.queueDepth);
-            // sampleHitCounters(), not appendTierStats(): TierStats
-            // rows copy tier name strings on every call, which would
-            // dominate the <5% tracing overhead budget.
-            engines_[i]->sampleHitCounters(gpuHits, gpuMisses, cpuHits,
-                                           cpuMisses);
-        }
+        ReplicaSample acc;
+        for (const auto &engine : engines_)
+            engine->sample(acc);
         if (sharedCpu_ != nullptr) {
             const TierStats shared = sharedCpu_->stats();
-            cpuHits += shared.counters.hits;
-            cpuMisses += shared.counters.misses;
+            acc.cpuHits += shared.counters.hits;
+            acc.cpuMisses += shared.counters.misses;
         }
         const auto rate = [](std::int64_t hits, std::int64_t misses) {
             return hits + misses > 0 ? static_cast<double>(hits) /
                                            static_cast<double>(hits + misses)
                                      : 0.0;
         };
-        row.gpuHitRate = rate(gpuHits, gpuMisses);
-        row.cpuHitRate = rate(cpuHits, cpuMisses);
+        obs::SampleRow row;
+        row.t = t;
+        row.activeReplicas = static_cast<int>(activeCount_);
+        row.queueDepth = acc.queueDepth;
+        row.images = acc.images;
+        row.inferences = acc.inferences;
+        row.preemptions = acc.rescues;
+        row.gpuHitRate = rate(acc.gpuHits, acc.gpuMisses);
+        row.cpuHitRate = rate(acc.cpuHits, acc.cpuMisses);
         if (t > 0) {
             row.goodputImgPerSec =
                 static_cast<double>(row.images) / toSeconds(t);
@@ -1428,12 +1403,13 @@ class Coordinator
             // This replica's span-trace buffer (null unless telemetry
             // is enabled), pre-created by the Telemetry ctor.
             cfg.tracer = telem_.replicaTracer(static_cast<int>(i));
-            // Cluster-level preemption policy applies uniformly:
-            // migration break-even and hysteresis must agree across
-            // replicas or a group migratable at its source would be
-            // un-adoptable at its target.
-            if (preemptOn_)
-                cfg.preemption = cfg_.preemption;
+            // Cluster-level preemption policy applies uniformly, off
+            // included: migration break-even and hysteresis must agree
+            // across replicas or a group migratable at its source would
+            // be un-adoptable at its target, and a replica that
+            // preempts on its own would buffer decisions the log never
+            // sees.
+            cfg.preemption = cfg_.preemption;
             engines.push_back(makeCoServeEngine(*spec.ctx, std::move(cfg)));
             // Online: disjoint strided id spaces, since stolen requests
             // keep their id. Static: a replica numbers its shard as a
@@ -1477,14 +1453,13 @@ class Coordinator
     const CapabilityTable &caps_ = costs_.caps();
     const std::unique_ptr<ReplicaRouter> router_ =
         liveRouting_ ? makeRouter(cfg_.routing, model_, views_) : nullptr;
-    // Online: the next arrival to route.
+    // The next arrival to route (online) or whose Route record is due
+    // (static).
     std::size_t nextArrival_ = 0;
-    // Static: routing pinned to the offline assignment, each replica's
-    // shard of the trace (its planned arrivals), and the next arrival
-    // whose Route record is due.
+    // Static: routing pinned to the offline assignment and each
+    // replica's shard of the trace (its planned arrivals).
     std::vector<std::size_t> assignment_;
     std::vector<Trace> shards_;
-    std::size_t nextNote_ = 0;
     const std::vector<FaultAction> faults_ = flattenFaults(opts_.faults);
     std::size_t nextFault_ = 0;
     // Does the trace carry SLO metadata at all? Classless traces skip
@@ -1507,8 +1482,6 @@ class Coordinator
     std::vector<char> crashed_ = std::vector<char>(n_, 0);
     std::vector<ReplicaLoadView> live_ = std::vector<ReplicaLoadView>(n_);
     std::vector<char> dirty_ = std::vector<char>(n_, 1);
-    // Events each replica executed in the last stepAll().
-    std::vector<std::uint64_t> stepped_ = std::vector<std::uint64_t>(n_, 0);
     std::vector<Time> quiesceStart_ = std::vector<Time>(n_, kTimeNever);
     std::vector<std::int64_t> stolenFrom_ = std::vector<std::int64_t>(n_, 0);
     std::vector<std::int64_t> stolenTo_ = std::vector<std::int64_t>(n_, 0);
@@ -1531,7 +1504,6 @@ class Coordinator
     std::vector<PreemptEvent> pevBuf_;
     std::vector<CheckpointImage> imageBuf_;
     std::vector<Request> requestBuf_;
-    ReplicaLoadView sampleView_;
 };
 
 } // namespace

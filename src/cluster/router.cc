@@ -178,8 +178,6 @@ class RoundRobinRouter : public ReplicaRouter
           last_(replicas.size() - 1) // first arrival starts at 0
     {}
 
-    const char *name() const override { return "round-robin"; }
-
     std::size_t
     route(const ImageArrival &arrival) override
     {
@@ -206,8 +204,6 @@ class ExpertAffinityRouter : public ReplicaRouter
                          const std::vector<ReplicaView> &replicas)
         : model_(model), caps_(model, replicas)
     {}
-
-    const char *name() const override { return "expert-affinity"; }
 
     std::size_t
     route(const ImageArrival &arrival) override
@@ -347,8 +343,6 @@ class LeastLoadedRouter : public ReplicaRouter
             states_.push_back(std::move(st));
         }
     }
-
-    const char *name() const override { return "least-loaded"; }
 
     std::size_t
     route(const ImageArrival &arrival) override

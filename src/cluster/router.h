@@ -56,9 +56,6 @@ class ReplicaRouter
   public:
     virtual ~ReplicaRouter() = default;
 
-    /** @return display name for reports. */
-    virtual const char *name() const = 0;
-
     /** @return replica index in [0, numReplicas) for @p arrival. */
     virtual std::size_t route(const ImageArrival &arrival) = 0;
 

@@ -90,8 +90,6 @@ struct EngineConfig
     bool preloadByUsage = true;
     /** Process same-expert head runs as batches (vs. one by one). */
     bool batching = true;
-    /** Seed for the shuffled (usage-agnostic) preload order. */
-    std::uint64_t preloadShuffleSeed = 0x5EED;
 
     /**
      * Profiled maximum executable batch size per (arch, processor)

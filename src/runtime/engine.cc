@@ -553,7 +553,7 @@ ServingEngine::preload()
         // Usage-agnostic warm state: deterministic shuffle.
         order.resize(model_.numExperts());
         std::iota(order.begin(), order.end(), 0);
-        Rng rng(cfg_.preloadShuffleSeed);
+        Rng rng(0x5EED);
         for (std::size_t i = order.size(); i > 1; --i)
             std::swap(order[i - 1], order[rng.uniformInt(i)]);
     }
@@ -731,7 +731,6 @@ ServingEngine::fillLoadView(ReplicaLoadView &out) const
     out.idle = eq_.pending() == 0;
     out.storageFreeAt = storage_->busyUntil();
     out.gpuPressure = gpuPressure_;
-    out.acceptingWork = true; // coordinator re-applies its active set
     out.queueDepth = 0;
     out.backlog = 0;
     out.executors.clear();
@@ -748,21 +747,26 @@ ServingEngine::fillLoadView(ReplicaLoadView &out) const
 }
 
 void
-ServingEngine::sampleHitCounters(std::int64_t &gpuHits,
-                                 std::int64_t &gpuMisses,
-                                 std::int64_t &cpuHits,
-                                 std::int64_t &cpuMisses) const
+ServingEngine::sample(ReplicaSample &acc) const
 {
+    // Cumulative columns keep a crashed replica's completions.
+    acc.images += imagesDone_;
+    acc.inferences += result_.inferences;
+    acc.rescues += result_.preemptions;
+    if (crashed_)
+        return;
+    for (const auto &exec : executors_)
+        acc.queueDepth += static_cast<std::int64_t>(exec->queue().size());
     // Same tier set as appendTierStats(); a cluster-shared CPU tier
     // is accounted by the cluster, and the disk tier never feeds the
     // gpu/cpu-dram hit rates.
-    const auto add = [&](TierLevel level, const TierCounters &c) {
+    const auto add = [&acc](TierLevel level, const TierCounters &c) {
         if (level == TierLevel::Gpu) {
-            gpuHits += c.hits;
-            gpuMisses += c.misses;
+            acc.gpuHits += c.hits;
+            acc.gpuMisses += c.misses;
         } else if (level == TierLevel::CpuDram) {
-            cpuHits += c.hits;
-            cpuMisses += c.misses;
+            acc.cpuHits += c.hits;
+            acc.cpuMisses += c.misses;
         }
     };
     if (gpuPool_)
@@ -820,37 +824,49 @@ ServingEngine::stealRequests(std::size_t maxCount,
 }
 
 void
-ServingEngine::injectRequest(Request req, bool freshId)
+ServingEngine::injectRequest(Request req)
 {
     COSERVE_CHECK(begun_, "injectRequest before beginOnline");
     COSERVE_CHECK(!crashed_, "injecting into a crashed replica");
     COSERVE_CHECK(req.arrival <= eq_.now(),
                   "stolen request from the future");
-    if (freshId)
+    if (requestIdStride_ == 1)
         req.id = allocRequestId();
     dispatchTimed(req);
 }
 
-std::size_t
-ServingEngine::crashDrain(std::vector<Request> &out)
+void
+ServingEngine::crashDrain(std::vector<CheckpointImage> &images,
+                          std::vector<Request> &requests)
 {
     COSERVE_CHECK(!crashed_, "replica crashed twice");
     crashed_ = true;
-    std::size_t drained = 0;
+    // With migration on, in-flight and parked groups leave as
+    // checkpoints (the periodic boundary save is what survives a
+    // crash); the request drains below then see only queued work.
+    const bool capture =
+        cfg_.preemption.enabled && cfg_.preemption.migration;
     for (const auto &exec : executors_) {
-        drained += exec->surrenderRunning(out);
-        drained += exec->surrenderParked(out);
-        drained += exec->drainQueue(out);
+        if (capture) {
+            const std::size_t mark = images.size();
+            if (exec->checkpointRunning(images) > 0) {
+                result_.checkpointedGroups += 1;
+                preemptEvents_.push_back(
+                    {eq_.now(), PreemptEvent::What::Checkpoint,
+                     exec->index(),
+                     static_cast<std::uint64_t>(
+                         images[mark].requests.size())});
+            }
+            exec->takeParked(images);
+        }
+        exec->surrenderRunning(requests);
+        exec->surrenderParked(requests);
+        exec->drainQueue(requests);
     }
-    // Un-migrated outbox images die with the replica too: flatten
-    // their requests for queue-level re-homing. (With migration on,
-    // the coordinator captures checkpoints *before* crashDrain, so
-    // these loops see nothing in-flight or parked.)
-    for (CheckpointImage &img : migrateOutbox_) {
-        drained += img.requests.size();
-        out.insert(out.end(), img.requests.begin(), img.requests.end());
-    }
-    migrateOutbox_.clear();
+    // Outbox images (only migration fills the outbox) were checkpointed
+    // and recorded when their saves completed; they just never got
+    // picked up.
+    takeMigratedImages(images);
     // Drop everything still scheduled — batch completions (their
     // requests were just surrendered), in-flight expert loads, pending
     // prefetches — and end the planned stream. The clock survives, so
@@ -858,7 +874,6 @@ ServingEngine::crashDrain(std::vector<Request> &out)
     // makespan.
     eq_.clear();
     plannedNext_ = plannedEnd_;
-    return drained;
 }
 
 void
@@ -1004,27 +1019,6 @@ ServingEngine::onGroupRestored(Executor &exec, int requests)
 }
 
 std::size_t
-ServingEngine::captureCheckpoints(std::vector<CheckpointImage> &out)
-{
-    std::size_t captured = 0;
-    for (const auto &exec : executors_) {
-        const std::size_t mark = out.size();
-        if (exec->checkpointRunning(out) > 0) {
-            result_.checkpointedGroups += 1;
-            preemptEvents_.push_back(
-                {eq_.now(), PreemptEvent::What::Checkpoint, exec->index(),
-                 static_cast<std::uint64_t>(out[mark].requests.size())});
-            captured += 1;
-        }
-        captured += exec->takeParked(out);
-    }
-    // Outbox images were checkpointed (and recorded) when their saves
-    // completed — they just never got picked up.
-    captured += takeMigratedImages(out);
-    return captured;
-}
-
-std::size_t
 ServingEngine::requestMigrateOut(std::size_t maxGroups)
 {
     std::size_t issued = 0;
@@ -1072,18 +1066,6 @@ ServingEngine::adoptCheckpoint(CheckpointImage img)
                   "kind; the coordinator must capability-filter "
                   "migration targets");
     best->adoptCheckpoint(std::move(img));
-}
-
-bool
-ServingEngine::hasMigratableGroup() const
-{
-    if (!cfg_.preemption.enabled || !cfg_.preemption.migration)
-        return false;
-    for (const auto &exec : executors_) {
-        if (exec->migratable(cfg_.preemption))
-            return true;
-    }
-    return false;
 }
 
 bool

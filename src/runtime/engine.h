@@ -66,11 +66,10 @@ struct ReplicaLoadView
     /** GPU load slowdown under memory pressure (engine's model). */
     double gpuPressure = 1.0;
     /**
-     * Coordinator-owned routing gate (the engine never writes it):
-     * false while the autoscaler has this replica quiesced — routers
-     * must not send new arrivals, though in-flight work still drains.
-     * fillLoadView() resets it to true; the coordinator re-applies
-     * the active set after every refresh.
+     * Coordinator-owned routing gate (the engine never writes it, and
+     * fillLoadView() leaves it as is): false while the autoscaler has
+     * this replica quiesced or it crashed — routers must not send new
+     * arrivals, though in-flight work still drains.
      */
     bool acceptingWork = true;
     /** Per-executor load components (see executors below). */
@@ -108,6 +107,23 @@ struct ReplicaLoadView
     bool queued(ExpertId e) const;
 };
 
+/**
+ * One replica's cumulative epoch-sample counters, summed over replicas
+ * by ServingEngine::sample().
+ */
+struct ReplicaSample
+{
+    /** Completed images, inferences and deadline rescues so far. */
+    std::int64_t images = 0;
+    std::int64_t inferences = 0;
+    std::int64_t rescues = 0;
+    /** Requests queued but not yet started. */
+    std::int64_t queueDepth = 0;
+    /** GPU and CPU-DRAM tier hits and misses (disk excluded). */
+    std::int64_t gpuHits = 0, gpuMisses = 0;
+    std::int64_t cpuHits = 0, cpuMisses = 0;
+};
+
 /** Single-use serving system instance. */
 class ServingEngine
 {
@@ -137,7 +153,7 @@ class ServingEngine
     //
     // One protocol drives every engine: beginOnline() once; then any
     // interleaving of admitPlanned (at most once) / admitArrival /
-    // stepUntil / stepBefore / nextEventTime / fillLoadView /
+    // stepUntil / stepBefore / nextEventTime / fillLoadView / sample /
     // stealRequests / injectRequest and the fault and migration calls
     // below; then finishOnline() once. run() is that protocol driven
     // to the end over a whole trace. The cluster drives it for every
@@ -218,34 +234,19 @@ class ServingEngine
     std::uint64_t stepBefore(Time t) { return step(t - 1, t); }
 
     /**
-     * Fill @p out with this engine's load (buffers reused) and bind
-     * its resident()/queued() queries to this engine. O(executors).
+     * Fill @p out with this engine's load (buffers reused; the
+     * coordinator's acceptingWork gate is left as is) and bind its
+     * resident()/queued() queries to this engine. O(executors).
      */
     void fillLoadView(ReplicaLoadView &out) const;
 
     /**
-     * Accumulate this engine's GPU and CPU-DRAM hit/miss counters —
-     * the numbers behind the result's tier hit rates, without building
-     * TierStats rows (two string copies each) per sample.
+     * Add this engine's epoch-sample counters to @p acc. The hit
+     * counters are the numbers behind the result's tier hit rates,
+     * read without building TierStats rows (two string copies each).
+     * A crashed replica adds only its pre-crash completions.
      */
-    void sampleHitCounters(std::int64_t &gpuHits,
-                           std::int64_t &gpuMisses,
-                           std::int64_t &cpuHits,
-                           std::int64_t &cpuMisses) const;
-
-    /**
-     * Accumulate this engine's completed images, inferences and
-     * deadline rescues so far — the epoch sampler's cumulative columns.
-     * Still valid after crashDrain(): pre-crash completions count.
-     */
-    void
-    sampleProgress(std::int64_t &images, std::int64_t &inferences,
-                   std::int64_t &rescues) const
-    {
-        images += imagesDone_;
-        inferences += result_.inferences;
-        rescues += result_.preemptions;
-    }
+    void sample(ReplicaSample &acc) const;
 
     /**
      * Work stealing (victim side): remove up to @p maxCount
@@ -264,12 +265,13 @@ class ServingEngine
      * Dispatch a request taken from a sibling replica (stolen, or
      * re-homed off a crashed one) through this engine's scheduler at
      * the current virtual time. It keeps its arrival time (end-to-end
-     * latency stays measured from cluster arrival), its imageId and,
-     * unless @p freshId, its id: a static replica numbers its requests
-     * from 0, so work re-homed onto it needs an id from this engine's
-     * id space (RunResult::assignments is indexed by id).
+     * latency stays measured from cluster arrival) and its imageId. A
+     * strided (online) replica keeps its id too, which is unique
+     * cluster-wide; a replica with id stride 1 (static, or standalone)
+     * numbers its own requests from its base, so it draws a fresh id
+     * (RunResult::assignments is indexed by id).
      */
-    void injectRequest(Request req, bool freshId = false);
+    void injectRequest(Request req);
 
     /**
      * Finish the run and move its metrics out (nothing may read the
@@ -285,16 +287,20 @@ class ServingEngine
     // ----- fault injection (cluster coordinator only) ----------------
 
     /**
-     * Crash this replica at the current virtual time: every queued and
-     * in-flight request is appended to @p out (for re-homing on
-     * surviving replicas), all pending events and the planned arrivals
-     * not yet admitted are dropped (the caller re-homes those), and the
-     * engine goes permanently idle. finishOnline() still collects the
-     * metrics accumulated before the crash.
-     *
-     * @return number of drained requests.
+     * Crash this replica at the current virtual time. With migration
+     * on (preemption.enabled && migration), every in-flight batch (at
+     * its last step boundary), parked image and outbox image is first
+     * captured into @p images — no transfer charged; the restoring
+     * side pays — buffering a Checkpoint PreemptEvent per captured
+     * batch, in executor order. Every other queued and in-flight
+     * request is appended to @p requests (for re-homing on surviving
+     * replicas). All pending events and the planned arrivals not yet
+     * admitted are dropped (the caller re-homes those), and the engine
+     * goes permanently idle. finishOnline() still collects the metrics
+     * accumulated before the crash.
      */
-    std::size_t crashDrain(std::vector<Request> &out);
+    void crashDrain(std::vector<CheckpointImage> &images,
+                    std::vector<Request> &requests);
 
     /**
      * Straggler injection: scale every future batch's compute latency
@@ -316,22 +322,18 @@ class ServingEngine
     // contract. Engine-local deadline-rescue preemption triggers from
     // admitTimed(); the cluster coordinator drives migration through
     // requestMigrateOut / takeMigratedImages / adoptCheckpoint /
-    // captureCheckpoints and drains the engine's PreemptEvents into
-    // its decision log after every step.
-
-    /**
-     * Crash/quiesce capture: every in-flight batch (at its last step
-     * boundary), parked image and outbox image moves into @p out — no
-     * transfer charged; the restoring side pays. Executor order, so
-     * deterministic.
-     */
-    std::size_t captureCheckpoints(std::vector<CheckpointImage> &out);
+    // crashDrain. The engine buffers PreemptEvents only while it steps
+    // and during a crash's capture; the coordinator drains them into
+    // its decision log at fixed points: online after every lockstep
+    // step and routed arrival, static at faults, at orphans and at the
+    // end, and after a crash's capture.
 
     /**
      * Ask up to @p maxGroups migratable running batches to pause at
      * their next step boundary and checkpoint into the migration
-     * outbox (charged saves). Images appear in takeMigratedImages()
-     * once their save transfers complete.
+     * outbox (charged saves). Executors with nothing migratable are
+     * skipped. Images appear in takeMigratedImages() once their save
+     * transfers complete.
      *
      * @return number of pause requests issued.
      */
@@ -347,9 +349,6 @@ class ServingEngine
      * charged when that executor picks the image up.
      */
     void adoptCheckpoint(CheckpointImage img);
-
-    /** @return true when any executor could migrate its batch now. */
-    bool hasMigratableGroup() const;
 
     /** @return true when an executor of @p kind exists. */
     bool hasExecutorKind(ProcKind kind) const;
@@ -386,27 +385,7 @@ class ServingEngine
     /** @return the served CoE model. */
     const CoEModel &model() const { return model_; }
 
-    /** @return the engine configuration. */
-    const EngineConfig &config() const { return cfg_; }
-
-    /** @return the usage profile. */
-    const UsageProfile &usage() const { return usage_; }
-
-    /** @return this replica's span-trace buffer; null when untraced. */
-    obs::ReplicaTracer *tracer() const { return cfg_.tracer; }
-
     // ----- SLO layer -------------------------------------------------
-
-    /**
-     * Predicted completion time of @p req dispatched right now: the
-     * earliest over executors of (as-is finish + Section-4.2
-     * additional latency + switch), plus the detect child's execution
-     * when the component chains one — the admission controller's
-     * feasibility estimate. Uses the ground-truth latency model (the
-     * engine has no profiled matrix), matching the scheduler's
-     * fallback path.
-     */
-    Time predictCompletion(const Request &req) const;
 
     /** SLO accounting so far (admission verdicts, completions). */
     const SloStats &sloStats() const { return result_.slo; }
@@ -416,9 +395,6 @@ class ServingEngine
 
     /** @return ground-truth latency model. */
     const LatencyModel &truth() const { return truth_; }
-
-    /** @return footprint model. */
-    const FootprintModel &footprint() const { return footprint_; }
 
     /**
      * Slowdown of GPU expert loads when resident experts crowd the
@@ -434,6 +410,12 @@ class ServingEngine
     // ----- API for Executor; ReplicaLoadView reads pools and queues ----
     friend class Executor;
     friend struct ReplicaLoadView;
+
+    /** @return the engine configuration. */
+    const EngineConfig &config() const { return cfg_; }
+
+    /** @return this replica's span-trace buffer; null when untraced. */
+    obs::ReplicaTracer *tracer() const { return cfg_.tracer; }
 
     /**
      * Begin loading @p e into @p exec's pool, evicting victims as
@@ -542,6 +524,16 @@ class ServingEngine
      * @return true when a preemption was issued.
      */
     bool tryPreemptFor(const Request &req);
+    /**
+     * Predicted completion time of @p req dispatched right now: the
+     * earliest over executors of (as-is finish + Section-4.2
+     * additional latency + switch), plus the detect child's execution
+     * when the component chains one — the admission controller's
+     * feasibility estimate. Uses the ground-truth latency model (the
+     * engine has no profiled matrix), matching the scheduler's
+     * fallback path.
+     */
+    Time predictCompletion(const Request &req) const;
     void dispatchTimed(const Request &req);
     ArchId archOf(ExpertId e) const;
     /** Fastest available source for loading @p e into GPU memory. */

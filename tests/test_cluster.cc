@@ -128,23 +128,12 @@ TEST_F(ClusterFixture, LeastLoadedUsesAllReplicasUnderLoad)
     EXPECT_EQ(used.size(), 4u);
 }
 
-TEST_F(ClusterFixture, RouterSelectionMatchesPolicyNames)
+TEST_F(ClusterFixture, RoutingPolicyNames)
 {
     EXPECT_STREQ(toString(RoutingPolicy::RoundRobin), "round-robin");
     EXPECT_STREQ(toString(RoutingPolicy::LeastLoaded), "least-loaded");
     EXPECT_STREQ(toString(RoutingPolicy::ExpertAffinity),
                  "expert-affinity");
-
-    std::vector<ReplicaView> views = {{&ctx_, &cfg_}};
-    EXPECT_STREQ(makeRouter(RoutingPolicy::RoundRobin, model_, views)
-                     ->name(),
-                 "round-robin");
-    EXPECT_STREQ(makeRouter(RoutingPolicy::LeastLoaded, model_, views)
-                     ->name(),
-                 "least-loaded");
-    EXPECT_STREQ(
-        makeRouter(RoutingPolicy::ExpertAffinity, model_, views)->name(),
-        "expert-affinity");
 }
 
 TEST_F(ClusterFixture, SingleReplicaReproducesServingEngine)

@@ -246,6 +246,27 @@ TEST_F(PreemptFixture, PreemptionChangesTheScheduleOnlyWhenOn)
     EXPECT_NE(ra.decisionDigest, rb.decisionDigest);
 }
 
+TEST_F(PreemptFixture, ClusterPolicyReachesEveryReplica)
+{
+    // The cluster's preemption policy is copied into every replica, off
+    // included: a replica spec that turns preemption on in a cluster
+    // with it off must not pause batches whose decisions the log would
+    // never see.
+    ClusterConfig off = preemptConfig(2, false);
+    off.preemption = {};
+    ClusterConfig mixed = off;
+    for (ReplicaSpec &r : mixed.replicas)
+        r.cfg.preemption = preemptConfig(2, false).preemption;
+    ClusterEngine a(std::move(off));
+    ClusterEngine b(std::move(mixed));
+    const ClusterResult ra = a.run(trace_, runWithMode(RunMode::Online));
+    const ClusterResult rb = b.run(trace_, runWithMode(RunMode::Online));
+    EXPECT_FALSE(rb.preemptionEnabled);
+    EXPECT_EQ(rb.preemptions, 0);
+    EXPECT_EQ(rb.checkpointedGroups, 0);
+    EXPECT_EQ(rb.decisionDigest, ra.decisionDigest);
+}
+
 // --------------------------------------------------------- determinism
 
 TEST_F(PreemptFixture, PreemptionDeterministicAcrossRuns)

@@ -147,6 +147,36 @@ TEST(DecisionLogTest, DecodeRejectsCorruption)
                 ::testing::ExitedWithCode(1), "time overflows");
 }
 
+TEST(DecisionLogTest, DecodeRejectsEveryTruncationAndBitFlip)
+{
+    // A pinned log of mixed kinds. Every proper prefix and every
+    // single-bit flip of it is a user error: exit 1 with a message
+    // naming the decision log, never a signal. The trailing digest
+    // makes every flip detectable.
+    DecisionLog log;
+    log.append({0, DecisionKind::Route, 0, 1, 0});
+    log.append({milliseconds(3), DecisionKind::Steal, 2, 0, 7});
+    log.append({milliseconds(3), DecisionKind::Crash, 1, 300, 2});
+    log.append({seconds(2), DecisionKind::Migrate, 0, 3, 128});
+    const std::vector<std::uint8_t> bytes = log.encode();
+    ASSERT_EQ(bytes.size(), 43u);
+    ::testing::FLAGS_gtest_death_test_style = "fast";
+    for (std::size_t n = 0; n < bytes.size(); ++n) {
+        const std::vector<std::uint8_t> prefix(bytes.begin(),
+                                               bytes.begin() + n);
+        EXPECT_EXIT(DecisionLog::decode(prefix),
+                    ::testing::ExitedWithCode(1), "decision log")
+            << "prefix of " << n << " bytes";
+    }
+    for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+        std::vector<std::uint8_t> flipped = bytes;
+        flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        EXPECT_EXIT(DecisionLog::decode(flipped),
+                    ::testing::ExitedWithCode(1), "decision log")
+            << "bit " << bit << " flipped";
+    }
+}
+
 TEST(DecisionLogTest, LoadRejectsDirectory)
 {
     // A directory opens like a file but is no log: exit 1 naming the
