@@ -359,9 +359,6 @@ class Coordinator
             tracer_->setProcessName("coordinator");
             tracer_->setThreadName(0, "coordinator");
         }
-        // Every arrival logs one Route or Reject decision, live or
-        // pinned.
-        decisions_.reserve(trace_.arrivals.size());
         if (as_.enabled) {
             // validate() keeps both counts within the replica count.
             const std::size_t start = as_.startReplicas == 0
@@ -442,7 +439,7 @@ class Coordinator
             // produced in a fixed order: the preemption decisions in
             // replica order, the migration outboxes, finished quiesce
             // drains.
-            stepAll(t, false);
+            stepAll(t, false, [] {});
             for (std::size_t i = 0; i < n_; ++i)
                 drainPreempt(i);
             if (migrationOn_)
@@ -477,35 +474,43 @@ class Coordinator
      * sample comes first, then a fault, then arrivals. Samples and
      * faults after the last event and arrival never apply, as in
      * online mode.
+     *
+     * Before any crash no arrival is an orphan, so an epoch whose
+     * replicas step on threads notes its pinned Route records on the
+     * caller's thread meanwhile; otherwise the notes come first and
+     * stop at an orphan. Neither reorders the decision stream: the
+     * replicas decide nothing while they step.
      */
     void
     runEpochs()
     {
         const WallTimer routeWall;
         assignment_ = cluster_.routeTrace(trace_);
-        shards_ = shardTrace(trace_, assignment_, n_);
-        for (std::size_t i = 0; i < n_; ++i)
-            engines_[i]->admitPlanned(shards_[i].arrivals);
+        planShards();
         telem_.host().add("route_shard", routeWall.elapsedMicros());
 
         const WallTimer runWall;
         for (;;) {
             const Time tSample = telem_.nextSampleTime();
             const Time tFault = faults_[nextFault_].time;
-            notePinned(tFault);
             const Time t = std::min(tSample, tFault);
-            if (nextArrival_ < trace_.size() &&
-                trace_.arrivals[nextArrival_].time < t) {
-                // notePinned() stopped at an orphan.
-                route(nextArrival_++);
-                continue;
+            // Epochs that end at a fault or the end step on threads.
+            const bool threaded = tSample != t || t == kTimeNever;
+            if (!threaded || crashes_ > 0) {
+                notePinned(tFault);
+                if (nextArrival_ < trace_.size() &&
+                    trace_.arrivals[nextArrival_].time < t) {
+                    // notePinned() stopped at an orphan.
+                    route(nextArrival_++);
+                    continue;
+                }
             }
             if (t == kTimeNever)
                 break;
             // A sample at t sees everything before t; so does a fault,
             // which then applies after every event at t and before the
             // arrivals at t.
-            stepAll(t - 1, tSample != t);
+            stepAll(t - 1, threaded, [this, tFault] { notePinned(tFault); });
             if (nextArrival_ == trace_.size() &&
                 std::all_of(engines_.begin(), engines_.end(),
                             [](const auto &engine) {
@@ -523,10 +528,30 @@ class Coordinator
             }
             applyFault(faults_[nextFault_++]);
         }
-        stepAll(kTimeNever, true);
+        stepAll(kTimeNever, true, [this] { notePinned(kTimeNever); });
         for (std::size_t i = 0; i < n_; ++i)
             drainPreempt(i);
         telem_.host().add("replica_run", runWall.elapsedMicros());
+    }
+
+    /**
+     * Give each replica its shard of the offline assignment as planned
+     * arrivals: one pass buckets the arrival indices by replica, then
+     * each replica copies its bucket's arrivals and plans them on its
+     * own thread.
+     */
+    void
+    planShards()
+    {
+        const std::vector<std::vector<std::size_t>> buckets =
+            shardIndices(assignment_, n_);
+        shards_.resize(n_);
+        forkJoin([&](std::size_t i) { return !buckets[i].empty(); },
+                 [&](std::size_t i) {
+                     shards_[i] = trace_.select(buckets[i]);
+                     engines_[i]->admitPlanned(shards_[i].arrivals);
+                 },
+                 [] {});
     }
 
     /**
@@ -535,7 +560,10 @@ class Coordinator
      * They were decided offline, so they emit no trace instant. Stops
      * at an orphan: its replica crashed at or before its arrival time
      * (every earlier crash has been applied), so it is re-homed, and
-     * route() records it, at its arrival instant.
+     * route() records it, at its arrival instant. May run beside the
+     * replica threads: it reads only the trace, the assignment and
+     * crashed_ (which only applyFault() changes, between epochs), and
+     * a replay divergence waits for the join (see stepAll()).
      */
     void
     notePinned(Time before)
@@ -546,10 +574,10 @@ class Coordinator
             const std::size_t r = assignment_[nextArrival_];
             if (crashed_[r])
                 return;
-            decisions_.note({trace_.arrivals[nextArrival_].time,
-                             DecisionKind::Route,
-                             static_cast<std::uint64_t>(nextArrival_),
-                             static_cast<std::uint64_t>(r), 0});
+            decisions_.noteDeferred({trace_.arrivals[nextArrival_].time,
+                                     DecisionKind::Route,
+                                     static_cast<std::uint64_t>(nextArrival_),
+                                     static_cast<std::uint64_t>(r), 0});
         }
     }
 
@@ -716,34 +744,58 @@ class Coordinator
     }
 
     /**
+     * Fork-join over the replicas: @p job(i) for every replica i. The
+     * replicas @p wantsThread picks run one per std::thread when two
+     * or more are picked and the tiers are private (replicas sharing a
+     * tier share mutable state); the rest run in replica order on the
+     * caller's thread. @p alongside then runs on the caller's thread
+     * before the join.
+     */
+    template <typename WantsThread, typename Job, typename Alongside>
+    void
+    forkJoin(WantsThread wantsThread, Job job, Alongside alongside)
+    {
+        std::size_t picked = 0;
+        for (std::size_t i = 0; !sharedCpu_ && i < n_; ++i)
+            picked += wantsThread(i) ? 1 : 0;
+        std::vector<std::thread> threads;
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (picked > 1 && wantsThread(i))
+                threads.emplace_back(job, i);
+            else
+                job(i);
+        }
+        alongside();
+        for (std::thread &th : threads)
+            th.join();
+    }
+
+    /**
      * Step every replica to @p t and mark the ones that executed
      * events dirty (crash migration reads the backlogs through
      * refreshViews()). With @p parallel, private-tier replicas, which
      * share no mutable state, step on one thread each when two or more
-     * have work due. Otherwise the replicas step in replica order on
-     * the caller's thread: always online and with a shared tier, so
-     * the tier sees one reproducible access sequence, and in a static
-     * epoch that ends at a sample, whose work per replica costs less
-     * than starting a thread.
+     * have work due, while @p alongside runs on the caller's thread; a
+     * replay divergence it notes is reported after the join.
+     * Otherwise the replicas step in replica order on the caller's
+     * thread: always online and with a shared tier, so the tier sees
+     * one reproducible access sequence, and in a static epoch that
+     * ends at a sample, whose work per replica costs less than
+     * starting a thread.
      */
+    template <typename Alongside>
     void
-    stepAll(Time t, bool parallel)
+    stepAll(Time t, bool parallel, Alongside alongside)
     {
-        std::size_t due = 0;
-        for (std::size_t i = 0; parallel && !sharedCpu_ && i < n_; ++i)
-            due += engines_[i]->nextEventTime() <= t ? 1 : 0;
-        std::vector<std::thread> threads;
-        for (std::size_t i = 0; i < n_; ++i) {
-            const auto step = [this, i, t] {
+        forkJoin(
+            [this, t, parallel](std::size_t i) {
+                return parallel && engines_[i]->nextEventTime() <= t;
+            },
+            [this, t](std::size_t i) {
                 dirty_[i] |= static_cast<char>(engines_[i]->stepUntil(t) > 0);
-            };
-            if (due > 1 && engines_[i]->nextEventTime() <= t)
-                threads.emplace_back(step);
-            else
-                step();
-        }
-        for (std::thread &th : threads)
-            th.join();
+            },
+            alongside);
+        decisions_.check();
     }
 
     /**
@@ -1534,7 +1586,7 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
         }
     }
 
-    DecisionTrace decisions;
+    DecisionTrace decisions(!opts.recordPath.empty());
     DecisionLog replayLog;
     if (!opts.replayPath.empty()) {
         replayLog = DecisionLog::load(opts.replayPath);
@@ -1552,9 +1604,8 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
         Coordinator(*this, trace, opts, decisions, telem).run();
 
     decisions.finish();
-    out.decisionDigest = decisions.log().digest();
-    out.decisionCount =
-        static_cast<std::int64_t>(decisions.log().size());
+    out.decisionDigest = decisions.digest();
+    out.decisionCount = static_cast<std::int64_t>(decisions.count());
     if (!opts.recordPath.empty())
         decisions.log().save(opts.recordPath);
 

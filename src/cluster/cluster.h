@@ -22,11 +22,13 @@
  *    arrival pinned to a replica that has since crashed, which is
  *    re-homed at its arrival time — and the per-replica RunResults
  *    merge at the end. Replicas with private tiers share no mutable
- *    state and run one per std::thread up to each fault action and
- *    the end (epochs that end at a sample are too short to pay for a
- *    thread); replicas sharing a CPU tier run in replica order on the
- *    caller's thread, so the tier's population order — and every
- *    result — is reproducible;
+ *    state: each plans its shard on its own std::thread, and they run
+ *    one per thread up to each fault action and the end (epochs that
+ *    end at a sample are too short to pay for a thread), the caller
+ *    noting the pinned routes meanwhile until a crash; replicas
+ *    sharing a CPU tier run in replica order on the caller's thread,
+ *    so the tier's population order — and every result — is
+ *    reproducible;
  *  - online: a coordinator steps all replicas in lockstep on the
  *    shared virtual clock, routes each arrival at its arrival time
  *    from live replica state, and — per ClusterConfig policy groups —
@@ -176,7 +178,11 @@ enum class RunMode
 struct RunOptions
 {
     RunMode mode = RunMode::Static;
-    /** Write the decision log here after the run ("" = don't). */
+    /**
+     * Write the decision log here after the run ("" = don't). Only a
+     * recording run keeps a record per decision; any other run keeps
+     * just the decision digest and count.
+     */
     std::string recordPath;
     /**
      * Verify this run against a previously recorded decision log,

@@ -50,7 +50,9 @@ aggregateClusterResult(std::string label, std::string routing,
     out.label = std::move(label);
     out.routing = std::move(routing);
 
+    std::vector<const Samples *> latencies;
     for (const RunResult &r : replicas) {
+        latencies.push_back(&r.requestLatencyMs);
         out.images += r.images;
         out.inferences += r.inferences;
         out.preemptions += r.preemptions;
@@ -61,12 +63,11 @@ aggregateClusterResult(std::string label, std::string routing,
         out.makespan = std::max(out.makespan, r.makespan);
         out.switches.merge(r.switches);
         out.slo.merge(r.slo);
-        for (double x : r.requestLatencyMs.raw())
-            out.requestLatencyMs.add(x);
         for (const TierStats &t : r.tiers)
             mergeTierStats(out.tiers, t);
         out.imagesPerReplica.push_back(r.images);
     }
+    out.requestLatencyMs.appendAll(latencies);
     out.throughput = out.makespan > 0
                          ? static_cast<double>(out.images) /
                                toSeconds(out.makespan)

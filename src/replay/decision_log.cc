@@ -31,7 +31,7 @@ mix64(std::uint64_t x)
 }
 
 inline std::uint64_t
-fold(std::uint64_t h, std::uint64_t v)
+foldField(std::uint64_t h, std::uint64_t v)
 {
     return mix64(h ^ mix64(v));
 }
@@ -123,14 +123,20 @@ toString(const DecisionRecord &rec)
     return os.str();
 }
 
+std::uint64_t
+DecisionLog::fold(std::uint64_t digest, const DecisionRecord &rec)
+{
+    digest = foldField(digest, static_cast<std::uint64_t>(rec.time));
+    digest = foldField(digest, static_cast<std::uint64_t>(rec.kind));
+    digest = foldField(digest, rec.a);
+    digest = foldField(digest, rec.b);
+    return foldField(digest, rec.c);
+}
+
 void
 DecisionLog::append(const DecisionRecord &rec)
 {
-    digest_ = fold(digest_, static_cast<std::uint64_t>(rec.time));
-    digest_ = fold(digest_, static_cast<std::uint64_t>(rec.kind));
-    digest_ = fold(digest_, rec.a);
-    digest_ = fold(digest_, rec.b);
-    digest_ = fold(digest_, rec.c);
+    digest_ = fold(digest_, rec);
     records_.push_back(rec);
 }
 
@@ -263,31 +269,54 @@ DecisionLog::load(const std::string &path)
 void
 DecisionTrace::note(const DecisionRecord &rec)
 {
-    if (replay_ != nullptr) {
-        if (cursor_ >= replay_->size()) {
-            fatal("replay divergence: decision #", cursor_,
-                  " not in the log (got ", toString(rec),
-                  ", log ended after ", replay_->size(), " records)");
+    noteDeferred(rec);
+    check();
+}
+
+void
+DecisionTrace::noteDeferred(const DecisionRecord &rec)
+{
+    if (replay_ != nullptr && divergence_.empty()) {
+        if (cursor_ < replay_->size() && replay_->records()[cursor_] == rec) {
+            ++cursor_;
+        } else {
+            std::ostringstream os;
+            if (cursor_ >= replay_->size()) {
+                os << "replay divergence: decision #" << cursor_
+                   << " not in the log (got " << toString(rec)
+                   << ", log ended after " << replay_->size()
+                   << " records)";
+            } else {
+                os << "replay divergence at decision #" << cursor_
+                   << ": got " << toString(rec) << ", log has "
+                   << toString(replay_->records()[cursor_]);
+            }
+            divergence_ = os.str();
         }
-        const DecisionRecord &want = replay_->records()[cursor_];
-        if (want != rec) {
-            fatal("replay divergence at decision #", cursor_, ": got ",
-                  toString(rec), ", log has ", toString(want));
-        }
-        ++cursor_;
     }
-    log_.append(rec);
+    digest_ = DecisionLog::fold(digest_, rec);
+    ++count_;
+    if (record_)
+        log_.append(rec);
 }
 
 void
 DecisionTrace::finish() const
 {
+    check();
     if (replay_ != nullptr && cursor_ != replay_->size()) {
         fatal("replay divergence: run ended after ", cursor_,
               " decisions but the log has ", replay_->size(),
               " (next logged: ",
               toString(replay_->records()[cursor_]), ")");
     }
+}
+
+const DecisionLog &
+DecisionTrace::log() const
+{
+    COSERVE_CHECK(record_, "only a recording decision trace keeps its log");
+    return log_;
 }
 
 } // namespace coserve

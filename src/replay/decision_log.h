@@ -4,11 +4,12 @@
  *
  * Every choice the cluster coordinator makes — routing an arrival,
  * rejecting or downgrading it, stealing, scaling, evacuating, applying
- * a fault — is appended as one DecisionRecord and folded into an
- * incrementally-maintained 64-bit *semantic digest*. The digest rides
- * in ClusterResult and BENCH JSON, so CI can diff whole coordinator
- * schedules across builds and compilers with one integer compare —
- * strictly stronger than comparing a handful of aggregate sim metrics.
+ * a fault — is one DecisionRecord, folded into an
+ * incrementally-maintained 64-bit *semantic digest* and, when the run
+ * records, appended to the log. The digest rides in ClusterResult and
+ * BENCH JSON, so CI can diff whole coordinator schedules across builds
+ * and compilers with one integer compare — strictly stronger than
+ * comparing a handful of aggregate sim metrics.
  *
  * The log serializes to a versioned varint-encoded byte stream
  * ("CSRL" magic): record times are delta-encoded (the stream is
@@ -31,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "util/logging.h"
 #include "util/time.h"
 
 namespace coserve {
@@ -101,11 +103,14 @@ std::string toString(const DecisionRecord &rec);
 class DecisionLog
 {
   public:
+    /** Non-zero seed so an empty log has a recognizable digest. */
+    static constexpr std::uint64_t kDigestSeed = 0xC05E7E5EED0501ull;
+
+    /** @return @p digest with @p rec folded in: the digest's one step. */
+    static std::uint64_t fold(std::uint64_t digest, const DecisionRecord &rec);
+
     /** Append one record, folding it into the digest. */
     void append(const DecisionRecord &rec);
-
-    /** Pre-size for @p n records (a known-length stream). */
-    void reserve(std::size_t n) { records_.reserve(n); }
 
     /** @return records in append order. */
     const std::vector<DecisionRecord> &records() const { return records_; }
@@ -139,38 +144,62 @@ class DecisionLog
   private:
     std::vector<DecisionRecord> records_;
     std::uint64_t digest_ = kDigestSeed;
-
-    /** Non-zero seed so an empty log has a recognizable digest. */
-    static constexpr std::uint64_t kDigestSeed = 0xC05E7E5EED0501ull;
 };
 
 /**
- * Coordinator-side decision stream: always accumulates records and the
- * digest; in replay mode additionally verifies each decision against a
- * reference log and fatal()s on the first divergence.
+ * Coordinator-side decision stream: folds every decision into the
+ * digest and counts it; a recording stream also keeps each record for
+ * log() to save. In replay mode it verifies each decision against a
+ * reference log first and fatal()s on the first divergence.
  */
 class DecisionTrace
 {
   public:
+    /** @param record keep every record, for log() (a recording run). */
+    explicit DecisionTrace(bool record) : record_(record) {}
+
     /** Start verifying against @p reference (must outlive this). */
     void beginReplay(const DecisionLog *reference) { replay_ = reference; }
 
     /** Record one decision; in replay mode verify it first. */
     void note(const DecisionRecord &rec);
 
-    /** Pre-size the log for @p n decisions. */
-    void reserve(std::size_t n) { log_.reserve(n); }
+    /**
+     * note() that never exits: a replay divergence is kept, and later
+     * decisions go unverified, until check() reports it. For a caller
+     * that must not exit while other threads still run.
+     */
+    void noteDeferred(const DecisionRecord &rec);
+
+    /** fatal() on a divergence noteDeferred() kept. */
+    void
+    check() const
+    {
+        if (!divergence_.empty())
+            fatal(divergence_);
+    }
 
     /** Replay-mode epilogue: the whole reference must be consumed. */
     void finish() const;
 
-    /** @return the accumulated log. */
-    const DecisionLog &log() const { return log_; }
+    /** @return the digest of every decision noted, as DecisionLog's. */
+    std::uint64_t digest() const { return digest_; }
+
+    /** @return number of decisions noted. */
+    std::size_t count() const { return count_; }
+
+    /** @return the kept records; a recording stream only. */
+    const DecisionLog &log() const;
 
   private:
+    const bool record_;
     DecisionLog log_;
+    std::uint64_t digest_ = DecisionLog::kDigestSeed;
+    std::size_t count_ = 0;
     const DecisionLog *replay_ = nullptr;
     std::size_t cursor_ = 0;
+    /** The first divergence noteDeferred() met ("" = none). */
+    std::string divergence_;
 };
 
 } // namespace coserve

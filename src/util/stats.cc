@@ -6,6 +6,17 @@
 
 namespace coserve {
 
+void
+Samples::appendAll(const std::vector<const Samples *> &parts)
+{
+    std::size_t total = xs_.size();
+    for (const Samples *p : parts)
+        total += p->xs_.size();
+    xs_.reserve(total);
+    for (const Samples *p : parts)
+        xs_.insert(xs_.end(), p->xs_.begin(), p->xs_.end());
+}
+
 double
 Samples::mean() const
 {

@@ -22,6 +22,9 @@ class Samples
     /** Add one observation. */
     void add(double x) { xs_.push_back(x); }
 
+    /** Append every observation of @p parts, in order, in one allocation. */
+    void appendAll(const std::vector<const Samples *> &parts);
+
     /** @return number of observations. */
     std::size_t count() const { return xs_.size(); }
 

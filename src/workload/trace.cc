@@ -15,28 +15,29 @@ Trace::prefix(std::size_t n) const
     return t;
 }
 
-std::vector<Trace>
-shardTrace(const Trace &trace, const std::vector<std::size_t> &assignment,
-           std::size_t numShards)
+Trace
+Trace::select(const std::vector<std::size_t> &indices) const
+{
+    Trace t;
+    t.arrivals.reserve(indices.size());
+    for (const std::size_t i : indices)
+        t.arrivals.push_back(arrivals[i]);
+    return t;
+}
+
+std::vector<std::vector<std::size_t>>
+shardIndices(const std::vector<std::size_t> &assignment,
+             std::size_t numShards)
 {
     COSERVE_CHECK(numShards > 0, "need at least one shard");
-    COSERVE_CHECK(assignment.size() == trace.arrivals.size(),
-                  "assignment size ", assignment.size(),
-                  " != trace size ", trace.arrivals.size());
-
-    // Count first so every shard is allocated once at its final size.
-    std::vector<std::size_t> sizes(numShards, 0);
-    for (const std::size_t shard : assignment) {
-        COSERVE_CHECK(shard < numShards, "assignment ", shard,
-                      " out of range for ", numShards, " shards");
-        ++sizes[shard];
+    std::vector<std::vector<std::size_t>> buckets(numShards);
+    for (std::size_t i = 0; i < assignment.size(); ++i) {
+        COSERVE_CHECK(assignment[i] < numShards, "assignment ",
+                      assignment[i], " out of range for ", numShards,
+                      " shards");
+        buckets[assignment[i]].push_back(i);
     }
-    std::vector<Trace> shards(numShards);
-    for (std::size_t s = 0; s < numShards; ++s)
-        shards[s].arrivals.reserve(sizes[s]);
-    for (std::size_t i = 0; i < trace.arrivals.size(); ++i)
-        shards[assignment[i]].arrivals.push_back(trace.arrivals[i]);
-    return shards;
+    return buckets;
 }
 
 } // namespace coserve

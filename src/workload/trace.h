@@ -37,17 +37,22 @@ struct Trace
 
     /** Truncate to the first @p n images (profiling subsets). */
     Trace prefix(std::size_t n) const;
+
+    /** The arrivals at @p indices, in that order. */
+    Trace select(const std::vector<std::size_t> &indices) const;
 };
 
 /**
- * Split @p trace into @p numShards sub-traces following @p assignment
- * (one replica index per arrival, each < @p numShards). Arrival times
- * are preserved, so every shard stays on the cluster-wide clock and
- * per-shard makespans remain comparable. Shards may be empty.
+ * The shard rule: bucket the arrival indices by @p assignment (one
+ * shard index per arrival, each < @p numShards), in one pass. Bucket s
+ * lists shard s's arrivals in arrival order; buckets may be empty.
+ * Trace::select() of bucket s is shard s: arrival times are preserved,
+ * so every shard stays on the cluster-wide clock and per-shard
+ * makespans remain comparable.
  */
-std::vector<Trace> shardTrace(const Trace &trace,
-                              const std::vector<std::size_t> &assignment,
-                              std::size_t numShards);
+std::vector<std::vector<std::size_t>>
+shardIndices(const std::vector<std::size_t> &assignment,
+             std::size_t numShards);
 
 } // namespace coserve
 

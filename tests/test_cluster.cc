@@ -63,28 +63,29 @@ TEST_F(ClusterFixture, ShardingDispatchesEveryRequestExactlyOnce)
         for (std::size_t replica : assignment)
             EXPECT_LT(replica, 4u);
 
-        const std::vector<Trace> shards =
-            shardTrace(trace_, assignment, 4);
-        ASSERT_EQ(shards.size(), 4u);
+        const std::vector<std::vector<std::size_t>> buckets =
+            shardIndices(assignment, 4);
+        ASSERT_EQ(buckets.size(), 4u);
 
-        // Every arrival lands in exactly one shard, order preserved.
-        std::size_t total = 0;
-        std::multiset<std::pair<Time, ComponentId>> seen;
-        for (const Trace &shard : shards) {
-            total += shard.size();
-            EXPECT_TRUE(std::is_sorted(
-                shard.arrivals.begin(), shard.arrivals.end(),
-                [](const ImageArrival &a, const ImageArrival &b) {
-                    return a.time < b.time;
-                }));
-            for (const ImageArrival &a : shard.arrivals)
-                seen.insert({a.time, a.component});
+        // Every arrival lands in exactly one shard, its assigned one,
+        // in arrival order.
+        std::vector<int> hits(trace_.size(), 0);
+        for (std::size_t s = 0; s < buckets.size(); ++s) {
+            EXPECT_TRUE(
+                std::is_sorted(buckets[s].begin(), buckets[s].end()));
+            for (const std::size_t i : buckets[s]) {
+                EXPECT_EQ(assignment[i], s);
+                hits[i] += 1;
+            }
+            const Trace shard = trace_.select(buckets[s]);
+            ASSERT_EQ(shard.size(), buckets[s].size());
+            for (std::size_t k = 0; k < shard.size(); ++k) {
+                EXPECT_EQ(shard.arrivals[k].time,
+                          trace_.arrivals[buckets[s][k]].time);
+            }
         }
-        EXPECT_EQ(total, trace_.size());
-        std::multiset<std::pair<Time, ComponentId>> expected;
-        for (const ImageArrival &a : trace_.arrivals)
-            expected.insert({a.time, a.component});
-        EXPECT_EQ(seen, expected);
+        EXPECT_EQ(std::count(hits.begin(), hits.end(), 1),
+                  static_cast<std::ptrdiff_t>(trace_.size()));
     }
 }
 
@@ -168,15 +169,16 @@ TEST_F(ClusterFixture, ThreadedReplicasMatchStandaloneShardRuns)
     // state: each must equal a standalone engine serving its shard.
     // A fault plan that never fires (a straggler window after the
     // last event) must change nothing, request numbering included.
-    const std::vector<Trace> shards = shardTrace(
-        trace_,
+    const std::vector<std::vector<std::size_t>> buckets = shardIndices(
         ClusterEngine(homogeneousCluster(ctx_, cfg_, 3,
                                          RoutingPolicy::LeastLoaded))
             .routeTrace(trace_),
         3);
     std::vector<RunResult> solos;
-    for (std::size_t i = 0; i < 3; ++i)
-        solos.push_back(makeCoServeEngine(ctx_, cfg_)->run(shards[i]));
+    for (std::size_t i = 0; i < 3; ++i) {
+        solos.push_back(
+            makeCoServeEngine(ctx_, cfg_)->run(trace_.select(buckets[i])));
+    }
     Time end = 0;
     for (const RunResult &solo : solos)
         end = std::max(end, solo.makespan);

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for deterministic record/replay and fault injection: the
- * decision-log codec and digest, record→replay byte-equality (online,
- * and static with a shared CPU tier), forced
- * divergence detection, config validation, crash-mid-run request
+ * decision-log codec and digest, digest-only decision streams against
+ * recording ones, record→replay byte-equality (online, and static with
+ * a shared CPU tier), forced divergence detection (online, and static
+ * beside the replica threads), config validation, crash-mid-run request
  * reconciliation, straggler/brownout determinism, a pinned static
  * fault-plan digest, and the coordinator's refusal of unsorted traces.
  */
@@ -101,6 +102,52 @@ TEST(DecisionLogTest, DigestSeesEveryField)
     ba.append(t);
     ba.append(base);
     EXPECT_NE(ab.digest(), ba.digest());
+}
+
+TEST(DecisionLogTest, DigestOnlyTraceMatchesRecordingTrace)
+{
+    // A trace that keeps no records folds the same digest and count as
+    // one that records, and both equal the log's own.
+    const DecisionRecord stream[] = {
+        {0, DecisionKind::Route, 0, 2, 0},
+        {0, DecisionKind::Route, 1, 0, 0},
+        {milliseconds(4), DecisionKind::Preempt, 1, 0, 3},
+        {seconds(2), DecisionKind::Crash, 2, 17, 1},
+        {seconds(2), DecisionKind::Evacuate, 2, 0, 9},
+        {seconds(3), DecisionKind::Route, 2, 1, 0},
+    };
+    DecisionTrace digestOnly(false);
+    DecisionTrace recording(true);
+    for (const DecisionRecord &rec : stream) {
+        digestOnly.note(rec);
+        recording.note(rec);
+    }
+    EXPECT_EQ(digestOnly.count(), std::size(stream));
+    EXPECT_EQ(recording.count(), std::size(stream));
+    EXPECT_EQ(digestOnly.digest(), recording.digest());
+    EXPECT_EQ(recording.log().size(), std::size(stream));
+    EXPECT_EQ(recording.log().digest(), recording.digest());
+    EXPECT_NE(digestOnly.digest(), DecisionLog{}.digest());
+}
+
+TEST(DecisionLogTest, DeferredDivergenceWaitsForCheck)
+{
+    // noteDeferred() keeps the first divergence without exiting; the
+    // next check() reports it.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    DecisionLog reference;
+    reference.append({0, DecisionKind::Route, 0, 1, 0});
+    reference.append({0, DecisionKind::Route, 1, 1, 0});
+    DecisionTrace replay(false);
+    replay.beginReplay(&reference);
+    replay.noteDeferred({0, DecisionKind::Route, 0, 1, 0});
+    replay.check();
+    replay.noteDeferred({0, DecisionKind::Route, 1, 2, 0});
+    replay.noteDeferred({0, DecisionKind::Route, 2, 0, 0});
+    EXPECT_EQ(replay.count(), 3u);
+    EXPECT_EXIT(replay.check(), ::testing::ExitedWithCode(1),
+                "replay divergence at decision #1: got t=0 route a=1 "
+                "b=2 c=0, log has t=0 route a=1 b=1 c=0");
 }
 
 TEST(DecisionLogTest, DecodeRejectsCorruption)
@@ -374,6 +421,79 @@ TEST_F(ReplayFixture, ReplayDivergenceIsFatal)
         },
         ::testing::ExitedWithCode(1), "replay divergence");
     std::remove(log.c_str());
+}
+
+TEST_F(ReplayFixture, StaticReplayDivergenceIsFatal)
+{
+    // Private tiers: the replicas step on threads while the caller
+    // notes the pinned Route records, so the divergence is met beside
+    // the threads and reported after the join.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const std::string log = tempPath("replay_static_diverge.bin");
+    RunOptions rec;
+    rec.recordPath = log;
+    ClusterEngine recorder(
+        homogeneousCluster(ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
+    recorder.run(trace_, rec);
+
+    RunOptions rep;
+    rep.replayPath = log;
+    EXPECT_EXIT(
+        {
+            ClusterEngine diverged(homogeneousCluster(
+                ctx_, cfg_, 3, RoutingPolicy::RoundRobin));
+            diverged.run(trace_, rep);
+        },
+        ::testing::ExitedWithCode(1), "replay divergence");
+    std::remove(log.c_str());
+}
+
+TEST_F(ReplayFixture, DigestOnlyRunsMatchRecordingRuns)
+{
+    // A run without recordPath keeps no records, only the digest and
+    // count: both must equal a recording run's, and the recorded log
+    // must decode to that count. A threaded static run, a static run
+    // with a crash plan (its notes come before the threads) and an
+    // online run.
+    FaultPlan crash;
+    crash.crashes.push_back({1, at(150)});
+    struct Case
+    {
+        const char *name;
+        RunMode mode;
+        FaultPlan faults;
+    };
+    const Case cases[] = {
+        {"static", RunMode::Static, {}},
+        {"static crash", RunMode::Static, crash},
+        {"online", RunMode::Online, {}},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const auto run = [&](const std::string &record) {
+            RunOptions opts = runWithMode(c.mode);
+            opts.faults = c.faults;
+            opts.recordPath = record;
+            ClusterEngine cluster(c.mode == RunMode::Online
+                                      ? onlineConfig(3)
+                                      : homogeneousCluster(
+                                            ctx_, cfg_, 3,
+                                            RoutingPolicy::LeastLoaded));
+            return cluster.run(trace_, opts);
+        };
+        const std::string log = tempPath("replay_digest_only.bin");
+        const ClusterResult recorded = run(log);
+        const ClusterResult digestOnly = run("");
+        EXPECT_GE(recorded.decisionCount,
+                  static_cast<std::int64_t>(trace_.size()));
+        EXPECT_EQ(digestOnly.decisionDigest, recorded.decisionDigest);
+        EXPECT_EQ(digestOnly.decisionCount, recorded.decisionCount);
+        const DecisionLog back = DecisionLog::load(log);
+        EXPECT_EQ(static_cast<std::int64_t>(back.size()),
+                  recorded.decisionCount);
+        EXPECT_EQ(back.digest(), recorded.decisionDigest);
+        std::remove(log.c_str());
+    }
 }
 
 // ---------------------------------------------------- config validation
