@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <iterator>
 #include <limits>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -147,6 +149,60 @@ checkWindows(const std::vector<W> &windows, std::size_t n,
         }
     }
 }
+
+/**
+ * Arrivals a static run routes per hand-off to its replica threads:
+ * large enough that a hand-off costs little next to routing it, small
+ * enough that the replicas start stepping soon after routing starts.
+ */
+constexpr std::size_t kRouteChunk = 4096;
+
+/**
+ * The hand-off point of a streamed static run: the caller publishes
+ * how many arrivals it has routed and how many of them each replica's
+ * shard holds; each replica thread waits until more arrivals are
+ * routed than it has seen.
+ */
+class RouteGate
+{
+  public:
+    /** Arrivals routed so far, and how many of them one shard holds. */
+    struct Routed
+    {
+        std::size_t arrivals = 0;
+        std::size_t shard = 0;
+    };
+
+    explicit RouteGate(std::size_t replicas) : shard_(replicas, 0) {}
+
+    void
+    publish(std::size_t routed,
+            const std::vector<std::vector<ImageArrival>> &shards)
+    {
+        {
+            const std::lock_guard<std::mutex> lock(mu_);
+            routed_ = routed;
+            for (std::size_t i = 0; i < shards.size(); ++i)
+                shard_[i] = shards[i].size();
+        }
+        cv_.notify_all();
+    }
+
+    /** Block until more than @p seen arrivals are routed. */
+    Routed
+    waitPast(std::size_t seen, std::size_t i)
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [this, seen] { return routed_ > seen; });
+        return {routed_, shard_[i]};
+    }
+
+  private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::size_t routed_ = 0;
+    std::vector<std::size_t> shard_;
+};
 
 /** One router-facing view per replica of @p cfg, in replica order. */
 std::vector<ReplicaView>
@@ -340,19 +396,20 @@ namespace {
  *    shared virtual clock, and each arrival is routed at its arrival
  *    time from live views;
  *  - static (runEpochs): routing is pinned to the offline assignment,
- *    each replica serves its shard as planned arrivals, and the
- *    replicas run on their own between coordination points.
+ *    made in chunks while the replicas already serve the arrivals
+ *    routed to them as planned arrivals, and the replicas run on
+ *    their own between coordination points.
  *
  * Single-use: construct, then run() once.
  */
 class Coordinator
 {
   public:
-    Coordinator(const ClusterEngine &cluster, const Trace &trace,
+    Coordinator(const ClusterConfig &cfg, const Trace &trace,
                 const RunOptions &opts, DecisionTrace &decisions,
                 obs::Telemetry &telem)
-        : cluster_(cluster), cfg_(cluster.config()), trace_(trace),
-          opts_(opts), liveRouting_(opts.mode == RunMode::Online),
+        : cfg_(cfg), trace_(trace), opts_(opts),
+          liveRouting_(opts.mode == RunMode::Online),
           decisions_(decisions), telem_(telem)
     {
         if (tracer_ != nullptr) {
@@ -465,31 +522,60 @@ class Coordinator
     }
 
     /**
-     * Static mode: route the whole trace offline, give replica i its
-     * shard as planned arrivals, and let the replicas run on their own
-     * between coordination points — a fault action, an epoch sample
-     * and an orphan (an arrival pinned to a replica that has crashed
-     * since routing). Replicas interact only at faults, so an orphan
-     * steps only the replica it is re-homed to. At one instant a
-     * sample comes first, then a fault, then arrivals. Samples and
-     * faults after the last event and arrival never apply, as in
-     * online mode.
+     * Static mode: route the trace offline, give replica i the
+     * arrivals routed to it as planned arrivals, and let the replicas
+     * run on their own between coordination points — a fault action,
+     * an epoch sample and an orphan (an arrival pinned to a replica
+     * that has crashed since routing). Replicas interact only at
+     * faults, so an orphan steps only the replica it is re-homed to.
+     * At one instant a sample comes first, then a fault, then
+     * arrivals. Samples and faults after the last event and arrival
+     * never apply, as in online mode.
      *
-     * Before any crash no arrival is an orphan, so an epoch whose
-     * replicas step on threads notes its pinned Route records on the
-     * caller's thread meanwhile; otherwise the notes come first and
-     * stop at an orphan. Neither reorders the decision stream: the
-     * replicas decide nothing while they step.
+     * Private-tier replicas stream: the caller routes the first chunk
+     * of kRouteChunk arrivals, then the rest chunk by chunk while each
+     * replica plans what is routed to it and steps up to the first
+     * coordination point on its own thread (streamShards()). Routing
+     * ends before the first fault, which fixes each shard's request
+     * ids before a crash re-homes work. Replicas sharing a tier get
+     * their whole shards first, then step in replica order.
+     *
+     * The pinned Route records are noted in arrival order (see
+     * notePinned()): before any crash no arrival is an orphan, so an
+     * epoch whose replicas step on threads notes them on the caller's
+     * thread meanwhile, streamed routing included; otherwise the notes
+     * come first and stop at an orphan, which route() re-homes. None
+     * of this reorders the decision stream: the replicas decide
+     * nothing while they step.
      */
     void
     runEpochs()
     {
         const WallTimer routeWall;
-        assignment_ = cluster_.routeTrace(trace_);
-        planShards();
+        const std::size_t total = trace_.size();
+        assignment_.reserve(total);
+        // Room for any split: a replica reads its shard in place while
+        // the caller appends to it, so the shard must never move.
+        shards_.resize(n_);
+        for (std::vector<ImageArrival> &shard : shards_)
+            shard.reserve(total);
+        const bool stream = sharedCpu_ == nullptr && n_ > 1 && total > 0;
+        if (stream) {
+            routeUpTo(std::min(kRouteChunk, total));
+        } else {
+            routeUpTo(total);
+            for (std::size_t i = 0; i < n_; ++i) {
+                engines_[i]->admitPlanned(shards_[i].data(),
+                                          shards_[i].size(), total, true);
+            }
+        }
         telem_.host().add("route_shard", routeWall.elapsedMicros());
 
         const WallTimer runWall;
+        if (stream) {
+            streamShards(
+                std::min(telem_.nextSampleTime(), faults_[nextFault_].time));
+        }
         for (;;) {
             const Time tSample = telem_.nextSampleTime();
             const Time tFault = faults_[nextFault_].time;
@@ -498,7 +584,7 @@ class Coordinator
             const bool threaded = tSample != t || t == kTimeNever;
             if (!threaded || crashes_ > 0) {
                 notePinned(tFault);
-                if (nextArrival_ < trace_.size() &&
+                if (nextArrival_ < total &&
                     trace_.arrivals[nextArrival_].time < t) {
                     // notePinned() stopped at an orphan.
                     route(nextArrival_++);
@@ -511,7 +597,7 @@ class Coordinator
             // which then applies after every event at t and before the
             // arrivals at t.
             stepAll(t - 1, threaded, [this, tFault] { notePinned(tFault); });
-            if (nextArrival_ == trace_.size() &&
+            if (nextArrival_ == total &&
                 std::all_of(engines_.begin(), engines_.end(),
                             [](const auto &engine) {
                                 return engine->nextEventTime() == kTimeNever;
@@ -535,23 +621,90 @@ class Coordinator
     }
 
     /**
-     * Give each replica its shard of the offline assignment as planned
-     * arrivals: one pass buckets the arrival indices by replica, then
-     * each replica copies its bucket's arrivals and plans them on its
-     * own thread.
+     * Route the arrivals up to @p end offline, in arrival order, onto
+     * their replicas' shards. notePinned() notes their Route records.
      */
     void
-    planShards()
+    routeUpTo(std::size_t end)
     {
-        const std::vector<std::vector<std::size_t>> buckets =
-            shardIndices(assignment_, n_);
-        shards_.resize(n_);
-        forkJoin([&](std::size_t i) { return !buckets[i].empty(); },
-                 [&](std::size_t i) {
-                     shards_[i] = trace_.select(buckets[i]);
-                     engines_[i]->admitPlanned(shards_[i].arrivals);
-                 },
-                 [] {});
+        for (; assignment_.size() < end;) {
+            const ImageArrival &a = trace_.arrivals[assignment_.size()];
+            const std::size_t r = router_->route(a);
+            shards_[r].push_back(a);
+            assignment_.push_back(r);
+        }
+    }
+
+    /**
+     * Route the rest of the trace on the caller's thread while the
+     * replicas, each on a thread of its own, plan the arrivals routed
+     * to them and step (streamReplica()); then note the Route records
+     * before the first fault meanwhile. Returns with routing done and
+     * every replica stepped to just before @p until (drained for
+     * kTimeNever). A replay divergence noted beside the threads is
+     * reported after the join, as in stepAll().
+     */
+    void
+    streamShards(Time until)
+    {
+        const bool sorted = std::is_sorted(
+            trace_.arrivals.begin(), trace_.arrivals.end(),
+            [](const ImageArrival &a, const ImageArrival &b) {
+                return a.time < b.time;
+            });
+        RouteGate gate(n_);
+        gate.publish(assignment_.size(), shards_);
+        std::vector<std::thread> threads;
+        const auto start = [&](std::size_t i) {
+            threads.emplace_back(
+                [this, &gate, i, until, sorted, shard = shards_[i].data()] {
+                    streamReplica(i, shard, gate, until, sorted);
+                });
+        };
+        // The last replica's thread starts when routing ends: until
+        // then the routing takes its place, so the threads never
+        // outnumber the replicas.
+        for (std::size_t i = 0; i + 1 < n_; ++i)
+            start(i);
+        for (std::size_t routed = assignment_.size(); routed < trace_.size();) {
+            routed = std::min(routed + kRouteChunk, trace_.size());
+            routeUpTo(routed);
+            gate.publish(routed, shards_);
+        }
+        start(n_ - 1);
+        notePinned(faults_.front().time);
+        for (std::thread &th : threads)
+            th.join();
+        decisions_.check();
+    }
+
+    /**
+     * Replica @p i's side of streamShards(): at each hand-off, plan the
+     * arrivals routed to its @p shard so far and step to just before
+     * the first arrival not yet routed — in a @p sorted trace every
+     * later arrival is at or after it; in an unsorted one no step is
+     * safe until routing ends — and never to @p until or past it.
+     */
+    void
+    streamReplica(std::size_t i, const ImageArrival *shard, RouteGate &gate,
+                  Time until, bool sorted)
+    {
+        const std::size_t total = trace_.size();
+        ServingEngine &engine = *engines_[i];
+        for (std::size_t routed = 0; routed < total;) {
+            const RouteGate::Routed seen = gate.waitPast(routed, i);
+            routed = seen.arrivals;
+            engine.admitPlanned(shard, seen.shard, total, routed == total);
+            if (routed < total && !sorted)
+                continue;
+            const Time horizon =
+                routed < total ? std::min(until, trace_.arrivals[routed].time)
+                               : until;
+            const std::uint64_t ran = horizon == kTimeNever
+                                          ? engine.stepUntil(kTimeNever)
+                                          : engine.stepUntil(horizon - 1);
+            dirty_[i] |= static_cast<char>(ran > 0);
+        }
     }
 
     /**
@@ -744,33 +897,6 @@ class Coordinator
     }
 
     /**
-     * Fork-join over the replicas: @p job(i) for every replica i. The
-     * replicas @p wantsThread picks run one per std::thread when two
-     * or more are picked and the tiers are private (replicas sharing a
-     * tier share mutable state); the rest run in replica order on the
-     * caller's thread. @p alongside then runs on the caller's thread
-     * before the join.
-     */
-    template <typename WantsThread, typename Job, typename Alongside>
-    void
-    forkJoin(WantsThread wantsThread, Job job, Alongside alongside)
-    {
-        std::size_t picked = 0;
-        for (std::size_t i = 0; !sharedCpu_ && i < n_; ++i)
-            picked += wantsThread(i) ? 1 : 0;
-        std::vector<std::thread> threads;
-        for (std::size_t i = 0; i < n_; ++i) {
-            if (picked > 1 && wantsThread(i))
-                threads.emplace_back(job, i);
-            else
-                job(i);
-        }
-        alongside();
-        for (std::thread &th : threads)
-            th.join();
-    }
-
-    /**
      * Step every replica to @p t and mark the ones that executed
      * events dirty (crash migration reads the backlogs through
      * refreshViews()). With @p parallel, private-tier replicas, which
@@ -787,14 +913,28 @@ class Coordinator
     void
     stepAll(Time t, bool parallel, Alongside alongside)
     {
-        forkJoin(
-            [this, t, parallel](std::size_t i) {
-                return parallel && engines_[i]->nextEventTime() <= t;
-            },
-            [this, t](std::size_t i) {
-                dirty_[i] |= static_cast<char>(engines_[i]->stepUntil(t) > 0);
-            },
-            alongside);
+        const auto threaded = [this, t, parallel](std::size_t i) {
+            if (!parallel)
+                return false;
+            const Time next = engines_[i]->nextEventTime();
+            return next != kTimeNever && next <= t;
+        };
+        const auto step = [this, t](std::size_t i) {
+            dirty_[i] |= static_cast<char>(engines_[i]->stepUntil(t) > 0);
+        };
+        std::size_t picked = 0;
+        for (std::size_t i = 0; !sharedCpu_ && i < n_; ++i)
+            picked += threaded(i) ? 1 : 0;
+        std::vector<std::thread> threads;
+        for (std::size_t i = 0; i < n_; ++i) {
+            if (picked > 1 && threaded(i))
+                threads.emplace_back(step, i);
+            else
+                step(i);
+        }
+        alongside();
+        for (std::thread &th : threads)
+            th.join();
         decisions_.check();
     }
 
@@ -1475,7 +1615,6 @@ class Coordinator
     }
 
     // ----- run inputs (member order is initialization order) ----------
-    const ClusterEngine &cluster_;
     const ClusterConfig &cfg_;
     const Trace &trace_;
     const RunOptions &opts_;
@@ -1503,15 +1642,16 @@ class Coordinator
     // read this one model's tables.
     const LiveCostModel costs_{model_, views_};
     const CapabilityTable &caps_ = costs_.caps();
+    // Routes each arrival: live (online) or offline (static).
     const std::unique_ptr<ReplicaRouter> router_ =
-        liveRouting_ ? makeRouter(cfg_.routing, model_, views_) : nullptr;
+        makeRouter(cfg_.routing, model_, views_);
     // The next arrival to route (online) or whose Route record is due
     // (static).
     std::size_t nextArrival_ = 0;
-    // Static: routing pinned to the offline assignment and each
-    // replica's shard of the trace (its planned arrivals).
+    // Static: routing pinned to the offline assignment (one replica per
+    // arrival routed so far) and each replica's planned arrivals.
     std::vector<std::size_t> assignment_;
-    std::vector<Trace> shards_;
+    std::vector<std::vector<ImageArrival>> shards_;
     const std::vector<FaultAction> faults_ = flattenFaults(opts_.faults);
     std::size_t nextFault_ = 0;
     // Does the trace carry SLO metadata at all? Classless traces skip
@@ -1601,7 +1741,7 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
                          static_cast<int>(cfg_.replicas.size()));
 
     ClusterResult out =
-        Coordinator(*this, trace, opts, decisions, telem).run();
+        Coordinator(cfg_, trace, opts, decisions, telem).run();
 
     decisions.finish();
     out.decisionDigest = decisions.digest();

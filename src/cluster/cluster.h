@@ -14,21 +14,24 @@
  * recording or replay, and an optional fault plan
  * (replay/fault_plan.h). The two modes:
  *
- *  - static: route every arrival to one replica up front, shard the
- *    trace, and give each replica its shard as planned arrivals (each
- *    keeps its own discrete-event queue; all stay on one shared
- *    virtual clock). The replicas run on their own between
- *    coordination points — a fault action, an epoch sample, and an
- *    arrival pinned to a replica that has since crashed, which is
- *    re-homed at its arrival time — and the per-replica RunResults
- *    merge at the end. Replicas with private tiers share no mutable
- *    state: each plans its shard on its own std::thread, and they run
- *    one per thread up to each fault action and the end (epochs that
- *    end at a sample are too short to pay for a thread), the caller
- *    noting the pinned routes meanwhile until a crash; replicas
- *    sharing a CPU tier run in replica order on the caller's thread,
- *    so the tier's population order — and every result — is
- *    reproducible;
+ *  - static: route every arrival to one replica offline, in trace
+ *    order, and give each replica the arrivals routed to it (its
+ *    shard) as planned arrivals (each keeps its own discrete-event
+ *    queue; all stay on one shared virtual clock). The replicas run on
+ *    their own between coordination points — a fault action, an epoch
+ *    sample, and an arrival pinned to a replica that has since
+ *    crashed, which is re-homed at its arrival time — and the
+ *    per-replica RunResults merge at the end. Replicas with private
+ *    tiers share no mutable state, so routing streams: the caller
+ *    routes the trace in chunks and hands each chunk's shards to one
+ *    std::thread per replica, which plans them and steps up to the
+ *    first arrival not yet routed while the next chunk is routed.
+ *    They run one per thread up to each fault action and the end
+ *    (epochs that end at a sample are too short to pay for a thread),
+ *    the caller noting the pinned routes meanwhile until a crash;
+ *    replicas sharing a CPU tier get their whole shards first and run
+ *    in replica order on the caller's thread, so the tier's population
+ *    order — and every result — is reproducible;
  *  - online: a coordinator steps all replicas in lockstep on the
  *    shared virtual clock, routes each arrival at its arrival time
  *    from live replica state, and — per ClusterConfig policy groups —

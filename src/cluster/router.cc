@@ -318,38 +318,52 @@ class LeastLoadedRouter : public ReplicaRouter
   public:
     LeastLoadedRouter(const CoEModel &model,
                       const std::vector<ReplicaView> &replicas)
-        : model_(model), costs_(model, replicas)
+        : costs_(model, replicas)
     {
         for (const ReplicaView &view : replicas) {
             // Footprints are per-device: size each replica's residency
             // estimate from its own context.
             std::int64_t totalBytes = 0;
-            for (const Expert &e : model_.experts())
+            for (const Expert &e : model.experts())
                 totalBytes += view.ctx->footprint().expertBytes(e.arch);
             const std::int64_t avgBytes =
                 totalBytes /
-                static_cast<std::int64_t>(model_.numExperts());
+                static_cast<std::int64_t>(model.numExperts());
 
             std::int64_t poolBytes = 0;
             for (const ExecutorConfig &e : view.cfg->executors)
                 poolBytes += e.poolBytes;
-            State st(model_.numExperts(),
+            State st(model.numExperts(),
                      std::max<std::size_t>(
                          1, static_cast<std::size_t>(
                                 poolBytes /
                                 std::max<std::int64_t>(1, avgBytes))));
-            st.parallelism =
-                std::max<std::size_t>(1, view.cfg->executors.size());
             states_.push_back(std::move(st));
+        }
+        // route()'s additional latency depends only on (replica, arch,
+        // predicted residency): price both residencies once.
+        const std::size_t n = replicas.size();
+        add_.resize(archCount(model) * n);
+        for (std::size_t a = 0; a < add_.size() / n; ++a) {
+            for (std::size_t i = 0; i < n; ++i) {
+                const LiveCostModel::ArchCost &cost =
+                    costs_.cost(i, static_cast<ArchId>(a));
+                // Executor queues inside the replica drain in parallel.
+                const std::size_t par = replicas[i].cfg->executors.size();
+                // A resident expert's group is likely still queued: K
+                // only; otherwise K + B plus the profiled load.
+                add_[a * n + i] = {
+                    replicaAdditionalLatency(cost.execJoin, 0, par),
+                    replicaAdditionalLatency(
+                        cost.execNew, cost.profiled ? cost.load : 0, par)};
+            }
         }
     }
 
     std::size_t
     route(const ImageArrival &arrival) override
     {
-        const ExpertId expert =
-            model_.component(arrival.component).classifier;
-        const ArchId arch = model_.expert(expert).arch;
+        const auto [expert, arch] = costs_.classifier(arrival.component);
 
         std::size_t best = states_.size();
         Time bestFinish = kTimeNever;
@@ -357,7 +371,11 @@ class LeastLoadedRouter : public ReplicaRouter
         for (std::size_t i = 0; i < states_.size(); ++i) {
             if (!costs_.caps().chainOk(i, arrival.component))
                 continue;
-            const Time add = additionalLatency(i, expert, arch);
+            const AddCost &cost =
+                add_[static_cast<std::size_t>(arch) * states_.size() + i];
+            const Time add = states_[i].resident.contains(expert)
+                                 ? cost.resident
+                                 : cost.cold;
             const Time finish =
                 std::max(arrival.time, states_[i].finish) + add;
             if (finish < bestFinish ||
@@ -389,9 +407,7 @@ class LeastLoadedRouter : public ReplicaRouter
     routeLive(const ImageArrival &arrival,
               const std::vector<ReplicaLoadView> &views) override
     {
-        const ExpertId expert =
-            model_.component(arrival.component).classifier;
-        const ArchId arch = model_.expert(expert).arch;
+        const auto [expert, arch] = costs_.classifier(arrival.component);
 
         std::size_t best = states_.size();
         Time bestFinish = kTimeNever;
@@ -450,30 +466,19 @@ class LeastLoadedRouter : public ReplicaRouter
         Time finish = 0;
         /** Experts predicted resident, sized from the pool bytes. */
         ExpertLru resident;
-        std::size_t parallelism = 1;
     };
 
-    Time
-    additionalLatency(std::size_t i, ExpertId expert, ArchId arch) const
+    /** route()'s additional latency on one (replica, arch) pair. */
+    struct AddCost
     {
-        const LiveCostModel::ArchCost &cost = costs_.cost(i, arch);
-        // A resident expert's group is likely still queued: K only.
-        const bool resident = states_[i].resident.contains(expert);
-        const Time execPart = resident ? cost.execJoin : cost.execNew;
-        const Time switchPart =
-            !resident && cost.profiled ? cost.load : 0;
+        Time resident = 0;
+        Time cold = 0;
+    };
 
-        // Executor queues inside the replica drain in parallel; the
-        // division rounds up so small estimates stay > 0 (plain
-        // integer division truncates them to zero and degenerates the
-        // finish/add tie-break).
-        return replicaAdditionalLatency(execPart, switchPart,
-                                        states_[i].parallelism);
-    }
-
-    const CoEModel &model_;
     LiveCostModel costs_;
     std::vector<State> states_;
+    /** [arch * replicas + replica] */
+    std::vector<AddCost> add_;
     /** Live mode: each expert's current home replica (SIZE_MAX: none). */
     std::vector<std::size_t> home_;
     /** Live mode: per-arrival finish scratch (allocation-free). */

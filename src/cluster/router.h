@@ -202,6 +202,13 @@ class LiveCostModel
         Time load = 0;
     };
 
+    /** A component's classify stage: the expert and its arch. */
+    struct Classifier
+    {
+        ExpertId expert = kNoExpert;
+        ArchId arch = ArchId::Custom;
+    };
+
     /** A priced arrival on one replica. */
     struct Quote
     {
@@ -262,14 +269,14 @@ class LiveCostModel
     Time switchCost(std::size_t i, ArchId arch,
                     const ReplicaLoadView &live, Time at) const;
 
-  private:
-    /** A component's classify stage: the expert and its arch. */
-    struct Classifier
+    /** @p component's classify stage, cached. */
+    const Classifier &
+    classifier(ComponentId component) const
     {
-        ExpertId expert = kNoExpert;
-        ArchId arch = ArchId::Custom;
-    };
+        return classifier_[static_cast<std::size_t>(component)];
+    }
 
+  private:
     CapabilityTable caps_;
     /** Per component. */
     std::vector<Classifier> classifier_;

@@ -141,12 +141,21 @@ ServingEngine::enqueue(std::size_t i, const Request &req, bool grouped,
                        Time estimate)
 {
     COSERVE_CHECK(i < executors_.size(), "executor index out of range");
-    if (static_cast<std::size_t>(req.id) >= result_.assignments.size())
-        result_.assignments.resize(static_cast<std::size_t>(req.id) + 1,
-                                   -1);
-    result_.assignments[static_cast<std::size_t>(req.id)] =
-        static_cast<int>(i);
+    if (req.id >= kProvisionalId) {
+        provisional_[static_cast<std::size_t>(req.id - kProvisionalId)] =
+            static_cast<int>(i);
+    } else {
+        assign(req.id, static_cast<int>(i));
+    }
     executors_[i]->enqueue(req, grouped, estimate);
+}
+
+void
+ServingEngine::assign(RequestId id, int executor)
+{
+    if (static_cast<std::size_t>(id) >= result_.assignments.size())
+        result_.assignments.resize(static_cast<std::size_t>(id) + 1, -1);
+    result_.assignments[static_cast<std::size_t>(id)] = executor;
 }
 
 ArchId
@@ -388,6 +397,13 @@ ServingEngine::onInferenceComplete(Executor &exec, const Request &req,
 RequestId
 ServingEngine::allocRequestId()
 {
+    if (planOpen_) {
+        // The plan's id block has no end yet: a provisional id, whose
+        // assignment lands at its final id at collection.
+        provisional_.push_back(-1);
+        return kProvisionalId +
+               static_cast<RequestId>(provisional_.size() - 1);
+    }
     const RequestId id = nextRequestId_;
     nextRequestId_ += requestIdStride_;
     return id;
@@ -593,7 +609,7 @@ RunResult
 ServingEngine::run(const Trace &trace)
 {
     beginOnline(0, 1);
-    admitPlanned(trace.arrivals);
+    admitPlanned(trace.arrivals.data(), trace.size(), trace.size(), true);
     stepUntil(kTimeNever);
     RunResult result = finishOnline();
     // Every arrival either completed or was dropped at the door by
@@ -655,32 +671,59 @@ ServingEngine::beginOnline(RequestId idBase, RequestId idStride)
 }
 
 void
-ServingEngine::admitPlanned(const std::vector<ImageArrival> &arrivals)
+ServingEngine::admitPlanned(const ImageArrival *arrivals, std::size_t count,
+                            std::size_t capacity, bool last)
 {
-    COSERVE_CHECK(begun_ && planned_ == nullptr,
-                  "admitPlanned runs once, after beginOnline");
-    // Planned arrivals never enter the event heap. Arrival i takes
-    // sequence number seq0 + i and the i-th id of a block reserved
-    // now; feedPlanned() admits it at exactly the (time, seq) slot a
-    // scheduled arrival event would hold.
-    const std::size_t n = arrivals.size();
-    planned_ = &arrivals;
-    plannedEnd_ = n;
-    plannedSeq0_ = eq_.reserveSeq(n);
-    plannedId0_ = nextRequestId_;
-    nextRequestId_ += static_cast<RequestId>(n) * requestIdStride_;
-    const auto byTime = [](const ImageArrival &a, const ImageArrival &b) {
-        return a.time < b.time;
-    };
-    if (std::is_sorted(arrivals.begin(), arrivals.end(), byTime))
+    COSERVE_CHECK(begun_, "admitPlanned before beginOnline");
+    if (!planBegun_) {
+        // Planned arrivals never enter the event heap. Arrival k takes
+        // sequence number seq0 + k of a window reserved now, before
+        // the first step, and feedPlanned() admits it at exactly the
+        // (time, seq) slot a scheduled arrival event would hold.
+        planBegun_ = true;
+        planned_ = arrivals;
+        plannedCapacity_ = capacity;
+        plannedSeq0_ = eq_.reserveSeq(capacity);
+        plannedId0_ = nextRequestId_;
+        planOpen_ = true;
+    }
+    COSERVE_CHECK(planOpen_ && arrivals == planned_,
+                  "admitPlanned after the plan's last chunk, or elsewhere");
+    const std::size_t n = count;
+    COSERVE_CHECK(n >= planAppended_ && n <= plannedCapacity_, "planning ",
+                  n, " arrivals after ", planAppended_, " in a window of ",
+                  plannedCapacity_);
+    for (std::size_t k = std::max<std::size_t>(planAppended_, 1);
+         plannedSorted_ && k < n; ++k)
+        plannedSorted_ = arrivals[k - 1].time <= arrivals[k].time;
+    planAppended_ = n;
+    // A sorted plan admits in index order, so every arrival planned so
+    // far may be admitted; an unsorted one admits nothing until its
+    // order is known.
+    if (plannedSorted_)
+        plannedEnd_ = n;
+    if (!last)
         return;
+
+    // The id block is fixed: later ids, the open plan's provisional
+    // ones first, continue after it.
+    planOpen_ = false;
+    nextRequestId_ = plannedId0_ + static_cast<RequestId>(n) * requestIdStride_;
+    provisionalId0_ = nextRequestId_;
+    nextRequestId_ +=
+        static_cast<RequestId>(provisional_.size()) * requestIdStride_;
+    if (plannedSorted_)
+        return;
+    COSERVE_CHECK(plannedNext_ == 0,
+                  "an unsorted plan admitted arrivals before its last chunk");
+    plannedEnd_ = n;
     // Stable (time, index) order: the order the arrivals would run in
     // had each been scheduled as an event, in index order.
     plannedOrder_.resize(n);
     std::iota(plannedOrder_.begin(), plannedOrder_.end(), std::size_t{0});
     std::stable_sort(plannedOrder_.begin(), plannedOrder_.end(),
                      [&](std::size_t a, std::size_t b) {
-                         return byTime(arrivals[a], arrivals[b]);
+                         return arrivals[a].time < arrivals[b].time;
                      });
 }
 
@@ -689,7 +732,7 @@ ServingEngine::feedPlanned(Time t)
 {
     for (; plannedNext_ < plannedEnd_; ++plannedNext_) {
         const std::size_t i = plannedIndex();
-        const ImageArrival &a = (*planned_)[i];
+        const ImageArrival &a = planned_[i];
         if (a.time > t)
             break;
         eq_.enterAt(a.time, plannedSeq0_ + i);
@@ -840,6 +883,7 @@ ServingEngine::crashDrain(std::vector<CheckpointImage> &images,
                           std::vector<Request> &requests)
 {
     COSERVE_CHECK(!crashed_, "replica crashed twice");
+    COSERVE_CHECK(!planOpen_, "crash before the plan's last chunk");
     crashed_ = true;
     // With migration on, in-flight and parked groups leave as
     // checkpoints (the periodic boundary save is what survives a
@@ -894,6 +938,7 @@ RunResult
 ServingEngine::finishOnline()
 {
     COSERVE_CHECK(begun_, "finishOnline without beginOnline");
+    COSERVE_CHECK(!planOpen_, "finishOnline before the plan's last chunk");
     COSERVE_CHECK(eq_.pending() == 0 && plannedNext_ == plannedEnd_,
                   "finishOnline with ", eq_.pending(), " events and ",
                   plannedEnd_ - plannedNext_, " planned arrivals pending");
@@ -904,6 +949,13 @@ ServingEngine::finishOnline()
         COSERVE_CHECK(exec->parkedCount() == 0, "finishOnline with ",
                       exec->parkedCount(), " parked checkpoints on ",
                       exec->name());
+    }
+    for (std::size_t j = 0; j < provisional_.size(); ++j) {
+        if (provisional_[j] >= 0) {
+            assign(provisionalId0_ + static_cast<RequestId>(j) *
+                                         requestIdStride_,
+                   provisional_[j]);
+        }
     }
     result_.images = imagesDone_;
     result_.makespan = lastCompletion_;

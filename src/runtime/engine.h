@@ -152,14 +152,15 @@ class ServingEngine
     // ----- lifecycle ---------------------------------------------------
     //
     // One protocol drives every engine: beginOnline() once; then any
-    // interleaving of admitPlanned (at most once) / admitArrival /
+    // interleaving of admitPlanned (one plan) / admitArrival /
     // stepUntil / stepBefore / nextEventTime / fillLoadView / sample /
     // stealRequests / injectRequest and the fault and migration calls
     // below; then finishOnline() once. run() is that protocol driven
     // to the end over a whole trace. The cluster drives it for every
-    // replica: a static replica plans its shard (admitPlanned) and
-    // steps on its own between fault actions and epoch samples, taking
-    // re-homed work through admitArrival / injectRequest; an online
+    // replica: a static replica plans its shard chunk by chunk as it
+    // is routed (admitPlanned) and steps on its own between fault
+    // actions and epoch samples, taking re-homed work through
+    // admitArrival / injectRequest; an online
     // replica steps in lockstep on the shared virtual clock, takes
     // each arrival at its arrival time (admitArrival) and trades
     // queued-but-unstarted requests with its siblings (work stealing).
@@ -185,17 +186,39 @@ class ServingEngine
     void beginOnline(RequestId idBase, RequestId idStride);
 
     /**
-     * Plan known arrivals: arrival i takes the i-th id of a block
-     * reserved from the id space (id i after beginOnline(0, 1); later
-     * ids continue after the block) and is admitted by stepUntil() in
-     * stable (time, i) order. Planned arrivals never
-     * enter the event heap: each runs at the (time, seq) slot reserved
-     * for it here (EventQueue::enterAt) and counts as one executed
-     * event. @p arrivals is read in place: the caller keeps it alive
-     * and unchanged until every arrival has been stepped past. At most
-     * once per engine.
+     * Plan known arrivals, in one call or in appended chunks; one plan
+     * per engine. @p arrivals points at room for @p capacity arrivals,
+     * read in place: the same pointer on every call, its storage kept
+     * alive until every arrival has been stepped past. Each call plans
+     * its first @p count arrivals (never fewer than the previous call;
+     * those stay unchanged), and the @p last one ends the plan. The
+     * caller may write arrivals beyond @p count meanwhile, from
+     * another thread too.
+     *
+     * The first call reserves a window of @p capacity sequence
+     * numbers (a cluster passes the trace size) before the first
+     * step. Planned arrival k then holds the (time, seq0 + k) slot a
+     * scheduled arrival event would: after the preload events, before
+     * every event the run schedules at the same time, and in index
+     * order. Planned arrivals never enter the event heap: each runs at
+     * its slot (EventQueue::enterAt) and counts as one executed event.
+     *
+     * Arrival k takes the k-th id of a block from the id space (id k
+     * after beginOnline(0, 1)). The @p last call fixes the block's
+     * end, and later ids continue after it. An id drawn while the
+     * plan is open (a detect child) is provisional: the run's
+     * assignments record it at the id it would have drawn from a
+     * fixed block, in draw order right after the block. Nothing may
+     * crash the engine (crashDrain) before the last call.
+     *
+     * stepUntil() admits a sorted plan in index order; the caller
+     * steps an open plan only to before the first arrival it has not
+     * yet appended. An unsorted plan admits nothing until its last
+     * call, then runs in stable (time, k) order, so the caller must
+     * not step it to its earliest arrival before that.
      */
-    void admitPlanned(const std::vector<ImageArrival> &arrivals);
+    void admitPlanned(const ImageArrival *arrivals, std::size_t count,
+                      std::size_t capacity, bool last);
 
     /** Admit one arrival; its dispatch runs at @p a.time (>= now()). */
     void admitArrival(const ImageArrival &a);
@@ -209,7 +232,7 @@ class ServingEngine
     {
         const Time t = eq_.nextTime();
         return plannedNext_ < plannedEnd_
-                   ? std::min(t, (*planned_)[plannedIndex()].time)
+                   ? std::min(t, planned_[plannedIndex()].time)
                    : t;
     }
 
@@ -507,6 +530,8 @@ class ServingEngine
     void feedPlanned(Time t);
     /** Next request id in this engine's (possibly strided) id space. */
     RequestId allocRequestId();
+    /** Record @p executor as request @p id's (RunResult::assignments). */
+    void assign(RequestId id, int executor);
     /** The classify request for arrival @p a, with request id @p id. */
     Request arrivalRequest(const ImageArrival &a, RequestId id) const;
     /**
@@ -574,16 +599,32 @@ class ServingEngine
     std::vector<CheckpointImage> migrateOutbox_;
     /** Buffered preemption decisions (see preempt.h), until drained. */
     std::vector<PreemptEvent> preemptEvents_;
-    /** admitPlanned()'s arrivals, read in place; null until then. */
-    const std::vector<ImageArrival> *planned_ = nullptr;
+    /** admitPlanned()'s arrivals, read in place. */
+    const ImageArrival *planned_ = nullptr;
     /** Stable (time, index) admission order; empty for a sorted plan. */
     std::vector<std::size_t> plannedOrder_;
-    /** Planned arrivals admitted so far, and in the plan. */
+    /** Planned arrivals admitted so far, and admissible. */
     std::size_t plannedNext_ = 0;
     std::size_t plannedEnd_ = 0;
+    /** Planned arrivals appended so far, and the reserved window. */
+    std::size_t planAppended_ = 0;
+    std::size_t plannedCapacity_ = 0;
     /** Sequence number and request id of planned arrival 0. */
     std::uint64_t plannedSeq0_ = 0;
     RequestId plannedId0_ = 0;
+    /** True once admitPlanned() ran, and until its last call. */
+    bool planBegun_ = false;
+    bool planOpen_ = false;
+    /** Whether the arrivals appended so far are in time order. */
+    bool plannedSorted_ = true;
+    /**
+     * Ids drawn while the plan is open are kProvisionalId + j; entry j
+     * holds that request's executor (-1: none yet) until collection
+     * records it at provisionalId0_ + j * stride.
+     */
+    static constexpr RequestId kProvisionalId = RequestId{1} << 62;
+    std::vector<int> provisional_;
+    RequestId provisionalId0_ = 0;
 
     double gpuPressure_ = 1.0;
     /** Straggler fault multiplier on batch latencies (1.0 = nominal). */

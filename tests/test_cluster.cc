@@ -2,12 +2,16 @@
  * @file
  * Tests for the cluster serving layer: trace sharding, routing-policy
  * behavior, single-replica and per-shard equivalence with
- * ServingEngine, and ClusterResult aggregation math.
+ * ServingEngine (streamed over several routing chunks too), pinned
+ * streamed static digests, and ClusterResult aggregation math.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <utility>
@@ -50,11 +54,57 @@ class ClusterFixture : public ::testing::Test
     Trace trace_;
 };
 
+/** Arrivals the static pipeline routes per hand-off (cluster.cc). */
+constexpr std::size_t kRouteChunk = 4096;
+
+/**
+ * A tiny-board trace longer than three routing chunks, with three
+ * same-time arrivals straddling each chunk boundary. Unsorted, it also
+ * swaps arrivals across chunks, so early arrivals are routed late.
+ */
+Trace
+multiChunkTrace(const CoEModel &model, bool sorted)
+{
+    TaskSpec task;
+    task.name = "tiny-chunks";
+    task.numImages = 3 * kRouteChunk + 700;
+    task.seed = 7;
+    Trace t = generateTrace(model, task);
+    for (std::size_t b = kRouteChunk; b < t.size(); b += kRouteChunk) {
+        t.arrivals[b].time = t.arrivals[b - 1].time;
+        t.arrivals[b + 1].time = t.arrivals[b - 1].time;
+    }
+    if (!sorted) {
+        std::swap(t.arrivals[100], t.arrivals[kRouteChunk + 50]);
+        std::swap(t.arrivals[2 * kRouteChunk - 1],
+                  t.arrivals[2 * kRouteChunk + 3]);
+        std::swap(t.arrivals[5], t.arrivals[t.size() - 1]);
+    }
+    return t;
+}
+
+/** Replica @p r's shard of @p trace under @p assignment, in order. */
+Trace
+shardOf(const Trace &trace, const std::vector<std::size_t> &assignment,
+        std::size_t r)
+{
+    Trace shard;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        if (assignment[i] == r)
+            shard.arrivals.push_back(trace.arrivals[i]);
+    }
+    return shard;
+}
+
 TEST_F(ClusterFixture, ShardingDispatchesEveryRequestExactlyOnce)
 {
+    // Every arrival is served once, by its assigned replica: each
+    // replica equals a standalone engine serving the arrivals routed
+    // to it, in arrival order.
     for (RoutingPolicy policy :
          {RoutingPolicy::RoundRobin, RoutingPolicy::LeastLoaded,
           RoutingPolicy::ExpertAffinity}) {
+        SCOPED_TRACE(toString(policy));
         ClusterEngine cluster(
             homogeneousCluster(ctx_, cfg_, 4, policy));
         const std::vector<std::size_t> assignment =
@@ -63,29 +113,18 @@ TEST_F(ClusterFixture, ShardingDispatchesEveryRequestExactlyOnce)
         for (std::size_t replica : assignment)
             EXPECT_LT(replica, 4u);
 
-        const std::vector<std::vector<std::size_t>> buckets =
-            shardIndices(assignment, 4);
-        ASSERT_EQ(buckets.size(), 4u);
-
-        // Every arrival lands in exactly one shard, its assigned one,
-        // in arrival order.
-        std::vector<int> hits(trace_.size(), 0);
-        for (std::size_t s = 0; s < buckets.size(); ++s) {
-            EXPECT_TRUE(
-                std::is_sorted(buckets[s].begin(), buckets[s].end()));
-            for (const std::size_t i : buckets[s]) {
-                EXPECT_EQ(assignment[i], s);
-                hits[i] += 1;
-            }
-            const Trace shard = trace_.select(buckets[s]);
-            ASSERT_EQ(shard.size(), buckets[s].size());
-            for (std::size_t k = 0; k < shard.size(); ++k) {
-                EXPECT_EQ(shard.arrivals[k].time,
-                          trace_.arrivals[buckets[s][k]].time);
-            }
+        const ClusterResult r = cluster.run(trace_, {});
+        EXPECT_EQ(r.images, static_cast<std::int64_t>(trace_.size()));
+        ASSERT_EQ(r.replicas.size(), 4u);
+        for (std::size_t s = 0; s < 4; ++s) {
+            const Trace shard = shardOf(trace_, assignment, s);
+            const RunResult solo = makeCoServeEngine(ctx_, cfg_)->run(shard);
+            const RunResult &rep = r.replicas[s];
+            EXPECT_EQ(rep.images, static_cast<std::int64_t>(shard.size()))
+                << "replica " << s;
+            EXPECT_EQ(rep.eventsExecuted, solo.eventsExecuted);
+            EXPECT_EQ(rep.assignments, solo.assignments) << "replica " << s;
         }
-        EXPECT_EQ(std::count(hits.begin(), hits.end(), 1),
-                  static_cast<std::ptrdiff_t>(trace_.size()));
     }
 }
 
@@ -169,15 +208,14 @@ TEST_F(ClusterFixture, ThreadedReplicasMatchStandaloneShardRuns)
     // state: each must equal a standalone engine serving its shard.
     // A fault plan that never fires (a straggler window after the
     // last event) must change nothing, request numbering included.
-    const std::vector<std::vector<std::size_t>> buckets = shardIndices(
+    const std::vector<std::size_t> assignment =
         ClusterEngine(homogeneousCluster(ctx_, cfg_, 3,
                                          RoutingPolicy::LeastLoaded))
-            .routeTrace(trace_),
-        3);
+            .routeTrace(trace_);
     std::vector<RunResult> solos;
     for (std::size_t i = 0; i < 3; ++i) {
-        solos.push_back(
-            makeCoServeEngine(ctx_, cfg_)->run(trace_.select(buckets[i])));
+        solos.push_back(makeCoServeEngine(ctx_, cfg_)->run(
+            shardOf(trace_, assignment, i)));
     }
     Time end = 0;
     for (const RunResult &solo : solos)
@@ -211,6 +249,119 @@ TEST_F(ClusterFixture, ThreadedReplicasMatchStandaloneShardRuns)
                 << "replica " << i;
         }
     }
+}
+
+TEST_F(ClusterFixture, StreamedReplicasMatchStandaloneShardRuns)
+{
+    // A trace of several routing chunks, sorted and not: the replicas
+    // step while later chunks are still being routed, yet each must
+    // equal a standalone engine serving its whole shard.
+    for (const bool sorted : {true, false}) {
+        SCOPED_TRACE(sorted ? "sorted" : "unsorted");
+        const Trace trace = multiChunkTrace(model_, sorted);
+        ASSERT_EQ(std::is_sorted(trace.arrivals.begin(),
+                                 trace.arrivals.end(),
+                                 [](const ImageArrival &a,
+                                    const ImageArrival &b) {
+                                     return a.time < b.time;
+                                 }),
+                  sorted);
+        ClusterEngine cluster(homogeneousCluster(
+            ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
+        const std::vector<std::size_t> assignment =
+            cluster.routeTrace(trace);
+        const ClusterResult r = cluster.run(trace, {});
+        EXPECT_EQ(r.decisionCount, static_cast<std::int64_t>(trace.size()));
+        ASSERT_EQ(r.replicas.size(), 3u);
+        for (std::size_t i = 0; i < 3; ++i) {
+            const RunResult solo = makeCoServeEngine(ctx_, cfg_)->run(
+                shardOf(trace, assignment, i));
+            const RunResult &rep = r.replicas[i];
+            EXPECT_GT(solo.images, 0) << "replica " << i;
+            EXPECT_EQ(rep.images, solo.images) << "replica " << i;
+            EXPECT_EQ(rep.inferences, solo.inferences);
+            EXPECT_EQ(rep.makespan, solo.makespan);
+            EXPECT_EQ(rep.eventsExecuted, solo.eventsExecuted);
+            EXPECT_EQ(rep.switches.total(), solo.switches.total());
+            EXPECT_EQ(rep.switches.bytesLoaded, solo.switches.bytesLoaded);
+            EXPECT_EQ(rep.assignments, solo.assignments)
+                << "replica " << i;
+        }
+    }
+}
+
+TEST_F(ClusterFixture, StreamedTracesShorterThanTheReplicaCount)
+{
+    // Fewer arrivals than replica threads, sorted or not: every thread
+    // still checks its (possibly empty) slice of the trace.
+    for (std::size_t size = 1; size <= 3; ++size) {
+        for (const bool sorted : {true, false}) {
+            Trace t = trace_.prefix(size);
+            if (!sorted)
+                std::reverse(t.arrivals.begin(), t.arrivals.end());
+            ClusterEngine cluster(homogeneousCluster(
+                ctx_, cfg_, 4, RoutingPolicy::LeastLoaded));
+            const ClusterResult r = cluster.run(t, {});
+            EXPECT_EQ(r.images, static_cast<std::int64_t>(size))
+                << size << (sorted ? " sorted" : " reversed");
+            EXPECT_EQ(r.decisionCount, static_cast<std::int64_t>(size));
+        }
+    }
+}
+
+TEST_F(ClusterFixture, StreamedUnsortedStaticDigestIsPinned)
+{
+    // A clean static run over an unsorted multi-chunk trace: one Route
+    // record per arrival, in arrival order.
+    const Trace trace = multiChunkTrace(model_, false);
+    ClusterEngine cluster(
+        homogeneousCluster(ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
+    const ClusterResult r = cluster.run(trace, {});
+    EXPECT_EQ(r.images, static_cast<std::int64_t>(trace.size()));
+    EXPECT_EQ(r.decisionCount, static_cast<std::int64_t>(trace.size()));
+    EXPECT_EQ(r.decisionDigest, 0x821ee988a42cdb82ull)
+        << std::hex << "0x" << r.decisionDigest;
+    EXPECT_EQ(r.makespan, 55865391957);
+}
+
+TEST_F(ClusterFixture, StreamedCrashInFirstChunkIsPinned)
+{
+    // A crash inside the first routing chunk, telemetry on: routing
+    // must end before the crash applies, and the Route records before
+    // it, the crash's re-homing and the later pinned and orphaned
+    // arrivals keep their order. Pins the digest and the epoch CSV.
+    const Trace trace = multiChunkTrace(model_, true);
+    RunOptions opts; // static by default
+    opts.faults.crashes.push_back({1, trace.arrivals[1000].time});
+    opts.telemetry.enabled = true;
+    opts.telemetry.metricsCsvPath =
+        ::testing::TempDir() + "stream_crash_epochs.csv";
+    ClusterEngine cluster(
+        homogeneousCluster(ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
+    const ClusterResult r = cluster.run(trace, opts);
+    EXPECT_EQ(r.crashesInjected, 1);
+    EXPECT_EQ(r.images + r.crashLost,
+              static_cast<std::int64_t>(trace.size()));
+    EXPECT_EQ(r.crashRehomed, 111);
+    EXPECT_EQ(r.decisionDigest, 0xcf5b040585a8bbd4ull)
+        << std::hex << "0x" << r.decisionDigest;
+    EXPECT_EQ(r.decisionCount, 12991);
+
+    std::string csv;
+    {
+        std::ifstream in(opts.telemetry.metricsCsvPath);
+        ASSERT_TRUE(in);
+        csv.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    std::remove(opts.telemetry.metricsCsvPath.c_str());
+    std::uint64_t hash = 0xcbf29ce484222325ull; // FNV-1a-64
+    for (const char ch : csv) {
+        hash ^= static_cast<unsigned char>(ch);
+        hash *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n') - 1, 63);
+    EXPECT_EQ(hash, 0x03c918a18f2c556cull) << std::hex << "0x" << hash;
 }
 
 TEST(ClusterResultTest, AggregationMath)

@@ -324,7 +324,8 @@ class EngineTraceOrderTest : public EngineFixture
             std::make_unique<TwoStageEviction>());
         if (stepped) {
             engine.beginOnline(0, 1);
-            engine.admitPlanned(trace.arrivals);
+            engine.admitPlanned(trace.arrivals.data(), trace.size(), trace.size(),
+                                true);
             // Every fifth arrival instant, in trace order (an unsorted
             // trace also steps backwards, which must do nothing), each
             // followed by a point just past the next event; then
@@ -406,6 +407,59 @@ TEST_F(EngineTraceOrderTest, UnsortedTraceRunsInTimeThenIndexOrder)
     }
 }
 
+TEST_F(EngineTraceOrderTest, AppendedPlanMatchesRun)
+{
+    // The plan arrives in chunks of seven arrivals; a sorted plan
+    // steps to just before the first arrival not yet planned, an
+    // unsorted one only after its last chunk. Detect children spawned while the
+    // plan is open draw provisional ids, so the schedule digest (which
+    // reads ids) is not compared; assignments, indexed by final id, are.
+    Trace shuffled = tiedTrace();
+    std::reverse(shuffled.arrivals.begin() + 40,
+                 shuffled.arrivals.begin() + 60);
+    for (const bool sorted : {true, false}) {
+        const Trace trace = sorted ? tiedTrace() : shuffled;
+        RunResult whole;
+        digestRun(trace, whole);
+        ServingEngine engine(smallConfig(2, 1200), model_, truth_,
+                             footprint_, usage_,
+                             std::make_unique<DependencyAwareScheduler>(),
+                             std::make_unique<TwoStageEviction>());
+        engine.beginOnline(0, 1);
+        for (std::size_t k = 0; k < trace.size();) {
+            k = std::min(k + 7, trace.size());
+            engine.admitPlanned(trace.arrivals.data(), k, trace.size(),
+                                k == trace.size());
+            if (sorted && k < trace.size())
+                engine.stepUntil(trace.arrivals[k].time - 1);
+        }
+        engine.stepUntil(kTimeNever);
+        const RunResult chunked = engine.finishOnline();
+        EXPECT_EQ(chunked.images, whole.images) << "sorted " << sorted;
+        EXPECT_EQ(chunked.eventsExecuted, whole.eventsExecuted);
+        EXPECT_EQ(chunked.makespan, whole.makespan);
+        EXPECT_EQ(chunked.assignments, whole.assignments);
+        EXPECT_EQ(chunked.requestLatencyMs.raw(),
+                  whole.requestLatencyMs.raw());
+    }
+}
+
+TEST_F(EngineFixture, OpenPlanRefusesCrashAndFinish)
+{
+    ServingEngine engine(smallConfig(1, 800), model_, truth_, footprint_,
+                         usage_, std::make_unique<FcfsSingleScheduler>(),
+                         std::make_unique<LruEviction>());
+    engine.beginOnline(0, 1);
+    engine.admitPlanned(trace_.arrivals.data(), trace_.size(),
+                        trace_.size(), false);
+    std::vector<CheckpointImage> images;
+    std::vector<Request> requests;
+    EXPECT_DEATH(engine.crashDrain(images, requests),
+                 "crash before the plan's last chunk");
+    EXPECT_DEATH(engine.finishOnline(),
+                 "finishOnline before the plan's last chunk");
+}
+
 TEST_F(EngineFixture, NextEventTimeReportsFirstPlannedArrival)
 {
     Trace reversed = trace_;
@@ -418,7 +472,8 @@ TEST_F(EngineFixture, NextEventTimeReportsFirstPlannedArrival)
                          std::make_unique<LruEviction>());
     engine.beginOnline(0, 1);
     EXPECT_EQ(engine.nextEventTime(), kTimeNever);
-    engine.admitPlanned(reversed.arrivals);
+    engine.admitPlanned(reversed.arrivals.data(), reversed.size(),
+                        reversed.size(), true);
     EXPECT_EQ(engine.nextEventTime(), first);
     EXPECT_EQ(engine.stepUntil(first - 1), 0u);
     EXPECT_EQ(engine.nextEventTime(), first);
@@ -430,7 +485,8 @@ TEST_F(EngineFixture, FinishDiesWhilePlannedArrivalsRemain)
                          usage_, std::make_unique<FcfsSingleScheduler>(),
                          std::make_unique<LruEviction>());
     engine.beginOnline(0, 1);
-    engine.admitPlanned(trace_.arrivals);
+    engine.admitPlanned(trace_.arrivals.data(), trace_.size(), trace_.size(),
+                        true);
     EXPECT_DEATH(engine.finishOnline(), "planned arrivals pending");
 }
 
