@@ -647,18 +647,13 @@ class Coordinator
     void
     streamShards(Time until)
     {
-        const bool sorted = std::is_sorted(
-            trace_.arrivals.begin(), trace_.arrivals.end(),
-            [](const ImageArrival &a, const ImageArrival &b) {
-                return a.time < b.time;
-            });
         RouteGate gate(n_);
         gate.publish(assignment_.size(), shards_);
         std::vector<std::thread> threads;
         const auto start = [&](std::size_t i) {
             threads.emplace_back(
-                [this, &gate, i, until, sorted, shard = shards_[i].data()] {
-                    streamReplica(i, shard, gate, until, sorted);
+                [this, &gate, i, until, shard = shards_[i].data()] {
+                    streamReplica(i, shard, gate, until);
                 });
         };
         // The last replica's thread starts when routing ends: until
@@ -681,13 +676,12 @@ class Coordinator
     /**
      * Replica @p i's side of streamShards(): at each hand-off, plan the
      * arrivals routed to its @p shard so far and step to just before
-     * the first arrival not yet routed — in a @p sorted trace every
-     * later arrival is at or after it; in an unsorted one no step is
-     * safe until routing ends — and never to @p until or past it.
+     * the first arrival not yet routed (every later arrival is at or
+     * after it), and never to @p until or past it.
      */
     void
     streamReplica(std::size_t i, const ImageArrival *shard, RouteGate &gate,
-                  Time until, bool sorted)
+                  Time until)
     {
         const std::size_t total = trace_.size();
         ServingEngine &engine = *engines_[i];
@@ -695,8 +689,6 @@ class Coordinator
             const RouteGate::Routed seen = gate.waitPast(routed, i);
             routed = seen.arrivals;
             engine.admitPlanned(shard, seen.shard, total, routed == total);
-            if (routed < total && !sorted)
-                continue;
             const Time horizon =
                 routed < total ? std::min(until, trace_.arrivals[routed].time)
                                : until;
@@ -709,14 +701,14 @@ class Coordinator
 
     /**
      * Note the Route records of the pinned arrivals before @p before,
-     * in arrival order (a trace with a fault plan is time-sorted).
-     * They were decided offline, so they emit no trace instant. Stops
-     * at an orphan: its replica crashed at or before its arrival time
-     * (every earlier crash has been applied), so it is re-homed, and
-     * route() records it, at its arrival instant. May run beside the
-     * replica threads: it reads only the trace, the assignment and
-     * crashed_ (which only applyFault() changes, between epochs), and
-     * a replay divergence waits for the join (see stepAll()).
+     * in arrival order. They were decided offline, so they emit no
+     * trace instant. Stops at an orphan: its replica crashed at or
+     * before its arrival time (every earlier crash has been applied),
+     * so it is re-homed, and route() records it, at its arrival
+     * instant. May run beside the replica threads: it reads only the
+     * trace, the assignment and crashed_ (which only applyFault()
+     * changes, between epochs), and a replay divergence waits for the
+     * join (see stepAll()).
      */
     void
     notePinned(Time before)
@@ -1340,8 +1332,11 @@ class Coordinator
             return false;
         }
         if (verdict == AdmissionVerdict::Downgrade) {
-            // Scheduling class drops; the deadline stays for violation
-            // accounting (see ServingEngine's admitTimed).
+            // Demote the *scheduling* class but keep the deadline: the
+            // arrival yields to feasible deadline work, and its (likely
+            // late) completion still counts against the SLO it was
+            // given, so goodput never counts a downgraded straggler as
+            // met.
             coordSlo_.recordDowngraded(a.cls);
             record({a.time, DecisionKind::Downgrade, idx,
                     static_cast<std::uint64_t>(a.cls), 0});
@@ -1469,15 +1464,14 @@ class Coordinator
         const WallTimer collectWall;
         std::vector<RunResult> results(n_);
         std::int64_t images = 0;
-        std::int64_t rejected = coordSlo_.rejected();
+        const std::int64_t rejected = coordSlo_.rejected();
         for (std::size_t i = 0; i < n_; ++i) {
-            rejected += engines_[i]->rejectedImages();
             results[i] = engines_[i]->finishOnline();
             images += results[i].images;
         }
         // Every arrival either completed somewhere, was rejected by
-        // admission (at the coordinator or at a replica), or was lost
-        // to an injected crash with no capable survivor.
+        // the coordinator's admission, or was lost to an injected crash
+        // with no capable survivor.
         COSERVE_CHECK(images + rejected + lostImages_ ==
                           static_cast<std::int64_t>(trace_.arrivals.size()),
                       "lost images: ", images, " done + ", rejected,
@@ -1714,12 +1708,12 @@ ClusterEngine::run(const Trace &trace, const RunOptions &opts)
         fatal("invalid cluster run configuration:", joined);
     }
 
-    // The online coordinator steps every replica to each arrival in
-    // turn, and a fault plan re-homes arrivals at their arrival
-    // instants, so an arrival earlier than its predecessor would land
-    // in the past. A clean static run admits each shard in time order.
-    const bool sorted = opts.mode == RunMode::Online || opts.faults.any();
-    for (std::size_t i = 1; sorted && i < trace.size(); ++i) {
+    // Every run serves a time-ordered stream: the online coordinator
+    // routes each arrival at its arrival time, a static replica admits
+    // its shard in arrival order, and a fault plan re-homes arrivals at
+    // their arrival instants. Checked here, once, before any replica
+    // thread starts, so no thread ever exits while others run.
+    for (std::size_t i = 1; i < trace.size(); ++i) {
         if (trace.arrivals[i].time < trace.arrivals[i - 1].time) {
             fatal("the coordinator needs time-sorted arrivals: arrival ",
                   i, " is earlier than arrival ", i - 1);

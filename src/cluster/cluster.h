@@ -14,7 +14,7 @@
  * recording or replay, and an optional fault plan
  * (replay/fault_plan.h). The two modes:
  *
- *  - static: route every arrival to one replica offline, in trace
+ *  - static: route every arrival to one replica offline, in arrival
  *    order, and give each replica the arrivals routed to it (its
  *    shard) as planned arrivals (each keeps its own discrete-event
  *    queue; all stay on one shared virtual clock). The replicas run on
@@ -62,6 +62,7 @@
 #include "obs/telemetry.h"
 #include "preempt/preempt.h"
 #include "replay/fault_plan.h"
+#include "slo/admission.h"
 #include "workload/trace.h"
 
 namespace coserve {
@@ -222,12 +223,15 @@ struct ClusterConfig
     /** Work stealing between replicas (online mode only). */
     StealPolicy workStealing;
     /**
-     * Cluster-level SLO admission (online mode only): before routing,
-     * the coordinator predicts the best achievable completion across
-     * active capable replicas from the live load views and rejects or
-     * downgrades arrivals that cannot make their deadline anywhere —
-     * upstream of (and cheaper than) the per-replica admission in
-     * EngineConfig::admission. A replica's prediction is
+     * SLO admission (online mode only), the one admission layer:
+     * before routing, the coordinator predicts the best achievable
+     * completion across active capable replicas from the live load
+     * views and rejects or downgrades arrivals that cannot make their
+     * deadline anywhere; each verdict is a decision-log record. A
+     * downgrade demotes the scheduling class to BestEffort but keeps
+     * the deadline, so a late completion counts as a violation, never
+     * as met. Replicas admit every arrival routed to them. A
+     * replica's prediction is
      * LiveCostModel::quote() (router.h), the estimate LeastLoaded
      * routes with, plus detectAdd() for the detect child the chain
      * may spawn. Off by default.
@@ -284,8 +288,11 @@ class ClusterEngine
 
     /**
      * Serve @p trace to completion under @p opts; callable once per
-     * cluster. fatal()s (exit 1) when validate(opts) reports errors,
-     * and on the first divergence in replay mode.
+     * cluster. The arrivals must be time-sorted, in every mode.
+     * fatal()s (exit 1) on the first arrival earlier than its
+     * predecessor (naming both) and when validate(opts) reports errors,
+     * before any replica runs; and on the first divergence in replay
+     * mode.
      */
     ClusterResult run(const Trace &trace, const RunOptions &opts);
 

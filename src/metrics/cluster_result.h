@@ -44,10 +44,10 @@ struct ClusterResult
     SwitchCounters switches;
 
     /**
-     * SLO accounting merged over all replicas, plus cluster-level
-     * admission verdicts (the online coordinator may reject or
-     * downgrade an arrival before any replica sees it). Empty for
-     * classless traces.
+     * SLO accounting merged over all replicas, plus the admission
+     * verdicts (the online coordinator, the one admission layer, may
+     * reject or downgrade an arrival before any replica sees it).
+     * Empty for classless traces.
      */
     SloStats slo;
 

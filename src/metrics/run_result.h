@@ -116,8 +116,9 @@ struct RunResult
     std::vector<ExecutorStats> executors;
 
     /**
-     * Per-class SLO accounting (admission verdicts, deadline hits /
-     * violations, latency sketches). Empty — and unprinted — for
+     * Per-class SLO accounting (deadline hits / violations, latency
+     * sketches; admission verdicts are the cluster's, see
+     * ClusterResult::slo). Empty — and unprinted — for
      * classless traces, which keep pre-SLO output byte-identical.
      */
     SloStats slo;

@@ -21,7 +21,6 @@
 #include "model/footprint_model.h"
 #include "model/latency_model.h"
 #include "preempt/preempt.h"
-#include "slo/admission.h"
 
 namespace coserve {
 
@@ -66,14 +65,6 @@ struct EngineConfig
      * keeps disabled runs byte-identical.
      */
     obs::ReplicaTracer *tracer = nullptr;
-
-    /**
-     * SLO admission control (slo/admission.h): when enabled, an
-     * arrival whose predicted completion misses its deadline is
-     * downgraded or rejected at dispatch time. Off by default —
-     * classless traces never consult it.
-     */
-    AdmissionConfig admission;
 
     /**
      * Per-class preemption with costed checkpoint/restore

@@ -26,7 +26,7 @@ ServingEngine::ServingEngine(EngineConfig cfg, const CoEModel &model,
                     : 0,
                 TierLevel::CpuDram),
       scheduler_(std::move(scheduler)), eviction_(std::move(eviction)),
-      admission_(cfg_.admission), ckpt_(footprint)
+      ckpt_(footprint)
 {
     COSERVE_CHECK(scheduler_ != nullptr, "engine needs a scheduler");
     COSERVE_CHECK(eviction_ != nullptr, "engine needs an eviction policy");
@@ -427,42 +427,13 @@ ServingEngine::arrivalRequest(const ImageArrival &a, RequestId id) const
 }
 
 void
-ServingEngine::admitTimed(Request req)
+ServingEngine::admitTimed(const Request &req)
 {
-    // Deadline rescue runs before admission: pausing a lower-class
-    // batch can turn an otherwise-rejected arrival feasible, and the
-    // preempted executor's busyUntil() already reflects the freed slot
-    // when the verdict below re-predicts completion.
+    // Deadline rescue: pausing a lower-class batch can free a slot in
+    // time for an arrival that would otherwise miss its deadline.
     if (cfg_.preemption.enabled && req.deadline != kTimeNever &&
         sloTracked(req.cls) && predictCompletion(req) > req.deadline) {
         tryPreemptFor(req);
-    }
-    if (cfg_.admission.enabled && req.deadline != kTimeNever) {
-        const AdmissionVerdict verdict = admission_.assess(
-            req.cls, req.arrival, req.deadline, predictCompletion(req));
-        if (verdict == AdmissionVerdict::Reject) {
-            result_.slo.recordRejected(req.cls);
-            imagesRejected_ += 1;
-            if (cfg_.tracer != nullptr) {
-                cfg_.tracer->instant("admission reject", 0, eq_.now(),
-                                     {"image", req.imageId});
-            }
-            return;
-        }
-        if (verdict == AdmissionVerdict::Downgrade) {
-            // Demote the *scheduling* class but keep the deadline:
-            // the request yields to feasible deadline work, and its
-            // (likely late) completion is still accounted against the
-            // SLO it was given — goodput never counts a downgraded
-            // straggler as met.
-            result_.slo.recordDowngraded(req.cls);
-            req.cls = RequestClass::BestEffort;
-            if (cfg_.tracer != nullptr) {
-                cfg_.tracer->instant("admission downgrade", 0,
-                                     eq_.now(),
-                                     {"image", req.imageId});
-            }
-        }
     }
     dispatchTimed(req);
 }
@@ -612,12 +583,11 @@ ServingEngine::run(const Trace &trace)
     admitPlanned(trace.arrivals.data(), trace.size(), trace.size(), true);
     stepUntil(kTimeNever);
     RunResult result = finishOnline();
-    // Every arrival either completed or was dropped at the door by
-    // admission control; anything else is a lost request.
-    COSERVE_CHECK(result.images + rejectedImages() ==
+    // Every arrival completes; anything else is a lost request.
+    COSERVE_CHECK(result.images ==
                       static_cast<std::int64_t>(trace.arrivals.size()),
-                  "lost images: ", result.images, " done + ",
-                  rejectedImages(), " rejected of ", trace.arrivals.size());
+                  "lost images: ", result.images, " done of ",
+                  trace.arrivals.size());
     return result;
 }
 
@@ -689,55 +659,43 @@ ServingEngine::admitPlanned(const ImageArrival *arrivals, std::size_t count,
     }
     COSERVE_CHECK(planOpen_ && arrivals == planned_,
                   "admitPlanned after the plan's last chunk, or elsewhere");
-    const std::size_t n = count;
-    COSERVE_CHECK(n >= planAppended_ && n <= plannedCapacity_, "planning ",
-                  n, " arrivals after ", planAppended_, " in a window of ",
-                  plannedCapacity_);
-    for (std::size_t k = std::max<std::size_t>(planAppended_, 1);
-         plannedSorted_ && k < n; ++k)
-        plannedSorted_ = arrivals[k - 1].time <= arrivals[k].time;
-    planAppended_ = n;
-    // A sorted plan admits in index order, so every arrival planned so
-    // far may be admitted; an unsorted one admits nothing until its
-    // order is known.
-    if (plannedSorted_)
-        plannedEnd_ = n;
+    COSERVE_CHECK(count >= plannedEnd_ && count <= plannedCapacity_,
+                  "planning ", count, " arrivals after ", plannedEnd_,
+                  " in a window of ", plannedCapacity_);
+    // Planned arrivals run in index order, so every one planned so far
+    // may be admitted, and each must be at or after its predecessor.
+    for (std::size_t k = std::max<std::size_t>(plannedEnd_, 1); k < count;
+         ++k) {
+        if (arrivals[k].time < arrivals[k - 1].time) {
+            fatal("the engine needs time-sorted arrivals: arrival ", k,
+                  " is earlier than arrival ", k - 1);
+        }
+    }
+    plannedEnd_ = count;
     if (!last)
         return;
 
     // The id block is fixed: later ids, the open plan's provisional
     // ones first, continue after it.
     planOpen_ = false;
-    nextRequestId_ = plannedId0_ + static_cast<RequestId>(n) * requestIdStride_;
+    nextRequestId_ =
+        plannedId0_ + static_cast<RequestId>(count) * requestIdStride_;
     provisionalId0_ = nextRequestId_;
     nextRequestId_ +=
         static_cast<RequestId>(provisional_.size()) * requestIdStride_;
-    if (plannedSorted_)
-        return;
-    COSERVE_CHECK(plannedNext_ == 0,
-                  "an unsorted plan admitted arrivals before its last chunk");
-    plannedEnd_ = n;
-    // Stable (time, index) order: the order the arrivals would run in
-    // had each been scheduled as an event, in index order.
-    plannedOrder_.resize(n);
-    std::iota(plannedOrder_.begin(), plannedOrder_.end(), std::size_t{0});
-    std::stable_sort(plannedOrder_.begin(), plannedOrder_.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return arrivals[a].time < arrivals[b].time;
-                     });
 }
 
 void
 ServingEngine::feedPlanned(Time t)
 {
     for (; plannedNext_ < plannedEnd_; ++plannedNext_) {
-        const std::size_t i = plannedIndex();
-        const ImageArrival &a = planned_[i];
+        const ImageArrival &a = planned_[plannedNext_];
         if (a.time > t)
             break;
-        eq_.enterAt(a.time, plannedSeq0_ + i);
+        eq_.enterAt(a.time, plannedSeq0_ + plannedNext_);
         admitTimed(arrivalRequest(
-            a, plannedId0_ + static_cast<RequestId>(i) * requestIdStride_));
+            a, plannedId0_ +
+                   static_cast<RequestId>(plannedNext_) * requestIdStride_));
     }
 }
 

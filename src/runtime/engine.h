@@ -169,8 +169,9 @@ class ServingEngine
      * Serve @p trace to completion: beginOnline(0, 1), admitPlanned(),
      * stepUntil(kTimeNever), finishOnline(). An empty trace is legal (a
      * cluster replica may be routed zero requests) and yields an empty
-     * result. Arrival i gets request id i, so an unsorted trace is
-     * legal too; every arrival must complete or be rejected.
+     * result. Arrival i gets request id i, and every arrival must
+     * complete. The arrivals must be time-sorted: admitPlanned()
+     * fatal()s (exit 1) on the first one earlier than its predecessor.
      */
     RunResult run(const Trace &trace);
 
@@ -211,11 +212,11 @@ class ServingEngine
      * fixed block, in draw order right after the block. Nothing may
      * crash the engine (crashDrain) before the last call.
      *
-     * stepUntil() admits a sorted plan in index order; the caller
+     * The arrivals must be time-sorted: each call fatal()s (exit 1) on
+     * the first arrival it plans that is earlier than its predecessor,
+     * naming both. stepUntil() admits them in index order; the caller
      * steps an open plan only to before the first arrival it has not
-     * yet appended. An unsorted plan admits nothing until its last
-     * call, then runs in stable (time, k) order, so the caller must
-     * not step it to its earliest arrival before that.
+     * yet appended.
      */
     void admitPlanned(const ImageArrival *arrivals, std::size_t count,
                       std::size_t capacity, bool last);
@@ -232,7 +233,7 @@ class ServingEngine
     {
         const Time t = eq_.nextTime();
         return plannedNext_ < plannedEnd_
-                   ? std::min(t, planned_[plannedIndex()].time)
+                   ? std::min(t, planned_[plannedNext_].time)
                    : t;
     }
 
@@ -410,11 +411,8 @@ class ServingEngine
 
     // ----- SLO layer -------------------------------------------------
 
-    /** SLO accounting so far (admission verdicts, completions). */
+    /** SLO accounting so far (completions against deadlines). */
     const SloStats &sloStats() const { return result_.slo; }
-
-    /** Arrivals dropped by admission control so far. */
-    std::int64_t rejectedImages() const { return imagesRejected_; }
 
     /** @return ground-truth latency model. */
     const LatencyModel &truth() const { return truth_; }
@@ -519,13 +517,6 @@ class ServingEngine
             eq_.runUntil(t);
         return eq_.executed() - before;
     }
-    /** Index of the next planned arrival to admit. */
-    std::size_t
-    plannedIndex() const
-    {
-        return plannedOrder_.empty() ? plannedNext_
-                                     : plannedOrder_[plannedNext_];
-    }
     /** Admit every planned arrival with time <= @p t, in order. */
     void feedPlanned(Time t);
     /** Next request id in this engine's (possibly strided) id space. */
@@ -535,11 +526,11 @@ class ServingEngine
     /** The classify request for arrival @p a, with request id @p id. */
     Request arrivalRequest(const ImageArrival &a, RequestId id) const;
     /**
-     * Arrival-time admission: consult the controller (enabled configs
-     * only), then dispatch — or drop/downgrade. Runs at the arrival's
-     * virtual time, so the feasibility estimate sees live queue state.
+     * Arrival-time admission: try a deadline rescue (preemption
+     * configs only), then dispatch. Runs at the arrival's virtual
+     * time, so the rescue's estimate sees live queue state.
      */
-    void admitTimed(Request req);
+    void admitTimed(const Request &req);
     /**
      * Deadline rescue: scan for a preemptible lower-class batch whose
      * freed slot would let @p req meet its deadline (pause boundary +
@@ -553,8 +544,8 @@ class ServingEngine
      * Predicted completion time of @p req dispatched right now: the
      * earliest over executors of (as-is finish + Section-4.2
      * additional latency + switch), plus the detect child's execution
-     * when the component chains one — the admission controller's
-     * feasibility estimate. Uses the ground-truth latency model (the
+     * when the component chains one — deadline rescue's feasibility
+     * estimate. Uses the ground-truth latency model (the
      * engine has no profiled matrix), matching the scheduler's
      * fallback path.
      */
@@ -593,7 +584,6 @@ class ServingEngine
 
     std::unique_ptr<Scheduler> scheduler_;
     std::unique_ptr<EvictionPolicy> eviction_;
-    AdmissionController admission_;
     CheckpointModel ckpt_;
     /** Checkpointed groups awaiting cluster-level migration pickup. */
     std::vector<CheckpointImage> migrateOutbox_;
@@ -601,13 +591,10 @@ class ServingEngine
     std::vector<PreemptEvent> preemptEvents_;
     /** admitPlanned()'s arrivals, read in place. */
     const ImageArrival *planned_ = nullptr;
-    /** Stable (time, index) admission order; empty for a sorted plan. */
-    std::vector<std::size_t> plannedOrder_;
-    /** Planned arrivals admitted so far, and admissible. */
+    /** Planned arrivals admitted so far, and appended so far. */
     std::size_t plannedNext_ = 0;
     std::size_t plannedEnd_ = 0;
-    /** Planned arrivals appended so far, and the reserved window. */
-    std::size_t planAppended_ = 0;
+    /** The reserved sequence window. */
     std::size_t plannedCapacity_ = 0;
     /** Sequence number and request id of planned arrival 0. */
     std::uint64_t plannedSeq0_ = 0;
@@ -615,8 +602,6 @@ class ServingEngine
     /** True once admitPlanned() ran, and until its last call. */
     bool planBegun_ = false;
     bool planOpen_ = false;
-    /** Whether the arrivals appended so far are in time order. */
-    bool plannedSorted_ = true;
     /**
      * Ids drawn while the plan is open are kProvisionalId + j; entry j
      * holds that request's executor (-1: none yet) until collection
@@ -636,8 +621,6 @@ class ServingEngine
     /** Id increment; > 1 only for online cluster replicas. */
     RequestId requestIdStride_ = 1;
     std::int64_t imagesDone_ = 0;
-    /** Arrivals dropped by admission (images + rejected == arrivals). */
-    std::int64_t imagesRejected_ = 0;
     Time lastCompletion_ = 0;
     /** True once beginOnline() ran. */
     bool begun_ = false;

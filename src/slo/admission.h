@@ -6,9 +6,9 @@
  * capacity twice: the hopeless request still occupies executors, and
  * its queueing delay pushes *feasible* requests past their deadlines
  * too. The AdmissionController turns a predicted completion time —
- * computed by the caller from the same Section-4.2 estimates the
- * schedulers use (ServingEngine queue state for a single engine, live
- * ReplicaLoadViews for the cluster coordinator) — into a verdict:
+ * computed by the cluster coordinator from the same Section-4.2
+ * estimates the schedulers use, over live ReplicaLoadViews — into a
+ * verdict:
  *
  *   Admit      predicted completion makes the deadline (or no deadline);
  *   Downgrade  it misses, but the request may continue at BestEffort
@@ -19,10 +19,9 @@
  *   Reject     it misses and downgrading is off — drop at the door.
  *              BestEffort itself is never shed (nothing below it).
  *
- * The controller is pure decision logic: callers do the prediction and
- * record verdicts into SloStats, so one implementation serves both the
- * engine's arrival path and the cluster coordinator without owning
- * either's metrics.
+ * The controller is pure decision logic: the coordinator
+ * (ClusterConfig::admission, the one admission layer) does the
+ * prediction and records verdicts into SloStats and its decision log.
  */
 
 #ifndef COSERVE_SLO_ADMISSION_H

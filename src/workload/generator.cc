@@ -38,71 +38,27 @@ generateTrace(const CoEModel &model, const TaskSpec &task)
     COSERVE_CHECK(task.numImages > 0, "empty task");
     COSERVE_CHECK(task.interarrival >= 0, "negative interarrival");
     COSERVE_CHECK(task.burstSize >= 1, "bursts need at least one image");
+    if (task.arrivals != ArrivalProcess::Fixed &&
+        task.arrivals != ArrivalProcess::Bursty) {
+        fatal("task '", task.name, "': generateTrace draws Fixed or Bursty "
+              "arrivals; Poisson and MMPP arrivals come from "
+              "generateSloTrace");
+    }
 
     Rng rng(task.seed);
     const std::vector<double> cdf = componentCdf(model);
-
-    // MMPP state machine: which rate regime the process is in, and
-    // when the current regime's exponentially-drawn dwell ends.
-    bool mmppBursting = false;
-    Time mmppStateEnd = 0;
-    if (task.arrivals == ArrivalProcess::MMPP) {
-        COSERVE_CHECK(task.interarrival > 0 && task.mmppBurstFactor > 1.0,
-                      "MMPP needs interarrival > 0 and burst factor > 1");
-        mmppStateEnd = static_cast<Time>(
-            expDraw(rng, static_cast<double>(task.mmppMeanCalm)));
-    }
+    // Bursty: burstSize back-to-back images per burst; Fixed is the
+    // one-image burst.
+    const std::size_t burst = task.arrivals == ArrivalProcess::Bursty
+                                  ? static_cast<std::size_t>(task.burstSize)
+                                  : 1;
 
     Trace trace;
     trace.arrivals.reserve(task.numImages);
-    Time clock = 0;
     for (std::size_t i = 0; i < task.numImages; ++i) {
         ImageArrival a;
-        switch (task.arrivals) {
-          case ArrivalProcess::Fixed:
-            a.time = task.interarrival * static_cast<Time>(i);
-            break;
-          case ArrivalProcess::Poisson: {
-              const double u = rng.uniform();
-              clock += static_cast<Time>(
-                  -std::log(1.0 - u) *
-                  static_cast<double>(task.interarrival));
-              a.time = clock;
-              break;
-          }
-          case ArrivalProcess::Bursty: {
-              const std::size_t burst =
-                  i / static_cast<std::size_t>(task.burstSize);
-              a.time = task.interarrival *
-                       static_cast<Time>(task.burstSize) *
-                       static_cast<Time>(burst);
-              break;
-          }
-          case ArrivalProcess::MMPP: {
-              // Memoryless in both layers: after a state switch the
-              // in-flight gap is simply redrawn at the new rate.
-              for (;;) {
-                  const double meanGap =
-                      static_cast<double>(task.interarrival) /
-                      (mmppBursting ? task.mmppBurstFactor : 1.0);
-                  const Time gap =
-                      static_cast<Time>(expDraw(rng, meanGap));
-                  if (clock + gap <= mmppStateEnd) {
-                      clock += gap;
-                      break;
-                  }
-                  clock = mmppStateEnd;
-                  mmppBursting = !mmppBursting;
-                  const Time dwell = mmppBursting ? task.mmppMeanBurst
-                                                  : task.mmppMeanCalm;
-                  mmppStateEnd =
-                      clock + static_cast<Time>(expDraw(
-                                  rng, static_cast<double>(dwell)));
-              }
-              a.time = clock;
-              break;
-          }
-        }
+        a.time = task.interarrival * static_cast<Time>(burst) *
+                 static_cast<Time>(i / burst);
         a.component = static_cast<ComponentId>(rng.discreteFromCdf(cdf));
         a.defective =
             rng.bernoulli(model.component(a.component).defectProb);

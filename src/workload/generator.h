@@ -26,47 +26,49 @@
 
 namespace coserve {
 
-/** Arrival process of a task. */
+/**
+ * Arrival process. generateTrace() draws Fixed and Bursty task
+ * traces; generateSloTrace() draws Poisson and MMPP tenant streams.
+ */
 enum class ArrivalProcess
 {
     /** One image every `interarrival` (the paper's production line). */
     Fixed,
-    /** Poisson arrivals with mean gap `interarrival`. */
+    /** Poisson arrivals at the tenant's rate. */
     Poisson,
     /** Bursts of `burstSize` back-to-back images every
      *  `burstSize * interarrival` (panel-at-a-time camera feeds). */
     Bursty,
     /**
      * Markov-modulated Poisson process: Poisson arrivals whose rate
-     * switches between a calm state (mean gap `interarrival`) and a
-     * burst state (`interarrival / mmppBurstFactor`), with
-     * exponentially-distributed dwell times — the classic model of
-     * bursty open-loop serving traffic.
+     * switches between a calm state (the tenant's rate) and a burst
+     * state (`mmppBurstFactor` times it), with exponentially-
+     * distributed dwell times — the classic model of bursty open-loop
+     * serving traffic.
      */
     MMPP,
 };
 
-/** Parameters of one evaluation task. */
+/** Parameters of one evaluation task: a Fixed or Bursty stream. */
 struct TaskSpec
 {
     std::string name;
     /** Number of input images. */
     std::size_t numImages = 2500;
-    /** (Mean) interarrival gap (paper: 4 ms). */
+    /** Interarrival gap (paper: 4 ms). */
     Time interarrival = milliseconds(4);
+    /** Fixed or Bursty; generateTrace() refuses the others. */
     ArrivalProcess arrivals = ArrivalProcess::Fixed;
     /** Images per burst (Bursty only). */
     int burstSize = 32;
-    /** Burst-state rate multiplier (MMPP only). */
-    double mmppBurstFactor = 8.0;
-    /** Mean dwell time in the calm state (MMPP only). */
-    Time mmppMeanCalm = seconds(2);
-    /** Mean dwell time in the burst state (MMPP only). */
-    Time mmppMeanBurst = milliseconds(250);
     std::uint64_t seed = 42;
 };
 
-/** Generate a trace for @p task against @p model. */
+/**
+ * Generate a time-sorted trace for @p task against @p model. fatal()s
+ * (exit 1) on a Poisson or MMPP task: those processes come from
+ * generateSloTrace().
+ */
 Trace generateTrace(const CoEModel &model, const TaskSpec &task);
 
 // ------------------------------------------------- SLO-classed traffic

@@ -59,11 +59,10 @@ constexpr std::size_t kRouteChunk = 4096;
 
 /**
  * A tiny-board trace longer than three routing chunks, with three
- * same-time arrivals straddling each chunk boundary. Unsorted, it also
- * swaps arrivals across chunks, so early arrivals are routed late.
+ * same-time arrivals straddling each chunk boundary.
  */
 Trace
-multiChunkTrace(const CoEModel &model, bool sorted)
+multiChunkTrace(const CoEModel &model)
 {
     TaskSpec task;
     task.name = "tiny-chunks";
@@ -73,12 +72,6 @@ multiChunkTrace(const CoEModel &model, bool sorted)
     for (std::size_t b = kRouteChunk; b < t.size(); b += kRouteChunk) {
         t.arrivals[b].time = t.arrivals[b - 1].time;
         t.arrivals[b + 1].time = t.arrivals[b - 1].time;
-    }
-    if (!sorted) {
-        std::swap(t.arrivals[100], t.arrivals[kRouteChunk + 50]);
-        std::swap(t.arrivals[2 * kRouteChunk - 1],
-                  t.arrivals[2 * kRouteChunk + 3]);
-        std::swap(t.arrivals[5], t.arrivals[t.size() - 1]);
     }
     return t;
 }
@@ -253,75 +246,43 @@ TEST_F(ClusterFixture, ThreadedReplicasMatchStandaloneShardRuns)
 
 TEST_F(ClusterFixture, StreamedReplicasMatchStandaloneShardRuns)
 {
-    // A trace of several routing chunks, sorted and not: the replicas
-    // step while later chunks are still being routed, yet each must
-    // equal a standalone engine serving its whole shard.
-    for (const bool sorted : {true, false}) {
-        SCOPED_TRACE(sorted ? "sorted" : "unsorted");
-        const Trace trace = multiChunkTrace(model_, sorted);
-        ASSERT_EQ(std::is_sorted(trace.arrivals.begin(),
-                                 trace.arrivals.end(),
-                                 [](const ImageArrival &a,
-                                    const ImageArrival &b) {
-                                     return a.time < b.time;
-                                 }),
-                  sorted);
-        ClusterEngine cluster(homogeneousCluster(
-            ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
-        const std::vector<std::size_t> assignment =
-            cluster.routeTrace(trace);
-        const ClusterResult r = cluster.run(trace, {});
-        EXPECT_EQ(r.decisionCount, static_cast<std::int64_t>(trace.size()));
-        ASSERT_EQ(r.replicas.size(), 3u);
-        for (std::size_t i = 0; i < 3; ++i) {
-            const RunResult solo = makeCoServeEngine(ctx_, cfg_)->run(
-                shardOf(trace, assignment, i));
-            const RunResult &rep = r.replicas[i];
-            EXPECT_GT(solo.images, 0) << "replica " << i;
-            EXPECT_EQ(rep.images, solo.images) << "replica " << i;
-            EXPECT_EQ(rep.inferences, solo.inferences);
-            EXPECT_EQ(rep.makespan, solo.makespan);
-            EXPECT_EQ(rep.eventsExecuted, solo.eventsExecuted);
-            EXPECT_EQ(rep.switches.total(), solo.switches.total());
-            EXPECT_EQ(rep.switches.bytesLoaded, solo.switches.bytesLoaded);
-            EXPECT_EQ(rep.assignments, solo.assignments)
-                << "replica " << i;
-        }
+    // A trace of several routing chunks, with same-time arrivals
+    // across each chunk boundary: the replicas step while later chunks
+    // are still being routed, yet each must equal a standalone engine
+    // serving its whole shard.
+    const Trace trace = multiChunkTrace(model_);
+    ClusterEngine cluster(
+        homogeneousCluster(ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
+    const std::vector<std::size_t> assignment = cluster.routeTrace(trace);
+    const ClusterResult r = cluster.run(trace, {});
+    EXPECT_EQ(r.decisionCount, static_cast<std::int64_t>(trace.size()));
+    ASSERT_EQ(r.replicas.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        const RunResult solo = makeCoServeEngine(ctx_, cfg_)->run(
+            shardOf(trace, assignment, i));
+        const RunResult &rep = r.replicas[i];
+        EXPECT_GT(solo.images, 0) << "replica " << i;
+        EXPECT_EQ(rep.images, solo.images) << "replica " << i;
+        EXPECT_EQ(rep.inferences, solo.inferences);
+        EXPECT_EQ(rep.makespan, solo.makespan);
+        EXPECT_EQ(rep.eventsExecuted, solo.eventsExecuted);
+        EXPECT_EQ(rep.switches.total(), solo.switches.total());
+        EXPECT_EQ(rep.switches.bytesLoaded, solo.switches.bytesLoaded);
+        EXPECT_EQ(rep.assignments, solo.assignments) << "replica " << i;
     }
 }
 
 TEST_F(ClusterFixture, StreamedTracesShorterThanTheReplicaCount)
 {
-    // Fewer arrivals than replica threads, sorted or not: every thread
-    // still checks its (possibly empty) slice of the trace.
+    // Fewer arrivals than replica threads: every thread still plans
+    // and steps its (possibly empty) shard.
     for (std::size_t size = 1; size <= 3; ++size) {
-        for (const bool sorted : {true, false}) {
-            Trace t = trace_.prefix(size);
-            if (!sorted)
-                std::reverse(t.arrivals.begin(), t.arrivals.end());
-            ClusterEngine cluster(homogeneousCluster(
-                ctx_, cfg_, 4, RoutingPolicy::LeastLoaded));
-            const ClusterResult r = cluster.run(t, {});
-            EXPECT_EQ(r.images, static_cast<std::int64_t>(size))
-                << size << (sorted ? " sorted" : " reversed");
-            EXPECT_EQ(r.decisionCount, static_cast<std::int64_t>(size));
-        }
+        ClusterEngine cluster(
+            homogeneousCluster(ctx_, cfg_, 4, RoutingPolicy::LeastLoaded));
+        const ClusterResult r = cluster.run(trace_.prefix(size), {});
+        EXPECT_EQ(r.images, static_cast<std::int64_t>(size)) << size;
+        EXPECT_EQ(r.decisionCount, static_cast<std::int64_t>(size));
     }
-}
-
-TEST_F(ClusterFixture, StreamedUnsortedStaticDigestIsPinned)
-{
-    // A clean static run over an unsorted multi-chunk trace: one Route
-    // record per arrival, in arrival order.
-    const Trace trace = multiChunkTrace(model_, false);
-    ClusterEngine cluster(
-        homogeneousCluster(ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
-    const ClusterResult r = cluster.run(trace, {});
-    EXPECT_EQ(r.images, static_cast<std::int64_t>(trace.size()));
-    EXPECT_EQ(r.decisionCount, static_cast<std::int64_t>(trace.size()));
-    EXPECT_EQ(r.decisionDigest, 0x821ee988a42cdb82ull)
-        << std::hex << "0x" << r.decisionDigest;
-    EXPECT_EQ(r.makespan, 55865391957);
 }
 
 TEST_F(ClusterFixture, StreamedCrashInFirstChunkIsPinned)
@@ -330,7 +291,7 @@ TEST_F(ClusterFixture, StreamedCrashInFirstChunkIsPinned)
     // must end before the crash applies, and the Route records before
     // it, the crash's re-homing and the later pinned and orphaned
     // arrivals keep their order. Pins the digest and the epoch CSV.
-    const Trace trace = multiChunkTrace(model_, true);
+    const Trace trace = multiChunkTrace(model_);
     RunOptions opts; // static by default
     opts.faults.crashes.push_back({1, trace.arrivals[1000].time});
     opts.telemetry.enabled = true;
@@ -549,7 +510,9 @@ viewsOf(const ClusterConfig &cc)
 
 /**
  * Seeded random traces: arrival process, cadence and length drawn per
- * seed, so the routers see both idle gaps and deep backlogs.
+ * seed, so the routers see both idle gaps and deep backlogs. Poisson
+ * and MMPP traces are one classless tenant of generateSloTrace, at the
+ * drawn cadence for the drawn length's span.
  */
 std::vector<Trace>
 randomTraces(const CoEModel &model, std::uint64_t firstSeed, int count)
@@ -566,7 +529,20 @@ randomTraces(const CoEModel &model, std::uint64_t firstSeed, int count)
         task.numImages = 500 + rng.uniformInt(2500);
         task.interarrival = microseconds(rng.uniform(200.0, 20000.0));
         task.arrivals = processes[rng.uniformInt(4)];
-        traces.push_back(generateTrace(model, task));
+        if (task.arrivals == ArrivalProcess::Fixed ||
+            task.arrivals == ArrivalProcess::Bursty) {
+            traces.push_back(generateTrace(model, task));
+            continue;
+        }
+        TenantSpec tenant;
+        tenant.name = task.name;
+        tenant.cls = RequestClass::None;
+        tenant.ratePerSec = 1.0 / toSeconds(task.interarrival);
+        tenant.arrivals = task.arrivals;
+        traces.push_back(generateSloTrace(
+            model, {tenant},
+            task.interarrival * static_cast<Time>(task.numImages),
+            task.seed));
     }
     return traces;
 }

@@ -326,10 +326,11 @@ class EngineTraceOrderTest : public EngineFixture
             engine.beginOnline(0, 1);
             engine.admitPlanned(trace.arrivals.data(), trace.size(), trace.size(),
                                 true);
-            // Every fifth arrival instant, in trace order (an unsorted
-            // trace also steps backwards, which must do nothing), each
-            // followed by a point just past the next event; then
-            // between events to the end, and past the end.
+            // Every fifth arrival instant, in trace order, each
+            // followed by a point just past the next event (which may
+            // be past the next instant, so a step may go backwards,
+            // which must do nothing); then between events to the end,
+            // and past the end.
             for (std::size_t i = 0; i < trace.arrivals.size(); i += 5) {
                 engine.stepUntil(trace.arrivals[i].time);
                 const Time next = engine.nextEventTime();
@@ -383,65 +384,56 @@ TEST_F(EngineTraceOrderTest, TiedArrivalsKeepIndexOrder)
     }
 }
 
-TEST_F(EngineTraceOrderTest, UnsortedTraceRunsInTimeThenIndexOrder)
-{
-    // Reverse every block of eight arrivals of the tied trace: times
-    // go backwards inside a block and equal-time arrivals appear in
-    // reverse order, so only a stable (time, index) order reproduces
-    // the schedule.
-    Trace shuffled = tiedTrace();
-    for (std::size_t b = 0; b < shuffled.arrivals.size(); b += 8) {
-        const auto first =
-            shuffled.arrivals.begin() + static_cast<std::ptrdiff_t>(b);
-        const auto last = shuffled.arrivals.begin() +
-                          static_cast<std::ptrdiff_t>(std::min(
-                              b + 8, shuffled.arrivals.size()));
-        std::reverse(first, last);
-    }
-    for (const bool stepped : {false, true}) {
-        RunResult r;
-        const std::uint64_t digest = digestRun(shuffled, r, stepped);
-        EXPECT_EQ(r.images, 300) << "stepped " << stepped;
-        EXPECT_EQ(r.eventsExecuted, 695u) << "stepped " << stepped;
-        EXPECT_EQ(digest, 0xdec1b57394e16057ull) << "stepped " << stepped;
-    }
-}
-
 TEST_F(EngineTraceOrderTest, AppendedPlanMatchesRun)
 {
-    // The plan arrives in chunks of seven arrivals; a sorted plan
-    // steps to just before the first arrival not yet planned, an
-    // unsorted one only after its last chunk. Detect children spawned while the
-    // plan is open draw provisional ids, so the schedule digest (which
-    // reads ids) is not compared; assignments, indexed by final id, are.
-    Trace shuffled = tiedTrace();
-    std::reverse(shuffled.arrivals.begin() + 40,
-                 shuffled.arrivals.begin() + 60);
-    for (const bool sorted : {true, false}) {
-        const Trace trace = sorted ? tiedTrace() : shuffled;
-        RunResult whole;
-        digestRun(trace, whole);
-        ServingEngine engine(smallConfig(2, 1200), model_, truth_,
-                             footprint_, usage_,
-                             std::make_unique<DependencyAwareScheduler>(),
-                             std::make_unique<TwoStageEviction>());
-        engine.beginOnline(0, 1);
-        for (std::size_t k = 0; k < trace.size();) {
-            k = std::min(k + 7, trace.size());
-            engine.admitPlanned(trace.arrivals.data(), k, trace.size(),
-                                k == trace.size());
-            if (sorted && k < trace.size())
-                engine.stepUntil(trace.arrivals[k].time - 1);
-        }
-        engine.stepUntil(kTimeNever);
-        const RunResult chunked = engine.finishOnline();
-        EXPECT_EQ(chunked.images, whole.images) << "sorted " << sorted;
-        EXPECT_EQ(chunked.eventsExecuted, whole.eventsExecuted);
-        EXPECT_EQ(chunked.makespan, whole.makespan);
-        EXPECT_EQ(chunked.assignments, whole.assignments);
-        EXPECT_EQ(chunked.requestLatencyMs.raw(),
-                  whole.requestLatencyMs.raw());
+    // The plan arrives in chunks of seven arrivals, and the engine
+    // steps to just before the first arrival not yet planned; chunk
+    // boundaries split runs of same-time arrivals. Detect children
+    // spawned while the plan is open draw provisional ids, so the
+    // schedule digest (which reads ids) is not compared; assignments,
+    // indexed by final id, are.
+    const Trace trace = tiedTrace();
+    RunResult whole;
+    digestRun(trace, whole);
+    ServingEngine engine(smallConfig(2, 1200), model_, truth_, footprint_,
+                         usage_, std::make_unique<DependencyAwareScheduler>(),
+                         std::make_unique<TwoStageEviction>());
+    engine.beginOnline(0, 1);
+    for (std::size_t k = 0; k < trace.size();) {
+        k = std::min(k + 7, trace.size());
+        engine.admitPlanned(trace.arrivals.data(), k, trace.size(),
+                            k == trace.size());
+        if (k < trace.size())
+            engine.stepUntil(trace.arrivals[k].time - 1);
     }
+    engine.stepUntil(kTimeNever);
+    const RunResult chunked = engine.finishOnline();
+    EXPECT_EQ(chunked.images, whole.images);
+    EXPECT_EQ(chunked.eventsExecuted, whole.eventsExecuted);
+    EXPECT_EQ(chunked.makespan, whole.makespan);
+    EXPECT_EQ(chunked.assignments, whole.assignments);
+    EXPECT_EQ(chunked.requestLatencyMs.raw(), whole.requestLatencyMs.raw());
+}
+
+TEST_F(EngineTraceOrderTest, OutOfOrderAppendedChunkFailsCleanly)
+{
+    // The first chunk is in order; the second starts earlier than the
+    // first ends. The engine refuses the plan with a user error naming
+    // the first out-of-order arrival, counted from the plan's start.
+    Trace late = tiedTrace();
+    ASSERT_LT(late.arrivals[7].time, late.arrivals[11].time);
+    late.arrivals[12].time = late.arrivals[7].time;
+    ServingEngine engine(smallConfig(2, 1200), model_, truth_, footprint_,
+                         usage_, std::make_unique<DependencyAwareScheduler>(),
+                         std::make_unique<TwoStageEviction>());
+    engine.beginOnline(0, 1);
+    engine.admitPlanned(late.arrivals.data(), 10, late.size(), false);
+    engine.stepUntil(late.arrivals[10].time - 1);
+    EXPECT_EXIT(engine.admitPlanned(late.arrivals.data(), 20, late.size(),
+                                    false),
+                ::testing::ExitedWithCode(1),
+                "time-sorted arrivals: arrival 12 is earlier than "
+                "arrival 11");
 }
 
 TEST_F(EngineFixture, OpenPlanRefusesCrashAndFinish)
@@ -462,18 +454,17 @@ TEST_F(EngineFixture, OpenPlanRefusesCrashAndFinish)
 
 TEST_F(EngineFixture, NextEventTimeReportsFirstPlannedArrival)
 {
-    Trace reversed = trace_;
-    std::reverse(reversed.arrivals.begin(), reversed.arrivals.end());
+    Trace later = trace_;
     const Time first = trace_.arrivals.front().time + milliseconds(5);
-    for (ImageArrival &a : reversed.arrivals)
+    for (ImageArrival &a : later.arrivals)
         a.time += milliseconds(5);
     ServingEngine engine(smallConfig(1, 800), model_, truth_, footprint_,
                          usage_, std::make_unique<FcfsSingleScheduler>(),
                          std::make_unique<LruEviction>());
     engine.beginOnline(0, 1);
     EXPECT_EQ(engine.nextEventTime(), kTimeNever);
-    engine.admitPlanned(reversed.arrivals.data(), reversed.size(),
-                        reversed.size(), true);
+    engine.admitPlanned(later.arrivals.data(), later.size(), later.size(),
+                        true);
     EXPECT_EQ(engine.nextEventTime(), first);
     EXPECT_EQ(engine.stepUntil(first - 1), 0u);
     EXPECT_EQ(engine.nextEventTime(), first);

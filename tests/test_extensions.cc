@@ -1,10 +1,13 @@
 /**
  * @file
  * Tests for the extension features beyond the paper's core: the report
- * module and the Poisson/bursty arrival processes.
+ * module and the arrival processes (Fixed and Bursty task traces,
+ * Poisson and MMPP one-tenant SLO traces).
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "baselines/systems.h"
 #include "coe/board_builder.h"
@@ -32,14 +35,26 @@ TEST(ReportTest, SummaryMentionsKeyNumbers)
     EXPECT_NE(s.find("10 expert switches"), std::string::npos);
 }
 
+/** One classless tenant drawing @p process arrivals at @p ratePerSec. */
+Trace
+oneTenantTrace(const CoEModel &m, ArrivalProcess process, double ratePerSec,
+               Time duration)
+{
+    TenantSpec tenant;
+    tenant.name = "one";
+    tenant.cls = RequestClass::None;
+    tenant.ratePerSec = ratePerSec;
+    tenant.arrivals = process;
+    return generateSloTrace(m, {tenant}, duration, 42);
+}
+
 TEST(ArrivalProcessTest, PoissonMeanGapMatches)
 {
+    // 250 arrivals/s: a mean gap of 4 ms, about 20,000 arrivals.
     const CoEModel m = buildBoard(tinyBoard());
-    TaskSpec task;
-    task.numImages = 20000;
-    task.arrivals = ArrivalProcess::Poisson;
-    task.interarrival = milliseconds(4);
-    const Trace t = generateTrace(m, task);
+    const Trace t =
+        oneTenantTrace(m, ArrivalProcess::Poisson, 250.0, seconds(80));
+    ASSERT_GT(t.size(), 19000u);
     const double meanGap =
         toMilliseconds(t.arrivals.back().time) /
         static_cast<double>(t.size() - 1);
@@ -68,15 +83,34 @@ TEST(ArrivalProcessTest, EngineServesAllProcesses)
 {
     const CoEModel m = buildBoard(tinyBoard());
     Harness h(tinyTestDevice(), m);
-    for (ArrivalProcess p : {ArrivalProcess::Fixed,
-                             ArrivalProcess::Poisson,
-                             ArrivalProcess::Bursty}) {
+    std::vector<Trace> traces;
+    for (ArrivalProcess p : {ArrivalProcess::Fixed, ArrivalProcess::Bursty}) {
         TaskSpec task;
         task.numImages = 200;
         task.arrivals = p;
-        const Trace t = generateTrace(m, task);
+        traces.push_back(generateTrace(m, task));
+    }
+    for (ArrivalProcess p : {ArrivalProcess::Poisson, ArrivalProcess::MMPP})
+        traces.push_back(oneTenantTrace(m, p, 250.0, milliseconds(800)));
+    for (const Trace &t : traces) {
+        ASSERT_GT(t.size(), 0u);
         const RunResult r = h.run(SystemKind::CoServeCasual, t);
-        EXPECT_EQ(r.images, 200);
+        EXPECT_EQ(r.images, static_cast<std::int64_t>(t.size()));
+    }
+}
+
+TEST(ArrivalProcessTest, TaskTracesRefusePoissonAndMmpp)
+{
+    // Poisson and MMPP arrivals have one generator: generateSloTrace.
+    const CoEModel m = buildBoard(tinyBoard());
+    for (ArrivalProcess p : {ArrivalProcess::Poisson, ArrivalProcess::MMPP}) {
+        TaskSpec task;
+        task.name = "open-loop";
+        task.arrivals = p;
+        EXPECT_EXIT(generateTrace(m, task), ::testing::ExitedWithCode(1),
+                    "task 'open-loop': generateTrace draws Fixed or Bursty "
+                    "arrivals; Poisson and MMPP arrivals come from "
+                    "generateSloTrace");
     }
 }
 

@@ -6,7 +6,7 @@
  * a shared CPU tier), forced divergence detection (online, and static
  * beside the replica threads), config validation, crash-mid-run request
  * reconciliation, straggler/brownout determinism, a pinned static
- * fault-plan digest, and the coordinator's refusal of unsorted traces.
+ * fault-plan digest, and the refusal of unsorted traces on every path.
  */
 
 #include <gtest/gtest.h>
@@ -675,21 +675,26 @@ TEST_F(ReplayFixture, StaticFaultPlanDigestIsPinned)
 
 TEST_F(ReplayFixture, UnsortedTraceFailsCleanlyOnTheCoordinatorPath)
 {
-    // Two arrivals out of time order: a clean static run serves them
-    // (an engine admits its shard in time order), but the online
-    // coordinator cannot route into the past, nor can a fault plan
-    // re-home an arrival there, so both refuse the trace up front with
-    // a user error naming the first out-of-order arrival.
+    // Two arrivals out of time order. Every run serves a time-ordered
+    // stream, so each path refuses the trace up front with a user error
+    // naming the first out-of-order arrival: a standalone engine, and a
+    // clean static, a faulted static and an online cluster run.
     Trace unsorted = trace_;
     ASSERT_LT(unsorted.arrivals[10].time, unsorted.arrivals[11].time);
     std::swap(unsorted.arrivals[10], unsorted.arrivals[11]);
 
-    ClusterEngine clean(
-        homogeneousCluster(ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
-    EXPECT_EQ(clean.run(unsorted, {}).images,
-              static_cast<std::int64_t>(unsorted.size()));
-
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(makeCoServeEngine(ctx_, cfg_)->run(unsorted),
+                ::testing::ExitedWithCode(1),
+                "time-sorted arrivals: arrival 11 is earlier than arrival 10");
+    EXPECT_EXIT(
+        {
+            ClusterEngine cluster(homogeneousCluster(
+                ctx_, cfg_, 3, RoutingPolicy::LeastLoaded));
+            cluster.run(unsorted, {});
+        },
+        ::testing::ExitedWithCode(1),
+        "time-sorted arrivals: arrival 11 is earlier than arrival 10");
     EXPECT_EXIT(
         {
             ClusterEngine cluster(onlineConfig(3));

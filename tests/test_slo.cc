@@ -428,16 +428,17 @@ TEST(SloTraceTest, MultiTenantTraceIsSortedClassedAndDeterministic)
 
 TEST(SloTraceTest, MmppTaskArrivalsAreMonotoneAndBursty)
 {
+    // One classless MMPP tenant: a calm gap of 10 ms on average, a
+    // sixteenth of that while bursting.
     const CoEModel model = buildBoard(tinyBoard());
-    TaskSpec task;
-    task.name = "mmpp";
-    task.numImages = 2000;
-    task.interarrival = milliseconds(10);
-    task.arrivals = ArrivalProcess::MMPP;
-    task.mmppBurstFactor = 16.0;
-    task.seed = 3;
-    const Trace t = generateTrace(model, task);
-    ASSERT_EQ(t.size(), 2000u);
+    TenantSpec mmpp;
+    mmpp.name = "mmpp";
+    mmpp.cls = RequestClass::None;
+    mmpp.ratePerSec = 100.0;
+    mmpp.arrivals = ArrivalProcess::MMPP;
+    mmpp.mmppBurstFactor = 16.0;
+    const Trace t = generateSloTrace(model, {mmpp}, seconds(20), 3);
+    ASSERT_GT(t.size(), 2000u);
     Time prev = 0;
     std::size_t shortGaps = 0;
     for (const ImageArrival &a : t.arrivals) {
@@ -532,53 +533,6 @@ TEST_F(SloServingFixture, EngineTracksPerClassStats)
     EXPECT_NE(summarize(r).find("SLO goodput"), std::string::npos);
 }
 
-TEST_F(SloServingFixture, AdmissionRejectsInfeasibleDeadlines)
-{
-    EngineConfig cfg = cfg_;
-    cfg.admission.enabled = true;
-    cfg.admission.downgrade = false;
-
-    // Impossible budgets: every classed-with-deadline arrival must be
-    // rejected, and the run must still reconcile.
-    Trace impossible = trace_;
-    std::int64_t deadlined = 0;
-    for (ImageArrival &a : impossible.arrivals) {
-        if (a.deadline != kTimeNever) {
-            a.deadline = a.time + 1; // 1 ns budget
-            deadlined += 1;
-        }
-    }
-    auto engine = makeCoServeEngine(ctx_, cfg);
-    const RunResult r = engine->run(impossible);
-    EXPECT_EQ(r.slo.rejected(), deadlined);
-    EXPECT_EQ(r.images,
-              static_cast<std::int64_t>(impossible.size()) - deadlined);
-    EXPECT_EQ(r.slo.downgraded(), 0);
-}
-
-TEST_F(SloServingFixture, DowngradeKeepsDeadlineAccounting)
-{
-    EngineConfig cfg = cfg_;
-    cfg.admission.enabled = true; // downgrade on (default)
-
-    Trace impossible = trace_;
-    std::int64_t deadlined = 0;
-    for (ImageArrival &a : impossible.arrivals) {
-        if (a.deadline != kTimeNever) {
-            a.deadline = a.time + 1;
-            deadlined += 1;
-        }
-    }
-    auto engine = makeCoServeEngine(ctx_, cfg);
-    const RunResult r = engine->run(impossible);
-    // Everything runs (downgraded, not dropped)...
-    EXPECT_EQ(r.images, static_cast<std::int64_t>(impossible.size()));
-    EXPECT_EQ(r.slo.downgraded(), deadlined);
-    // ...but late completions count as violations under best-effort,
-    // never as met: goodput cannot be inflated by shedding.
-    EXPECT_EQ(r.slo.of(RequestClass::BestEffort).violated, deadlined);
-}
-
 TEST_F(SloServingFixture, ClasslessTraceKeepsSloEmpty)
 {
     Trace plain = trace_;
@@ -613,6 +567,62 @@ class SloClusterFixture : public SloServingFixture
         return cc;
     }
 };
+
+class SloAdmissionFixture : public SloServingFixture
+{
+  protected:
+    /** trace_ with every deadline cut to 1 ns: no arrival can make it. */
+    SloAdmissionFixture() : impossible_(trace_)
+    {
+        for (ImageArrival &a : impossible_.arrivals) {
+            if (a.deadline != kTimeNever) {
+                a.deadline = a.time + 1;
+                deadlined_ += 1;
+            }
+        }
+    }
+
+    /** One-replica online cluster run with admission on. */
+    ClusterResult
+    runAdmitted(bool downgrade) const
+    {
+        ClusterConfig cc = homogeneousCluster(
+            ctx_, cfg_, 1, RoutingPolicy::LeastLoaded, "slo-admission");
+        cc.admission.enabled = true;
+        cc.admission.downgrade = downgrade;
+        ClusterEngine cluster(std::move(cc));
+        return cluster.run(impossible_, runWithMode(RunMode::Online));
+    }
+
+    Trace impossible_;
+    std::int64_t deadlined_ = 0;
+};
+
+TEST_F(SloAdmissionFixture, AdmissionRejectsInfeasibleDeadlines)
+{
+    // Every classed-with-deadline arrival must be rejected, and the
+    // run must still reconcile.
+    const ClusterResult r = runAdmitted(/*downgrade=*/false);
+    ASSERT_GT(deadlined_, 0);
+    EXPECT_EQ(r.slo.rejected(), deadlined_);
+    EXPECT_EQ(r.images + r.slo.rejected(),
+              static_cast<std::int64_t>(impossible_.size()));
+    EXPECT_EQ(r.slo.downgraded(), 0);
+}
+
+TEST_F(SloAdmissionFixture, DowngradeKeepsDeadlineAccounting)
+{
+    const ClusterResult r = runAdmitted(/*downgrade=*/true);
+    // Everything runs (downgraded, not dropped)...
+    EXPECT_EQ(r.images, static_cast<std::int64_t>(impossible_.size()));
+    EXPECT_EQ(r.slo.rejected(), 0);
+    EXPECT_EQ(r.slo.downgraded(), deadlined_);
+    // ...but late completions count as violations under best-effort,
+    // never as met: goodput cannot be inflated by shedding.
+    EXPECT_EQ(r.slo.of(RequestClass::BestEffort).violated, deadlined_);
+    EXPECT_EQ(r.slo.of(RequestClass::Interactive).completed, 0);
+    EXPECT_EQ(r.slo.of(RequestClass::Batch).completed, 0);
+}
 
 TEST_F(SloClusterFixture, OnlineSloServingReconcilesAndIsDeterministic)
 {

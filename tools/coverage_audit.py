@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""List the src/ functions that no product entry point executes.
+"""List the src/ functions (and lines) that no product entry point executes.
 
 Build a coverage tree, then run the audit over it:
 
@@ -7,7 +7,7 @@ Build a coverage tree, then run the audit over it:
         -DCMAKE_CXX_FLAGS="--coverage -O0" \\
         -DCMAKE_EXE_LINKER_FLAGS=--coverage
     cmake --build build-cov -j
-    python3 tools/coverage_audit.py build-cov
+    python3 tools/coverage_audit.py [--lines] build-cov
 
 The audit
 
@@ -28,7 +28,14 @@ The audit
   4. prints every src/ function whose summed count is zero and that
      tools/coverage_allowlist.txt does not list, and exits 1 if there
      is one. A stale binary, an entry point or gcov run that fails,
-     or a malformed allowlist exits 2.
+     or a malformed allowlist exits 2;
+  5. with --lines, also prints every instrumented src/ line whose
+     count, summed per (file, line) over the same objects, is zero:
+     the totals per subsystem (src/<subsystem>/), then the lines per
+     function. This report never changes the exit status: it finds
+     dead branches inside live functions, most of them error paths.
+     A lone closing brace can read as unexecuted: gcov charges it
+     with the exception cleanup of the function's locals only.
 
 Allowlist lines read `<file> | <function> | <reason>`. <file> is the
 path as printed here; <function> is a demangled name as printed here,
@@ -118,12 +125,15 @@ def product_objects(build):
     return out
 
 
-def function_counts(build):
-    """{(file, demangled name): (summed execution count, line)}.
+def gcov_counts(build):
+    """Summed counts of every src/ function and instrumented line.
 
-    The line is the one the most recently compiled object reports.
+    Returns ({(file, demangled name): (count, line)},
+    {(file, line): (count, demangled function names)}). A function's
+    line is the one the most recently compiled object reports.
     """
-    counts = {}
+    functions = {}
+    lines = {}
     for gcno in product_objects(build):
         built = os.path.getmtime(gcno)
         done = subprocess.run(["gcov", "-j", "-t", gcno], cwd=build,
@@ -139,14 +149,60 @@ def function_counts(build):
                 os.path.normpath(os.path.join(cwd, f["file"])), REPO)
             if not path.startswith("src" + os.sep):
                 continue
+            demangled = {}
             for fn in f["functions"]:
+                demangled[fn["name"]] = fn["demangled_name"]
                 key = (path, fn["demangled_name"])
-                count, line, newest = counts.get(key, (0, 0, -1.0))
+                count, line, newest = functions.get(key, (0, 0, -1.0))
                 if built >= newest:
                     line, newest = fn["start_line"], built
-                counts[key] = (count + fn["execution_count"], line, newest)
-    return {key: (count, line)
-            for key, (count, line, _) in counts.items()}
+                functions[key] = (count + fn["execution_count"], line,
+                                  newest)
+            for ln in f["lines"]:
+                key = (path, ln["line_number"])
+                count, names = lines.get(key, (0, set()))
+                name = ln.get("function_name")
+                if name:
+                    names.add(demangled.get(name, name))
+                lines[key] = (count + ln["count"], names)
+    return ({key: (count, line)
+             for key, (count, line, _) in functions.items()}, lines)
+
+
+def ranges(numbers):
+    """'3-5, 9' for [3, 4, 5, 9]."""
+    out = []
+    for n in sorted(numbers):
+        if out and out[-1][1] == n - 1:
+            out[-1][1] = n
+        else:
+            out.append([n, n])
+    return ", ".join(str(a) if a == b else "%d-%d" % (a, b)
+                     for a, b in out)
+
+
+def print_lines(lines):
+    """The --lines report: unexecuted src/ lines by subsystem, function."""
+    unexecuted = {key: names for key, (n, names) in lines.items()
+                  if n == 0}
+    print("coverage audit: %d of %d instrumented src/ lines never executed"
+          % (len(unexecuted), len(lines)))
+    subsystems = {}
+    for path, _ in unexecuted:
+        subsystem = path.split(os.sep)[1]
+        subsystems[subsystem] = subsystems.get(subsystem, 0) + 1
+    for subsystem, n in sorted(subsystems.items(),
+                               key=lambda kv: (-kv[1], kv[0])):
+        print("SUBSYSTEM %s %d" % (subsystem, n))
+    # A line shared by several instantiations is listed under the
+    # first name, so each line is counted once.
+    by_function = {}
+    for (path, line), names in unexecuted.items():
+        name = min(names) if names else "(no function)"
+        by_function.setdefault((path, name), []).append(line)
+    for (path, name), numbers in sorted(by_function.items()):
+        print("LINES %s %s: %d (%s)" % (path, name, len(numbers),
+                                       ranges(numbers)))
 
 
 def load_allowlist():
@@ -169,15 +225,19 @@ def load_allowlist():
 
 
 def main():
-    if len(sys.argv) != 2:
+    args = sys.argv[1:]
+    with_lines = "--lines" in args
+    args = [a for a in args if a != "--lines"]
+    if len(args) != 1:
         sys.stderr.write(__doc__)
         sys.exit(2)
-    build = os.path.abspath(sys.argv[1])
+    build = os.path.abspath(args[0])
     allow = load_allowlist()
     run_entry_points(build)
+    functions, lines = gcov_counts(build)
     unreached = sorted((path, name, line)
                        for (path, name), (n, line)
-                       in function_counts(build).items() if n == 0)
+                       in functions.items() if n == 0)
     used = set()
     missing = []
     for path, name, line in unreached:
@@ -195,6 +255,8 @@ def main():
         if lineno not in used:
             print("stale allowlist entry (line %d): %s | %s"
                   % (lineno, path, name))
+    if with_lines:
+        print_lines(lines)
     return 1 if missing else 0
 
 
