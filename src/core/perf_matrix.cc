@@ -9,22 +9,22 @@ PerfMatrix::set(ArchId arch, ProcKind proc, const PerfEntry &entry)
 {
     COSERVE_CHECK(entry.k > 0, "perf entry needs positive K");
     COSERVE_CHECK(entry.maxBatch >= 1, "perf entry needs maxBatch >= 1");
-    table_[{arch, proc}] = entry;
+    size_ += has(arch, proc) ? 0 : 1;
+    entries_[static_cast<int>(arch)][static_cast<int>(proc)] = entry;
 }
 
 const PerfEntry &
 PerfMatrix::at(ArchId arch, ProcKind proc) const
 {
-    auto it = table_.find({arch, proc});
-    COSERVE_CHECK(it != table_.end(), "no perf entry for arch ",
+    COSERVE_CHECK(has(arch, proc), "no perf entry for arch ",
                   static_cast<int>(arch), " on ", toString(proc));
-    return it->second;
+    return entries_[static_cast<int>(arch)][static_cast<int>(proc)];
 }
 
 bool
 PerfMatrix::has(ArchId arch, ProcKind proc) const
 {
-    return table_.count({arch, proc}) > 0;
+    return entries_[static_cast<int>(arch)][static_cast<int>(proc)].k > 0;
 }
 
 } // namespace coserve

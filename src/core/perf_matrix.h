@@ -13,8 +13,8 @@
 #ifndef COSERVE_CORE_PERF_MATRIX_H
 #define COSERVE_CORE_PERF_MATRIX_H
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 
 #include "hw/device.h"
 #include "model/architecture.h"
@@ -55,10 +55,12 @@ class PerfMatrix
     bool has(ArchId arch, ProcKind proc) const;
 
     /** @return number of profiled pairs. */
-    std::size_t size() const { return table_.size(); }
+    std::size_t size() const { return size_; }
 
   private:
-    std::map<std::pair<ArchId, ProcKind>, PerfEntry> table_;
+    /** Entries indexed [arch][proc]; K == 0 marks an unprofiled pair. */
+    PerfEntry entries_[kNumArchIds][kNumProcKinds] = {};
+    std::size_t size_ = 0;
 };
 
 } // namespace coserve

@@ -30,42 +30,55 @@ DependencyAwareScheduler::execEstimate(const PerfMatrix *perf,
     return joinsGroup ? k : k + b;
 }
 
+const DependencyAwareScheduler::ExecCost *
+DependencyAwareScheduler::costRow(const ServingEngine &engine,
+                                  ArchId arch) const
+{
+    const LatencyModel &truth = engine.truth();
+    if (costsTruth_ != &truth) {
+        for (int a = 0; a < kNumArchIds; ++a) {
+            for (int k = 0; k < kNumProcKinds; ++k) {
+                const auto id = static_cast<ArchId>(a);
+                const auto proc = static_cast<ProcKind>(k);
+                if ((perf_ && perf_->has(id, proc)) || truth.has(id, proc)) {
+                    costs_[a][k] = {
+                        execEstimate(perf_, &truth, id, proc, true),
+                        execEstimate(perf_, &truth, id, proc, false)};
+                } else {
+                    costs_[a][k] = {};
+                }
+            }
+        }
+        costsTruth_ = &truth;
+    }
+    return costs_[static_cast<int>(arch)];
+}
+
+Time
+DependencyAwareScheduler::priced(const ServingEngine &engine,
+                                 std::size_t i, const Executor &exec,
+                                 const ExecCost *row, ArchId arch,
+                                 ExpertId e) const
+{
+    const ExecCost &cost = row[static_cast<int>(exec.kind())];
+    if (cost.join == 0) // no entry: execEstimate panics with its message
+        execEstimate(perf_, &engine.truth(), arch, exec.kind(), true);
+    // Execution part K / K + B (Section 4.2). The switch part is zero
+    // when the request joins a queued group, which already demands
+    // the expert; otherwise predictLoadTime() prices it.
+    if (exec.queue().containsExpert(e))
+        return cost.join;
+    return cost.open + engine.predictLoadTime(i, e);
+}
+
 Time
 DependencyAwareScheduler::additionalLatency(const ServingEngine &engine,
                                             std::size_t i,
                                             const Request &req) const
 {
     const ArchId arch = engine.model().expert(req.expert).arch;
-    return additionalLatencyImpl(engine, i, req, arch, nullptr);
-}
-
-Time
-DependencyAwareScheduler::additionalLatencyImpl(
-    const ServingEngine &engine, std::size_t i, const Request &req,
-    ArchId arch, ExecMemo *memo) const
-{
-    const Executor &exec = engine.executorAt(i);
-
-    // Execution part (K / K + B, Section 4.2).
-    const bool joinsGroup = exec.queue().containsExpert(req.expert);
-    Time execPart;
-    if (memo) {
-        const int kindIdx = exec.kind() == ProcKind::GPU ? 0 : 1;
-        if (!memo->valid[kindIdx][joinsGroup]) {
-            memo->value[kindIdx][joinsGroup] = execEstimate(
-                perf_, &engine.truth(), arch, exec.kind(), joinsGroup);
-            memo->valid[kindIdx][joinsGroup] = true;
-        }
-        execPart = memo->value[kindIdx][joinsGroup];
-    } else {
-        execPart = execEstimate(perf_, &engine.truth(), arch,
-                                exec.kind(), joinsGroup);
-    }
-
-    // Switch part: zero when resident or already demanded (Section 4.2).
-    const Time switchPart = engine.predictLoadTime(i, req.expert);
-
-    return execPart + switchPart;
+    return priced(engine, i, engine.executorAt(i), costRow(engine, arch),
+                  arch, req.expert);
 }
 
 void
@@ -74,17 +87,15 @@ DependencyAwareScheduler::dispatch(ServingEngine &engine,
 {
     const std::size_t n = engine.numExecutors();
     COSERVE_CHECK(n > 0, "no executors");
-
-    scratch_.clear();
-    scratch_.reserve(n); // no-op once warm
+    finish_.resize(n); // no-op once warm
+    add_.resize(n);
 
     // One pass over the executors gathers both the as-is finish time
     // and the additional latency (the two loops of the original
-    // formulation, folded), memoizing the execution part of the
-    // estimate across executors.
+    // formulation, folded), into flat arrays the pick loop only reads.
     const ArchId arch = engine.model().expert(req.expert).arch;
+    const ExecCost *row = costRow(engine, arch);
     const Time now = engine.now();
-    ExecMemo memo;
 
     Time maxFinish = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -92,8 +103,8 @@ DependencyAwareScheduler::dispatch(ServingEngine &engine,
         const Time finish = std::max(now, exec.busyUntil()) +
                             exec.queue().pendingWork();
         maxFinish = std::max(maxFinish, finish);
-        scratch_.push_back(
-            {finish, additionalLatencyImpl(engine, i, req, arch, &memo)});
+        finish_[i] = finish;
+        add_[i] = priced(engine, i, exec, row, arch, req.expert);
     }
 
     std::size_t best = 0;
@@ -102,13 +113,12 @@ DependencyAwareScheduler::dispatch(ServingEngine &engine,
     for (std::size_t i = 0; i < n; ++i) {
         // Total inference time across executors if assigned to i
         // (queues run in parallel; the longest one dictates, Fig. 8).
-        const Time total =
-            std::max(maxFinish, scratch_[i].finish + scratch_[i].add);
+        const Time total = std::max(maxFinish, finish_[i] + add_[i]);
         if (total < bestTotal ||
-            (total == bestTotal && scratch_[i].add < bestAdd)) {
+            (total == bestTotal && add_[i] < bestAdd)) {
             best = i;
             bestTotal = total;
-            bestAdd = scratch_[i].add;
+            bestAdd = add_[i];
         }
     }
 

@@ -27,6 +27,8 @@
 
 namespace coserve {
 
+class Executor;
+
 /** CoServe's dependency-aware scheduler. */
 class DependencyAwareScheduler : public Scheduler
 {
@@ -65,41 +67,51 @@ class DependencyAwareScheduler : public Scheduler
                              ProcKind proc, bool joinsGroup);
 
   private:
-    /** Per-executor dispatch intermediates (finish time + estimate). */
-    struct Candidate
+    /** Execution part of the estimate for one (arch, processor). */
+    struct ExecCost
     {
-        Time finish;
-        Time add;
+        /** K: the request joins a queued same-expert group. */
+        Time join = 0;
+        /** K + B: the request opens a new group. */
+        Time open = 0;
     };
 
     /**
-     * Memo of the execution part of the estimate, which only depends
-     * on (processor kind, joins-group): at most four distinct values
-     * per dispatched request.
+     * costs_'s row for @p arch, indexed by processor kind. costs_ is
+     * refilled from execEstimate() when @p engine's truth model is not
+     * the one it was filled from (models are told apart by address and
+     * must not change while an engine uses them). A pair neither the
+     * matrix nor the truth model covers stays {0, 0}: K is positive.
      */
-    struct ExecMemo
-    {
-        Time value[2][2];
-        bool valid[2][2] = {{false, false}, {false, false}};
-    };
+    const ExecCost *costRow(const ServingEngine &engine, ArchId arch) const;
 
     /**
-     * The one implementation of the Section 4.2 estimate; the public
-     * additionalLatency() and the dispatch() hot loop both call it,
-     * dispatch() passing a @p memo to amortize the execution part
-     * across executors.
+     * The Section 4.2 estimate for executor @p i (= @p exec), priced
+     * from its kind's entry in @p row, the costRow() of @p arch:
+     * K when expert @p e joins a queued group (no switch), else
+     * K + B plus the predicted load time.
      */
-    Time additionalLatencyImpl(const ServingEngine &engine,
-                               std::size_t i, const Request &req,
-                               ArchId arch, ExecMemo *memo) const;
+    Time priced(const ServingEngine &engine, std::size_t i,
+                const Executor &exec, const ExecCost *row, ArchId arch,
+                ExpertId e) const;
 
     const PerfMatrix *perf_;
     /**
-     * Reusable dispatch scratch, one entry per executor. dispatch() is
-     * called once per request on the hottest path; keeping the buffer
-     * across calls makes the steady path allocation-free.
+     * [arch][processor kind] execution estimates, filled once per
+     * truth model: dispatch() prices every executor for every request,
+     * so the estimate is a table read, not a matrix lookup.
      */
-    std::vector<Candidate> scratch_;
+    mutable ExecCost costs_[kNumArchIds][kNumProcKinds] = {};
+    /** The truth model costs_ was filled from; nullptr before any. */
+    mutable const LatencyModel *costsTruth_ = nullptr;
+    /**
+     * Reusable dispatch scratch, one entry per executor: each one's
+     * as-is finish time and additional latency. dispatch() is called
+     * once per request on the hottest path; keeping the buffers across
+     * calls makes the steady path allocation-free.
+     */
+    std::vector<Time> finish_;
+    std::vector<Time> add_;
 };
 
 } // namespace coserve

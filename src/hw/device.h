@@ -37,6 +37,9 @@ enum class MemArch { NUMA, UMA };
 /** Kind of compute resource an executor runs on. */
 enum class ProcKind { GPU, CPU };
 
+/** Number of ProcKind values (dense per-processor tables). */
+inline constexpr int kNumProcKinds = 2;
+
 /** @return "GPU" / "CPU". */
 const char *toString(ProcKind k);
 

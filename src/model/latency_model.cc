@@ -75,22 +75,21 @@ LatencyModel::setParams(ArchId arch, ProcKind proc, LatencyParams p)
     COSERVE_CHECK(p.perImage > 0, "latency K must be positive");
     COSERVE_CHECK(p.fixed >= 0 && p.penaltyPerImageSq >= 0,
                   "latency params must be non-negative");
-    table_[{arch, proc}] = p;
+    table_[static_cast<int>(arch)][static_cast<int>(proc)] = p;
 }
 
 const LatencyParams &
 LatencyModel::params(ArchId arch, ProcKind proc) const
 {
-    auto it = table_.find({arch, proc});
-    COSERVE_CHECK(it != table_.end(), "no latency params for arch ",
+    COSERVE_CHECK(has(arch, proc), "no latency params for arch ",
                   static_cast<int>(arch), " on ", toString(proc));
-    return it->second;
+    return table_[static_cast<int>(arch)][static_cast<int>(proc)];
 }
 
 bool
 LatencyModel::has(ArchId arch, ProcKind proc) const
 {
-    return table_.count({arch, proc}) > 0;
+    return table_[static_cast<int>(arch)][static_cast<int>(proc)].perImage > 0;
 }
 
 Time

@@ -28,8 +28,6 @@
 #ifndef COSERVE_MODEL_LATENCY_MODEL_H
 #define COSERVE_MODEL_LATENCY_MODEL_H
 
-#include <map>
-
 #include "hw/device.h"
 #include "model/architecture.h"
 #include "util/rng.h"
@@ -85,7 +83,8 @@ class LatencyModel
                  double noiseFrac = 0.03) const;
 
   private:
-    std::map<std::pair<ArchId, ProcKind>, LatencyParams> table_;
+    /** Entries indexed [arch][proc]; K == 0 marks a missing pair. */
+    LatencyParams table_[kNumArchIds][kNumProcKinds] = {};
 };
 
 } // namespace coserve

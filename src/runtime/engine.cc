@@ -91,6 +91,14 @@ ServingEngine::ServingEngine(EngineConfig cfg, const CoEModel &model,
                                                TierLevel::CpuDram);
     }
 
+    // Dense copy of the profiled batch limits; 8 where none is given.
+    for (auto &row : maxBatch_)
+        for (int &limit : row)
+            limit = 8;
+    for (const auto &[key, limit] : cfg_.maxBatch)
+        maxBatch_[static_cast<int>(key.first)][static_cast<int>(key.second)] =
+            limit;
+
     // Memory-pressure slowdown of GPU loads: fraction of GPU memory
     // held by resident experts vs. batch workspace.
     if (gpuPoolBytes > 0) {
@@ -207,10 +215,8 @@ ServingEngine::maxExecutableBatch(const Executor &exec, ArchId arch) const
 {
     if (!cfg_.batching)
         return 1;
-    int profiled = 8;
-    auto it = cfg_.maxBatch.find({arch, exec.kind()});
-    if (it != cfg_.maxBatch.end())
-        profiled = it->second;
+    const int profiled =
+        maxBatch_[static_cast<int>(arch)][static_cast<int>(exec.kind())];
     const std::int64_t perImage =
         footprint_.activationBytesPerImage(arch, exec.kind());
     const int memBound = static_cast<int>(

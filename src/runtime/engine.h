@@ -611,6 +611,8 @@ class ServingEngine
     std::vector<int> provisional_;
     RequestId provisionalId0_ = 0;
 
+    /** cfg_.maxBatch as a dense [arch][kind] table (default 8). */
+    int maxBatch_[kNumArchIds][kNumProcKinds] = {};
     double gpuPressure_ = 1.0;
     /** Straggler fault multiplier on batch latencies (1.0 = nominal). */
     double computeScale_ = 1.0;

@@ -156,6 +156,39 @@ TEST(LatencyModelTest, MissingEntryDetected)
     EXPECT_TRUE(m.has(ArchId::ResNet101, ProcKind::GPU));
 }
 
+TEST(LatencyModelTest, SetParamsTwiceKeepsLastEntry)
+{
+    LatencyModel m;
+    LatencyParams p;
+    p.perImage = milliseconds(1);
+    m.setParams(ArchId::YoloV5m, ProcKind::CPU, p);
+    p.perImage = milliseconds(2);
+    p.fixed = milliseconds(3);
+    m.setParams(ArchId::YoloV5m, ProcKind::CPU, p);
+
+    int entries = 0;
+    for (int a = 0; a < kNumArchIds; ++a) {
+        for (ProcKind k : {ProcKind::GPU, ProcKind::CPU})
+            entries += m.has(static_cast<ArchId>(a), k) ? 1 : 0;
+    }
+    EXPECT_EQ(entries, 1);
+    const LatencyParams &got = m.params(ArchId::YoloV5m, ProcKind::CPU);
+    EXPECT_EQ(got.perImage, milliseconds(2));
+    EXPECT_EQ(got.fixed, milliseconds(3));
+}
+
+TEST(LatencyModelTest, MissingParamsDie)
+{
+    LatencyModel m;
+    LatencyParams p;
+    p.perImage = milliseconds(1);
+    m.setParams(ArchId::YoloV5m, ProcKind::GPU, p);
+    EXPECT_DEATH(m.params(ArchId::YoloV5m, ProcKind::CPU),
+                 "no latency params for arch 1 on CPU");
+    EXPECT_DEATH(m.batchLatency(ArchId::Custom, ProcKind::GPU, 1),
+                 "no latency params for arch 3 on GPU");
+}
+
 TEST(FootprintTest, ExpertBytesIncludeOverhead)
 {
     const FootprintModel f = FootprintModel::calibrated(numaRtx3080Ti());

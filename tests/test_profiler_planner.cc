@@ -106,6 +106,38 @@ TEST_F(ProfilerTest, DeterministicForSeed)
     EXPECT_EQ(a.maxBatch, b.maxBatch);
 }
 
+TEST(PerfMatrixTest, SetTwiceKeepsLastEntry)
+{
+    PerfMatrix m;
+    EXPECT_EQ(m.size(), 0u);
+    PerfEntry e;
+    e.k = milliseconds(1);
+    m.set(ArchId::YoloV5l, ProcKind::GPU, e);
+    e.k = milliseconds(4);
+    e.maxBatch = 6;
+    m.set(ArchId::YoloV5l, ProcKind::GPU, e);
+    EXPECT_EQ(m.size(), 1u);
+    EXPECT_EQ(m.at(ArchId::YoloV5l, ProcKind::GPU).k, milliseconds(4));
+    EXPECT_EQ(m.at(ArchId::YoloV5l, ProcKind::GPU).maxBatch, 6);
+    EXPECT_FALSE(m.has(ArchId::YoloV5l, ProcKind::CPU));
+
+    m.set(ArchId::Custom, ProcKind::CPU, e);
+    EXPECT_EQ(m.size(), 2u);
+    EXPECT_TRUE(m.has(ArchId::Custom, ProcKind::CPU));
+}
+
+TEST(PerfMatrixTest, MissingEntryDies)
+{
+    PerfMatrix m;
+    PerfEntry e;
+    e.k = milliseconds(1);
+    m.set(ArchId::ResNet101, ProcKind::GPU, e);
+    EXPECT_DEATH(m.at(ArchId::ResNet101, ProcKind::CPU),
+                 "no perf entry for arch 0 on CPU");
+    EXPECT_DEATH(m.at(ArchId::YoloV5m, ProcKind::GPU),
+                 "no perf entry for arch 1 on GPU");
+}
+
 TEST(SaturationMaxBatchTest, PicksArgminAverage)
 {
     const LatencyModel m = LatencyModel::calibrated(numaRtx3080Ti());

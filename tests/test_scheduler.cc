@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "baselines/schedulers.h"
 #include "coe/board_builder.h"
+#include "core/coserve.h"
 #include "core/scheduler.h"
 #include "core/two_stage_eviction.h"
 #include "runtime/engine.h"
@@ -139,6 +142,196 @@ TEST_F(SchedulerTest, PerfMatrixOverridesTruth)
     const Request req = requestFor(0);
     EXPECT_EQ(sched.additionalLatency(engine, 0, req),
               milliseconds(107));
+}
+
+TEST_F(SchedulerTest, OneSchedulerPricesEachEngineFromItsModel)
+{
+    // One scheduler, two engines whose truth models differ: every
+    // estimate must come from the engine at hand, back and forth.
+    LatencyModel slower;
+    for (ArchId arch : {ArchId::ResNet101, ArchId::YoloV5m,
+                        ArchId::YoloV5l}) {
+        LatencyParams p = truth_.params(arch, ProcKind::GPU);
+        p.perImage *= 3;
+        p.fixed += milliseconds(5);
+        slower.setParams(arch, ProcKind::GPU, p);
+    }
+    ServingEngine fast(config(1, 800), model_, truth_, footprint_, usage_,
+                       std::make_unique<DependencyAwareScheduler>(),
+                       std::make_unique<TwoStageEviction>());
+    ServingEngine slow(config(1, 800), model_, slower, footprint_, usage_,
+                       std::make_unique<DependencyAwareScheduler>(),
+                       std::make_unique<TwoStageEviction>());
+
+    DependencyAwareScheduler sched;
+    const Request req = requestFor(0);
+    const ArchId arch = model_.expert(req.expert).arch;
+    const auto want = [&](const ServingEngine &engine,
+                          const LatencyModel &truth) {
+        const LatencyParams &p = truth.params(arch, ProcKind::GPU);
+        return p.perImage + p.fixed + engine.predictLoadTime(0, req.expert);
+    };
+    const Time wantFast = want(fast, truth_);
+    const Time wantSlow = want(slow, slower);
+    ASSERT_NE(wantFast, wantSlow);
+    for (int round = 0; round < 2; ++round) {
+        EXPECT_EQ(sched.additionalLatency(fast, 0, req), wantFast);
+        EXPECT_EQ(sched.additionalLatency(slow, 0, req), wantSlow);
+    }
+
+    // dispatch() enqueues with the same estimate: nothing is resident
+    // in a fresh engine, so the request stays queued with it.
+    sched.dispatch(slow, req);
+    sched.dispatch(fast, req);
+    EXPECT_EQ(slow.executorAt(0).queue().pendingWork(), wantSlow);
+    EXPECT_EQ(fast.executorAt(0).queue().pendingWork(), wantFast);
+}
+
+TEST_F(SchedulerTest, UnpricedPairDiesWithModelMessage)
+{
+    // The truth model covers ResNet101 on the GPU only: pricing any
+    // other architecture dies with the latency model's own message.
+    LatencyModel partial;
+    partial.setParams(ArchId::ResNet101, ProcKind::GPU,
+                      truth_.params(ArchId::ResNet101, ProcKind::GPU));
+    ServingEngine engine(config(1, 800), model_, partial, footprint_,
+                         usage_,
+                         std::make_unique<DependencyAwareScheduler>(),
+                         std::make_unique<TwoStageEviction>());
+    Request req = requestFor(0);
+    for (const Expert &e : model_.experts()) {
+        if (e.arch != ArchId::ResNet101)
+            req.expert = e.id;
+    }
+    ASSERT_NE(model_.expert(req.expert).arch, ArchId::ResNet101);
+
+    DependencyAwareScheduler sched;
+    EXPECT_DEATH(sched.additionalLatency(engine, 0, req),
+                 "no latency params for arch");
+    EXPECT_DEATH(sched.dispatch(engine, req), "no latency params for arch");
+}
+
+/**
+ * Scheduler wrapper that recomputes every dispatch by brute force —
+ * execEstimate() + predictLoadTime() for every executor, the makespan
+ * pick with ties to the smaller add, then the lower index — and checks
+ * that the wrapped dependency-aware scheduler made the same choice.
+ */
+class BruteForceCheck : public Scheduler
+{
+  public:
+    explicit BruteForceCheck(const PerfMatrix *perf)
+        : perf_(perf), inner_(perf)
+    {
+    }
+
+    const char *name() const override { return inner_.name(); }
+
+    void
+    dispatch(ServingEngine &engine, const Request &req) override
+    {
+        const std::size_t n = engine.numExecutors();
+        const ArchId arch = engine.model().expert(req.expert).arch;
+        std::vector<Time> finish(n), add(n);
+        Time maxFinish = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const Executor &exec = engine.executorAt(i);
+            finish[i] = std::max(engine.now(), exec.busyUntil()) +
+                        exec.queue().pendingWork();
+            maxFinish = std::max(maxFinish, finish[i]);
+            add[i] = DependencyAwareScheduler::execEstimate(
+                         perf_, &engine.truth(), arch, exec.kind(),
+                         exec.queue().containsExpert(req.expert)) +
+                     engine.predictLoadTime(i, req.expert);
+        }
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < n; ++i) {
+            const Time total = std::max(maxFinish, finish[i] + add[i]);
+            const Time bestTotal =
+                std::max(maxFinish, finish[best] + add[best]);
+            if (total == bestTotal)
+                ++ties;
+            if (total < bestTotal ||
+                (total == bestTotal && add[i] < add[best]))
+                best = i;
+        }
+
+        struct Snapshot
+        {
+            std::size_t size;
+            Time pending;
+            bool idle;
+        };
+        std::vector<Snapshot> before;
+        for (std::size_t i = 0; i < n; ++i) {
+            const Executor &exec = engine.executorAt(i);
+            before.push_back({exec.queue().size(),
+                              exec.queue().pendingWork(), exec.idle()});
+        }
+        inner_.dispatch(engine, req);
+        ++dispatches;
+
+        // Only the chosen executor may change. When its queue grew by
+        // one, no batch started, so the request sits queued with its
+        // add; a busy executor cannot start one.
+        for (std::size_t i = 0; i < n; ++i) {
+            const Executor &exec = engine.executorAt(i);
+            if (i != best) {
+                EXPECT_EQ(exec.queue().size(), before[i].size);
+                EXPECT_EQ(exec.queue().pendingWork(), before[i].pending);
+                EXPECT_EQ(exec.idle(), before[i].idle);
+                continue;
+            }
+            if (!before[i].idle) {
+                EXPECT_EQ(exec.queue().size(), before[i].size + 1);
+            }
+            if (exec.queue().size() == before[i].size + 1) {
+                EXPECT_EQ(exec.queue().pendingWork(),
+                          before[i].pending + add[best]);
+                ++addsChecked;
+            }
+        }
+        if (best != 0)
+            ++notFirst;
+        if (engine.executorAt(best).kind() == ProcKind::CPU)
+            ++toCpu;
+    }
+
+    std::int64_t dispatches = 0, addsChecked = 0, ties = 0;
+    std::int64_t notFirst = 0, toCpu = 0;
+
+  private:
+    const PerfMatrix *perf_;
+    DependencyAwareScheduler inner_;
+};
+
+TEST(DependencyAwareDispatchTest, MatchesBruteForceOnBoardA)
+{
+    // Board A on the NUMA device, two GPU executors and one CPU
+    // executor, fed a Task A2 trace that outpaces the engine, so the
+    // queues deepen and every dispatch weighs busy executors.
+    const DeviceSpec device = numaRtx3080Ti();
+    const CoEModel model = buildBoard(boardA());
+    const CoServeContext ctx(device, model);
+    const auto [minCount, maxCount] = gpuExpertCountBounds(ctx, 2, 1);
+    EngineConfig cfg = coserveConfig(
+        ctx, coserveExecutorLayout(ctx, 2, 1, (minCount + maxCount) / 2),
+        "brute-force");
+    auto check = std::make_unique<BruteForceCheck>(&ctx.perf());
+    BruteForceCheck &seen = *check;
+    ServingEngine engine(std::move(cfg), model, ctx.truth(),
+                         ctx.footprint(), ctx.usage(), std::move(check),
+                         std::make_unique<TwoStageEviction>());
+    TaskSpec task = taskA2();
+    task.numImages = 1500;
+    const RunResult result = engine.run(generateTrace(model, task));
+
+    EXPECT_EQ(result.images, 1500);
+    EXPECT_GT(seen.dispatches, 1500);
+    EXPECT_GT(seen.addsChecked, seen.dispatches / 2);
+    EXPECT_GT(seen.ties, 0);
+    EXPECT_GT(seen.notFirst, 0);
+    EXPECT_GT(seen.toCpu, 0);
 }
 
 TEST_F(SchedulerTest, ReplayRejectsUnknownRequests)
