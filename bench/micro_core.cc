@@ -1,14 +1,15 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the hot paths of the serving
- * engine: event queue churn, request-queue grouped insertion and deep
- * steady-state pops (classless, and EDF over SLO classes), memory-tier
+ * engine: event queue churn, request-queue grouped insertion, deep
+ * steady-state pops (classless, and EDF over SLO classes) and shallow
+ * EDF pops (an online replica's queue), memory-tier
  * residency lookups, eviction victim
  * selection, one dependency-aware dispatch into deep queues (the
  * real-world wall-clock cost behind Figure 19's scheduling bar), one
- * cluster-level LeastLoaded routing decision, cluster admission's
- * live pricing of one arrival, and a whole ServingEngine::run per
- * arrival.
+ * cluster-level LeastLoaded routing decision, the coordinator's live
+ * pricing of one arrival (the quote row admission and routing share),
+ * and a whole ServingEngine::run per arrival.
  */
 
 #include <benchmark/benchmark.h>
@@ -126,6 +127,42 @@ BM_RequestQueueSloDeep(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RequestQueueSloDeep)->Arg(30000);
+
+void
+BM_RequestQueueSloShallow(benchmark::State &state)
+{
+    // The online regime: an executor queue of an online replica holds
+    // a handful of requests, mostly of distinct experts out of board
+    // A's 380, with SLO classes as in BM_RequestQueueSloDeep. Each step
+    // picks the EDF group, pops up to 3 of it, reads the prefetch
+    // target and refills to the given depth.
+    constexpr std::uint64_t kExperts = 380;
+    const auto depth = static_cast<std::size_t>(state.range(0));
+    Rng rng(11);
+    RequestQueue q;
+    RequestId id = 0;
+    const auto push = [&] {
+        Request r;
+        r.id = id++;
+        r.expert = static_cast<ExpertId>(rng.uniformInt(kExperts));
+        const bool interactive = rng.bernoulli(0.3);
+        r.cls = interactive ? RequestClass::Interactive
+                            : RequestClass::Batch;
+        r.deadline = id * 10 + (interactive ? 20000 : 200000);
+        q.pushGrouped(r, 1000);
+    };
+    while (q.size() < depth)
+        push();
+    std::vector<Request> batch;
+    for (auto _ : state) {
+        q.popBatchFor(q.nextBatchExpert(), 3, batch);
+        benchmark::DoNotOptimize(q.prefetchExpert());
+        while (q.size() < depth)
+            push();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RequestQueueSloShallow)->Arg(16);
 
 void
 BM_TierLookup(benchmark::State &state)
@@ -267,12 +304,13 @@ BENCHMARK(BM_LeastLoadedRoute)->Arg(8192);
 void
 BM_LiveQuote(benchmark::State &state)
 {
-    // Cluster admission's pricing of one arrival over 4 replicas:
-    // LiveCostModel::quote plus detectAdd on every replica, min taken.
-    // The live views come from 4 online engines fed the first half of
-    // the trace round-robin, so queued/resident answers are mixed; the
-    // timed loop prices the second half against them. "quote" reads as
-    // time per priced arrival (all 4 replicas).
+    // The coordinator's pricing of one arrival over 4 replicas:
+    // LiveCostModel::quoteRow, the row admission and LeastLoaded share,
+    // then admission's min of finish plus detectAdd over it. The live
+    // views come from 4 online engines fed the first half of the trace
+    // round-robin, so queued/resident answers are mixed; the timed loop
+    // prices the second half against them. "quote" reads as time per
+    // priced arrival (all 4 replicas).
     const BoardASetup s(state.range(0));
     constexpr std::size_t kReplicas = 4;
     const std::vector<ReplicaView> views(kReplicas,
@@ -296,14 +334,15 @@ BM_LiveQuote(benchmark::State &state)
     for (std::size_t i = 0; i < kReplicas; ++i)
         engines[i]->fillLoadView(live[i]);
 
+    std::vector<LiveCostModel::Quote> row;
     for (auto _ : state) {
         for (std::size_t k = half; k < s.trace.size(); ++k) {
             const ImageArrival &a = s.trace.arrivals[k];
+            costs.quoteRow(a, live, row);
             Time best = kTimeNever;
             for (std::size_t i = 0; i < kReplicas; ++i) {
-                best = std::min(best,
-                                costs.quote(i, a, live[i]).finish +
-                                    costs.detectAdd(i, a.component));
+                best = std::min(best, row[i].finish +
+                                          costs.detectAdd(i, a.component));
             }
             benchmark::DoNotOptimize(best);
         }

@@ -1306,21 +1306,33 @@ class Coordinator
     }
 
     /**
+     * Price @p a once on every replica from fresh views into quotes_:
+     * the one row cluster admission and a live router both read.
+     */
+    void
+    priceArrival(const ImageArrival &a)
+    {
+        refreshViews();
+        costs_.quoteRow(a, live_, quotes_);
+    }
+
+    /**
      * Cluster-level admission: can *any* active capable replica make
-     * @p a's deadline? Priced from the live views by the same cost
-     * model LeastLoaded routes with, plus the detect child the chain
-     * may spawn, upstream of routing. Downgrades @p a in place;
+     * @p a's deadline? Read from @p a's quote row (priceArrival()),
+     * the estimate LeastLoaded routes with, plus the detect child the
+     * chain may spawn, upstream of routing. The row prices exactly the
+     * active capable replicas: setActive() writes active_ and the
+     * views' acceptingWork gate together. Downgrades @p a in place;
      * returns false when it is rejected.
      */
     bool
     admit(ImageArrival &a, std::uint64_t idx)
     {
-        refreshViews();
         Time best = kTimeNever;
         for (std::size_t i = 0; i < n_; ++i) {
             if (!active_[i] || !caps_.chainOk(i, a.component))
                 continue;
-            best = std::min(best, costs_.quote(i, a, live_[i]).finish +
+            best = std::min(best, quotes_[i].finish +
                                       costs_.detectAdd(i, a.component));
         }
         const AdmissionVerdict verdict =
@@ -1347,26 +1359,38 @@ class Coordinator
 
     /**
      * Route arrival @p next at its arrival instant: online with live
-     * views (skipping the snapshot work for policies whose routeLive
-     * falls back to the offline route()); static only for an orphan,
-     * re-homed off the crashed replica of its pinned assignment.
+     * views (skipping the snapshot and pricing work for policies whose
+     * routeLive falls back to the offline route()); static only for an
+     * orphan, re-homed off the crashed replica of its pinned
+     * assignment. An arrival is priced at most once: nothing steps
+     * between admission and routing, and a quote never reads the
+     * class a downgrade changes, so admission's row is the router's.
      */
     void
     route(std::size_t next)
     {
         ImageArrival a = trace_.arrivals[next];
         const auto idx = static_cast<std::uint64_t>(next);
+        bool priced = false;
         if (liveRouting_ && cfg_.admission.enabled &&
-            a.deadline != kTimeNever && !admit(a, idx))
-            return;
+            a.deadline != kTimeNever) {
+            priceArrival(a);
+            priced = true;
+            if (!admit(a, idx))
+                return;
+        }
 
         std::size_t r = n_;
         if (!liveRouting_) {
             r = assignment_[next];
         } else if (crashes_ == 0 || covered(a.component, n_)) {
-            if (router_->usesLiveViews())
-                refreshViews();
-            r = router_->routeLive(a, live_);
+            if (router_->usesLiveViews()) {
+                if (!priced)
+                    priceArrival(a);
+                r = router_->routeQuoted(a, live_, quotes_);
+            } else {
+                r = router_->routeLive(a, live_);
+            }
             COSERVE_CHECK(r < n_, "router returned replica ", r);
         } else {
             // A crash took the last active replica able to serve this
@@ -1639,6 +1663,8 @@ class Coordinator
     // Routes each arrival: live (online) or offline (static).
     const std::unique_ptr<ReplicaRouter> router_ =
         makeRouter(cfg_.routing, model_, views_);
+    // The arrival being routed, priced on every replica (priceArrival).
+    std::vector<LiveCostModel::Quote> quotes_;
     // The next arrival to route (online) or whose Route record is due
     // (static).
     std::size_t nextArrival_ = 0;

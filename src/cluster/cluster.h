@@ -231,9 +231,9 @@ struct ClusterConfig
      * downgrade demotes the scheduling class to BestEffort but keeps
      * the deadline, so a late completion counts as a violation, never
      * as met. Replicas admit every arrival routed to them. A
-     * replica's prediction is
-     * LiveCostModel::quote() (router.h), the estimate LeastLoaded
-     * routes with, plus detectAdd() for the detect child the chain
+     * replica's prediction is its entry in the arrival's
+     * LiveCostModel::quoteRow() (router.h), the row LeastLoaded then
+     * routes from, plus detectAdd() for the detect child the chain
      * may spawn. Off by default.
      */
     AdmissionConfig admission;

@@ -152,6 +152,20 @@ LiveCostModel::quote(std::size_t i, const ImageArrival &a,
     return {std::max(a.time, soonest) + add, add};
 }
 
+void
+LiveCostModel::quoteRow(const ImageArrival &a,
+                        const std::vector<ReplicaLoadView> &views,
+                        std::vector<Quote> &row) const
+{
+    row.resize(replicas());
+    for (std::size_t i = 0; i < row.size(); ++i) {
+        // Quiesced (autoscaler) or crashed replicas take no new work.
+        row[i] = views[i].acceptingWork && caps_.chainOk(i, a.component)
+                     ? quote(i, a, views[i])
+                     : Quote{kTimeNever, kTimeNever};
+    }
+}
+
 Time
 LiveCostModel::switchCost(std::size_t i, ArchId arch,
                           const ReplicaLoadView &live, Time at) const
@@ -397,9 +411,10 @@ class LeastLoadedRouter : public ReplicaRouter
     /**
      * Online routing: replace the router's private finish model and
      * LRU residency guess with the replicas' actual state, priced by
-     * the LiveCostModel. The prediction itself is stateless (nothing
-     * drifts between arrivals); the only cross-arrival state is the
-     * sticky per-expert home used for affinity hysteresis.
+     * the LiveCostModel as one quote row. The prediction itself is
+     * stateless (nothing drifts between arrivals); the only
+     * cross-arrival state is the sticky per-expert home used for
+     * affinity hysteresis.
      */
     bool usesLiveViews() const override { return true; }
 
@@ -407,23 +422,28 @@ class LeastLoadedRouter : public ReplicaRouter
     routeLive(const ImageArrival &arrival,
               const std::vector<ReplicaLoadView> &views) override
     {
+        costs_.quoteRow(arrival, views, liveRow_);
+        return routeQuoted(arrival, views, liveRow_);
+    }
+
+    std::size_t
+    routeQuoted(const ImageArrival &arrival,
+                const std::vector<ReplicaLoadView> &views,
+                const std::vector<LiveCostModel::Quote> &row) override
+    {
         const auto [expert, arch] = costs_.classifier(arrival.component);
 
         std::size_t best = states_.size();
         Time bestFinish = kTimeNever;
         Time bestAdd = kTimeNever;
-        std::vector<Time> &finishes = liveScratch_;
-        finishes.assign(states_.size(), kTimeNever);
         for (std::size_t i = 0; i < states_.size(); ++i) {
             // Quiesced replicas (autoscaler) take no new work; their
-            // finishes entry stays kTimeNever, which also disarms the
+            // row entry reads kTimeNever, which also disarms the
             // affinity hysteresis below while a home is drained.
             if (!views[i].acceptingWork ||
                 !costs_.caps().chainOk(i, arrival.component))
                 continue;
-            const LiveCostModel::Quote q =
-                costs_.quote(i, arrival, views[i]);
-            finishes[i] = q.finish;
+            const LiveCostModel::Quote &q = row[i];
             if (q.finish < bestFinish ||
                 (q.finish == bestFinish && q.add < bestAdd)) {
                 best = i;
@@ -446,10 +466,10 @@ class LeastLoadedRouter : public ReplicaRouter
         if (static_cast<std::size_t>(expert) >= home_.size())
             home_.resize(static_cast<std::size_t>(expert) + 1, SIZE_MAX);
         const std::size_t h = home_[expert];
-        if (h != SIZE_MAX && h != best && finishes[h] != kTimeNever &&
-            finishes[h] <= bestFinish + costs_.switchCost(
-                                            h, arch, views[h],
-                                            arrival.time))
+        if (h != SIZE_MAX && h != best && row[h].finish != kTimeNever &&
+            row[h].finish <= bestFinish + costs_.switchCost(
+                                              h, arch, views[h],
+                                              arrival.time))
             best = h;
         home_[expert] = best;
         return best;
@@ -481,8 +501,8 @@ class LeastLoadedRouter : public ReplicaRouter
     std::vector<AddCost> add_;
     /** Live mode: each expert's current home replica (SIZE_MAX: none). */
     std::vector<std::size_t> home_;
-    /** Live mode: per-arrival finish scratch (allocation-free). */
-    std::vector<Time> liveScratch_;
+    /** routeLive()'s quote row scratch (allocation-free). */
+    std::vector<LiveCostModel::Quote> liveRow_;
 };
 
 } // namespace

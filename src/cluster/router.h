@@ -50,38 +50,6 @@ struct ReplicaView
     const EngineConfig *cfg = nullptr;
 };
 
-/** Routes each incoming image to exactly one replica. */
-class ReplicaRouter
-{
-  public:
-    virtual ~ReplicaRouter() = default;
-
-    /** @return replica index in [0, numReplicas) for @p arrival. */
-    virtual std::size_t route(const ImageArrival &arrival) = 0;
-
-    /**
-     * Online overload: route @p arrival using live replica load
-     * snapshots (@p views, one per replica in construction order)
-     * instead of the router's private model of replica state. The
-     * base implementation ignores the views and falls back to
-     * route(), so offline-only policies keep working in online mode.
-     */
-    virtual std::size_t
-    routeLive(const ImageArrival &arrival,
-              const std::vector<ReplicaLoadView> &views)
-    {
-        (void)views;
-        return route(arrival);
-    }
-
-    /**
-     * Whether routeLive() actually reads the views: a coordinator may
-     * skip the per-arrival snapshot work for policies that fall back
-     * to the offline route().
-     */
-    virtual bool usesLiveViews() const { return false; }
-};
-
 /**
  * Capability check: whether @p view's context was profiled for
  * @p arch on *every* processor kind the replica runs — the
@@ -173,7 +141,10 @@ class CapabilityTable
  * The live Section-4.2 estimate at replica granularity: what one
  * arrival would cost on one replica, given that replica's live load
  * view. This class is the only copy of that estimate; cluster
- * admission and LeastLoaded routing both price through it.
+ * admission and LeastLoaded routing both price through it. Online, the
+ * coordinator prices each arrival once, as one quote row over the
+ * replicas (quoteRow()): admission takes min(finish + detectAdd) from
+ * the row and LeastLoaded picks from the same row (routeQuoted()).
  *
  * Everything the estimate needs from a replica's context and config
  * is fixed for a run, so the model reads it once, at construction:
@@ -247,6 +218,17 @@ class LiveCostModel
                 const ReplicaLoadView &live) const;
 
     /**
+     * Price @p a on every replica at once: @p row[i] becomes
+     * quote(i, a, views[i]) for each replica that accepts work and is
+     * chain-capable for @p a's component, and {kTimeNever, kTimeNever}
+     * for the rest. @p row is resized to replicas(). A quote reads
+     * the arrival's time and component, never its class.
+     */
+    void quoteRow(const ImageArrival &a,
+                  const std::vector<ReplicaLoadView> &views,
+                  std::vector<Quote> &row) const;
+
+    /**
      * Execution cost (K + B) of @p component's detect child on replica
      * @p i; 0 when the component has no detector. @p i must be
      * chain-capable for @p component.
@@ -286,6 +268,56 @@ class LiveCostModel
     std::vector<ArchCost> cost_;
     /** [component * replicas + replica] */
     std::vector<Time> detect_;
+};
+
+/** Routes each incoming image to exactly one replica. */
+class ReplicaRouter
+{
+  public:
+    virtual ~ReplicaRouter() = default;
+
+    /** @return replica index in [0, numReplicas) for @p arrival. */
+    virtual std::size_t route(const ImageArrival &arrival) = 0;
+
+    /**
+     * Online overload: route @p arrival using live replica load
+     * snapshots (@p views, one per replica in construction order)
+     * instead of the router's private model of replica state. The
+     * base implementation ignores the views and falls back to
+     * route(), so offline-only policies keep working in online mode.
+     * A live policy prices the arrival's quote row
+     * (LiveCostModel::quoteRow) and hands it to routeQuoted().
+     */
+    virtual std::size_t
+    routeLive(const ImageArrival &arrival,
+              const std::vector<ReplicaLoadView> &views)
+    {
+        (void)views;
+        return route(arrival);
+    }
+
+    /**
+     * routeLive() from an already priced row: @p row must be
+     * LiveCostModel::quoteRow(arrival, views, row) over these same
+     * views, unchanged since. The coordinator prices each arrival once
+     * and shares the row between cluster admission and the router.
+     * A policy that prices nothing ignores the row: routeLive().
+     */
+    virtual std::size_t
+    routeQuoted(const ImageArrival &arrival,
+                const std::vector<ReplicaLoadView> &views,
+                const std::vector<LiveCostModel::Quote> &row)
+    {
+        (void)row;
+        return routeLive(arrival, views);
+    }
+
+    /**
+     * Whether routeLive() actually reads the views: a coordinator may
+     * skip the per-arrival snapshot and pricing work for policies that
+     * fall back to the offline route().
+     */
+    virtual bool usesLiveViews() const { return false; }
 };
 
 /**

@@ -2,43 +2,31 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
-
 namespace coserve {
 
 DependencyGraph::DependencyGraph(const CoEModel &model)
-    : preliminaries_(model.numExperts()),
-      isSubsequent_(model.numExperts(), false)
+    : subsequent_(model.numExperts(), 0)
 {
     for (const Expert &e : model.experts()) {
         if (e.role == ExpertRole::Subsequent)
-            isSubsequent_[static_cast<std::size_t>(e.id)] = true;
+            subsequent_[static_cast<std::size_t>(e.id)] = 1;
     }
+    std::vector<std::vector<ExpertId>> pre(model.numExperts());
     for (const ComponentType &c : model.components()) {
         if (c.detector == kNoExpert)
             continue;
-        auto &pre = preliminaries_[static_cast<std::size_t>(c.detector)];
-        if (std::find(pre.begin(), pre.end(), c.classifier) == pre.end())
-            pre.push_back(c.classifier);
+        auto &list = pre[static_cast<std::size_t>(c.detector)];
+        if (std::find(list.begin(), list.end(), c.classifier) == list.end())
+            list.push_back(c.classifier);
     }
-}
-
-bool
-DependencyGraph::isSubsequent(ExpertId e) const
-{
-    COSERVE_CHECK(e >= 0 &&
-                      static_cast<std::size_t>(e) < isSubsequent_.size(),
-                  "expert id out of range: ", e);
-    return isSubsequent_[static_cast<std::size_t>(e)];
-}
-
-const std::vector<ExpertId> &
-DependencyGraph::preliminariesOf(ExpertId e) const
-{
-    COSERVE_CHECK(e >= 0 &&
-                      static_cast<std::size_t>(e) < preliminaries_.size(),
-                  "expert id out of range: ", e);
-    return preliminaries_[static_cast<std::size_t>(e)];
+    offsets_.reserve(pre.size() + 1);
+    offsets_.push_back(0);
+    for (const std::vector<ExpertId> &list : pre) {
+        preliminaries_.insert(preliminaries_.end(), list.begin(),
+                              list.end());
+        offsets_.push_back(
+            static_cast<std::uint32_t>(preliminaries_.size()));
+    }
 }
 
 } // namespace coserve

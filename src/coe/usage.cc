@@ -42,14 +42,6 @@ UsageProfile::UsageProfile(std::vector<double> probabilities)
     buildDerived();
 }
 
-double
-UsageProfile::probability(ExpertId e) const
-{
-    COSERVE_CHECK(e >= 0 && static_cast<std::size_t>(e) < prob_.size(),
-                  "expert id out of range: ", e);
-    return prob_[static_cast<std::size_t>(e)];
-}
-
 const std::vector<ExpertId> &
 UsageProfile::byDescendingUsage() const
 {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "coe/coe_model.h"
+#include "util/logging.h"
 
 namespace coserve {
 
@@ -29,8 +30,17 @@ class UsageProfile
     /** Construct from raw probabilities (must sum to ~1). */
     explicit UsageProfile(std::vector<double> probabilities);
 
-    /** @return P(a random inference execution uses expert @p e). */
-    double probability(ExpertId e) const;
+    /**
+     * @return P(a random inference execution uses expert @p e). Inline:
+     *         two-stage eviction reads it for every expert it scans.
+     */
+    double
+    probability(ExpertId e) const
+    {
+        COSERVE_CHECK(e >= 0 && static_cast<std::size_t>(e) < prob_.size(),
+                      "expert id out of range: ", e);
+        return prob_[static_cast<std::size_t>(e)];
+    }
 
     /** @return number of experts covered. */
     std::size_t size() const { return prob_.size(); }

@@ -4,25 +4,14 @@
 
 namespace coserve {
 
-bool
-TwoStageEviction::lacksPreliminary(ExpertId e, const MemoryTier &pool,
-                                   const EvictionContext &ctx)
-{
-    if (!ctx.deps->isSubsequent(e))
-        return false;
-    for (ExpertId pre : ctx.deps->preliminariesOf(e)) {
-        if (pool.contains(pre))
-            return false;
-    }
-    return true;
-}
-
 std::optional<ExpertId>
 TwoStageEviction::selectVictim(const MemoryTier &pool,
                                const EvictionContext &ctx)
 {
     COSERVE_CHECK(ctx.deps != nullptr && ctx.usage != nullptr,
                   "two-stage eviction needs dependency/usage context");
+    const DependencyGraph &deps = *ctx.deps;
+    const UsageProfile &usage = *ctx.usage;
 
     // Stage 1: subsequent experts without a resident preliminary,
     // largest footprint first.
@@ -35,7 +24,18 @@ TwoStageEviction::selectVictim(const MemoryTier &pool,
     for (const auto &[id, entry] : pool.entries()) {
         if (!evictable(entry, ctx))
             continue;
-        if (lacksPreliminary(id, pool, ctx)) {
+        // A preliminary that is loading counts as present: it will run
+        // soon, and so may its subsequent expert.
+        bool orphan = deps.isSubsequent(id);
+        if (orphan) {
+            for (const ExpertId pre : deps.preliminariesOf(id)) {
+                if (pool.contains(pre)) {
+                    orphan = false;
+                    break;
+                }
+            }
+        }
+        if (orphan) {
             if (entry.bytes > stage1Bytes ||
                 (entry.bytes == stage1Bytes && id < *stage1)) {
                 stage1 = id;
@@ -43,7 +43,7 @@ TwoStageEviction::selectVictim(const MemoryTier &pool,
             }
             continue;
         }
-        const double p = ctx.usage->probability(id);
+        const double p = usage.probability(id);
         if (!stage2 || p < stage2Prob ||
             (p == stage2Prob && id < *stage2)) {
             stage2 = id;

@@ -10,6 +10,12 @@
  *    memory-footprint order to minimize the number of evictions.
  *  - Stage 2: evict remaining experts in ascending pre-assessed usage
  *    probability, keeping the most likely experts resident.
+ *
+ * Ties go to the smaller expert id in both stages, so the victim does
+ * not depend on the pool's entry order. One selection is a single scan
+ * of the pool's dense entry array; per entry it reads the subsequent
+ * flag, the flat preliminary slice and the usage probability inline
+ * (coe/dependency.h, coe/usage.h), with a pool lookup per preliminary.
  */
 
 #ifndef COSERVE_CORE_TWO_STAGE_EVICTION_H
@@ -28,11 +34,6 @@ class TwoStageEviction : public EvictionPolicy
     std::optional<ExpertId>
     selectVictim(const MemoryTier &pool, const EvictionContext &ctx)
         override;
-
-  private:
-    /** True when no preliminary expert of @p e is resident in @p pool. */
-    static bool lacksPreliminary(ExpertId e, const MemoryTier &pool,
-                                 const EvictionContext &ctx);
 };
 
 } // namespace coserve

@@ -161,9 +161,22 @@ ServingEngine::enqueue(std::size_t i, const Request &req, bool grouped,
 void
 ServingEngine::assign(RequestId id, int executor)
 {
-    if (static_cast<std::size_t>(id) >= result_.assignments.size())
-        result_.assignments.resize(static_cast<std::size_t>(id) + 1, -1);
-    result_.assignments[static_cast<std::size_t>(id)] = executor;
+    std::vector<int> &slots = result_.assignments;
+    const auto i = static_cast<std::size_t>(id);
+    if (i >= slots.size()) {
+        // Ids come nearly in order (a replica draws every n-th one), so
+        // the table mostly grows by a few entries into spare capacity:
+        // push_back keeps that inline, where resize() always calls out
+        // of line. Only a reallocation goes through resize(), so the
+        // table grows its buffer exactly as it always has.
+        if (i < slots.capacity()) {
+            while (slots.size() <= i)
+                slots.push_back(-1);
+        } else {
+            slots.resize(i + 1, -1);
+        }
+    }
+    slots[i] = executor;
 }
 
 ArchId

@@ -237,20 +237,18 @@ RequestQueue::prefetchExpert() const
 {
     if (sloUrgent_ == 0)
         return nextDistinctExpert();
-    // Runner-up of the tournament: the best subtree winner that lost
-    // to the overall winner on its path to the root.
-    const ExpertId best = tree_[1];
-    ExpertId second = kNoExpert;
-    for (std::size_t i = leaves_ + static_cast<std::size_t>(best); i > 1;
-         i >>= 1)
-        second = winnerOf(second, tree_[i ^ 1]);
-    if (second != kNoExpert)
-        return second;
-    // Only the winner holds urgent entries: the others tie at
-    // classless urgency, and the first other expert in queue order
-    // wins. Adjacent runs never share an expert.
+    // Runner-up: the better of the top's children. Keys are distinct
+    // (two experts never share a holder run), so every other expert
+    // ranks behind one of them.
+    if (heap_.size() > 2)
+        return (outranks(heap_[2], heap_[1]) ? heap_[2] : heap_[1]).expert;
+    if (heap_.size() == 2)
+        return heap_[1].expert;
+    // Only the top holds urgent entries: the others tie at classless
+    // urgency, and the first other expert in queue order wins.
+    // Adjacent runs never share an expert.
     const Run &head = runs_[headRun_];
-    if (head.expert != best)
+    if (head.expert != heap_[0].expert)
         return head.expert;
     return head.next == kNil ? kNoExpert : runs_[head.next].expert;
 }
@@ -382,14 +380,24 @@ RequestQueue::noteInserted(Idx r, const Entry &entry)
     if (sloUrgent(entry.req)) {
         sloUrgent_ += 1;
         // The new entry is its expert's last, so it becomes the holder
-        // only by being strictly more urgent.
-        Urgency &u = urgency_[entry.req.expert];
-        if (u.holderRun == kNil ||
-            moreUrgent(priorityOf(entry.req.cls), entry.req.deadline,
-                       u.prio, u.deadline)) {
-            setHolder(u, r, entry.req);
-            updateLeaf(entry.req.expert);
+        // only by being strictly more urgent; a more urgent key only
+        // moves up.
+        const ExpertId e = entry.req.expert;
+        const HeapSlot key{priorityOf(entry.req.cls), entry.req.deadline,
+                           runs_[r].seq, e};
+        Urgency &u = urgency_[e];
+        if (u.heapPos == kNil) {
+            u.heapPos = static_cast<Idx>(heap_.size());
+            heap_.push_back(key);
+        } else if (moreUrgent(key.prio, key.deadline,
+                              heap_[u.heapPos].prio,
+                              heap_[u.heapPos].deadline)) {
+            heap_[u.heapPos] = key;
+        } else {
+            return;
         }
+        u.holderRun = r;
+        siftUp(static_cast<std::size_t>(u.heapPos));
     }
 }
 
@@ -406,10 +414,12 @@ RequestQueue::noteRemoved(const Entry &entry)
         COSERVE_CHECK(sloUrgent_ > 0, "urgent count underflow");
         sloUrgent_ -= 1;
         // Entries carry no identity, so any request tied with the
-        // holder's urgency may be the holder: recompute to be sure.
+        // holder's urgency may be the holder: recompute to be sure. The
+        // heap keeps the old key until then.
         Urgency &u = urgency_[e];
-        if (u.holderRun != kNil && u.prio == priorityOf(entry.req.cls) &&
-            u.deadline == entry.req.deadline) {
+        if (u.holderRun != kNil &&
+            heap_[u.heapPos].prio == priorityOf(entry.req.cls) &&
+            heap_[u.heapPos].deadline == entry.req.deadline) {
             u.holderRun = kNil;
             stale_.push_back(e);
         }
@@ -417,41 +427,21 @@ RequestQueue::noteRemoved(const Entry &entry)
 }
 
 bool
-RequestQueue::outranks(ExpertId a, ExpertId b) const
+RequestQueue::outranks(const HeapSlot &a, const HeapSlot &b)
 {
-    const Urgency &x = urgency_[a];
-    const Urgency &y = urgency_[b];
-    if (x.prio != y.prio)
-        return x.prio > y.prio;
-    if (x.deadline != y.deadline)
-        return x.deadline < y.deadline;
+    if (a.prio != b.prio)
+        return a.prio > b.prio;
+    if (a.deadline != b.deadline)
+        return a.deadline < b.deadline;
     // Two experts never share a run, so run order decides the tie.
-    return x.runSeq < y.runSeq;
-}
-
-ExpertId
-RequestQueue::winnerOf(ExpertId a, ExpertId b) const
-{
-    if (a == kNoExpert)
-        return b;
-    if (b == kNoExpert)
-        return a;
-    return outranks(b, a) ? b : a;
-}
-
-void
-RequestQueue::setHolder(Urgency &u, Idx r, const Request &req)
-{
-    u.holderRun = r;
-    u.prio = priorityOf(req.cls);
-    u.deadline = req.deadline;
-    u.runSeq = runs_[r].seq;
+    return a.runSeq < b.runSeq;
 }
 
 void
 RequestQueue::reindex(ExpertId e)
 {
     Urgency &u = urgency_[e];
+    HeapSlot key{0, kTimeNever, 0, e};
     u.holderRun = kNil;
     for (Idx r = groups_[e].first; r != kNil; r = runs_[r].nextSame) {
         for (Idx c = runs_[r].first; c != kNil; c = chunkAt(c).next) {
@@ -460,13 +450,30 @@ RequestQueue::reindex(ExpertId e)
                 const Request &q = chunk.entries[k].req;
                 if (sloUrgent(q) &&
                     (u.holderRun == kNil ||
-                     moreUrgent(priorityOf(q.cls), q.deadline, u.prio,
-                                u.deadline)))
-                    setHolder(u, r, q);
+                     moreUrgent(priorityOf(q.cls), q.deadline, key.prio,
+                                key.deadline))) {
+                    u.holderRun = r;
+                    key = {priorityOf(q.cls), q.deadline, runs_[r].seq, e};
+                }
             }
         }
     }
-    updateLeaf(e);
+    // A stale expert lost a tie with its holder, so it is in the heap.
+    const auto i = static_cast<std::size_t>(u.heapPos);
+    if (u.holderRun != kNil) {
+        heap_[i] = key;
+        resift(i);
+        return;
+    }
+    // Leave the heap: the last slot fills the hole.
+    u.heapPos = kNil;
+    const HeapSlot last = heap_.back();
+    heap_.pop_back();
+    if (i < heap_.size()) {
+        heap_[i] = last;
+        urgency_[last.expert].heapPos = static_cast<Idx>(i);
+        resift(i);
+    }
 }
 
 void
@@ -478,34 +485,56 @@ RequestQueue::reindexStale()
 }
 
 void
-RequestQueue::updateLeaf(ExpertId e)
+RequestQueue::resift(std::size_t i)
 {
-    const auto leaf = static_cast<std::size_t>(e);
-    if (leaf >= leaves_) {
-        // First urgent entry, or an expert id past the tree: regrow
-        // over every group and rebuild from the leaves.
-        leaves_ = std::max<std::size_t>(leaves_, 1);
-        while (leaves_ < groups_.size())
-            leaves_ *= 2;
-        tree_.assign(2 * leaves_, kNoExpert);
-        for (std::size_t g = 0; g < groups_.size(); ++g) {
-            if (urgency_[g].holderRun != kNil)
-                tree_[leaves_ + g] = static_cast<ExpertId>(g);
-        }
-        for (std::size_t i = leaves_ - 1; i >= 1; --i)
-            tree_[i] = winnerOf(tree_[2 * i], tree_[2 * i + 1]);
-        return;
+    if (siftUp(i) == i)
+        siftDown(i);
+}
+
+std::size_t
+RequestQueue::siftUp(std::size_t i)
+{
+    const HeapSlot slot = heap_[i];
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / 2;
+        if (!outranks(slot, heap_[parent]))
+            break;
+        heap_[i] = heap_[parent];
+        urgency_[heap_[i].expert].heapPos = static_cast<Idx>(i);
+        i = parent;
     }
-    std::size_t i = leaves_ + leaf;
-    tree_[i] = urgency_[e].holderRun != kNil ? e : kNoExpert;
-    for (i >>= 1; i >= 1; i >>= 1) {
-        const ExpertId w = winnerOf(tree_[2 * i], tree_[2 * i + 1]);
-        // An unchanged winner other than @p e keeps its key, so every
-        // node above is unchanged too.
-        if (w == tree_[i] && w != e)
-            return;
-        tree_[i] = w;
+    heap_[i] = slot;
+    urgency_[slot.expert].heapPos = static_cast<Idx>(i);
+    return i;
+}
+
+void
+RequestQueue::siftDown(std::size_t i)
+{
+    // Bottom-up: promote the better child down to a leaf, then climb
+    // back to where the slot belongs. A slot that moves down at all
+    // usually sinks deep, so this spends about one comparison a level
+    // where the textbook sift spends two.
+    const HeapSlot slot = heap_[i];
+    const std::size_t from = i;
+    const std::size_t n = heap_.size();
+    for (std::size_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
+        if (child + 1 < n && outranks(heap_[child + 1], heap_[child]))
+            ++child;
+        heap_[i] = heap_[child];
+        urgency_[heap_[i].expert].heapPos = static_cast<Idx>(i);
+        i = child;
     }
+    while (i > from) {
+        const std::size_t parent = (i - 1) / 2;
+        if (!outranks(slot, heap_[parent]))
+            break;
+        heap_[i] = heap_[parent];
+        urgency_[heap_[i].expert].heapPos = static_cast<Idx>(i);
+        i = parent;
+    }
+    heap_[i] = slot;
+    urgency_[slot.expert].heapPos = static_cast<Idx>(i);
 }
 
 } // namespace coserve

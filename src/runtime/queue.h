@@ -29,25 +29,29 @@
  * its group in O(1) and nextDistinctExpert() is the next run's expert.
  *
  * SLO order (EDF within priority) comes from a per-expert *urgency
- * index*, never from a queue scan. Each expert's index entry (a table
- * beside the group index) records its most urgent (priority, deadline)
- * among its SLO-urgent entries, the run holding the first such entry
- * in queue order (the *holder*), and that run's creation sequence as
- * the holder's queue position. Runs are only created at the tail, so
- * sequences increase along the queue; a merge joins two adjacent runs,
- * between which no live run remains; and two experts never share a
- * run — so the sequence alone orders any two experts' holders as the
- * queue does. A tournament tree over the dense expert ids keys the
- * experts by (priority desc, deadline asc, position asc): its winner
- * runs next, and the best sibling along the winner's path is the
- * runner-up. Classless entries never enter the index — priorities are
- * >= 0, so any urgent entry strictly outranks them, and the experts
- * without urgent entries rank by their first entry in queue order. An
- * expert's index entry changes when it receives a more urgent entry
- * (only an expert's last run receives appends, so a new entry never
- * precedes the holder), and is recomputed over that expert's own
- * entries when a request tied with the holder's urgency leaves (pop,
- * steal or drain).
+ * index*, never from a queue scan. An expert with SLO-urgent entries
+ * has a *key*: its most urgent (priority, deadline), and the creation
+ * sequence of the run holding the first such entry in queue order
+ * (the *holder*) as the holder's queue position. Runs are only created
+ * at the tail, so sequences increase along the queue; a merge joins
+ * two adjacent runs, between which no live run remains; and two
+ * experts never share a run — so the sequence alone orders any two
+ * experts' holders as the queue does, and no two keys tie. The keys
+ * sit in an indexed binary heap that holds only the experts with
+ * urgent entries, ordered (priority desc, deadline asc, position asc);
+ * a table beside the group index records each expert's holder run and
+ * heap slot. The top runs next, and the better of the top's two
+ * children is the runner-up (with distinct keys, every other expert
+ * ranks behind one of them). Updating one expert costs O(log k) in the
+ * k experts that hold urgent entries — a handful on an online replica
+ * — not in the expert-id space. Classless entries never enter the
+ * index — priorities are >= 0, so any urgent entry strictly outranks
+ * them, and the experts without urgent entries rank by their first
+ * entry in queue order. An expert's key changes when it receives a
+ * more urgent entry (only an expert's last run receives appends, so a
+ * new entry never precedes the holder), and is recomputed over that
+ * expert's own entries when a request tied with the holder's urgency
+ * leaves (pop, steal or drain).
  *
  * Determinism: no hash container — the group index visits experts in
  * dense-id order by construction.
@@ -108,7 +112,7 @@ class RequestQueue
     /**
      * Expert of the next batch to execute. Plain queues (sloOrdered()
      * false) answer the head expert; SLO-ordered queues answer the
-     * urgency index's winner — the expert holding the most urgent
+     * urgency heap's top — the expert holding the most urgent
      * request: highest class priority first, earliest deadline within
      * a priority (EDF), first in queue order as the tie-break. Both
      * are O(1). Runs and the per-expert group index are untouched:
@@ -119,7 +123,7 @@ class RequestQueue
     nextBatchExpert() const
     {
         if (sloUrgent_ > 0)
-            return tree_[1];
+            return heap_.front().expert;
         return headRun_ == kNil ? kNoExpert : runs_[headRun_].expert;
     }
 
@@ -128,10 +132,11 @@ class RequestQueue
      * that will run *after* the next one (the executor prefetches one
      * group ahead while a batch executes). Equals nextDistinctExpert()
      * for plain queues (O(1)). SLO-ordered queues answer the urgency
-     * index's runner-up in O(log experts); when no other expert holds
-     * an urgent entry, every other expert ties at classless urgency
-     * and the first other expert in queue order wins — the head run's
-     * expert, or the next run's when the head run is the winner's.
+     * heap's runner-up, the better of the top's two children, in O(1).
+     * When no other expert holds an urgent entry, every other expert
+     * ties at classless urgency and the first other expert in queue
+     * order wins — the head run's expert, or the next run's when the
+     * head run is the top's.
      */
     ExpertId prefetchExpert() const;
 
@@ -274,20 +279,29 @@ class RequestQueue
     /**
      * Per-expert urgency index entry, indexed like the group index but
      * kept apart from it, so the scheduler's containsExpert() probes
-     * stay on a dense count array.
+     * stay on a dense count array. The expert's key lives in its heap
+     * slot.
      */
     struct Urgency
     {
         /**
          * Run holding the first of this expert's most urgent
-         * SLO-urgent entries (the holder); kNil when it has none. The
-         * remaining fields are the holder's key.
+         * SLO-urgent entries (the holder); kNil when it has none, or
+         * while a removal tied with it waits for reindex().
          */
         Idx holderRun = kNil;
+        /** This expert's slot in heap_; kNil while outside it. */
+        Idx heapPos = kNil;
+    };
+
+    /** One urgency heap entry: an expert and its holder's key. */
+    struct HeapSlot
+    {
         int prio = 0;
         Time deadline = kTimeNever;
         /** The holder's queue position: its run's creation sequence. */
         std::uint64_t runSeq = 0;
+        ExpertId expert = kNoExpert;
     };
 
     Idx allocChunk();
@@ -312,18 +326,24 @@ class RequestQueue
     void noteRemoved(const Entry &entry);
     GroupInfo &groupFor(ExpertId e);
 
-    /** Does expert @p a's index key rank ahead of @p b's? */
-    bool outranks(ExpertId a, ExpertId b) const;
-    /** The better-ranked of two tree slots (kNoExpert = empty). */
-    ExpertId winnerOf(ExpertId a, ExpertId b) const;
-    /** Record request @p req of run @p r as its expert's holder. */
-    void setHolder(Urgency &u, Idx r, const Request &req);
-    /** Recompute @p e's index entry over its own queued entries. */
+    /** Does @p a's key rank ahead of @p b's? Keys never tie. */
+    static bool outranks(const HeapSlot &a, const HeapSlot &b);
+    /**
+     * Recompute @p e's index entry over its own queued entries, and
+     * move, or drop, its heap slot to match.
+     */
     void reindex(ExpertId e);
     /** Reindex the experts in stale_; every mutation ends with it. */
     void reindexStale();
-    /** Refresh @p e's tree leaf and the path above it. */
-    void updateLeaf(ExpertId e);
+    /** Put heap_[@p i], whose key changed either way, in its place. */
+    void resift(std::size_t i);
+    /**
+     * Move heap_[@p i] towards the top while it outranks its parent.
+     * @return its final slot.
+     */
+    std::size_t siftUp(std::size_t i);
+    /** Move heap_[@p i] down while a child outranks it. */
+    void siftDown(std::size_t i);
 
     std::vector<std::unique_ptr<Chunk[]>> slabs_;
     Idx chunkCount_ = 0;
@@ -345,13 +365,11 @@ class RequestQueue
     /** Sequence of the most recently created run. */
     std::uint64_t runSeq_ = 0;
     /**
-     * Tournament tree over expert ids: leaf leaves_ + e holds e while
-     * e has an index entry; each inner node holds its children's
-     * winner; tree_[1] is the overall winner. Empty until the first
-     * urgent entry arrives, so classless queues never touch it.
+     * Binary heap (best first, by outranks()) of the experts that have
+     * an index entry, with their keys; heap_[0] pops next. Empty while
+     * no urgent entry is queued, so classless queues never touch it.
      */
-    std::vector<ExpertId> tree_;
-    std::size_t leaves_ = 0;
+    std::vector<HeapSlot> heap_;
     /**
      * Experts that lost a request tied with their holder's urgency
      * (possibly the holder) during the current operation.

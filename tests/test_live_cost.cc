@@ -5,7 +5,9 @@
  * LeastLoaded routing price with. Its table-driven answer,
  * quote().finish + detectAdd(), must equal a direct reading of each
  * replica's perf matrix (the reference below) over live views that
- * cover every branch of the estimate.
+ * cover every branch of the estimate; its quote row, the one pricing
+ * an online arrival gets, must hold exactly those quotes for the
+ * replicas that accept work and can serve the chain.
  */
 
 #include <gtest/gtest.h>
@@ -135,6 +137,11 @@ TEST(LiveCostModelTest, MatchesPerArrivalPerfMatrixReading)
         return std::uniform_int_distribution<Time>(-span, span)(rng);
     };
     ReplicaLoadView live;
+    // quoteRow's inputs: every replica's view, some of them gated off.
+    std::mt19937_64 gate(0x5EED);
+    std::vector<ReplicaLoadView> rowViews(n);
+    std::vector<LiveCostModel::Quote> row;
+    int rowPriced = 0, rowGated = 0;
     for (std::size_t idx = 0; idx < trace.size(); ++idx) {
         const ImageArrival &a = trace.arrivals[idx];
         for (const auto &engine : engines)
@@ -184,6 +191,26 @@ TEST(LiveCostModelTest, MatchesPerArrivalPerfMatrixReading)
                 detectors += comp.detector != kNoExpert;
             }
         }
+        for (std::size_t i = 0; i < n; ++i) {
+            engines[i]->fillLoadView(rowViews[i]);
+            rowViews[i].acceptingWork = gate() % 4 != 0;
+        }
+        costs.quoteRow(a, rowViews, row);
+        ASSERT_EQ(row.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (rowViews[i].acceptingWork &&
+                costs.caps().chainOk(i, a.component)) {
+                const LiveCostModel::Quote q =
+                    costs.quote(i, a, rowViews[i]);
+                EXPECT_EQ(row[i].finish, q.finish) << "image " << idx;
+                EXPECT_EQ(row[i].add, q.add) << "image " << idx;
+                rowPriced += 1;
+            } else {
+                EXPECT_EQ(row[i].finish, kTimeNever) << "image " << idx;
+                EXPECT_EQ(row[i].add, kTimeNever) << "image " << idx;
+                rowGated += rowViews[i].acceptingWork ? 0 : 1;
+            }
+        }
         const std::size_t r =
             costs.caps().firstChainCapable(a.component, idx % n);
         engines[r]->admitArrival(a);
@@ -199,6 +226,8 @@ TEST(LiveCostModelTest, MatchesPerArrivalPerfMatrixReading)
     EXPECT_GT(gpuLess, 0);
     EXPECT_GT(detectors, 0);
     EXPECT_GT(incapable, 0);
+    EXPECT_GT(rowPriced, 0);
+    EXPECT_GT(rowGated, 0);
 }
 
 } // namespace

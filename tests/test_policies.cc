@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include "baselines/evictions.h"
+#include "coe/board_builder.h"
 #include "coe/dependency.h"
 #include "coe/usage.h"
+#include "core/coserve.h"
 #include "core/two_stage_eviction.h"
 #include "runtime/pool.h"
+#include "util/rng.h"
 
 namespace coserve {
 namespace {
@@ -181,6 +184,130 @@ TEST_F(EvictionFixture, TwoStageNothingEvictable)
     pool_.pin(0);
     EXPECT_EQ(ts.selectVictim(pool_, ctx_), std::nullopt);
     pool_.unpin(0);
+}
+
+/**
+ * Section 4.3 written out from the public DependencyGraph and
+ * UsageProfile accessors: among the evictable entries, the orphaned
+ * subsequent expert (no preliminary resident or loading) with the
+ * largest footprint, smallest id on ties; failing that, the expert
+ * with the lowest usage probability, smallest id on ties.
+ */
+bool
+orphaned(const MemoryTier &pool, const DependencyGraph &deps, ExpertId id)
+{
+    bool orphan = deps.isSubsequent(id);
+    for (ExpertId pre : deps.preliminariesOf(id))
+        orphan = orphan && !pool.contains(pre);
+    return orphan;
+}
+
+std::optional<ExpertId>
+bruteForceTwoStage(const MemoryTier &pool, const EvictionContext &ctx)
+{
+    std::optional<ExpertId> orphan;
+    std::optional<ExpertId> rare;
+    for (const auto &[id, entry] : pool.entries()) {
+        if (entry.loading || entry.pins > 0 ||
+            (entry.softPinned && !ctx.allowSoftPinned))
+            continue;
+        if (orphaned(pool, *ctx.deps, id)) {
+            const std::int64_t bytes = entry.bytes;
+            if (!orphan || bytes > pool.entry(*orphan).bytes ||
+                (bytes == pool.entry(*orphan).bytes && id < *orphan))
+                orphan = id;
+            continue;
+        }
+        const double p = ctx.usage->probability(id);
+        if (!rare || p < ctx.usage->probability(*rare) ||
+            (p == ctx.usage->probability(*rare) && id < *rare))
+            rare = id;
+    }
+    return orphan ? orphan : rare;
+}
+
+TEST(TwoStageEvictionTest, MatchesBruteForceOnBoardA)
+{
+    // Random resident sets on board A's GPU tier (the CoServe GPU
+    // executor's pool on the Table 1 NUMA device), with hard pins,
+    // soft pins and in-flight loads; each set is drained victim by
+    // victim under both soft-pin contexts.
+    const DeviceSpec device = numaRtx3080Ti();
+    const CoEModel model = buildBoard(boardA());
+    const CoServeContext cs(device, model);
+    const auto [minCount, maxCount] = gpuExpertCountBounds(cs, 1, 0);
+    const EngineConfig cfg = coserveConfig(
+        cs, coserveExecutorLayout(cs, 1, 0, (minCount + maxCount) / 2),
+        "test");
+    std::int64_t gpuBytes = 0;
+    for (const ExecutorConfig &e : cfg.executors) {
+        if (e.kind == ProcKind::GPU)
+            gpuBytes = e.poolBytes;
+    }
+    ASSERT_GT(gpuBytes, 0);
+    const DependencyGraph deps(model);
+    const UsageProfile usage = UsageProfile::exact(model);
+    EvictionContext ctx;
+    ctx.model = &model;
+    ctx.deps = &deps;
+    ctx.usage = &usage;
+
+    Rng rng(29);
+    TwoStageEviction policy;
+    int stage1 = 0;
+    int stage2 = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+        ModelPool pool("gpu.pool", gpuBytes);
+        // Half the sets pull in a preliminary beside each subsequent
+        // expert, so both stages get exercised.
+        const bool supported = rng.bernoulli(0.5);
+        const auto place = [&](ExpertId e) {
+            const std::int64_t bytes =
+                cs.footprint().expertBytes(model.expert(e).arch);
+            if (pool.contains(e) || bytes > pool.freeBytes())
+                return;
+            const auto seq = static_cast<std::uint64_t>(pool.count());
+            if (rng.bernoulli(0.1)) {
+                pool.beginLoad(e, bytes, seq);
+                if (rng.bernoulli(0.5))
+                    pool.unpin(e); // loading but unpinned
+                return;
+            }
+            pool.insertResident(e, bytes, seq, 0);
+            if (rng.bernoulli(0.1))
+                pool.pin(e);
+            if (rng.bernoulli(0.2))
+                pool.softPin(e);
+        };
+        const std::uint64_t draws = 1 + rng.uniformInt(40);
+        for (std::uint64_t k = 0; k < draws; ++k) {
+            const auto e = static_cast<ExpertId>(
+                rng.uniformInt(model.numExperts()));
+            place(e);
+            if (supported && deps.isSubsequent(e)) {
+                const auto &pre = deps.preliminariesOf(e);
+                place(pre[rng.uniformInt(pre.size())]);
+            }
+        }
+        for (;;) {
+            ctx.allowSoftPinned = false;
+            EXPECT_EQ(policy.selectVictim(pool, ctx),
+                      bruteForceTwoStage(pool, ctx));
+            ctx.allowSoftPinned = true;
+            const std::optional<ExpertId> victim =
+                bruteForceTwoStage(pool, ctx);
+            ASSERT_EQ(policy.selectVictim(pool, ctx), victim)
+                << "trial " << trial;
+            if (!victim)
+                break;
+            (orphaned(pool, deps, *victim) ? stage1 : stage2) += 1;
+            pool.erase(*victim);
+        }
+    }
+    // Both stages won often enough for the comparison to mean
+    // something.
+    EXPECT_GT(stage1, 100);
+    EXPECT_GT(stage2, 100);
 }
 
 TEST_F(EvictionFixture, PolicyNames)

@@ -18,6 +18,7 @@
 #include "runtime/queue.h"
 #include "slo/admission.h"
 #include "slo/quantile_sketch.h"
+#include "util/rng.h"
 #include "workload/generator.h"
 
 namespace coserve {
@@ -325,6 +326,210 @@ TEST(SloQueueTest, StealFilterSeesDeadlines)
     EXPECT_EQ(loot[0].id, 1);
     EXPECT_EQ(q.size(), 2u);
     EXPECT_EQ(q.countForExpert(2), 0);
+}
+
+/**
+ * The EDF-within-priority order read off a queue snapshot by a plain
+ * scan: runs are the maximal same-expert stretches; an expert's key is
+ * its most urgent (priority desc, deadline asc) SLO-urgent entry, held
+ * by the run of the first such entry in queue order.
+ */
+struct ScannedOrder
+{
+    struct Run
+    {
+        ExpertId expert;
+        std::vector<RequestId> ids;
+    };
+    std::vector<Run> runs;
+    /** Urgent experts, most urgent first. */
+    std::vector<ExpertId> urgent;
+    /** Per expert: the holder's run index (-1: no urgent entry). */
+    std::vector<int> holder;
+
+    explicit ScannedOrder(const std::vector<Request> &queued)
+        : holder(kScanExperts, -1)
+    {
+        std::vector<int> prio(kScanExperts, 0);
+        std::vector<Time> deadline(kScanExperts, kTimeNever);
+        for (const Request &r : queued) {
+            if (runs.empty() || runs.back().expert != r.expert)
+                runs.push_back({r.expert, {}});
+            runs.back().ids.push_back(r.id);
+            if (r.deadline == kTimeNever && priorityOf(r.cls) == 0)
+                continue;
+            const auto e = static_cast<std::size_t>(r.expert);
+            const int p = priorityOf(r.cls);
+            if (holder[e] < 0 || p > prio[e] ||
+                (p == prio[e] && r.deadline < deadline[e])) {
+                if (holder[e] < 0)
+                    urgent.push_back(r.expert);
+                holder[e] = static_cast<int>(runs.size()) - 1;
+                prio[e] = p;
+                deadline[e] = r.deadline;
+            }
+        }
+        std::sort(urgent.begin(), urgent.end(), [&](ExpertId a, ExpertId b) {
+            const auto i = static_cast<std::size_t>(a);
+            const auto j = static_cast<std::size_t>(b);
+            if (prio[i] != prio[j])
+                return prio[i] > prio[j];
+            if (deadline[i] != deadline[j])
+                return deadline[i] < deadline[j];
+            return holder[i] < holder[j];
+        });
+    }
+
+    ExpertId
+    next() const
+    {
+        if (!urgent.empty())
+            return urgent[0];
+        return runs.empty() ? kNoExpert : runs[0].expert;
+    }
+
+    /** Expert of the batch after next(). */
+    ExpertId
+    prefetch() const
+    {
+        if (urgent.size() >= 2)
+            return urgent[1];
+        // Every other expert ties at classless urgency: the first one
+        // in queue order.
+        for (const Run &run : runs) {
+            if (run.expert != next())
+                return run.expert;
+        }
+        return kNoExpert;
+    }
+
+    /** Index of the run popBatchFor(@p e, ...) pops from. */
+    std::size_t
+    popRun(ExpertId e) const
+    {
+        const int h = holder[static_cast<std::size_t>(e)];
+        if (h >= 0)
+            return static_cast<std::size_t>(h);
+        std::size_t i = 0;
+        while (runs[i].expert != e)
+            ++i;
+        return i;
+    }
+
+    static constexpr std::size_t kScanExperts = 380;
+};
+
+/**
+ * Random pushGrouped / pushBack / popBatchFor / filtered stealFromTail
+ * / drainAll sequences over every class (with priority and deadline
+ * ties), checked after every operation against ScannedOrder. @p pool
+ * is the expert ids the regime draws from; the queue is kept near
+ * @p depth requests. Counts the pops that emptied a middle run, so its
+ * neighbours merged, into @p merges, and those of them that moved the
+ * expert's holder (the later neighbour held it) into @p holderMoves.
+ */
+void
+checkUrgencyOrder(std::uint64_t seed, const std::vector<ExpertId> &pool,
+                  std::size_t depth, int ops, int &merges, int &holderMoves)
+{
+    Rng rng(seed);
+    RequestQueue q;
+    RequestId id = 0;
+    std::vector<Request> out;
+    const auto draw = [&] {
+        Request r = slotRequest(id++, pool[rng.uniformInt(pool.size())],
+                                RequestClass::None, kTimeNever);
+        switch (rng.uniformInt(4)) {
+        case 0:
+            r.cls = RequestClass::Interactive;
+            break;
+        case 1:
+            r.cls = RequestClass::Batch;
+            break;
+        case 2:
+            r.cls = RequestClass::BestEffort;
+            break;
+        default:
+            break;
+        }
+        // Few distinct deadlines, so keys tie often; downgraded
+        // arrivals keep theirs as BestEffort.
+        if (r.cls != RequestClass::None ? rng.bernoulli(0.8)
+                                        : rng.bernoulli(0.1))
+            r.deadline = seconds(1 + static_cast<int>(rng.uniformInt(4)));
+        return r;
+    };
+    for (int op = 0; op < ops; ++op) {
+        const ScannedOrder before(q.snapshot());
+        const std::uint64_t pick = rng.uniformInt(100);
+        if (pick == 0) {
+            q.drainAll(out);
+        } else if (q.size() < depth && pick < 45) {
+            const Request r = draw();
+            if (rng.bernoulli(0.6))
+                q.pushGrouped(r, 3);
+            else
+                q.pushBack(r, 3);
+        } else if (!q.empty() && pick < 90) {
+            // The EDF pick mostly; any queued expert sometimes.
+            const ExpertId e =
+                rng.bernoulli(0.7)
+                    ? q.nextBatchExpert()
+                    : before.runs[rng.uniformInt(before.runs.size())].expert;
+            const int maxCount = 1 + static_cast<int>(rng.uniformInt(4));
+            const std::size_t r = before.popRun(e);
+            const std::vector<RequestId> &run = before.runs[r].ids;
+            const std::size_t n =
+                std::min(run.size(), static_cast<std::size_t>(maxCount));
+            q.popBatchFor(e, maxCount, out);
+            ASSERT_EQ(out.size(), n) << "op " << op;
+            for (std::size_t k = 0; k < n; ++k)
+                ASSERT_EQ(out[k].id, run[k]) << "op " << op;
+            if (n == run.size() && r > 0 && r + 1 < before.runs.size() &&
+                before.runs[r - 1].expert == before.runs[r + 1].expert) {
+                ++merges;
+                const auto joined =
+                    static_cast<std::size_t>(before.runs[r + 1].expert);
+                if (before.holder[joined] == static_cast<int>(r) + 1)
+                    ++holderMoves;
+            }
+        } else if (!q.empty()) {
+            const std::uint64_t parity = rng.uniformInt(3);
+            q.stealFromTail(
+                1 + static_cast<int>(rng.uniformInt(6)), out,
+                [parity](const Request &r) {
+                    return static_cast<std::uint64_t>(r.id) % 3 != parity;
+                });
+        }
+        const ScannedOrder after(q.snapshot());
+        ASSERT_EQ(q.sloOrdered(), !after.urgent.empty()) << "op " << op;
+        ASSERT_EQ(q.nextBatchExpert(), after.next()) << "op " << op;
+        ASSERT_EQ(q.prefetchExpert(), after.prefetch()) << "op " << op;
+    }
+}
+
+TEST(SloQueueTest, UrgencyOrderMatchesBruteForce)
+{
+    Rng rng(7);
+    int merges = 0;
+    int holderMoves = 0;
+    // Shallow: the online regime, 2-8 queued experts scattered over
+    // board A's 380-id space.
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        std::vector<ExpertId> pool(2 + rng.uniformInt(7));
+        for (ExpertId &e : pool)
+            e = static_cast<ExpertId>(
+                rng.uniformInt(ScannedOrder::kScanExperts));
+        checkUrgencyOrder(seed, pool, 16, 600, merges, holderMoves);
+    }
+    // Deep: every id of the space, hundreds of requests queued.
+    std::vector<ExpertId> all(ScannedOrder::kScanExperts);
+    for (std::size_t e = 0; e < all.size(); ++e)
+        all[e] = static_cast<ExpertId>(e);
+    for (std::uint64_t seed = 100; seed < 103; ++seed)
+        checkUrgencyOrder(seed, all, 600, 3000, merges, holderMoves);
+    EXPECT_GT(merges, 0);
+    EXPECT_GT(holderMoves, 0);
 }
 
 // ------------------------------------------- AdmissionController
