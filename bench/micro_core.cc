@@ -193,17 +193,19 @@ BM_EvictionSelection(benchmark::State &state)
     const CoEModel model = buildBoard(boardA());
     const DependencyGraph deps(model);
     const UsageProfile usage = UsageProfile::exact(model);
-    ModelPool pool("bench", 1ll << 40);
-    for (ExpertId e = 0; e < static_cast<ExpertId>(state.range(0)); ++e)
-        pool.insertResident(e, 190ll << 20, static_cast<uint64_t>(e), e);
-
     EvictionContext ctx;
-    ctx.model = &model;
     ctx.deps = &deps;
     ctx.usage = &usage;
-    ctx.now = 1000;
 
+    // The pool fills through the engine's path: each insert is
+    // reported, so the two-stage policy selects from its index.
+    ModelPool pool("bench", 1ll << 40);
     TwoStageEviction twoStage;
+    for (ExpertId e = 0; e < static_cast<ExpertId>(state.range(0)); ++e) {
+        pool.insertResident(e, 190ll << 20, static_cast<uint64_t>(e), e);
+        twoStage.onPoolChange(pool, e, true, ctx);
+    }
+
     LruEviction lru;
     for (auto _ : state) {
         benchmark::DoNotOptimize(twoStage.selectVictim(pool, ctx));
@@ -211,6 +213,40 @@ BM_EvictionSelection(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EvictionSelection)->Arg(32)->Arg(128)->Arg(380);
+
+/**
+ * Upkeep of the two-stage index: one reported eviction and one
+ * reported load of the same expert, cycling over a pool holding the
+ * first @p n experts of board A. Its subsequent experts (the last 28
+ * ids) churn only at n = 380.
+ */
+void
+BM_EvictionChurn(benchmark::State &state)
+{
+    const CoEModel model = buildBoard(boardA());
+    const DependencyGraph deps(model);
+    const UsageProfile usage = UsageProfile::exact(model);
+    EvictionContext ctx;
+    ctx.deps = &deps;
+    ctx.usage = &usage;
+
+    const auto n = static_cast<ExpertId>(state.range(0));
+    ModelPool pool("bench", 1ll << 40);
+    TwoStageEviction twoStage;
+    for (ExpertId e = 0; e < n; ++e) {
+        pool.insertResident(e, 190ll << 20, static_cast<uint64_t>(e), e);
+        twoStage.onPoolChange(pool, e, true, ctx);
+    }
+    ExpertId next = 0;
+    for (auto _ : state) {
+        pool.erase(next);
+        twoStage.onPoolChange(pool, next, false, ctx);
+        pool.insertResident(next, 190ll << 20, 0, 0);
+        twoStage.onPoolChange(pool, next, true, ctx);
+        next = next + 1 == n ? 0 : next + 1;
+    }
+}
+BENCHMARK(BM_EvictionChurn)->Arg(128)->Arg(380);
 
 void
 BM_ZipfSampling(benchmark::State &state)

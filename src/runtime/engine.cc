@@ -258,12 +258,7 @@ ServingEngine::startLoad(Executor &exec, ExpertId e, bool isPrefetch)
             return false;
     }
 
-    EvictionContext ctx;
-    ctx.model = &model_;
-    ctx.deps = &deps_;
-    ctx.usage = &usage_;
-    ctx.now = eq_.now();
-    ctx.allowSoftPinned = !isPrefetch;
+    const EvictionContext ctx{&deps_, &usage_, !isPrefetch};
 
     SwitchCounters &sc = exec.mutableStats().switches;
     while (pool.freeBytes() < bytes) {
@@ -279,6 +274,7 @@ ServingEngine::startLoad(Executor &exec, ExpertId e, bool isPrefetch)
         // the CPU DRAM tier below (which may spill to disk); CPU-pool
         // victims have no below link and are dropped.
         const bool demoted = pool.evict(*victim, eq_.now());
+        eviction_->onPoolChange(pool, *victim, false, ctx);
         for (const auto &peer : executors_) {
             if (peer->kind() == exec.kind())
                 peer->clearSoftPinIf(*victim);
@@ -290,6 +286,7 @@ ServingEngine::startLoad(Executor &exec, ExpertId e, bool isPrefetch)
 
     pool.noteMiss();
     pool.beginLoad(e, bytes, ++loadSeq_);
+    eviction_->onPoolChange(pool, e, true, ctx);
 
     // One combined lookup-and-touch on the DRAM tier: residency,
     // hit counting and recency refresh happen under a single snapshot
@@ -565,6 +562,7 @@ ServingEngine::preload()
     }
 
     // Round-robin distribution by descending usage (Section 4.1).
+    const EvictionContext ctx{&deps_, &usage_};
     std::size_t cursor = 0;
     std::vector<ExpertId> overflow;
     for (ExpertId e : order) {
@@ -574,8 +572,10 @@ ServingEngine::preload()
              attempt < executors_.size() && !placed; ++attempt) {
             Executor &exec =
                 *executors_[(cursor + attempt) % executors_.size()];
-            if (exec.mutablePool().freeBytes() >= bytes) {
-                exec.mutablePool().insertResident(e, bytes, ++loadSeq_, 0);
+            ModelPool &pool = exec.mutablePool();
+            if (pool.freeBytes() >= bytes) {
+                pool.insertResident(e, bytes, ++loadSeq_, 0);
+                eviction_->onPoolChange(pool, e, true, ctx);
                 cursor = (cursor + attempt + 1) % executors_.size();
                 placed = true;
             }

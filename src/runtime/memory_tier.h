@@ -226,9 +226,12 @@ class MemoryTier : public TierBelow
 
     /**
      * @return all entries as one dense array, in no meaningful order
-     *         (erase moves the last entry into the freed slot).
-     *         Victim scans select with a full-order tie-break (see
-     *         baselines/evictions.cc), so the order never leaks out.
+     *         (erase moves the last entry into the freed slot). The
+     *         LRU and FIFO victim scans read it and select with a
+     *         full-order tie-break (see baselines/evictions.cc), so the
+     *         order never leaks out. Two-stage eviction does not scan
+     *         it: it selects from its own index of the pool, kept
+     *         current by EvictionPolicy::onPoolChange.
      */
     const std::vector<std::pair<ExpertId, TierEntry>> &
     entries() const

@@ -22,17 +22,15 @@ namespace coserve {
 class ServingEngine;
 
 /**
- * Context handed to eviction policies. When a policy drives a tier's
- * cache-style self-eviction (MemoryTier::insert making room), only
- * @ref now is populated — model / dependency / usage information is an
- * engine-level concern.
+ * Context handed to eviction policies: the model's dependency graph
+ * and usage profile, and the soft-pin rule of the load being served.
+ * Only the engine's executor pools consult a policy; a cache tier's
+ * self-eviction (MemoryTier::makeRoom) runs its own LRU scan.
  */
 struct EvictionContext
 {
-    const CoEModel *model = nullptr;
     const DependencyGraph *deps = nullptr;
     const UsageProfile *usage = nullptr;
-    Time now = 0;
     /**
      * Demand loads may cannibalize soft-pinned (prefetched) experts;
      * prefetch loads may not.
@@ -58,6 +56,30 @@ class EvictionPolicy
      */
     virtual std::optional<ExpertId>
     selectVictim(const MemoryTier &pool, const EvictionContext &ctx) = 0;
+
+    /**
+     * Membership change of an executor pool: @p e has just entered
+     * @p pool (@p entered: beginLoad or insertResident) or just left it
+     * (evict or erase). The contract: whoever changes the membership of
+     * a pool this policy selects from reports every such change, one
+     * call per change, right after making it and before the next
+     * selection, with the dependency graph and usage profile of later
+     * selections. The engine does so in startLoad (each eviction and
+     * each load start) and in preload. Pin, soft-pin, touch and
+     * finishLoad change no membership and go unreported. A policy that
+     * keeps state per pool (TwoStageEviction) maintains it here and may
+     * die on a change it was not told of; the default ignores the
+     * report, since LRU and FIFO read the pool itself.
+     */
+    virtual void
+    onPoolChange(const MemoryTier &pool, ExpertId e, bool entered,
+                 const EvictionContext &ctx)
+    {
+        (void)pool;
+        (void)e;
+        (void)entered;
+        (void)ctx;
+    }
 
   protected:
     /** @return true when @p entry may be evicted under @p ctx. */
