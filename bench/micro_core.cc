@@ -9,7 +9,8 @@
  * real-world wall-clock cost behind Figure 19's scheduling bar), one
  * cluster-level LeastLoaded routing decision, the coordinator's live
  * pricing of one arrival (the quote row admission and routing share),
- * and a whole ServingEngine::run per arrival.
+ * one online arrival's admission and step on a replica engine, and a
+ * whole ServingEngine::run per arrival.
  */
 
 #include <benchmark/benchmark.h>
@@ -386,6 +387,40 @@ BM_LiveQuote(benchmark::State &state)
     perArrivalCounter(state, "quote", s.trace.size() - half);
 }
 BENCHMARK(BM_LiveQuote)->Arg(8192);
+
+void
+BM_OnlineAdmit(benchmark::State &state)
+{
+    // The engine side of an online arrival: admitArrival() on one of 4
+    // board-A online engines (round-robin) and stepUntil() its arrival
+    // instant, as the coordinator drives a replica. A replica steps only
+    // when it takes an arrival, so each admission first runs the
+    // replica's events due before its slot. Every pass builds fresh
+    // engines outside the timed region; the events still pending after
+    // the last arrival are not run. "admit" reads as time per arrival,
+    // the events it runs included.
+    const BoardASetup s(state.range(0));
+    constexpr std::size_t kReplicas = 4;
+    std::vector<std::unique_ptr<ServingEngine>> engines;
+    for (auto _ : state) {
+        state.PauseTiming();
+        engines.clear();
+        for (std::size_t i = 0; i < kReplicas; ++i) {
+            engines.push_back(makeCoServeEngine(s.ctx, s.cfg));
+            engines.back()->beginOnline(static_cast<RequestId>(i),
+                                        static_cast<RequestId>(kReplicas));
+        }
+        state.ResumeTiming();
+        for (std::size_t k = 0; k < s.trace.size(); ++k) {
+            const ImageArrival &a = s.trace.arrivals[k];
+            ServingEngine &engine = *engines[k % kReplicas];
+            engine.admitArrival(a);
+            benchmark::DoNotOptimize(engine.stepUntil(a.time));
+        }
+    }
+    perArrivalCounter(state, "admit", s.trace.size());
+}
+BENCHMARK(BM_OnlineAdmit)->Arg(8192);
 
 void
 BM_Dispatch(benchmark::State &state)

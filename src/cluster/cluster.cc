@@ -1656,13 +1656,13 @@ class Coordinator
     // ----- routing: one cost model, a live router or a pinned route ----
     const std::vector<ReplicaView> views_ = makeReplicaViews(cfg_);
     const CoEModel &model_ = cfg_.replicas.front().ctx->model();
-    // Every capability check and cluster admission's live estimate
-    // read this one model's tables.
+    // Every capability check, cluster admission's live estimate and
+    // LeastLoaded's prices read this one model's tables.
     const LiveCostModel costs_{model_, views_};
     const CapabilityTable &caps_ = costs_.caps();
     // Routes each arrival: live (online) or offline (static).
     const std::unique_ptr<ReplicaRouter> router_ =
-        makeRouter(cfg_.routing, model_, views_);
+        makeRouter(cfg_.routing, model_, views_, &costs_);
     // The arrival being routed, priced on every replica (priceArrival).
     std::vector<LiveCostModel::Quote> quotes_;
     // The next arrival to route (online) or whose Route record is due

@@ -330,10 +330,22 @@ class ExpertLru
 class LeastLoadedRouter : public ReplicaRouter
 {
   public:
+    /**
+     * Prices with @p borrowed (see makeRouter()), or with a
+     * LiveCostModel of its own when it is null.
+     */
     LeastLoadedRouter(const CoEModel &model,
-                      const std::vector<ReplicaView> &replicas)
-        : costs_(model, replicas)
+                      const std::vector<ReplicaView> &replicas,
+                      const LiveCostModel *borrowed)
+        : owned_(borrowed != nullptr
+                     ? nullptr
+                     : std::make_unique<const LiveCostModel>(model,
+                                                             replicas)),
+          costs_(borrowed != nullptr ? *borrowed : *owned_)
     {
+        COSERVE_CHECK(costs_.replicas() == replicas.size(),
+                      "cost model over ", costs_.replicas(),
+                      " replicas routes ", replicas.size());
         for (const ReplicaView &view : replicas) {
             // Footprints are per-device: size each replica's residency
             // estimate from its own context.
@@ -495,7 +507,9 @@ class LeastLoadedRouter : public ReplicaRouter
         Time cold = 0;
     };
 
-    LiveCostModel costs_;
+    /** The router's own cost model; null when it borrows one. */
+    std::unique_ptr<const LiveCostModel> owned_;
+    const LiveCostModel &costs_;
     std::vector<State> states_;
     /** [arch * replicas + replica] */
     std::vector<AddCost> add_;
@@ -509,7 +523,8 @@ class LeastLoadedRouter : public ReplicaRouter
 
 std::unique_ptr<ReplicaRouter>
 makeRouter(RoutingPolicy policy, const CoEModel &model,
-           const std::vector<ReplicaView> &replicas)
+           const std::vector<ReplicaView> &replicas,
+           const LiveCostModel *costs)
 {
     COSERVE_CHECK(!replicas.empty(), "router needs replicas");
     for (const ReplicaView &v : replicas)
@@ -520,7 +535,7 @@ makeRouter(RoutingPolicy policy, const CoEModel &model,
     case RoutingPolicy::RoundRobin:
         return std::make_unique<RoundRobinRouter>(model, replicas);
     case RoutingPolicy::LeastLoaded:
-        return std::make_unique<LeastLoadedRouter>(model, replicas);
+        return std::make_unique<LeastLoadedRouter>(model, replicas, costs);
     case RoutingPolicy::ExpertAffinity:
         return std::make_unique<ExpertAffinityRouter>(model, replicas);
     }

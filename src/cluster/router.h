@@ -340,10 +340,17 @@ replicaAdditionalLatency(Time execPart, Time switchPart,
  * Build a router over @p replicas for @p model. The router reads the
  * views' contexts and configs only here, into per-replica capability
  * and cost tables; @p model must outlive the router.
+ *
+ * A LeastLoaded router prices with @p costs when it is given, instead
+ * of building its own copy of the same tables: @p costs must be built
+ * from @p model and @p replicas and outlive the router. The
+ * coordinator passes its own model, so admission and routing price
+ * with one copy. The other policies price nothing and ignore it.
  */
 std::unique_ptr<ReplicaRouter>
 makeRouter(RoutingPolicy policy, const CoEModel &model,
-           const std::vector<ReplicaView> &replicas);
+           const std::vector<ReplicaView> &replicas,
+           const LiveCostModel *costs = nullptr);
 
 } // namespace coserve
 

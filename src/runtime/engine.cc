@@ -626,26 +626,6 @@ ServingEngine::appendTierStats(std::vector<TierStats> &out) const
 
 // ------------------------------ cluster-level online coordination API
 
-bool
-ReplicaLoadView::resident(ExpertId e) const
-{
-    return engine != nullptr &&
-           ((engine->gpuPool_ && engine->gpuPool_->resident(e)) ||
-            (engine->cpuPool_ && engine->cpuPool_->resident(e)));
-}
-
-bool
-ReplicaLoadView::queued(ExpertId e) const
-{
-    if (engine == nullptr)
-        return false;
-    for (const auto &exec : engine->executors_) {
-        if (exec->queue().containsExpert(e))
-            return true;
-    }
-    return false;
-}
-
 void
 ServingEngine::beginOnline(RequestId idBase, RequestId idStride)
 {
@@ -723,25 +703,16 @@ ServingEngine::admitArrival(const ImageArrival &a)
 {
     COSERVE_CHECK(begun_, "admitArrival before beginOnline");
     COSERVE_CHECK(!crashed_, "admitting into a crashed replica");
-    // Online arrivals are heap events: each takes a fresh seq when the
-    // coordinator admits it. The id is drawn now, so ids keep admission
-    // order; the Request is built when the event fires, which keeps the
-    // capture inside the event's inline buffer.
-    struct Admit
-    {
-        ServingEngine *engine;
-        ImageArrival arrival;
-        RequestId id;
-
-        void
-        operator()() const
-        {
-            engine->admitTimed(engine->arrivalRequest(arrival, id));
-        }
-    };
-    static_assert(sizeof(Admit) <= MoveFunction::kInlineBytes,
-                  "an online arrival must not heap-allocate");
-    eq_.schedule(a.time, Admit{this, a, allocRequestId()});
+    // The id and the seq are drawn first, as a scheduled arrival event
+    // would draw them, so ids keep admission order and everything the
+    // slot runs before it (pending events, planned arrivals up to
+    // a.time) orders exactly as it would around that event.
+    const RequestId id = allocRequestId();
+    const std::uint64_t seq = eq_.reserveSeq(1);
+    if (plannedNext_ < plannedEnd_)
+        feedPlanned(a.time);
+    eq_.enterAt(a.time, seq);
+    admitTimed(arrivalRequest(a, id));
 }
 
 void

@@ -94,17 +94,19 @@ struct ReplicaLoadView
     /**
      * @return true when @p e is resident in an executor pool (loading
      *         entries excluded): the actual resident set the offline
-     *         routers only approximate with an LRU guess.
+     *         routers only approximate with an LRU guess. Defined
+     *         inline below ServingEngine, so a quote's probe is a few
+     *         loads, not a call.
      */
-    bool resident(ExpertId e) const;
+    inline bool resident(ExpertId e) const;
 
     /**
      * @return true when a queued request already demands @p e. A new
      *         same-expert request joins the group and pays no switch —
      *         the paper's Section 4.2 condition, lifted to replica
-     *         granularity.
+     *         granularity. Inline, like resident().
      */
-    bool queued(ExpertId e) const;
+    inline bool queued(ExpertId e) const;
 };
 
 /**
@@ -164,6 +166,11 @@ class ServingEngine
     // replica steps in lockstep on the shared virtual clock, takes
     // each arrival at its arrival time (admitArrival) and trades
     // queued-but-unstarted requests with its siblings (work stealing).
+    //
+    // Neither kind of arrival enters the event heap. A planned arrival
+    // runs at its reserved (time, seq) slot inside a step; an online
+    // one runs at its slot inside admitArrival(), which counts it as
+    // an executed event, and the next step's return value includes it.
 
     /**
      * Serve @p trace to completion: beginOnline(0, 1), admitPlanned(),
@@ -221,7 +228,18 @@ class ServingEngine
     void admitPlanned(const ImageArrival *arrivals, std::size_t count,
                       std::size_t capacity, bool last);
 
-    /** Admit one arrival; its dispatch runs at @p a.time (>= now()). */
+    /**
+     * Admit one arrival now: draw its request id, reserve one sequence
+     * number and run the arrival at that (@p a.time, seq) slot
+     * (EventQueue::enterAt) — after every event already pending at or
+     * before @p a.time and the planned arrivals up to @p a.time,
+     * before anything its dispatch schedules — then dispatch it (with
+     * a deadline rescue first on preemption configs). It holds the
+     * slot a heap event scheduled by this call would, and counts as
+     * one executed event, reported by the next stepUntil() /
+     * stepBefore(). @p a.time must be >= now() ("entering into the
+     * past" aborts); a crashed replica refuses it.
+     */
     void admitArrival(const ImageArrival &a);
 
     /**
@@ -244,9 +262,11 @@ class ServingEngine
      * stepUntil(kTimeNever) drains the engine and leaves the clock at
      * its last event.
      *
-     * @return number of events executed — zero means the engine's
-     *         observable state (beyond the clock) did not change, so
-     *         a coordinator may keep its cached load view.
+     * @return number of events executed since the previous step
+     *         returned, so including an admitArrival() in between —
+     *         zero means the engine's observable state (beyond the
+     *         clock) did not change, so a coordinator may keep its
+     *         cached load view.
      */
     std::uint64_t stepUntil(Time t) { return step(t, t); }
 
@@ -346,8 +366,9 @@ class ServingEngine
     // contract. Engine-local deadline-rescue preemption triggers from
     // admitTimed(); the cluster coordinator drives migration through
     // requestMigrateOut / takeMigratedImages / adoptCheckpoint /
-    // crashDrain. The engine buffers PreemptEvents only while it steps
-    // and during a crash's capture; the coordinator drains them into
+    // crashDrain. The engine buffers PreemptEvents only while it runs
+    // events (a step, or the events an admitArrival() runs before its
+    // slot) and during a crash's capture; the coordinator drains them into
     // its decision log at fixed points: online after every lockstep
     // step and routed arrival, static at faults, at orphans and at the
     // end, and after a crash's capture.
@@ -508,14 +529,17 @@ class ServingEngine
     std::uint64_t
     step(Time admitUntil, Time t)
     {
-        const std::uint64_t before = eq_.executed();
         if (plannedNext_ < plannedEnd_)
             feedPlanned(admitUntil);
         if (t == kTimeNever)
             eq_.run();
         else
             eq_.runUntil(t);
-        return eq_.executed() - before;
+        // Counted from the previous step's return, not this call's
+        // start: an admitArrival() in between executed its slot.
+        const std::uint64_t ran = eq_.executed() - steppedTo_;
+        steppedTo_ = eq_.executed();
+        return ran;
     }
     /** Admit every planned arrival with time <= @p t, in order. */
     void feedPlanned(Time t);
@@ -617,6 +641,8 @@ class ServingEngine
     /** Straggler fault multiplier on batch latencies (1.0 = nominal). */
     double computeScale_ = 1.0;
     std::uint64_t loadSeq_ = 0;
+    /** eq_.executed() when the last step returned (see step()). */
+    std::uint64_t steppedTo_ = 0;
     /** Dispatches seen; drives 1-in-16 scheduling-wall sampling. */
     std::uint64_t dispatchCount_ = 0;
     RequestId nextRequestId_ = 0;
@@ -631,6 +657,26 @@ class ServingEngine
 
     RunResult result_;
 };
+
+inline bool
+ReplicaLoadView::resident(ExpertId e) const
+{
+    return engine != nullptr &&
+           ((engine->gpuPool_ && engine->gpuPool_->resident(e)) ||
+            (engine->cpuPool_ && engine->cpuPool_->resident(e)));
+}
+
+inline bool
+ReplicaLoadView::queued(ExpertId e) const
+{
+    if (engine == nullptr)
+        return false;
+    for (const auto &exec : engine->executors_) {
+        if (exec->queue().containsExpert(e))
+            return true;
+    }
+    return false;
+}
 
 } // namespace coserve
 

@@ -426,15 +426,6 @@ Executor::surrenderParked(std::vector<Request> &out)
     return n;
 }
 
-Time
-Executor::parkedWork() const
-{
-    Time total = 0;
-    for (const CheckpointImage &img : parked_)
-        total += img.remaining;
-    return total;
-}
-
 void
 Executor::maybeRestore()
 {

@@ -169,7 +169,14 @@ class Executor
     std::size_t surrenderParked(std::vector<Request> &out);
 
     /** Execution time still owed by parked (un-restored) checkpoints. */
-    Time parkedWork() const;
+    Time
+    parkedWork() const
+    {
+        Time total = 0;
+        for (const CheckpointImage &img : parked_)
+            total += img.remaining;
+        return total;
+    }
 
     /** @return expert of the running batch; kNoExpert when idle. */
     ExpertId runningExpert() const { return runningExpert_; }

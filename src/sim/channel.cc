@@ -44,12 +44,6 @@ BandwidthChannel::predictCompletion(std::int64_t bytes) const
 }
 
 Time
-BandwidthChannel::busyUntil() const
-{
-    return std::max(eq_.now(), busyUntil_);
-}
-
-Time
 BandwidthChannel::transfer(std::int64_t bytes, EventQueue::Callback done)
 {
     const Time completion = predictCompletion(bytes);

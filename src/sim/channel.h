@@ -16,6 +16,7 @@
 #ifndef COSERVE_SIM_CHANNEL_H
 #define COSERVE_SIM_CHANNEL_H
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -53,7 +54,7 @@ class BandwidthChannel
     Time transferDuration(std::int64_t bytes) const;
 
     /** @return time at which the channel becomes idle. */
-    Time busyUntil() const;
+    Time busyUntil() const { return std::max(eq_.now(), busyUntil_); }
 
     /** @return total bytes ever transferred. */
     std::int64_t bytesTransferred() const { return totalBytes_; }

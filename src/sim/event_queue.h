@@ -3,16 +3,18 @@
  * Discrete-event scheduling core.
  *
  * The serving engine is written as an event-driven actor system on top
- * of this queue: transfer completions, batch completions and online
- * arrivals are heap events. Events at equal timestamps execute in
- * schedule order (a monotonically increasing sequence number breaks
- * ties), which makes whole-system runs deterministic.
+ * of this queue: transfer and batch completions are heap events. Events
+ * at equal timestamps execute in schedule order (a monotonically
+ * increasing sequence number breaks ties), which makes whole-system
+ * runs deterministic.
  *
- * A known, time-ordered stream of events (an offline trace's arrivals)
- * need not sit in the heap: reserveSeq() gives the stream its sequence
- * numbers up front, and enterAt() executes each stream event inline at
- * its exact (time, seq) position. Stream events count as executed
- * events exactly as if they had been scheduled.
+ * An event whose work the caller runs itself need not sit in the heap:
+ * reserveSeq() gives it its sequence number (or a known, time-ordered
+ * stream, such as an offline trace's arrivals, its numbers up front),
+ * and enterAt() executes it inline at its exact (time, seq) position.
+ * The engine admits every arrival, offline or online, this way. Such
+ * events count as executed events exactly as if they had been
+ * scheduled.
  *
  * Implementation: a binary min-heap over a contiguous std::vector,
  * ordered by (time, seq). Callbacks live in a slot pool indexed by the

@@ -553,16 +553,23 @@ expectSameAssignments(const CoEModel &model,
                       const std::vector<ReplicaView> &views,
                       const std::vector<Trace> &traces)
 {
+    // A router borrowing a cost model (the coordinator's) routes as
+    // one that builds its own.
+    const LiveCostModel costs(model, views);
     for (std::size_t t = 0; t < traces.size(); ++t) {
         MruVectorLeastLoaded reference(model, views);
         auto router =
             makeRouter(RoutingPolicy::LeastLoaded, model, views);
-        std::vector<std::size_t> want, got;
+        auto borrowing =
+            makeRouter(RoutingPolicy::LeastLoaded, model, views, &costs);
+        std::vector<std::size_t> want, got, borrowed;
         for (const ImageArrival &a : traces[t].arrivals) {
             want.push_back(reference.route(a));
             got.push_back(router->route(a));
+            borrowed.push_back(borrowing->route(a));
         }
         ASSERT_EQ(got, want) << "trace " << t;
+        ASSERT_EQ(borrowed, want) << "trace " << t;
     }
 }
 

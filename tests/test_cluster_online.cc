@@ -535,6 +535,95 @@ TEST_F(OnlineClusterFixture, LoadViewMatchesPoolsAndQueues)
     EXPECT_GT(lastSteals, 0) << "no steal removed an expert's last request";
 }
 
+TEST_F(OnlineClusterFixture, DirtyTrackedViewsMatchFreshFills)
+{
+    // The layer probe's loop: step every replica to the arrival,
+    // refill only the views of replicas whose step ran events, route
+    // on the cached views, admit, and step the target to the arrival.
+    // An admission is an executed event that the next step reports,
+    // so every cached view must hold what a fresh fill would. Its own
+    // clock may trail (nothing ran since), which quotes allow for: a
+    // channel's busyUntil() reads max(now, busy until).
+    constexpr std::size_t kReplicas = 3;
+    const ClusterConfig cc = onlineConfig(kReplicas, false);
+    std::vector<ReplicaView> views;
+    std::vector<std::unique_ptr<ServingEngine>> engines;
+    for (std::size_t i = 0; i < kReplicas; ++i) {
+        views.push_back({cc.replicas[i].ctx, &cc.replicas[i].cfg});
+        engines.push_back(makeCoServeEngine(*cc.replicas[i].ctx,
+                                            cc.replicas[i].cfg));
+        engines.back()->beginOnline(static_cast<RequestId>(i),
+                                    static_cast<RequestId>(kReplicas));
+    }
+    const LiveCostModel costs(model_, views);
+    const auto router = makeRouter(RoutingPolicy::LeastLoaded, model_, views);
+    std::vector<ReplicaLoadView> live(kReplicas), fresh(kReplicas);
+    std::vector<char> dirty(kReplicas, 1);
+    std::vector<LiveCostModel::Quote> cachedRow, freshRow;
+    int kept = 0;
+    const auto step = [&](std::size_t i, Time t) {
+        if (engines[i]->stepUntil(t) > 0)
+            dirty[i] = 1;
+    };
+    for (std::size_t idx = 0; idx < trace_.size(); ++idx) {
+        const ImageArrival &a = trace_.arrivals[idx];
+        for (std::size_t i = 0; i < kReplicas; ++i)
+            step(i, a.time);
+        for (std::size_t i = 0; i < kReplicas; ++i) {
+            if (dirty[i]) {
+                engines[i]->fillLoadView(live[i]);
+                dirty[i] = 0;
+            } else {
+                kept += 1;
+            }
+            engines[i]->fillLoadView(fresh[i]);
+            const ReplicaLoadView &c = live[i];
+            const ReplicaLoadView &f = fresh[i];
+            ASSERT_EQ(c.queueDepth, f.queueDepth)
+                << "image " << idx << " replica " << i;
+            ASSERT_EQ(c.backlog, f.backlog) << "image " << idx;
+            ASSERT_EQ(c.idle, f.idle) << "image " << idx;
+            ASSERT_EQ(c.gpuPressure, f.gpuPressure) << "image " << idx;
+            ASSERT_EQ(std::max(c.storageFreeAt, f.now), f.storageFreeAt)
+                << "image " << idx;
+            ASSERT_EQ(c.executors.size(), f.executors.size());
+            for (std::size_t k = 0; k < c.executors.size(); ++k) {
+                ASSERT_EQ(c.executors[k].busyUntil, f.executors[k].busyUntil)
+                    << "image " << idx << " executor " << k;
+                ASSERT_EQ(c.executors[k].pendingWork,
+                          f.executors[k].pendingWork)
+                    << "image " << idx << " executor " << k;
+            }
+        }
+        costs.quoteRow(a, live, cachedRow);
+        costs.quoteRow(a, fresh, freshRow);
+        for (std::size_t i = 0; i < kReplicas; ++i) {
+            ASSERT_EQ(cachedRow[i].finish, freshRow[i].finish)
+                << "image " << idx << " replica " << i;
+            ASSERT_EQ(cachedRow[i].add, freshRow[i].add)
+                << "image " << idx << " replica " << i;
+        }
+        const std::size_t r = router->routeLive(a, live);
+        ASSERT_LT(r, kReplicas);
+        engines[r]->admitArrival(a);
+        step(r, a.time);
+    }
+    for (;;) {
+        Time t = kTimeNever;
+        for (const auto &engine : engines)
+            t = std::min(t, engine->nextEventTime());
+        if (t == kTimeNever)
+            break;
+        for (std::size_t i = 0; i < kReplicas; ++i)
+            step(i, t);
+    }
+    std::int64_t images = 0;
+    for (const auto &engine : engines)
+        images += engine->finishOnline().images;
+    EXPECT_EQ(images, static_cast<std::int64_t>(trace_.size()));
+    EXPECT_GT(kept, 0) << "no view was kept across a step";
+}
+
 // -------------------------------------------- pinned live-view digests
 //
 // Decision digests of the online paths that read the live views'

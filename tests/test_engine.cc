@@ -4,7 +4,8 @@
  * device: completion, determinism, prefetch overlap, cache tier, the
  * effect of grouped scheduling on switch counts, pinned schedules for
  * traces with tied and out-of-order arrival times (run() and the same
- * trace stepped through the lifecycle calls), and planned arrivals.
+ * trace stepped through the lifecycle calls), planned arrivals, and
+ * online admission (admitArrival) at its reserved slot.
  */
 
 #include <gtest/gtest.h>
@@ -434,6 +435,162 @@ TEST_F(EngineTraceOrderTest, OutOfOrderAppendedChunkFailsCleanly)
                 ::testing::ExitedWithCode(1),
                 "time-sorted arrivals: arrival 12 is earlier than "
                 "arrival 11");
+}
+
+/**
+ * One online engine admitting arrivals one at a time, as a cluster
+ * coordinator does (admitArrival, then stepUntil the arrival instant),
+ * over trace_ reshaped so that every four arrivals share one instant
+ * and every eighth lands on the engine's own next pending event (a
+ * batch or load completion). Before such a tied arrival the engine
+ * steps only to just before it, so the tied event is still pending
+ * when the arrival is admitted; the rest are admitted at the engine's
+ * clock.
+ */
+class OnlineAdmissionTest : public EngineFixture
+{
+  protected:
+    struct Drive
+    {
+        RunResult result;
+        /** DigestScheduler's dispatch digest plus the latencies. */
+        std::uint64_t digest = 0xcbf29ce484222325ull;
+        /** FNV-1a over RunResult::assignments. */
+        std::uint64_t assignDigest = 0xcbf29ce484222325ull;
+        /** Admissions with an event at their instant still pending. */
+        int tiedPending = 0;
+        /** Smallest stepUntil() count right after an admission. */
+        std::uint64_t minRanAfterAdmit = UINT64_MAX;
+        /**
+         * Admissions after which that step ran exactly one event (the
+         * admission) and left nothing pending at the instant: the
+         * dispatch scheduled nothing there.
+         */
+        int soleAdmissions = 0;
+    };
+
+    Drive
+    drive()
+    {
+        Drive d;
+        EngineConfig cfg = smallConfig(2, 1200);
+        cfg.prefetch = true;
+        ServingEngine engine(
+            std::move(cfg), model_, truth_, footprint_, usage_,
+            std::make_unique<DigestScheduler>(
+                std::make_unique<DependencyAwareScheduler>(), &d.digest),
+            std::make_unique<TwoStageEviction>());
+        // Replica 1 of 3: strided request ids, as online replicas use.
+        engine.beginOnline(1, 3);
+        Time t = 0;
+        for (std::size_t k = 0; k < trace_.size(); ++k) {
+            ImageArrival a = trace_.arrivals[k];
+            const bool tied = k % 8 == 4;
+            if (k % 4 != 0) {
+                a.time = t;
+            } else if (tied) {
+                const Time next = engine.nextEventTime();
+                a.time = std::max(t, next != kTimeNever ? next : a.time);
+            } else {
+                a.time = std::max(t, a.time);
+            }
+            t = a.time;
+            engine.stepUntil(tied ? a.time - 1 : a.time);
+            d.tiedPending += engine.nextEventTime() == a.time ? 1 : 0;
+            engine.admitArrival(a);
+            const std::uint64_t ran = engine.stepUntil(a.time);
+            d.minRanAfterAdmit = std::min(d.minRanAfterAdmit, ran);
+            if (ran == 1 && engine.nextEventTime() > a.time)
+                d.soleAdmissions += 1;
+        }
+        engine.stepUntil(kTimeNever);
+        d.result = engine.finishOnline();
+        for (double ms : d.result.requestLatencyMs.raw()) {
+            std::uint64_t bits = 0;
+            std::memcpy(&bits, &ms, sizeof bits);
+            DigestScheduler::fold(&d.digest, bits);
+        }
+        for (int exec : d.result.assignments) {
+            DigestScheduler::fold(&d.assignDigest,
+                                  static_cast<std::uint64_t>(exec));
+        }
+        return d;
+    }
+};
+
+// Recorded with online arrivals scheduled as heap events, which the
+// next step ran; admitting each at its reserved slot must reproduce
+// the schedule exactly.
+TEST_F(OnlineAdmissionTest, BurstsAndCompletionTiesArePinned)
+{
+    const Drive d = drive();
+    EXPECT_EQ(d.result.images, 300);
+    EXPECT_GT(d.tiedPending, 0) << "no arrival met a pending event";
+    EXPECT_EQ(d.result.eventsExecuted, 697u);
+    EXPECT_EQ(d.result.assignments.size(), 1094u);
+    EXPECT_EQ(d.digest, 0x4045ae85c90c795full);
+    EXPECT_EQ(d.assignDigest, 0xa12d3176e96f10ddull);
+}
+
+TEST_F(OnlineAdmissionTest, StepAfterAdmissionCountsIt)
+{
+    // The admission is one executed event, and the step after it
+    // reports it even when the dispatch scheduled nothing at the
+    // instant: a coordinator that refreshes a replica's view only on
+    // a non-zero step count must see the queued arrival.
+    const Drive d = drive();
+    EXPECT_GE(d.minRanAfterAdmit, 1u);
+    EXPECT_GT(d.soleAdmissions, 0);
+}
+
+TEST_F(EngineFixture, AdmissionAheadOfPlannedArrivalsMatchesSteppedAdmission)
+{
+    // A replica with a plan takes an online arrival later than some
+    // of its planned arrivals: admitting it without stepping first
+    // must admit those planned arrivals before it, exactly as stepping
+    // to the arrival instant first does.
+    const std::size_t planned = 200;
+    const auto drive = [&](bool stepFirst) {
+        ServingEngine engine(smallConfig(2, 1200), model_, truth_,
+                             footprint_, usage_,
+                             std::make_unique<DependencyAwareScheduler>(),
+                             std::make_unique<TwoStageEviction>());
+        engine.beginOnline(0, 1);
+        engine.admitPlanned(trace_.arrivals.data(), planned, planned, true);
+        for (std::size_t k = planned; k < trace_.size(); k += 10) {
+            ImageArrival a = trace_.arrivals[k];
+            a.time = trace_.arrivals[k - planned + 5].time;
+            if (stepFirst)
+                engine.stepUntil(a.time);
+            engine.admitArrival(a);
+            EXPECT_GE(engine.stepUntil(a.time), 1u);
+        }
+        engine.stepUntil(kTimeNever);
+        return engine.finishOnline();
+    };
+    const RunResult stepped = drive(true);
+    const RunResult ahead = drive(false);
+    EXPECT_EQ(stepped.images, static_cast<std::int64_t>(planned + 10));
+    EXPECT_EQ(ahead.images, stepped.images);
+    EXPECT_EQ(ahead.eventsExecuted, stepped.eventsExecuted);
+    EXPECT_EQ(ahead.assignments, stepped.assignments);
+    EXPECT_EQ(ahead.requestLatencyMs.raw(), stepped.requestLatencyMs.raw());
+}
+
+TEST_F(EngineFixture, AdmitArrivalRefusesThePastAndACrashedReplica)
+{
+    ServingEngine engine(smallConfig(1, 800), model_, truth_, footprint_,
+                         usage_, std::make_unique<FcfsSingleScheduler>(),
+                         std::make_unique<LruEviction>());
+    engine.beginOnline(0, 1);
+    ImageArrival a = trace_.arrivals.front();
+    engine.stepUntil(a.time + milliseconds(1));
+    EXPECT_DEATH(engine.admitArrival(a), "into the past: [0-9]+ < [0-9]+");
+    std::vector<CheckpointImage> images;
+    std::vector<Request> requests;
+    engine.crashDrain(images, requests);
+    a.time = engine.now();
+    EXPECT_DEATH(engine.admitArrival(a), "admitting into a crashed replica");
 }
 
 TEST_F(EngineFixture, OpenPlanRefusesCrashAndFinish)

@@ -7,7 +7,8 @@
  * replica's perf matrix (the reference below) over live views that
  * cover every branch of the estimate; its quote row, the one pricing
  * an online arrival gets, must hold exactly those quotes for the
- * replicas that accept work and can serve the chain.
+ * replicas that accept work and can serve the chain. A LeastLoaded
+ * router that borrows the model routes as one that builds its own.
  */
 
 #include <gtest/gtest.h>
@@ -142,6 +143,13 @@ TEST(LiveCostModelTest, MatchesPerArrivalPerfMatrixReading)
     std::vector<ReplicaLoadView> rowViews(n);
     std::vector<LiveCostModel::Quote> row;
     int rowPriced = 0, rowGated = 0;
+    // LeastLoaded pricing with its own model and with this one picks
+    // alike from the same views.
+    const auto ownRouter =
+        makeRouter(RoutingPolicy::LeastLoaded, model, views);
+    const auto borrowingRouter =
+        makeRouter(RoutingPolicy::LeastLoaded, model, views, &costs);
+    int routed = 0;
     for (std::size_t idx = 0; idx < trace.size(); ++idx) {
         const ImageArrival &a = trace.arrivals[idx];
         for (const auto &engine : engines)
@@ -211,6 +219,15 @@ TEST(LiveCostModelTest, MatchesPerArrivalPerfMatrixReading)
                 rowGated += rowViews[i].acceptingWork ? 0 : 1;
             }
         }
+        bool anyOpen = false;
+        for (std::size_t i = 0; i < n; ++i)
+            anyOpen = anyOpen || row[i].finish != kTimeNever;
+        if (anyOpen) {
+            EXPECT_EQ(borrowingRouter->routeLive(a, rowViews),
+                      ownRouter->routeLive(a, rowViews))
+                << "image " << idx;
+            routed += 1;
+        }
         const std::size_t r =
             costs.caps().firstChainCapable(a.component, idx % n);
         engines[r]->admitArrival(a);
@@ -228,6 +245,7 @@ TEST(LiveCostModelTest, MatchesPerArrivalPerfMatrixReading)
     EXPECT_GT(incapable, 0);
     EXPECT_GT(rowPriced, 0);
     EXPECT_GT(rowGated, 0);
+    EXPECT_GT(routed, 0);
 }
 
 } // namespace

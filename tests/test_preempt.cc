@@ -11,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "coe/board_builder.h"
+#include "core/coserve.h"
 #include "metrics/cluster_result.h"
 #include "metrics/report.h"
 #include "model/footprint_model.h"
@@ -265,6 +267,59 @@ TEST_F(PreemptFixture, ClusterPolicyReachesEveryReplica)
     EXPECT_EQ(rb.preemptions, 0);
     EXPECT_EQ(rb.checkpointedGroups, 0);
     EXPECT_EQ(rb.decisionDigest, ra.decisionDigest);
+}
+
+TEST_F(PreemptFixture, EngineAdmissionRescueIsPinned)
+{
+    // Deadline rescue runs at admission (admitTimed), the only caller
+    // of tryPreemptFor: one preemption-on engine takes the whole SLO
+    // trace through admitArrival, stepped as a coordinator steps a
+    // replica, so every rescue starts inside an admission. Pinned with
+    // online arrivals scheduled as heap events, which the step after
+    // admitArrival ran.
+    EngineConfig cfg = cfg_;
+    cfg.preemption = preemptConfig(1, false).preemption;
+    const std::unique_ptr<ServingEngine> engine =
+        makeCoServeEngine(ctx_, cfg);
+    engine->beginOnline(0, 1);
+    std::vector<PreemptEvent> events;
+    for (const ImageArrival &a : trace_.arrivals) {
+        engine->stepUntil(a.time);
+        engine->admitArrival(a);
+        EXPECT_GE(engine->stepUntil(a.time), 1u);
+        engine->drainPreemptEvents(events);
+    }
+    engine->stepUntil(kTimeNever);
+    engine->drainPreemptEvents(events);
+    const RunResult r = engine->finishOnline();
+
+    std::int64_t preempts = 0, restores = 0;
+    for (const PreemptEvent &e : events) {
+        preempts += e.what == PreemptEvent::What::Preempt ? 1 : 0;
+        restores += e.what == PreemptEvent::What::Restore ? 1 : 0;
+    }
+    EXPECT_GT(r.preemptions, 0);
+    EXPECT_EQ(preempts, r.preemptions);
+    EXPECT_EQ(restores, r.preemptions);
+    EXPECT_EQ(r.images, static_cast<std::int64_t>(trace_.size()));
+    EXPECT_EQ(r.preemptions, 28);
+    EXPECT_EQ(r.eventsExecuted, 988u);
+    EXPECT_EQ(r.makespan, 56382340582);
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    const auto fold = [&digest](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            digest ^= (v >> (8 * i)) & 0xFF;
+            digest *= 0x100000001b3ull;
+        }
+    };
+    for (int exec : r.assignments)
+        fold(static_cast<std::uint64_t>(exec));
+    for (double ms : r.requestLatencyMs.raw()) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &ms, sizeof bits);
+        fold(bits);
+    }
+    EXPECT_EQ(digest, 0x4dbbd56754d9107cull);
 }
 
 // --------------------------------------------------------- determinism
